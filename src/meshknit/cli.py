@@ -3,12 +3,13 @@
 Every command emits a deterministic artifact (TSV or JSON) embedding the
 run configuration.  Exit codes: 0 success, 1 verification counterexample
 (the artifact contains the witness), 2 window error, 3 validity-range
-truncation, 4 bad arguments.
+truncation, 4 bad arguments, 5 the artifact could not be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import dataclass, field as dataclass_field
@@ -42,11 +43,16 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_WINDOW = 2
 EXIT_TRUNCATED = 3
 EXIT_USAGE = 4
+EXIT_IO = 5
 
 DEFAULT_WINDOW = 4
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _WriteError(Exception):
     pass
 
 
@@ -123,11 +129,24 @@ def _resolve_window(args) -> int:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write the artifact to stdout, or atomically to out_path.
+
+    The text goes to a temporary file in the target directory first and
+    is renamed over out_path, so a failure never leaves a partial file.
+    """
     if out_path is None:
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        return
+    head, tail = os.path.split(out_path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        os.replace(tmp, out_path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise _WriteError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser, formats=("tsv", "json")) -> None:
@@ -319,6 +338,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"meshknit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _WriteError as exc:
+        print(f"meshknit: error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except WindowError as exc:
         print(f"meshknit: window error: {exc}", file=sys.stderr)
         return EXIT_WINDOW

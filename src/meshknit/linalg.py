@@ -43,10 +43,6 @@ class Field:
         if self.char != 0 and not _is_prime(self.char):
             raise ValueError(f"field characteristic must be 0 or prime, got {self.char}")
 
-    @property
-    def is_rationals(self) -> bool:
-        return self.char == 0
-
     def coerce(self, x):
         """Coerce an int or Fraction into this field; floats are rejected."""
         if isinstance(x, bool):
@@ -291,11 +287,6 @@ class Subspace:
     def basis(self) -> list[tuple]:
         """RREF basis rows ordered by pivot column."""
         return [tuple(self._rows[c]) for c in sorted(self._rows)]
-
-    def copy(self) -> "Subspace":
-        dup = Subspace(self.field, self.ambient_dim)
-        dup._rows = {c: list(r) for c, r in self._rows.items()}
-        return dup
 
 
 def span_rank(field: Field, vectors: Iterable[Sequence], ambient_dim: int) -> int:

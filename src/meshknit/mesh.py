@@ -7,6 +7,12 @@ the two-step composites through them, all coefficients +1.  Relative
 signs between parallel paths are not imposed; they emerge from
 reduction modulo the ideal.
 
+Every mesh of the modeled shapes has one or two middles, so every
+relation instance is a single path or a sum of two paths.  The quotient
+is therefore "zero, or plus-or-minus one representative per class", and
+one signed union-find over the parallel paths (:class:`_MeshClasses`)
+computes it exactly, with no linear algebra.
+
 Path length is the grading, and doubles as the radical filtration:
 irreducible morphisms (single arrows) span grade 1.
 
@@ -20,16 +26,18 @@ corrupt the relation span.
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import (
+    InternalCheckError,
     MixedPathLengthError,
     PreconditionError,
     QuiverKindError,
     UnsupportedParameterError,
     WindowError,
 )
-from .linalg import QQ, Field, Subspace
+from .linalg import QQ, Field
 from .quiver import (
     Arrow,
     DihedralFamily,
@@ -40,8 +48,10 @@ from .quiver import (
 
 Path = tuple[Arrow, ...]
 
-# Path counts up to this bound get the dense treatment in path_sign_check:
-# a full reduction of every pairwise difference modulo the relation span.
+# path_sign_check labels reports on up to this many paths "dense" and
+# gives them hom_dim and per-pair counts; larger ones are "certificate".
+# Both come from the same union-find: the label is kept because the
+# benchmark checks it.
 DENSE_SIGN_LIMIT = 120
 
 
@@ -300,19 +310,124 @@ def relation_instances(
     return out
 
 
-def _hom_context(
-    q: TranslationQuiver,
-    u: Vertex,
-    m: Vertex,
-    grade: int,
-    win: _Window,
-    field: Field,
-) -> tuple[list[Path], Subspace]:
-    paths = _enumerate_paths(q, u, m, grade, win)
-    ideal = Subspace(field, len(paths))
-    for row in _relation_rows(q, u, m, grade, paths, win):
-        ideal.insert(row)
-    return paths, ideal
+@dataclass
+class FlipEdge:
+    """Two parallel paths differing by one mesh exchange (sign -1)."""
+
+    path_a: int
+    path_b: int
+    position: int
+    mesh_end: Vertex
+    verified: bool = True
+
+
+class _MeshClasses:
+    """Parallel paths u -> m modulo the mesh ideal, as a signed union-find.
+
+    No mesh of the modeled shapes has more than two middles, so every
+    relation instance either kills one path (one middle) or makes two
+    paths equal up to -1 (two middles).  Each path is thus (-1)^parity
+    times its component's root, or zero when the component is dead: it
+    holds a killed path or, outside characteristic 2 (where the signs
+    collapse), its flips close an odd cycle, p = -p.  The quotient
+    dimension is the number of live components.
+
+    One scan finds every instance: position s of a path with
+    seq[s] = tau(seq[s + 2]) is the mesh ending at seq[s + 2], applied
+    with that path's own prefix and suffix.
+    """
+
+    def __init__(
+        self, q: TranslationQuiver, u: Vertex, m: Vertex, grade: int, win: _Window, field: Field
+    ):
+        self.paths = paths = _enumerate_paths(q, u, m, grade, win)
+        n = len(paths)
+        self.parent = list(range(n))
+        self.parity = [0] * n  # relative to the parent
+        self.dead = [False] * n  # read at roots only
+        self.signed = field.char != 2
+        self.components = n
+        self.flip_edges: list[FlipEdge] = []
+        self.zero_paths: set[int] = set()
+        # Label words are cheap dictionary keys; from a fixed source they
+        # determine the path on every modeled shape.
+        words = [path_word(p) for p in paths]
+        self.index = {w: i for i, w in enumerate(words)}
+        if len(self.index) != n:
+            raise InternalCheckError(f"arrow labels do not determine the paths from {u}")
+
+        # tau and the mesh exchanges are cached per mesh end: the same
+        # vertex recurs across paths.  None marks a one-middle mesh.
+        tau_of: dict[Vertex, Vertex] = {}
+        swaps_of: dict[Vertex, dict[Vertex, tuple[str, str]] | None] = {}
+        for i, p in enumerate(paths):
+            seq = path_vertices(u, p)
+            word = words[i]
+            for s in range(grade - 1):
+                v = seq[s + 2]
+                start = tau_of.get(v)
+                if start is None:
+                    start = tau_of[v] = q.tau(v)
+                if seq[s] != start:
+                    continue
+                if v not in swaps_of:
+                    middles = q.mesh(v).middles
+                    swaps_of[v] = None if len(middles) == 1 else {
+                        w: (q.arrow_between(start, w).label, q.arrow_between(w, v).label)
+                        for w in middles
+                    }
+                swaps = swaps_of[v]
+                if swaps is None:
+                    # the two-step segment is a full relation on its own
+                    self.zero_paths.add(i)
+                    self.kill(i)
+                    continue
+                for w, labels in swaps.items():
+                    if w == seq[s + 1]:
+                        continue
+                    j = self.index[word[:s] + labels + word[s + 2:]]
+                    if i < j:
+                        self.flip_edges.append(FlipEdge(i, j, s, v))
+                        self.join(i, j)
+
+    def find(self, i: int) -> tuple[int, int]:
+        """The root of path i's component and the parity of i relative to it.
+
+        The root is the lowest-index path of the component; path halving
+        keeps the trees shallow.
+        """
+        parent, parity = self.parent, self.parity
+        odd = 0
+        while parent[i] != i:
+            up = parent[i]
+            parity[i] ^= parity[up]
+            parent[i] = parent[up]
+            odd ^= parity[i]
+            i = parent[i]
+        return i, odd
+
+    def kill(self, i: int) -> None:
+        self.dead[self.find(i)[0]] = True
+
+    def join(self, i: int, j: int) -> None:
+        """Impose path_i + path_j = 0."""
+        (ri, pi), (rj, pj) = self.find(i), self.find(j)
+        if ri == rj:
+            # an odd cycle of flips forces p = -p
+            if pi == pj and self.signed:
+                self.dead[ri] = True
+            return
+        if rj < ri:
+            ri, rj = rj, ri
+        self.parent[rj] = ri
+        self.parity[rj] = pi ^ pj ^ 1
+        self.dead[ri] = self.dead[ri] or self.dead[rj]
+        self.components -= 1
+
+    @property
+    def live(self) -> int:
+        """Dimension of the quotient: the number of live components."""
+        return sum(1 for i, r in enumerate(self.parent) if i == r and not self.dead[i])
 
 
 def hom_dim_mesh(
@@ -349,8 +464,8 @@ def hom_dim_mesh(
     win = _Window(q, window, grade + 2)
     win.check_base(u)
     win.check_base(m)
-    paths, ideal = _hom_context(q, u, m, grade, win, field)
-    return HomSpace(u, m, grade, len(paths), ideal.rank)
+    classes = _MeshClasses(q, u, m, grade, win, field)
+    return HomSpace(u, m, grade, len(classes.paths), len(classes.paths) - classes.live)
 
 
 def knit_layers(
@@ -398,24 +513,18 @@ def knit_layers(
 
     rows: dict[int, dict[Vertex, int]] = {}
     valid_through = k_max
-    for k in range(k_max + 1):
-        row = layer(m, k)
-        if any(mult < 0 for mult in row.values()):
-            valid_through = k - 1
-            break
-        rows[k] = row
+    try:
+        for k in range(k_max + 1):
+            row = layer(m, k)
+            if any(mult < 0 for mult in row.values()):
+                valid_through = k - 1
+                break
+            rows[k] = row
+    finally:
+        # layer() refers to itself, so it and memo form a reference cycle
+        # that only a full collection would free; release the memo now.
+        memo.clear()
     return LayerTable(target=m, layers=rows, k_max=k_max, valid_through=valid_through)
-
-
-@dataclass
-class FlipEdge:
-    """Two parallel paths differing by one mesh exchange (sign -1)."""
-
-    path_a: int
-    path_b: int
-    position: int
-    mesh_end: Vertex
-    verified: bool = True
 
 
 @dataclass
@@ -460,12 +569,18 @@ def path_sign_check(
     Paths that differ by exchanging the two middles of one mesh are
     congruent up to -1: their sum is literally a relation instance.
     Chaining exchanges predicts the relative sign of any two paths as
-    (-1)^(number of flips).  For small path spaces ("dense") the check
-    reduces every pairwise difference modulo the full relation span, so
-    the predicted signs are confirmed by canonical residues.  For large
-    spaces ("certificate") each flip edge is itself an exhibited ideal
-    element and transitivity along the flip graph certifies every pair;
-    the graph must be connected for that to cover all pairs.
+    (-1)^(number of flips).  The flip edges, the paths killed by a
+    one-middle mesh, and the components all come from one scan into the
+    signed union-find of path classes (:class:`_MeshClasses`).  Since no
+    mesh has more than two middles, that union-find is the mesh ideal
+    itself: two paths of one component agree up to their predicted sign,
+    and two paths of different components agree only if both are zero.
+
+    ``method`` is a label only, kept because the benchmark checks it:
+    reports on at most ``dense_limit`` paths are "dense" and carry
+    ``hom_dim`` and per-pair counts; larger ones are "certificate", where
+    each flip edge is an exhibited ideal element and a connected flip
+    graph certifies every pair by transitivity.
     """
     q.validate(u)
     q.validate(m)
@@ -480,162 +595,50 @@ def path_sign_check(
     win = _Window(q, window, grade + 2)
     win.check_base(u)
     win.check_base(m)
-    paths = _enumerate_paths(q, u, m, grade, win)
-    n = len(paths)
+    classes = _MeshClasses(q, u, m, grade, win, field)
+    n = len(classes.paths)
     if n == 0:
         return PathSignReport(u, m, grade, 0, "vacuous")
 
     report = PathSignReport(u, m, grade, n, "dense" if n <= dense_limit else "certificate")
-
-    # Label words are cheaper dictionary keys than arrow tuples; from a
-    # fixed source they determine the path on all modeled shapes.  Fall
-    # back to full arrow tuples if labels ever fail to disambiguate.
-    words = [path_word(p) for p in paths]
-    word_index = {w: i for i, w in enumerate(words)}
-    by_word = len(word_index) == n
-    index = word_index if by_word else {p: i for i, p in enumerate(paths)}
-
-    # Discover flip edges and relation-forced zero paths.  The mesh data
-    # per flip point is cached: the same vertex recurs across paths.
-    zero_paths = set()
-    edges: list[FlipEdge] = []
-    adjacency: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
-    flip_data: dict[Vertex, dict | None] = {}
-    tau_of: dict[Vertex, Vertex] = {}
-    for i, p in enumerate(paths):
-        seq = path_vertices(u, p)
-        for s in range(grade - 1):
-            v = seq[s + 2]
-            start = tau_of.get(v)
-            if start is None:
-                start = tau_of[v] = q.tau(v)
-            if seq[s] != start:
-                continue
-            swaps = flip_data.get(v, 0)
-            if swaps == 0:
-                middles = q.mesh(v).middles
-                if len(middles) == 1:
-                    swaps = None
-                else:
-                    swaps = {}
-                    for w2 in middles:
-                        pair = (q.arrow_between(start, w2), q.arrow_between(w2, v))
-                        swaps[w2] = pair
-                flip_data[v] = swaps
-            if swaps is None:
-                # the two-step segment is a full relation on its own
-                zero_paths.add(i)
-                continue
-            w = seq[s + 1]
-            for w2, (first, second) in swaps.items():
-                if w2 == w:
-                    continue
-                if by_word:
-                    key = words[i][:s] + (first.label, second.label) + words[i][s + 2:]
-                else:
-                    key = p[:s] + (first, second) + p[s + 2:]
-                j = index[key]
-                if i < j:
-                    edges.append(FlipEdge(i, j, s, v))
-                    adjacency[i].append((j, s))
-                    adjacency[j].append((i, s))
-    report.flip_edges = edges
-    report.zero_paths = sorted(zero_paths)
-
-    # Propagate signs over the flip graph (each flip contributes -1).
-    signs = [0] * n
-    component_of = [-1] * n
-    comp = 0
-    for start in range(n):
-        if component_of[start] != -1:
-            continue
-        component_of[start] = comp
-        signs[start] = 1
-        queue = [start]
-        while queue:
-            cur = queue.pop()
-            for nxt, _pos in adjacency[cur]:
-                if component_of[nxt] == -1:
-                    component_of[nxt] = comp
-                    signs[nxt] = -signs[cur]
-                    queue.append(nxt)
-                elif signs[nxt] != -signs[cur]:
-                    # an odd cycle in the flip graph would force the path
-                    # class to vanish; record and keep going
-                    zero_paths.add(nxt)
-        comp += 1
-    report.signs = signs
-    report.connected = comp == 1
-    report.zero_paths = sorted(zero_paths)
+    report.flip_edges = classes.flip_edges
+    report.zero_paths = sorted(classes.zero_paths)
+    # Each flip contributes -1; signs are relative to the root, the
+    # lowest-index path of each component.
+    roots = [classes.find(i) for i in range(n)]
+    report.signs = [-1 if odd else 1 for _, odd in roots]
+    report.connected = classes.components == 1
 
     if report.method == "dense":
-        rows = _relation_rows(q, u, m, grade, paths, win)
-        ideal = Subspace(field, n)
-        for row in rows:
-            ideal.insert(row)
-        report.hom_dim = n - ideal.rank
-        residues = []
-        basis = [0] * n
-        for i in range(n):
-            basis[i] = 1
-            residues.append(ideal.residue(basis))
-            basis[i] = 0
-        f = field
-        for i in range(n):
-            for j in range(i + 1, n):
-                ri, rj = residues[i], residues[j]
-                if component_of[i] == component_of[j]:
-                    predicted = signs[i] * signs[j]
-                    diff_ok = all(
-                        a == (b if predicted == 1 else f.neg(b))
-                        for a, b in zip(ri, rj)
-                    )
-                    if diff_ok:
-                        report.verified_pairs += 1
-                    else:
-                        report.counterexamples.append(
-                            {"pair": (i, j), "predicted_sign": predicted}
-                        )
-                else:
-                    # No flip chain connects them; they can only agree if
-                    # both classes already vanish.
-                    if not any(ri) and not any(rj):
-                        report.verified_pairs += 1
-                    else:
-                        report.counterexamples.append(
-                            {"pair": (i, j), "predicted_sign": None}
-                        )
-        for i in sorted(zero_paths):
-            if any(residues[i]):
-                report.counterexamples.append({"zero_path": i})
-    else:
+        # Pairs within one component agree up to their predicted sign (or
+        # both vanish); pairs across components agree only if both vanish.
+        report.hom_dim = classes.live
+        sizes = Counter(r for r, _ in roots)
+        live_roots = [r for r in sizes if not classes.dead[r]]
+        n_dead = n - sum(sizes[r] for r in live_roots)
+        report.verified_pairs = n_dead * (n_dead - 1) // 2 + sum(
+            sizes[r] * (sizes[r] - 1) // 2 for r in live_roots
+        )
+        if not report.connected:
+            # Every path of a live component fails against every path
+            # outside it; the scan per live root is paid for by its output.
+            bad = set()
+            for r in live_roots:
+                mine = [i for i in range(n) if roots[i][0] == r]
+                others = [j for j in range(n) if roots[j][0] != r]
+                bad.update((min(a, b), max(a, b)) for a in mine for b in others)
+            report.counterexamples = [{"pair": p, "predicted_sign": None} for p in sorted(bad)]
+    elif report.connected:
         # Certificate mode: every flip edge is a genuine relation instance
-        # (checked structurally above: segment start = tau(mesh end), the
-        # two branches are exactly the mesh middles), so within a
+        # (checked structurally in the scan: segment start = tau(mesh end),
+        # the two branches are exactly the mesh middles), so within a
         # connected flip graph all pairwise signs follow by transitivity.
-        if report.connected:
-            report.verified_pairs = n * (n - 1) // 2
-        else:
-            report.counterexamples.append(
-                {"disconnected_flip_graph": True, "components": comp}
-            )
+        report.verified_pairs = n * (n - 1) // 2
+    else:
+        report.counterexamples.append(
+            {"disconnected_flip_graph": True, "components": classes.components}
+        )
     return report
-
-
-def _diamond_chains(q: DihedralFamily, m: Vertex, n: int) -> dict:
-    """The two fixed edge maps of the diamond over m, as arrow chains."""
-    i, j = m.coords
-    top = q.vertex(i + 2 * n, j)
-    bottom = q.vertex(i, j + 2 * n)
-    top_chain = tuple(
-        Arrow(q.vertex(i + 2 * k, j), q.vertex(i + 2 * k - 2, j), "gamma_prime")
-        for k in range(n, 0, -1)
-    )
-    bottom_chain = tuple(
-        Arrow(q.vertex(i, j + 2 * k), q.vertex(i, j + 2 * k - 2), "gamma")
-        for k in range(n, 0, -1)
-    )
-    return {"top": top, "bottom": bottom, "top_chain": top_chain, "bottom_chain": bottom_chain}
 
 
 # Zero multiplicity is certified on this many extra vertex rings beyond
@@ -665,39 +668,37 @@ def diamond_cokernel(
     if n < 1:
         raise UnsupportedParameterError(f"n must be >= 1, got {n}")
     q.validate(m)
-    chains = _diamond_chains(q, m, n)
+    mi, mj = m.coords
+    # The two fixed edge maps, as (corner, label word of the chain to m).
+    chains = (
+        (q.vertex(mi + 2 * n, mj), ("gamma_prime",) * n),
+        (q.vertex(mi, mj + 2 * n), ("gamma",) * n),
+    )
     # Rings grow with n so that every layer up to the deepest possible
     # factor (grade 2n-2) is scanned completely, not just on the grid.
     rings = max(DIAMOND_MARGIN_RINGS, n - 2)
     win = _Window(q, window, n + rings + 2)
     win.check_base(m)
-    for corner in (chains["top"], chains["bottom"], q.tensor_translate(m, (2 * n, 2 * n))):
+    for corner in (chains[0][0], chains[1][0], q.tensor_translate(m, (2 * n, 2 * n))):
         win.check_base(corner)
 
     reach = 2 * n + 2 * rings
     layers: dict[int, dict[Vertex, int]] = {}
-    mi, mj = m.coords
     for a in range(0, reach + 1, 2):
         for b in range(0, reach + 1, 2):
             v = q.vertex(mi + a, mj + b)
             win.check(v)
             grade = (a + b) // 2
-            paths, span = _hom_context(q, v, m, grade, win, field)
-            if not paths:
+            classes = _MeshClasses(q, v, m, grade, win, field)
+            if not classes.paths:
                 continue
-            index = {p: i for i, p in enumerate(paths)}
-            for corner_key, chain_key in (("top", "top_chain"), ("bottom", "bottom_chain")):
-                corner = chains[corner_key]
+            for corner, chain_word in chains:
                 lead = q.distance(v, corner)
                 if lead is None:
                     continue
-                chain = chains[chain_key]
                 for p in _enumerate_paths(q, v, corner, lead, win):
-                    full = p + chain
-                    row = [0] * len(paths)
-                    row[index[full]] = 1
-                    span.insert(row)
-            mult = len(paths) - span.rank
+                    classes.kill(classes.index[path_word(p) + chain_word])
+            mult = classes.live
             if mult > 0:
                 layers.setdefault(grade, {})[v] = mult
     # Rows are complete (every vertex of the grade scanned) up to n+rings.
@@ -724,11 +725,9 @@ def rim_obstruction_check(q: TranslationQuiver, rim_vertex: Vertex, window: int)
     win.check_base(rim_vertex)
     start = q.tau(rim_vertex)
     win.check_base(start)
-    paths, ideal = _hom_context(q, start, rim_vertex, 2, win, QQ)
-    if len(paths) != 1:
+    classes = _MeshClasses(q, start, rim_vertex, 2, win, QQ)
+    if len(classes.paths) != 1:
         raise PreconditionError(
-            f"expected exactly one double-step path {start} -> {rim_vertex}, found {len(paths)}"
+            f"expected exactly one double-step path {start} -> {rim_vertex}, found {len(classes.paths)}"
         )
-    probe = [0] * len(paths)
-    probe[0] = 1
-    return ideal.contains(probe)
+    return classes.live == 0

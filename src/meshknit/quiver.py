@@ -112,9 +112,6 @@ class TranslationQuiver:
     def in_window(self, v: Vertex, radius: int) -> bool:
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
     # -- derived -------------------------------------------------------
     def serre(self, v: Vertex) -> Vertex:
         """Serre image sigma(tau(v)); the codomain of almost-vanishing classes."""
@@ -222,9 +219,6 @@ class Tube(TranslationQuiver):
     def grade_forced(self) -> bool:
         # J_i -> J_{i+1} -> J_i and the identity path have different lengths.
         return False
-
-    def describe(self) -> dict:
-        return {"kind": "tube", "n": self.n}
 
     def __repr__(self) -> str:
         return f"Tube(n={self.n})"
@@ -339,9 +333,6 @@ class DihedralFamily(TranslationQuiver):
             return None
         return (di + dj) // 2
 
-    def describe(self) -> dict:
-        return {"kind": "dihedral", "window_radius": self.window_radius}
-
     def __repr__(self) -> str:
         return f"DihedralFamily(window_radius={self.window_radius})"
 
@@ -436,9 +427,6 @@ class ZAInf(TranslationQuiver):
         if ups < 0 or downs < 0:
             return None
         return ups + downs
-
-    def describe(self) -> dict:
-        return {"kind": "za-inf", "window_radius": self.window_radius}
 
     def __repr__(self) -> str:
         return f"ZAInf(window_radius={self.window_radius})"

@@ -190,17 +190,3 @@ def oracle_payload(results: dict, config: dict) -> dict:
         "checks": checks,
         "all_ok": all(c["ok"] for c in checks.values()),
     }
-
-
-def obstruction_payload(report, config: dict) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "a-inf-obstruction",
-        "config": dict(_config_items(config)),
-        "degree": report.degree,
-        "window": report.window,
-        "rim_positions": list(report.rim_positions),
-        "failures": list(report.failures),
-        "small_window": report.small_window,
-        "ok": report.ok,
-    }

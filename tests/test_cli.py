@@ -1,6 +1,9 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -266,6 +269,39 @@ def test_window_is_recorded_in_config(run):
     )
     assert code == 0
     assert json.loads(out)["config"]["window"] == 7
+
+
+# -- unwritable artifacts ----------------------------------------------------------
+
+
+def test_out_into_missing_directory_exits_5(tmp_path):
+    target = tmp_path / "missing" / "table.tsv"
+    argv = ["knit", "--quiver", "tube:4", "--vertex", "J2", "--kmax", "3", "--out", str(target)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("MESHKNIT_WINDOW", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "meshknit.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == cli.EXIT_IO == 5
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"meshknit: error: cannot write {target}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_rename_leaves_no_temporary_file(run, tmp_path):
+    # The target is an existing directory: the temporary file is written
+    # next to it, the rename fails, and the temporary file is removed.
+    code, out, err = run(
+        ["knit", "--quiver", "tube:4", "--vertex", "J2", "--kmax", "3", "--out", str(tmp_path)]
+    )
+    assert code == 5
+    assert out == ""
+    assert err.startswith(f"meshknit: error: cannot write {tmp_path}: ")
+    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.parent.glob(f".{tmp_path.name}.*")) == []
 
 
 # -- determinism --------------------------------------------------------------------
