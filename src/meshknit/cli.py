@@ -3,7 +3,8 @@
 Every command emits a deterministic artifact (TSV or JSON) embedding the
 run configuration.  Exit codes: 0 success, 1 verification counterexample
 (the artifact contains the witness), 2 window error, 3 validity-range
-truncation, 4 bad arguments, 5 the artifact could not be written.
+truncation, 4 bad arguments, 5 the artifact could not be written,
+6 an internal consistency check failed.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from . import jordan
 from .errors import (
     DegreeError,
     InvalidVertexError,
+    MeshknitError,
     MixedPathLengthError,
     PreconditionError,
     QuiverKindError,
@@ -44,6 +46,7 @@ EXIT_WINDOW = 2
 EXIT_TRUNCATED = 3
 EXIT_USAGE = 4
 EXIT_IO = 5
+EXIT_INTERNAL = 6
 
 DEFAULT_WINDOW = 4
 
@@ -354,6 +357,10 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"meshknit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MeshknitError as exc:
+        # InternalCheckError, ExactnessError and the like: a bug, not a counterexample
+        print(f"meshknit: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ morphism classes rather than a basis require a finite field.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
 from itertools import product
 
@@ -537,16 +538,21 @@ class _Context:
         return got
 
 
-_contexts: dict[tuple[int, int], _Context] = {}
+# Contexts are cached per (n, p); beyond this many the least recently
+# used one is dropped.
+MAX_CONTEXTS = 16
+_contexts: OrderedDict[tuple[int, int], _Context] = OrderedDict()
 
 
 def context(n: int, field: Field = GF5) -> _Context:
     key = (n, field.char)
-    ctx = _contexts.get(key)
-    if ctx is None:
-        ctx = _Context(n, field)
-        _contexts[key] = ctx
-    return ctx
+    if key in _contexts:
+        _contexts.move_to_end(key)
+    else:
+        _contexts[key] = _Context(n, field)
+        if len(_contexts) > MAX_CONTEXTS:
+            _contexts.popitem(last=False)
+    return _contexts[key]
 
 
 # ---------------------------------------------------------------------------

@@ -214,14 +214,11 @@ def _enumerate_paths(
     distances: dict[Vertex, int | None] = {}
     grade_forced = q.grade_forced
 
-    def dist(at: Vertex) -> int | None:
-        if at not in distances:
-            distances[at] = q.distance(at, m)
-        return distances[at]
-
     def walk(at: Vertex, acc: list[Arrow]):
         remaining = grade - len(acc)
-        d = dist(at)
+        if at not in distances:
+            distances[at] = q.distance(at, m)
+        d = distances[at]
         if d is None or d > remaining or (remaining - d) % 2 != 0:
             return
         if grade_forced and d != remaining:
@@ -235,7 +232,12 @@ def _enumerate_paths(
             walk(a.target, acc)
             acc.pop()
 
-    walk(u, [])
+    try:
+        walk(u, [])
+    finally:
+        # walk refers to itself: drop the name so that the cycle does not
+        # keep out and distances alive until a full collection.
+        del walk
     return out
 
 
@@ -473,14 +475,21 @@ def knit_layers(
 ) -> LayerTable:
     """Radical-layer multiplicities of Hom(-, m) by the knitting recurrence.
 
-    layer 0 is {m: 1}; layer 1 lists the mesh middles of m; deeper layers
-    satisfy layer_k(v) = sum of layer_{k-1} over the middles minus
-    layer_{k-2}(tau(v)).  The recurrence is exact on shapes where the
-    mesh sequences stay exact; elsewhere it eventually drives an entry
-    negative.  Reporting stops just before that: rows are recorded for
-    k <= valid_through, and valid_through < k_max marks the truncation.
-    Intermediate bookkeeping keeps formal (possibly negative) integers;
-    only the reported rows for m gate the validity range.
+    Layer 0 is {m: 1}.  Layer k adds each entry of layer k-1 at every
+    middle of the mesh ending in its vertex, and subtracts each entry of
+    layer k-2 at the tau-image of its vertex.  This forward push is the
+    transpose of the per-vertex recurrence layer_k(v) = sum of
+    layer_{k-1} over the middles of v minus layer_{k-2}(tau(v)), and it
+    is exact: with M summing over middles and T applying tau, both read
+    the (m, x) entry of P_k = M P_{k-1} - T P_{k-2}, and M and T commute
+    because tau is an automorphism, mid(tau(v)) = tau(mid(v)).  The cost
+    is the total row size: O(k_max^2) on the dihedral family and
+    ZA-infinity, O(k_max n) on the tube of rank n.
+
+    The recurrence is exact on shapes where the mesh sequences stay
+    exact; elsewhere it eventually drives an entry negative.  Reporting
+    stops just before that: rows are recorded for k <= valid_through,
+    and valid_through < k_max marks the truncation.
     """
     if k_max < 0:
         raise UnsupportedParameterError(f"k_max must be >= 0, got {k_max}")
@@ -488,43 +497,19 @@ def knit_layers(
     win = _Window(q, window, k_max + 2)
     win.check_base(m)
 
-    memo: dict[tuple[Vertex, int], dict[Vertex, int]] = {}
-
-    def layer(v: Vertex, k: int) -> dict[Vertex, int]:
-        key = (v, k)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        win.check(v)
-        if k == 0:
-            result = {v: 1}
-        elif k == 1:
-            result = {w: 1 for w in q.mesh(v).middles}
-        else:
-            acc: dict[Vertex, int] = {}
+    rows: dict[int, dict[Vertex, int]] = {0: {m: 1}}
+    for k in range(1, k_max + 1):
+        acc: Counter[Vertex] = Counter()
+        for v, mult in rows[k - 1].items():
             for w in q.mesh(v).middles:
-                for x, mult in layer(w, k - 1).items():
-                    acc[x] = acc.get(x, 0) + mult
-            for x, mult in layer(q.tau(v), k - 2).items():
-                acc[x] = acc.get(x, 0) - mult
-            result = {x: mult for x, mult in acc.items() if mult}
-        memo[key] = result
-        return result
-
-    rows: dict[int, dict[Vertex, int]] = {}
-    valid_through = k_max
-    try:
-        for k in range(k_max + 1):
-            row = layer(m, k)
-            if any(mult < 0 for mult in row.values()):
-                valid_through = k - 1
-                break
-            rows[k] = row
-    finally:
-        # layer() refers to itself, so it and memo form a reference cycle
-        # that only a full collection would free; release the memo now.
-        memo.clear()
-    return LayerTable(target=m, layers=rows, k_max=k_max, valid_through=valid_through)
+                acc[w] += mult
+        for v, mult in rows.get(k - 2, {}).items():
+            acc[q.tau(v)] -= mult
+        row = {win.check(x): mult for x, mult in acc.items() if mult}
+        if any(mult < 0 for mult in row.values()):
+            return LayerTable(target=m, layers=rows, k_max=k_max, valid_through=k - 1)
+        rows[k] = row
+    return LayerTable(target=m, layers=rows, k_max=k_max, valid_through=k_max)
 
 
 @dataclass

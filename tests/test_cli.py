@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from meshknit import cli
+from meshknit.errors import ExactnessError, FieldMismatchError, InternalCheckError
 from meshknit.jordan import CheckReport
 
 
@@ -302,6 +303,21 @@ def test_failed_rename_leaves_no_temporary_file(run, tmp_path):
     assert err.startswith(f"meshknit: error: cannot write {tmp_path}: ")
     assert list(tmp_path.iterdir()) == []
     assert list(tmp_path.parent.glob(f".{tmp_path.name}.*")) == []
+
+
+# -- internal errors ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("error", [InternalCheckError, ExactnessError, FieldMismatchError])
+def test_internal_errors_exit_6_with_one_line(run, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error("forced failure")
+
+    monkeypatch.setattr(cli, "knit_layers", broken)
+    code, out, err = run(["knit", "--quiver", "tube:4", "--vertex", "J2", "--kmax", "3"])
+    assert code == cli.EXIT_INTERNAL == 6
+    assert out == ""
+    assert err.splitlines() == ["meshknit: internal error: forced failure"]
 
 
 # -- determinism --------------------------------------------------------------------

@@ -343,3 +343,22 @@ def test_class_enumeration_counts_mod_5():
     assert len(classes) == 24
     reps = mk.all_stable_classes(indec(4, 2), indec(4, 2), up_to_scalar=True)
     assert len(reps) == 6
+
+
+# -- context cache ----------------------------------------------------------------
+
+
+def test_context_cache_keeps_the_most_recently_used():
+    primes = [p for p in range(2, 80) if all(p % d for d in range(2, p))]
+    first, last = primes[:20], primes[20]
+    for p in first:
+        context(3, GF(p))
+    assert len(jordan._contexts) <= jordan.MAX_CONTEXTS == 16
+    # The oldest survivor is refreshed by a hit, so the next new context
+    # evicts the one after it instead.
+    oldest, next_oldest = [p for _, p in jordan._contexts][:2]
+    kept = context(3, GF(oldest))
+    context(3, GF(last))
+    assert context(3, GF(oldest)) is kept
+    assert (3, next_oldest) not in jordan._contexts
+    assert len(jordan._contexts) <= 16

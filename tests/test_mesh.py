@@ -1,7 +1,9 @@
 """Path calculus modulo mesh relations: Hom dims, knitting, signs."""
 
+import gc
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from meshknit import mesh, quiver
 from meshknit.errors import (
@@ -178,6 +180,7 @@ dihedral_coords = st.tuples(
 
 
 @given(dihedral_coords, st.integers(min_value=1, max_value=4))
+@example((0, 0), 200)
 @settings(max_examples=40, deadline=None)
 def test_knit_is_exact_on_the_dihedral_family(coords, k_max):
     q = quiver.build_dihedral_family(10)
@@ -188,6 +191,93 @@ def test_knit_is_exact_on_the_dihedral_family(coords, k_max):
         for v, mult in table.row(k).items():
             assert mult == 1
             assert q.distance(v, q.vertex(*coords)) == k
+
+
+def _knit_reference(q, m, k_max, window):
+    """The per-vertex knitting recursion, memoised over (vertex, layer).
+
+    layer_k(v) = sum of layer_{k-1} over the mesh middles of v minus
+    layer_{k-2}(tau(v)), computed for every (v, k) in the backward cone
+    of m.  knit_layers pushes one row forward instead; this is the
+    literal recurrence it must agree with.
+    """
+    if k_max < 0:
+        raise UnsupportedParameterError(f"k_max must be >= 0, got {k_max}")
+    q.validate(m)
+    win = mesh._Window(q, window, k_max + 2)
+    win.check_base(m)
+    memo = {}
+
+    def layer(v, k):
+        if (v, k) not in memo:
+            win.check(v)
+            if k == 0:
+                result = {v: 1}
+            elif k == 1:
+                result = {w: 1 for w in q.mesh(v).middles}
+            else:
+                acc = {}
+                for w in q.mesh(v).middles:
+                    for x, mult in layer(w, k - 1).items():
+                        acc[x] = acc.get(x, 0) + mult
+                for x, mult in layer(q.tau(v), k - 2).items():
+                    acc[x] = acc.get(x, 0) - mult
+                result = {x: mult for x, mult in acc.items() if mult}
+            memo[v, k] = result
+        return memo[v, k]
+
+    rows, valid_through = {}, k_max
+    for k in range(k_max + 1):
+        row = layer(m, k)
+        if any(mult < 0 for mult in row.values()):
+            valid_through = k - 1
+            break
+        rows[k] = row
+    return mesh.LayerTable(target=m, layers=rows, k_max=k_max, valid_through=valid_through)
+
+
+KNIT_TUBES = {n: quiver.build_tube(n) for n in range(3, 10)}
+KNIT_DIHEDRAL = quiver.build_dihedral_family(4)
+KNIT_ZA = quiver.build_za_inf(4)
+
+
+@st.composite
+def knit_requests(draw):
+    """(quiver, vertex, k_max, window) on one of the three shapes.
+
+    The dihedral and ZA-infinity boxes reach past the smaller windows, so
+    some requests fail the window check.
+    """
+    shape = draw(st.sampled_from(["tube", "dihedral", "za-inf"]))
+    window = draw(st.integers(1, 4))
+    if shape == "tube":
+        q = KNIT_TUBES[draw(st.integers(3, 9))]
+        return q, q.vertex(draw(st.integers(1, q.n - 1))), draw(st.integers(0, 40)), window
+    if shape == "dihedral":
+        i = draw(st.integers(-6, 6))
+        j = draw(st.integers(-6, 6).filter(lambda j: (i - j) % 2 == 0))
+        return KNIT_DIHEDRAL, KNIT_DIHEDRAL.vertex(i, j), draw(st.integers(0, 12)), window
+    v = KNIT_ZA.vertex(draw(st.integers(1, 5)), draw(st.integers(-5, 5)))
+    return KNIT_ZA, v, draw(st.integers(0, 12)), window
+
+
+def _knit_outcome(knit, q, m, k_max, window):
+    try:
+        table = knit(q, m, k_max, window)
+    except (UnsupportedParameterError, WindowError) as exc:
+        return type(exc), str(exc)
+    return table.layers, table.k_max, table.valid_through
+
+
+@given(knit_requests())
+@settings(max_examples=200, deadline=None)
+def test_knit_matches_the_per_vertex_recursion(case):
+    assert _knit_outcome(mesh.knit_layers, *case) == _knit_outcome(_knit_reference, *case)
+
+
+def test_knit_rejects_negative_k_max(tube4):
+    with pytest.raises(UnsupportedParameterError):
+        mesh.knit_layers(tube4, tube4.vertex(1), k_max=-1, window=4)
 
 
 # -- path-sign consistency ----------------------------------------------------
@@ -552,3 +642,31 @@ def test_union_find_matches_rref_on_arbitrary_relations(case, field):
         assert classes.dead[root] == (not any(residue))
         of_root = ideal.residue(_unit(n, root))
         assert residue == (of_root if odd == 0 else tuple(field.neg(x) for x in of_root))
+
+
+# -- reference cycles -----------------------------------------------------------
+
+
+def test_mesh_operations_leave_no_reference_cycles(dihedral):
+    # A self-referencing closure would keep its whole working set (memo,
+    # path list, distances) alive until a full collection.
+    za = quiver.build_za_inf(8)
+    calls = [
+        lambda: mesh.knit_layers(dihedral, dihedral.vertex(0, 0), k_max=8, window=4),
+        lambda: mesh.knit_layers(za, za.vertex(1, 0), k_max=8, window=4),
+        lambda: mesh.hom_dim_mesh(dihedral, dihedral.vertex(6, 4), dihedral.vertex(0, 0), window=6),
+        lambda: mesh.path_sign_check(
+            dihedral, dihedral.vertex(6, 4), dihedral.vertex(0, 0), window=6
+        ),
+        lambda: mesh.diamond_cokernel(dihedral, dihedral.vertex(0, 0), 2, window=6),
+    ]
+    for call in calls:
+        call()  # warm the per-quiver arrow cache
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
