@@ -4,13 +4,15 @@ Every command emits a deterministic artifact (TSV or JSON) embedding the
 run configuration.  Exit codes: 0 success, 1 verification counterexample
 (the artifact contains the witness), 2 window error, 3 validity-range
 truncation, 4 bad arguments, 5 the artifact could not be written,
-6 an internal consistency check failed.
+6 an internal consistency check failed, 7 the input exhausted the
+recursion or memory limit.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from dataclasses import dataclass, field as dataclass_field
@@ -47,6 +49,7 @@ EXIT_TRUNCATED = 3
 EXIT_USAGE = 4
 EXIT_IO = 5
 EXIT_INTERNAL = 6
+EXIT_LIMIT = 7
 
 DEFAULT_WINDOW = 4
 
@@ -210,6 +213,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # Building the parser costs about as much as a small request; argparse
+    # keeps no state between parse_args calls, so one per process serves all.
+    return build_parser()
+
+
 def _cmd_knit(args) -> int:
     window = _resolve_window(args)
     q = _build_quiver(args.quiver, window)
@@ -334,9 +344,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"meshknit: error: {exc}", file=sys.stderr)
@@ -361,6 +370,10 @@ def main(argv: list[str] | None = None) -> int:
         # InternalCheckError, ExactnessError and the like: a bug, not a counterexample
         print(f"meshknit: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except (RecursionError, MemoryError) as exc:
+        reason = str(exc) or type(exc).__name__
+        print(f"meshknit: error: input too large: {reason}", file=sys.stderr)
+        return EXIT_LIMIT
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ corrupt the relation span.
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 
@@ -192,18 +191,6 @@ class _Window:
         return v
 
 
-_arrow_cache: "weakref.WeakKeyDictionary[TranslationQuiver, dict]" = weakref.WeakKeyDictionary()
-
-
-def _sorted_arrows(q: TranslationQuiver, v: Vertex) -> list[Arrow]:
-    per_quiver = _arrow_cache.setdefault(q, {})
-    got = per_quiver.get(v)
-    if got is None:
-        got = sorted(q.arrows_out(v), key=lambda a: (a.label, a.target))
-        per_quiver[v] = got
-    return got
-
-
 def _enumerate_paths(
     q: TranslationQuiver, u: Vertex, m: Vertex, grade: int, win: _Window
 ) -> list[Path]:
@@ -226,7 +213,7 @@ def _enumerate_paths(
         if remaining == 0:
             out.append(tuple(acc))
             return
-        for a in _sorted_arrows(q, at):
+        for a in q.arrows_out(at):
             win.check(a.target)
             acc.append(a)
             walk(a.target, acc)
@@ -577,6 +564,8 @@ def path_sign_check(
         grade = q.distance(u, m)
         if grade is None:
             return PathSignReport(u, m, 0, 0, "vacuous")
+    elif grade < 0:
+        raise UnsupportedParameterError(f"grade must be >= 0, got {grade}")
     win = _Window(q, window, grade + 2)
     win.check_base(u)
     win.check_base(m)

@@ -15,15 +15,23 @@ an explicit window radius.
   adds (1, 1) and swaps parity components, so degree bookkeeping that
   crosses components stays representable.
 
-Every quiver exposes ``tau``, ``tau_inv``, ``sigma`` (inverse shift on
-vertices), ``sigma_pow``, ``mesh``, ``arrows_in``/``arrows_out`` and
-``window(radius)``.  The Calabi-Yau degree is -1 for all three shapes:
-``sigma(tau(v))`` is the Serre image of ``v``.
+Each shape supplies two private primitives on vertices it has already
+validated: ``_arrows(v)``, the ``(label, target)`` pairs of the arrows
+out of v in label order, and ``_tau(v, k)``, the k-th power of the
+translate by coordinate arithmetic.  :class:`TranslationQuiver` derives
+``tau``, ``tau_inv``, ``mesh``, ``arrows_out`` and ``arrows_in`` from
+them once, validating each argument once.  The derivation rests on the
+quivers being stable translation quivers: the mesh ending at v starts at
+tau(v), and its middles are exactly the targets of the arrows out of
+tau(v), which are also exactly the sources of the arrows into v.
+
+Every quiver also exposes ``sigma`` (inverse shift on vertices),
+``sigma_pow`` and ``window(radius)``.  The Calabi-Yau degree is -1 for
+all three shapes: ``sigma(tau(v))`` is the Serre image of ``v``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -38,20 +46,11 @@ DIHEDRAL_ODD = "dihedral-odd"
 ZA_INF = "za-inf"
 
 
-@dataclass(frozen=True, order=True)
-class Vertex:
+class Vertex(NamedTuple):
     """A quiver vertex: component id plus integer coordinates."""
 
     component: str
     coords: tuple[int, ...]
-
-    def __post_init__(self):
-        # Vertices end up as dict keys in every hot loop; caching the
-        # hash beats the generated recompute-on-every-call version.
-        object.__setattr__(self, "_hash", hash((self.component, self.coords)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         if self.component == TUBE:
@@ -59,8 +58,7 @@ class Vertex:
         return ",".join(str(c) for c in self.coords)
 
 
-@dataclass(frozen=True, order=True)
-class Arrow:
+class Arrow(NamedTuple):
     source: Vertex
     target: Vertex
     label: str
@@ -82,27 +80,29 @@ class TranslationQuiver:
 
     kind: str
     cy_degree: int = -1
+    # True when all paths between any fixed vertex pair share one length.
+    grade_forced: bool = True
+
+    def __init__(self):
+        # arrows_out results per vertex, so that paths share Arrow objects
+        self._arrows_out: dict[Vertex, tuple[Arrow, ...]] = {}
 
     # -- soul of the shape; subclasses implement these ------------------
     def validate(self, v: Vertex) -> Vertex:
         raise NotImplementedError
 
-    def tau(self, v: Vertex) -> Vertex:
+    def _arrows(self, v: Vertex) -> tuple[tuple[str, Vertex], ...]:
+        """(label, target) of each arrow out of the valid vertex v, by label."""
         raise NotImplementedError
 
-    def tau_inv(self, v: Vertex) -> Vertex:
+    def _tau(self, v: Vertex, k: int) -> Vertex:
+        """tau^k of the valid vertex v."""
         raise NotImplementedError
 
     def sigma(self, v: Vertex) -> Vertex:
         raise NotImplementedError
 
     def sigma_pow(self, v: Vertex, r: int) -> Vertex:
-        raise NotImplementedError
-
-    def arrows_out(self, v: Vertex) -> tuple[Arrow, ...]:
-        raise NotImplementedError
-
-    def arrows_in(self, v: Vertex) -> tuple[Arrow, ...]:
         raise NotImplementedError
 
     def window(self, radius: int) -> list[Vertex]:
@@ -113,15 +113,34 @@ class TranslationQuiver:
         raise NotImplementedError
 
     # -- derived -------------------------------------------------------
+    def tau(self, v: Vertex) -> Vertex:
+        return self._tau(self.validate(v), 1)
+
+    def tau_inv(self, v: Vertex) -> Vertex:
+        return self._tau(self.validate(v), -1)
+
     def serre(self, v: Vertex) -> Vertex:
         """Serre image sigma(tau(v)); the codomain of almost-vanishing classes."""
         return self.sigma(self.tau(v))
 
     def mesh(self, v: Vertex) -> Mesh:
-        """The mesh ending at v.  Middles are the sources of arrows into v."""
-        self.validate(v)
-        middles = tuple(sorted(a.source for a in self.arrows_in(v)))
-        return Mesh(self.tau(v), middles, v)
+        """The mesh ending at v.  Middles are the targets of arrows out of tau(v)."""
+        start = self._tau(self.validate(v), 1)
+        return Mesh(start, tuple(sorted(t for _, t in self._arrows(start))), v)
+
+    def arrows_out(self, v: Vertex) -> tuple[Arrow, ...]:
+        """Arrows out of v in label order; one shared tuple per vertex."""
+        got = self._arrows_out.get(v)
+        if got is None:
+            got = tuple(Arrow(v, t, label) for label, t in self._arrows(self.validate(v)))
+            self._arrows_out[v] = got
+        return got
+
+    def arrows_in(self, v: Vertex) -> tuple[Arrow, ...]:
+        """Arrows into v, one from each middle of the mesh ending at v."""
+        return tuple(
+            a for w in self.mesh(v).middles for a in self.arrows_out(w) if a.target == v
+        )
 
     def arrow_between(self, s: Vertex, t: Vertex) -> Arrow | None:
         for a in self.arrows_out(s):
@@ -137,22 +156,20 @@ class TranslationQuiver:
         """
         raise NotImplementedError
 
-    @property
-    def grade_forced(self) -> bool:
-        """True when all paths between any fixed vertex pair share one length."""
-        return True
-
 
 class Tube(TranslationQuiver):
     """Stable AR quiver of k[t]/(t^n): vertices J_1..J_{n-1}, tau = id."""
 
     kind = "tube"
+    # J_i -> J_{i+1} -> J_i and the identity path have different lengths.
+    grade_forced = False
 
     def __init__(self, n: int):
         if n < 3:
             raise UnsupportedParameterError(
                 f"tube requires n >= 3 (n={n} leaves no mesh with a middle term)"
             )
+        super().__init__()
         self.n = n
 
     def vertex(self, i: int) -> Vertex:
@@ -168,11 +185,8 @@ class Tube(TranslationQuiver):
             )
         return v
 
-    def tau(self, v: Vertex) -> Vertex:
-        return self.validate(v)
-
-    def tau_inv(self, v: Vertex) -> Vertex:
-        return self.validate(v)
+    def _tau(self, v: Vertex, k: int) -> Vertex:
+        return v
 
     def sigma(self, v: Vertex) -> Vertex:
         self.validate(v)
@@ -182,25 +196,14 @@ class Tube(TranslationQuiver):
         self.validate(v)
         return v if r % 2 == 0 else self.sigma(v)
 
-    def arrows_out(self, v: Vertex) -> tuple[Arrow, ...]:
-        self.validate(v)
+    def _arrows(self, v: Vertex) -> tuple[tuple[str, Vertex], ...]:
         i = v.coords[0]
-        arrows = []
-        if i - 1 >= 1:
-            arrows.append(Arrow(v, Vertex(TUBE, (i - 1,)), "down"))
-        if i + 1 <= self.n - 1:
-            arrows.append(Arrow(v, Vertex(TUBE, (i + 1,)), "up"))
-        return tuple(arrows)
-
-    def arrows_in(self, v: Vertex) -> tuple[Arrow, ...]:
-        self.validate(v)
-        i = v.coords[0]
-        arrows = []
-        if i - 1 >= 1:
-            arrows.append(Arrow(Vertex(TUBE, (i - 1,)), v, "up"))
-        if i + 1 <= self.n - 1:
-            arrows.append(Arrow(Vertex(TUBE, (i + 1,)), v, "down"))
-        return tuple(arrows)
+        arrows = ()
+        if i > 1:
+            arrows += (("down", Vertex(TUBE, (i - 1,))),)
+        if i < self.n - 1:
+            arrows += (("up", Vertex(TUBE, (i + 1,))),)
+        return arrows
 
     def window(self, radius: int) -> list[Vertex]:
         # The tube is already finite; the radius is irrelevant.
@@ -214,11 +217,6 @@ class Tube(TranslationQuiver):
         self.validate(u)
         self.validate(m)
         return abs(u.coords[0] - m.coords[0])
-
-    @property
-    def grade_forced(self) -> bool:
-        # J_i -> J_{i+1} -> J_i and the identity path have different lengths.
-        return False
 
     def __repr__(self) -> str:
         return f"Tube(n={self.n})"
@@ -238,6 +236,7 @@ class DihedralFamily(TranslationQuiver):
     def __init__(self, window_radius: int):
         if window_radius < 1:
             raise UnsupportedParameterError("window_radius must be >= 1")
+        super().__init__()
         self.window_radius = window_radius
 
     @staticmethod
@@ -265,13 +264,9 @@ class DihedralFamily(TranslationQuiver):
         i, j = v.coords
         return self.vertex(i + di, j + dj)
 
-    def tau(self, v: Vertex) -> Vertex:
-        self.validate(v)
-        return self._shift(v, 2, 2)
-
-    def tau_inv(self, v: Vertex) -> Vertex:
-        self.validate(v)
-        return self._shift(v, -2, -2)
+    def _tau(self, v: Vertex, k: int) -> Vertex:
+        i, j = v.coords
+        return Vertex(v.component, (i + 2 * k, j + 2 * k))
 
     def sigma(self, v: Vertex) -> Vertex:
         self.validate(v)
@@ -291,21 +286,9 @@ class DihedralFamily(TranslationQuiver):
             )
         return self._shift(v, s, t)
 
-    def arrows_out(self, v: Vertex) -> tuple[Arrow, ...]:
-        self.validate(v)
-        i, j = v.coords
-        return (
-            Arrow(v, self.vertex(i, j - 2), "gamma"),
-            Arrow(v, self.vertex(i - 2, j), "gamma_prime"),
-        )
-
-    def arrows_in(self, v: Vertex) -> tuple[Arrow, ...]:
-        self.validate(v)
-        i, j = v.coords
-        return (
-            Arrow(self.vertex(i, j + 2), v, "gamma"),
-            Arrow(self.vertex(i + 2, j), v, "gamma_prime"),
-        )
+    def _arrows(self, v: Vertex) -> tuple[tuple[str, Vertex], ...]:
+        c, (i, j) = v
+        return (("gamma", Vertex(c, (i, j - 2))), ("gamma_prime", Vertex(c, (i - 2, j))))
 
     def window(self, radius: int) -> list[Vertex]:
         out = []
@@ -352,6 +335,7 @@ class ZAInf(TranslationQuiver):
     def __init__(self, window_radius: int):
         if window_radius < 1:
             raise UnsupportedParameterError("window_radius must be >= 1")
+        super().__init__()
         self.window_radius = window_radius
 
     def vertex(self, level: int, pos: int) -> Vertex:
@@ -364,15 +348,9 @@ class ZAInf(TranslationQuiver):
             raise InvalidVertexError(f"level must be >= 1: {v}")
         return v
 
-    def tau(self, v: Vertex) -> Vertex:
-        self.validate(v)
+    def _tau(self, v: Vertex, k: int) -> Vertex:
         level, pos = v.coords
-        return Vertex(ZA_INF, (level, pos + 1))
-
-    def tau_inv(self, v: Vertex) -> Vertex:
-        self.validate(v)
-        level, pos = v.coords
-        return Vertex(ZA_INF, (level, pos - 1))
+        return Vertex(ZA_INF, (level, pos + k))
 
     def sigma(self, v: Vertex) -> Vertex:
         raise QuiverKindError(
@@ -389,22 +367,10 @@ class ZAInf(TranslationQuiver):
         level, pos = v.coords
         return Vertex(ZA_INF, (level, pos - r // 2))
 
-    def arrows_out(self, v: Vertex) -> tuple[Arrow, ...]:
-        self.validate(v)
+    def _arrows(self, v: Vertex) -> tuple[tuple[str, Vertex], ...]:
         level, pos = v.coords
-        arrows = []
-        if level >= 2:
-            arrows.append(Arrow(v, Vertex(ZA_INF, (level - 1, pos)), "down"))
-        arrows.append(Arrow(v, Vertex(ZA_INF, (level + 1, pos - 1)), "up"))
-        return tuple(arrows)
-
-    def arrows_in(self, v: Vertex) -> tuple[Arrow, ...]:
-        self.validate(v)
-        level, pos = v.coords
-        arrows = [Arrow(Vertex(ZA_INF, (level + 1, pos)), v, "down")]
-        if level >= 2:
-            arrows.append(Arrow(Vertex(ZA_INF, (level - 1, pos + 1)), v, "up"))
-        return tuple(arrows)
+        up = ("up", Vertex(ZA_INF, (level + 1, pos - 1)))
+        return (("down", Vertex(ZA_INF, (level - 1, pos))), up) if level >= 2 else (up,)
 
     def window(self, radius: int) -> list[Vertex]:
         out = []

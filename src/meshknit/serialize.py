@@ -123,8 +123,9 @@ def layer_table_tsv(table: LayerTable, config: dict) -> str:
         lines.append("# truncated: true")
     columns = list(range(table.valid_through + 1))
     lines.append("\t".join(["vertex"] + [str(k) for k in columns]))
+    rows = [table.layers.get(k, {}) for k in columns]
     for v in table.vertices():
-        entries = [str(table.entry(k, v)) for k in columns]
+        entries = [str(row.get(v, 0)) for row in rows]
         lines.append("\t".join([vertex_str(v)] + entries))
     return "\n".join(lines) + "\n"
 

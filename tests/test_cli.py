@@ -320,6 +320,45 @@ def test_internal_errors_exit_6_with_one_line(run, monkeypatch, error):
     assert err.splitlines() == ["meshknit: internal error: forced failure"]
 
 
+# -- resource limits and grades ---------------------------------------------------
+
+
+def test_grade_too_deep_exits_7_with_one_line():
+    # The path enumeration recurses once per step of the grade.
+    argv = ["signcheck", "--quiver", "tube:3", "--source", "J1", "--target", "J1", "--grade", "2000"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("MESHKNIT_WINDOW", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "meshknit.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == cli.EXIT_LIMIT == 7
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("meshknit: error: input too large: ")
+
+
+def test_out_of_memory_exits_7(run, monkeypatch):
+    def broken(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "knit_layers", broken)
+    code, out, err = run(["knit", "--quiver", "tube:4", "--vertex", "J2", "--kmax", "3"])
+    assert code == 7
+    assert out == ""
+    assert err.splitlines() == ["meshknit: error: input too large: MemoryError"]
+
+
+def test_negative_grade_is_a_usage_error(run):
+    code, out, err = run(
+        ["signcheck", "--quiver", "tube:3", "--source", "J1", "--target", "J1", "--grade", "-3"]
+    )
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.splitlines() == ["meshknit: error: grade must be >= 0, got -3"]
+
+
 # -- determinism --------------------------------------------------------------------
 
 

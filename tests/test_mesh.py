@@ -58,6 +58,8 @@ def test_dihedral_unreachable_pairs_have_dim_zero(dihedral):
 def test_negative_grade_is_rejected(tube4):
     with pytest.raises(UnsupportedParameterError):
         mesh.hom_dim_mesh(tube4, tube4.vertex(1), tube4.vertex(1), window=4, grade=-1)
+    with pytest.raises(UnsupportedParameterError, match="grade must be >= 0, got -3"):
+        mesh.path_sign_check(tube4, tube4.vertex(1), tube4.vertex(1), window=4, grade=-3)
 
 
 def test_window_violation_is_loud(dihedral):
@@ -550,7 +552,8 @@ class _ToyQuiver(quiver.TranslationQuiver):
     kind = "toy"
 
     def __init__(self, arrows, tau):
-        self.arrows = [quiver.Arrow(self.v(s), self.v(t), label) for s, t, label in arrows]
+        super().__init__()
+        self.arrows = [(self.v(s), label, self.v(t)) for s, t, label in arrows]
         self.tau_map = {self.v(a): self.v(b) for a, b in tau.items()}
 
     @staticmethod
@@ -560,18 +563,14 @@ class _ToyQuiver(quiver.TranslationQuiver):
     def validate(self, v):
         return v
 
-    def tau(self, v):
-        return self.tau_map.get(v, quiver.Vertex("no-tau", v.coords))
+    def _arrows(self, v):
+        return tuple(sorted((label, t) for s, label, t in self.arrows if s == v))
 
-    def tau_inv(self, v):
+    def _tau(self, v, k):
+        if k == 1:
+            return self.tau_map.get(v, quiver.Vertex("no-tau", v.coords))
         inverse = {b: a for a, b in self.tau_map.items()}
         return inverse.get(v, quiver.Vertex("no-tau-inv", v.coords))
-
-    def arrows_out(self, v):
-        return tuple(a for a in self.arrows if a.source == v)
-
-    def arrows_in(self, v):
-        return tuple(a for a in self.arrows if a.target == v)
 
     def in_window(self, v, radius):
         return True

@@ -1,7 +1,7 @@
 """Shape bookkeeping for the three translation-quiver families."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from meshknit import quiver
 from meshknit.errors import (
@@ -198,10 +198,147 @@ def test_dihedral_shift_powers_compose(coords, r):
     assert q.sigma_pow(q.sigma_pow(v, r), -r) == v
 
 
-@given(dihedral_vertices)
-def test_mesh_middles_match_incoming_arrows(coords):
-    q = quiver.build_dihedral_family(4)
-    v = q.vertex(*coords)
+# -- the derived API against the per-shape formulas ------------------------
+#
+# tau, tau_inv, arrows_out and arrows_in written out per shape: the
+# reference for the versions TranslationQuiver derives from _arrows and
+# _tau.
+
+V = quiver.Vertex
+
+
+def _old_tau(q, v, k):
+    q.validate(v)
+    if isinstance(q, quiver.Tube):
+        return v
+    if isinstance(q, quiver.DihedralFamily):
+        i, j = v.coords
+        return q.vertex(i + 2 * k, j + 2 * k)
+    level, pos = v.coords
+    return V(quiver.ZA_INF, (level, pos + k))
+
+
+def _old_arrows_out(q, v):
+    q.validate(v)
+    A = quiver.Arrow
+    if isinstance(q, quiver.Tube):
+        i = v.coords[0]
+        arrows = []
+        if i - 1 >= 1:
+            arrows.append(A(v, V(quiver.TUBE, (i - 1,)), "down"))
+        if i + 1 <= q.n - 1:
+            arrows.append(A(v, V(quiver.TUBE, (i + 1,)), "up"))
+        return tuple(arrows)
+    if isinstance(q, quiver.DihedralFamily):
+        i, j = v.coords
+        return (A(v, q.vertex(i, j - 2), "gamma"), A(v, q.vertex(i - 2, j), "gamma_prime"))
+    level, pos = v.coords
+    arrows = []
+    if level >= 2:
+        arrows.append(A(v, V(quiver.ZA_INF, (level - 1, pos)), "down"))
+    arrows.append(A(v, V(quiver.ZA_INF, (level + 1, pos - 1)), "up"))
+    return tuple(arrows)
+
+
+def _old_arrows_in(q, v):
+    q.validate(v)
+    A = quiver.Arrow
+    if isinstance(q, quiver.Tube):
+        i = v.coords[0]
+        arrows = []
+        if i - 1 >= 1:
+            arrows.append(A(V(quiver.TUBE, (i - 1,)), v, "up"))
+        if i + 1 <= q.n - 1:
+            arrows.append(A(V(quiver.TUBE, (i + 1,)), v, "down"))
+        return tuple(arrows)
+    if isinstance(q, quiver.DihedralFamily):
+        i, j = v.coords
+        return (A(q.vertex(i, j + 2), v, "gamma"), A(q.vertex(i + 2, j), v, "gamma_prime"))
+    level, pos = v.coords
+    arrows = [A(V(quiver.ZA_INF, (level + 1, pos)), v, "down")]
+    if level >= 2:
+        arrows.append(A(V(quiver.ZA_INF, (level - 1, pos + 1)), v, "up"))
+    return tuple(arrows)
+
+
+def _old_mesh(q, v):
+    middles = tuple(sorted(a.source for a in _old_arrows_in(q, v)))
+    return quiver.Mesh(_old_tau(q, v, 1), middles, v)
+
+
+def _at(q, *coords):
+    return q, q.vertex(*coords)
+
+
+tube_cases = st.integers(3, 9).flatmap(
+    lambda n: st.integers(1, n - 1).map(lambda i: _at(quiver.build_tube(n), i))
+)
+dihedral_cases = dihedral_vertices.map(lambda c: _at(quiver.build_dihedral_family(4), *c))
+za_cases = st.tuples(st.integers(1, 9), st.integers(-8, 8)).map(
+    lambda c: _at(quiver.build_za_inf(4), *c)
+)
+valid_cases = st.one_of(tube_cases, dihedral_cases, za_cases)
+
+invalid_cases = st.one_of(
+    st.integers(3, 9).flatmap(
+        lambda n: st.tuples(
+            st.just(quiver.build_tube(n)),
+            st.sampled_from(
+                [V(quiver.TUBE, (0,)), V(quiver.TUBE, (n,)), V(quiver.TUBE, (1, 1)),
+                 V(quiver.ZA_INF, (1,)), V(quiver.DIHEDRAL_EVEN, (1,))]
+            ),
+        )
+    ),
+    st.tuples(
+        st.just(quiver.build_dihedral_family(4)),
+        st.sampled_from(
+            [V(quiver.DIHEDRAL_ODD, (0, 0)), V(quiver.DIHEDRAL_EVEN, (1, 1)),
+             V(quiver.DIHEDRAL_EVEN, (0, 1)), V(quiver.DIHEDRAL_ODD, (0, 1)),
+             V(quiver.DIHEDRAL_EVEN, (0,)), V(quiver.TUBE, (0, 0))]
+        ),
+    ),
+    st.tuples(
+        st.just(quiver.build_za_inf(4)),
+        st.sampled_from(
+            [V(quiver.ZA_INF, (0, 0)), V(quiver.ZA_INF, (-2, 3)), V(quiver.ZA_INF, (1,)),
+             V(quiver.DIHEDRAL_EVEN, (2, 0))]
+        ),
+    ),
+)
+
+DERIVED = ("tau", "tau_inv", "mesh", "arrows_out", "arrows_in")
+
+
+def test_shapes_supply_only_the_primitives():
+    for shape in (quiver.Tube, quiver.DihedralFamily, quiver.ZAInf):
+        assert not set(DERIVED) & set(vars(shape)), shape
+        assert {"_arrows", "_tau"} <= set(vars(shape)), shape
+
+
+@given(valid_cases)
+@settings(max_examples=300)
+def test_derived_api_matches_the_per_shape_formulas(case):
+    q, v = case
+    assert q.arrows_out(v) == _old_arrows_out(q, v)
+    assert set(q.arrows_in(v)) == set(_old_arrows_in(q, v))
+    assert q.mesh(v) == _old_mesh(q, v)
+    assert q.tau(v) == _old_tau(q, v, 1)
+    assert q.tau_inv(v) == _old_tau(q, v, -1)
+    # Interned: a second call hands back the same Arrow objects.
+    assert q.arrows_out(v) is q.arrows_out(v)
+
+
+@given(invalid_cases)
+def test_derived_api_rejects_invalid_vertices(case):
+    q, v = case
+    for name in DERIVED:
+        with pytest.raises(InvalidVertexError):
+            getattr(q, name)(v)
+
+
+@given(valid_cases)
+def test_mesh_middles_match_incoming_arrows(case):
+    q, v = case
     mesh = q.mesh(v)
     assert set(mesh.middles) == {a.source for a in q.arrows_in(v)}
     # Each middle receives an arrow from tau(v) as well.
