@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
-from itertools import product
+from itertools import islice, product
+from operator import attrgetter
 
 from .errors import (
     DimensionError,
@@ -34,7 +35,7 @@ from .errors import (
     PreconditionError,
     UnsupportedParameterError,
 )
-from .linalg import GF5, Field, Matrix, Subspace, kernel_basis, quotient_dim, rank, solve
+from .linalg import GF5, Field, Matrix, Subspace, kernel_basis, quotient_dim, rank, solve, span_rank
 from .mesh import LayerTable
 from .quiver import TUBE, Vertex
 
@@ -220,6 +221,33 @@ class ARSequence:
         return all(self.checks.values())
 
 
+def _independent(field: Field, width: int, candidates, key) -> list:
+    """The candidates whose key is independent of the keys of those before them."""
+    seen = Subspace(field, width)
+    return [c for c in candidates if seen.insert(key(c))]
+
+
+def _null_combinations(field: Field, count: int, groups) -> list[tuple]:
+    """Kernel basis of the stacked system: each group holds one vector per unknown.
+
+    A group gives one equation per coordinate, whose coefficients are that
+    coordinate of each of its vectors.  With no equations all ``count``
+    unknowns are free.
+    """
+    rows = [row for vectors in groups for row in zip(*vectors)]
+    return kernel_basis(Matrix(field, rows or [[0] * count]))
+
+
+def _combination(field: Field, vectors: list, target) -> tuple | None:
+    """Coefficients c with sum(c_i vectors_i) = target, or None when there are none."""
+    if not vectors:
+        return None if any(target) else ()
+    return solve(Matrix(field, list(zip(*vectors))), target)
+
+
+_key = attrgetter("key")
+
+
 class _Context:
     """Cached Hom/stable-Hom data for one (n, field) pair."""
 
@@ -235,6 +263,7 @@ class _Context:
         self._stable: dict = {}
         self._rad: dict = {}
         self._av: dict = {}
+        self._up_to_scalar: dict = {}
         self._omega_verified: set = set()
 
     # -- plumbing --------------------------------------------------------
@@ -335,14 +364,9 @@ class _Context:
         got = self._stable.get(key)
         if got is not None:
             return got
-        picked = []
-        seen = Subspace(self.field, x.dim * y.dim)
-        for b in self.hom_basis(x, y):
-            res = self.residue(x, y, b)
-            if seen.insert(res):
-                picked.append(StableMap(x, y, b, res))
-        self._stable[key] = picked
-        return picked
+        candidates = (self.classify(x, y, b) for b in self.hom_basis(x, y))
+        got = self._stable[key] = _independent(self.field, x.dim * y.dim, candidates, _key)
+        return got
 
     def stable_dim(self, x: JordanModule, y: JordanModule) -> int:
         return len(self.stable_basis(x, y))
@@ -370,22 +394,32 @@ class _Context:
     def all_classes(
         self, x: JordanModule, y: JordanModule, up_to_scalar: bool = False
     ) -> list[StableMap]:
-        """Every nonzero stable class x -> y (finite field only)."""
+        """Every nonzero stable class x -> y (finite field only).
+
+        Both lists follow ``product`` order of the coefficient tuples.  Up to
+        scalar, the classes are those whose first nonzero coefficient is 1:
+        built directly and cached, since the almost-vanishing sweep asks for
+        them once per class it checks.
+        """
         p = self.field.char
         if p == 0:
             raise UnsupportedParameterError(
                 "full class enumeration needs a finite coefficient field"
             )
         basis = self.stable_basis(x, y)
-        out = []
-        for coeffs in product(range(p), repeat=len(basis)):
-            lead = next((c for c in coeffs if c), None)
-            if lead is None:
-                continue
-            if up_to_scalar and lead != 1:
-                continue
-            out.append(self.combine(x, y, basis, coeffs))
-        return out
+        d = len(basis)
+        if not up_to_scalar:
+            coeffs = islice(product(range(p), repeat=d), 1, None)
+            return [self.combine(x, y, basis, c) for c in coeffs]
+        key = (x.blocks, y.blocks)
+        got = self._up_to_scalar.get(key)
+        if got is None:
+            got = self._up_to_scalar[key] = [
+                self.combine(x, y, basis, (0,) * k + (1,) + tail)
+                for k in reversed(range(d))
+                for tail in product(range(p), repeat=d - 1 - k)
+            ]
+        return got
 
     def rad_stable_basis(self, x: JordanModule, y: JordanModule) -> list[StableMap]:
         """Spanning classes of the non-isomorphisms x -> y (x, y indecomposable).
@@ -404,14 +438,8 @@ class _Context:
             got = self.stable_basis(x, y)
         else:
             t = self.t_matrix(x)
-            picked = []
-            seen = Subspace(self.field, x.dim * y.dim)
-            for b in self.hom_basis(x, y):
-                candidate = t.mul(b)
-                res = self.residue(x, y, candidate)
-                if any(res) and seen.insert(res):
-                    picked.append(StableMap(x, y, candidate, res))
-            got = picked
+            candidates = (self.classify(x, y, t.mul(b)) for b in self.hom_basis(x, y))
+            got = _independent(self.field, x.dim * y.dim, candidates, _key)
         self._rad[key] = got
         return got
 
@@ -420,13 +448,8 @@ class _Context:
         if u.blocks != m.blocks:
             return self.hom_basis(u, m)
         t = self.t_matrix(m)
-        picked = []
-        seen = Subspace(self.field, u.dim * m.dim)
-        for b in self.hom_basis(u, m):
-            candidate = t.mul(b)
-            if seen.insert(candidate.flatten()):
-                picked.append(candidate)
-        return picked
+        candidates = (t.mul(b) for b in self.hom_basis(u, m))
+        return _independent(self.field, u.dim * m.dim, candidates, Matrix.flatten)
 
     # -- syzygies --------------------------------------------------------
     def omega_object(self, x: JordanModule) -> JordanModule:
@@ -482,9 +505,7 @@ class _Context:
         pi_j = self.proj_matrix(self.n, j)
         lift_basis = self.hom_basis(p, p)
         columns = [pi_j.mul(b).flatten() for b in lift_basis]
-        system = Matrix(self.field, list(zip(*columns)))
-        rhs = f.matrix.mul(pi_i).flatten()
-        coeffs = solve(system, rhs)
+        coeffs = _combination(self.field, columns, f.matrix.mul(pi_i).flatten())
         if coeffs is None:
             raise InternalCheckError("projective lift does not exist", witness=f)
         lift = Matrix.zeros(self.field, self.n, self.n)
@@ -493,10 +514,8 @@ class _Context:
                 lift = lift.add(b.scale(c))
         moved = lift.mul(self._kappa(i))
         # columns of the moved kernel must lie in the kernel of pi_j
-        for r in range(j):
-            for c in range(self.n - i):
-                if moved.entry(r, c):
-                    raise InternalCheckError("lift does not preserve cover kernels", witness=f)
+        if any(moved.entry(r, c) for r in range(j) for c in range(self.n - i)):
+            raise InternalCheckError("lift does not preserve cover kernels", witness=f)
         restricted = Matrix(
             self.field,
             [[moved.entry(r, c) for c in range(self.n - i)] for r in range(j, self.n)],
@@ -519,23 +538,26 @@ class _Context:
         if got is not None:
             return got
         target = self.omega_object(m)
-        basis = self.stable_basis(m, target)
-        rows = []
-        for u in self.indecomposables():
-            for g in self.rad_stable_basis(u, m):
-                vectors = [self.residue(u, target, b.matrix.mul(g.matrix)) for b in basis]
-                for pos in range(u.dim * target.dim):
-                    rows.append([vec[pos] for vec in vectors])
-        if not rows:
-            rows = [[0] * len(basis)]
-        sols = kernel_basis(Matrix(self.field, rows))
+        sols = self.killed_by_radical(m, target)
         if len(sols) != 1:
             raise InternalCheckError(
                 f"almost-vanishing space of {m} has dimension {len(sols)}", witness=m
             )
-        got = self.combine(m, target, basis, sols[0])
-        self._av[m.blocks] = got
+        got = self._av[m.blocks] = self.combine(m, target, self.stable_basis(m, target), sols[0])
         return got
+
+    def killed_by_radical(self, x: JordanModule, y: JordanModule) -> list[tuple]:
+        """Classes x -> y killed by every non-isomorphism into x.
+
+        They are returned as coefficient vectors on ``stable_basis(x, y)``.
+        """
+        basis = self.stable_basis(x, y)
+        composites = (
+            [self.residue(u, y, b.matrix.mul(g.matrix)) for b in basis]
+            for u in self.indecomposables()
+            for g in self.rad_stable_basis(u, x)
+        )
+        return _null_combinations(self.field, len(basis), composites)
 
 
 # Contexts are cached per (n, p); beyond this many the least recently
@@ -628,13 +650,7 @@ def ar_sequence(m: JordanModule, field: Field = GF5) -> ARSequence:
             left_parts.append(ctx.proj_matrix(i, b))
             right_parts.append(ctx.incl_matrix(b, i))
     left = Matrix(f, [row for part in left_parts for row in part.data])
-    right_rows = []
-    for r in range(i):
-        row: list = []
-        for part in right_parts:
-            row.extend(part.data[r])
-        right_rows.append(row)
-    right = Matrix(f, right_rows)
+    right = Matrix(f, [sum(rows, ()) for rows in zip(*(part.data for part in right_parts))])
 
     checks = {}
     composite = right.mul(left)
@@ -643,32 +659,21 @@ def ar_sequence(m: JordanModule, field: Field = GF5) -> ARSequence:
     checks["right_surjective"] = rank(right) == i
     checks["exact_at_middle"] = rank(left) + rank(right) == middle.dim
 
+    def through_right(u_mod: JordanModule) -> list[tuple]:
+        return [right.mul(b).flatten() for b in ctx.hom_basis(u_mod, middle)]
+
     # Non-split: no section s with right . s = identity.
-    section_basis = ctx.hom_basis(m, middle)
-    columns = [right.mul(b).flatten() for b in section_basis]
     identity_flat = Matrix.identity(f, i).flatten()
-    if columns:
-        system = Matrix(f, list(zip(*columns)))
-        checks["non_split"] = solve(system, identity_flat) is None
-    else:
-        checks["non_split"] = True
+    checks["non_split"] = _combination(f, through_right(m), identity_flat) is None
 
     # Lifting property: every non-isomorphism u: U -> m (U running over
     # all indecomposables, the projective included) lifts through right.
-    lifting_ok = True
-    for u_mod in ctx.indecomposables(include_projective=True):
-        lift_basis = ctx.hom_basis(u_mod, middle)
-        columns = [right.mul(b).flatten() for b in lift_basis]
-        if columns:
-            system = Matrix(f, list(zip(*columns)))
-        else:
-            system = Matrix.zeros(f, i * u_mod.dim, 0)
-        for u in ctx.rad_module_basis(u_mod, m):
-            if solve(system, u.flatten()) is None:
-                lifting_ok = False
-        if not lifting_ok:
-            break
-    checks["lifting"] = lifting_ok
+    checks["lifting"] = all(
+        _combination(f, columns, u.flatten()) is not None
+        for u_mod in ctx.indecomposables(include_projective=True)
+        for columns in [through_right(u_mod)]
+        for u in ctx.rad_module_basis(u_mod, m)
+    )
 
     return ARSequence(
         module=m,
@@ -726,57 +731,36 @@ def is_almost_vanishing(f: StableMap, field: Field | None = None) -> AlmostVanis
     if f.is_zero:
         return AlmostVanishingReport(x, y, False, {}, note="stably zero class")
 
-    fld = ctx.field
-    conditions = {}
+    indecs = ctx.indecomposables()
 
-    ok = True
-    for u in ctx.indecomposables():
-        for u_class in ctx.all_classes(u, y, up_to_scalar=True):
-            span = Subspace(fld, x.dim * y.dim)
-            for b in ctx.stable_basis(x, u):
-                span.insert(ctx.residue(x, y, u_class.matrix.mul(b.matrix)))
-            if not span.contains(f.key):
-                ok = False
-                break
-        if not ok:
-            break
-    conditions["factors_through_incoming"] = ok
+    def spans_f(composites) -> bool:
+        span = Subspace(ctx.field, x.dim * y.dim)
+        span.extend(ctx.residue(x, y, c) for c in composites)
+        return span.contains(f.key)
 
-    ok = True
-    for v in ctx.indecomposables():
-        for v_class in ctx.all_classes(x, v, up_to_scalar=True):
-            span = Subspace(fld, x.dim * y.dim)
-            for b in ctx.stable_basis(v, y):
-                span.insert(ctx.residue(x, y, b.matrix.mul(v_class.matrix)))
-            if not span.contains(f.key):
-                ok = False
-                break
-        if not ok:
-            break
-    conditions["factors_through_outgoing"] = ok
-
-    ok = True
-    for u in ctx.indecomposables():
-        for g in ctx.rad_stable_basis(u, x):
-            if any(ctx.residue(u, y, f.matrix.mul(g.matrix))):
-                ok = False
-                break
-        if not ok:
-            break
-    conditions["kills_non_split_epis"] = ok
-
-    ok = True
-    for u in ctx.indecomposables():
-        for h in ctx.rad_stable_basis(y, u):
-            if any(ctx.residue(x, u, h.matrix.mul(f.matrix))):
-                ok = False
-                break
-        if not ok:
-            break
-    conditions["killed_by_non_split_monos"] = ok
-
-    factors = image_comp_factors(f, ctx.field)
-    conditions["image_is_simple"] = sum(factors.values()) == 1
+    conditions = {
+        "factors_through_incoming": all(
+            spans_f(c.matrix.mul(b.matrix) for b in ctx.stable_basis(x, u))
+            for u in indecs
+            for c in ctx.all_classes(u, y, up_to_scalar=True)
+        ),
+        "factors_through_outgoing": all(
+            spans_f(b.matrix.mul(c.matrix) for b in ctx.stable_basis(v, y))
+            for v in indecs
+            for c in ctx.all_classes(x, v, up_to_scalar=True)
+        ),
+        "kills_non_split_epis": not any(
+            any(ctx.residue(u, y, f.matrix.mul(g.matrix)))
+            for u in indecs
+            for g in ctx.rad_stable_basis(u, x)
+        ),
+        "killed_by_non_split_monos": not any(
+            any(ctx.residue(x, u, h.matrix.mul(f.matrix)))
+            for u in indecs
+            for h in ctx.rad_stable_basis(y, u)
+        ),
+        "image_is_simple": sum(image_comp_factors(f, ctx.field).values()) == 1,
+    }
 
     verdict = all(conditions.values())
     return AlmostVanishingReport(x, y, verdict, conditions)
@@ -807,16 +791,7 @@ def socle_of_representable(m: JordanModule, field: Field = GF5) -> SocleReport:
         raise PreconditionError(f"{m} is projective")
     dims: dict[int, int] = {}
     for x in ctx.indecomposables():
-        basis = ctx.stable_basis(x, m)
-        rows = []
-        for u in ctx.indecomposables():
-            for g in ctx.rad_stable_basis(u, x):
-                vectors = [ctx.residue(u, m, b.matrix.mul(g.matrix)) for b in basis]
-                for pos in range(u.dim * m.dim):
-                    rows.append([vec[pos] for vec in vectors])
-        if not rows:
-            rows = [[0] * len(basis)]
-        dims[x.block] = len(kernel_basis(Matrix(ctx.field, rows)))
+        dims[x.block] = len(ctx.killed_by_radical(x, m))
     expected_at = ctx.omega_object(m).block
     ok = all(
         dim == (1 if i == expected_at else 0) for i, dim in dims.items()
@@ -841,18 +816,20 @@ def radical_layers_bruteforce(m: JordanModule, k_max: int, field: Field = GF5) -
     }
     dims_by_level = [{x.block: len(spans[x.block]) for x in indecs}]
     for _ in range(k_max + 1):
-        nxt: dict[int, list[StableMap]] = {}
-        for x in indecs:
-            seen = Subspace(ctx.field, x.dim * m.dim)
-            picked = []
-            for z in indecs:
-                for h in spans[z.block]:
-                    for g in ctx.rad_stable_basis(x, z):
-                        candidate = ctx.compose(h, g)
-                        if not candidate.is_zero and seen.insert(candidate.key):
-                            picked.append(candidate)
-            nxt[x.block] = picked
-        spans = nxt
+        spans = {
+            x.block: _independent(
+                ctx.field,
+                x.dim * m.dim,
+                (
+                    ctx.compose(h, g)
+                    for z in indecs
+                    for h in spans[z.block]
+                    for g in ctx.rad_stable_basis(x, z)
+                ),
+                _key,
+            )
+            for x in indecs
+        }
         dims_by_level.append({x.block: len(spans[x.block]) for x in indecs})
     layers: dict[int, dict[Vertex, int]] = {}
     for k in range(k_max + 1):
@@ -872,6 +849,13 @@ def mono_representable_split_check(n: int, field: Field = GF5) -> CheckReport:
             f"split-mono sweep enumerates all classes; n={n} exceeds the n <= 6 budget"
         )
     ctx = context(n, field)
+
+    def injective(theta: StableMap, x: JordanModule) -> bool:
+        """Composing with theta is injective on the classes x -> theta.source."""
+        basis = ctx.stable_basis(x, theta.source)
+        images = [ctx.residue(x, theta.target, theta.matrix.mul(b.matrix)) for b in basis]
+        return span_rank(ctx.field, images, x.dim * theta.target.dim) == len(basis)
+
     failures = []
     monos = 0
     checked = 0
@@ -879,31 +863,13 @@ def mono_representable_split_check(n: int, field: Field = GF5) -> CheckReport:
         for v in ctx.indecomposables():
             for theta in ctx.all_classes(u, v, up_to_scalar=True):
                 checked += 1
-                is_mono = True
-                for x in ctx.indecomposables():
-                    image = Subspace(ctx.field, x.dim * v.dim)
-                    r = 0
-                    for b in ctx.stable_basis(x, u):
-                        if image.insert(ctx.residue(x, v, theta.matrix.mul(b.matrix))):
-                            r += 1
-                    if r != ctx.stable_dim(x, u):
-                        is_mono = False
-                        break
-                if not is_mono:
+                if not all(injective(theta, x) for x in ctx.indecomposables()):
                     continue
                 monos += 1
-                retraction_basis = ctx.stable_basis(v, u)
                 columns = [
-                    ctx.residue(u, u, b.matrix.mul(theta.matrix))
-                    for b in retraction_basis
+                    ctx.residue(u, u, b.matrix.mul(theta.matrix)) for b in ctx.stable_basis(v, u)
                 ]
-                target = ctx.identity_map(u).key
-                if columns:
-                    system = Matrix(ctx.field, list(zip(*columns)))
-                    solved = solve(system, target)
-                else:
-                    solved = None if any(target) else ()
-                if solved is None:
+                if _combination(ctx.field, columns, ctx.identity_map(u).key) is None:
                     failures.append({"source": str(u), "target": str(v), "class": theta.key})
     return CheckReport(
         "mono-representable-split",
@@ -943,39 +909,28 @@ def single_object_support_solver(m: JordanModule, r: int, field: Field = GF5) ->
 
     codomain = f_obj(m)
     basis = ctx.stable_basis(m, codomain)
-    rows = []
-    for x in ctx.indecomposables():
-        for y in ctx.indecomposables():
-            for g in ctx.stable_basis(x, y):
-                if x == m and y == m:
-                    fg = f_map(g)
-                    vectors = [
-                        ctx.residue(
-                            m,
-                            codomain,
-                            fg.matrix.mul(b.matrix).add(b.matrix.mul(g.matrix).scale(-1)),
-                        )
-                        for b in basis
-                    ]
-                    width = m.dim * codomain.dim
-                elif x == m:
-                    fg = f_map(g)
-                    vectors = [
-                        ctx.residue(m, f_obj(y), fg.matrix.mul(b.matrix)) for b in basis
-                    ]
-                    width = m.dim * f_obj(y).dim
-                elif y == m:
-                    vectors = [
-                        ctx.residue(x, codomain, b.matrix.mul(g.matrix)) for b in basis
-                    ]
-                    width = x.dim * codomain.dim
-                else:
-                    continue
-                for pos in range(width):
-                    rows.append([vec[pos] for vec in vectors])
-    if not rows:
-        rows = [[0] * len(basis)]
-    sols = kernel_basis(Matrix(ctx.field, rows))
+
+    def square(x: JordanModule, y: JordanModule, g: StableMap) -> list[tuple]:
+        """F(g) . alpha_X - alpha_Y . g for each basis class alpha, as residues."""
+        fg = f_map(g).matrix if x == m else None
+
+        def side(b: Matrix) -> Matrix:
+            if y != m:
+                return fg.mul(b)
+            moved = b.mul(g.matrix).scale(-1)
+            return moved if x != m else fg.mul(b).add(moved)
+
+        return [ctx.residue(x, f_obj(y), side(b.matrix)) for b in basis]
+
+    indecs = ctx.indecomposables()
+    squares = (
+        square(x, y, g)
+        for x in indecs
+        for y in indecs
+        if m in (x, y)
+        for g in ctx.stable_basis(x, y)
+    )
+    sols = _null_combinations(ctx.field, len(basis), squares)
     solutions = [ctx.combine(m, codomain, basis, c) for c in sols]
 
     omega_rule = codomain == ctx.omega_object(m)

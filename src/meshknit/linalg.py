@@ -154,11 +154,11 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionError(f"shape mismatch: ({self.rows}x{self.cols}) * ({other.rows}x{other.cols})")
         f = self.field
-        ot = other.transpose().data
+        columns = list(zip(*other.data))
         out = []
         for r in self.data:
             out_row = []
-            for c in ot:
+            for c in columns:
                 acc = f.zero
                 for a, b in zip(r, c):
                     if a and b:

@@ -307,7 +307,6 @@ class FlipEdge:
     path_b: int
     position: int
     mesh_end: Vertex
-    verified: bool = True
 
 
 class _MeshClasses:

@@ -1,12 +1,14 @@
 """Brute-force matrix model of the stable category of k[t]/(t^n)."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import meshknit as mk
 from meshknit import jordan
 from meshknit.jordan import context, indec
-from meshknit.linalg import GF, GF5, QQ
+from meshknit.linalg import GF, GF5, QQ, Subspace
 from meshknit.errors import PreconditionError, UnsupportedParameterError
 
 
@@ -343,6 +345,96 @@ def test_class_enumeration_counts_mod_5():
     assert len(classes) == 24
     reps = mk.all_stable_classes(indec(4, 2), indec(4, 2), up_to_scalar=True)
     assert len(reps) == 6
+
+
+def _classes_by_filter(ctx, x, y, up_to_scalar):
+    """Reference enumeration: every coefficient tuple, filtered by its lead."""
+    basis = ctx.stable_basis(x, y)
+    out = []
+    for coeffs in product(range(ctx.field.char), repeat=len(basis)):
+        lead = next((c for c in coeffs if c), None)
+        if lead is None or (up_to_scalar and lead != 1):
+            continue
+        out.append(ctx.combine(x, y, basis, coeffs))
+    return out
+
+
+def _conditions_by_loops(ctx, f):
+    """Reference almost-vanishing conditions, one flag-and-break loop each."""
+    x, y = f.source, f.target
+    conditions = {}
+    ok = True
+    for u in ctx.indecomposables():
+        for u_class in ctx.all_classes(u, y, up_to_scalar=True):
+            span = Subspace(ctx.field, x.dim * y.dim)
+            for b in ctx.stable_basis(x, u):
+                span.insert(ctx.residue(x, y, u_class.matrix.mul(b.matrix)))
+            if not span.contains(f.key):
+                ok = False
+                break
+        if not ok:
+            break
+    conditions["factors_through_incoming"] = ok
+    ok = True
+    for v in ctx.indecomposables():
+        for v_class in ctx.all_classes(x, v, up_to_scalar=True):
+            span = Subspace(ctx.field, x.dim * y.dim)
+            for b in ctx.stable_basis(v, y):
+                span.insert(ctx.residue(x, y, b.matrix.mul(v_class.matrix)))
+            if not span.contains(f.key):
+                ok = False
+                break
+        if not ok:
+            break
+    conditions["factors_through_outgoing"] = ok
+    ok = True
+    for u in ctx.indecomposables():
+        for g in ctx.rad_stable_basis(u, x):
+            if any(ctx.residue(u, y, f.matrix.mul(g.matrix))):
+                ok = False
+                break
+        if not ok:
+            break
+    conditions["kills_non_split_epis"] = ok
+    ok = True
+    for u in ctx.indecomposables():
+        for h in ctx.rad_stable_basis(y, u):
+            if any(ctx.residue(x, u, h.matrix.mul(f.matrix))):
+                ok = False
+                break
+        if not ok:
+            break
+    conditions["killed_by_non_split_monos"] = ok
+    conditions["image_is_simple"] = sum(mk.image_comp_factors(f, ctx.field).values()) == 1
+    return conditions
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_class_enumeration_and_conditions_match_the_reference(n, p):
+    ctx = context(n, GF(p))
+    for x in ctx.indecomposables():
+        for y in ctx.indecomposables():
+            for up_to_scalar in (False, True):
+                got = [c.key for c in ctx.all_classes(x, y, up_to_scalar)]
+                assert got == [c.key for c in _classes_by_filter(ctx, x, y, up_to_scalar)]
+            for f in ctx.all_classes(x, y, up_to_scalar=True):
+                report = mk.is_almost_vanishing(f, GF(p))
+                assert report.conditions == _conditions_by_loops(ctx, f)
+
+
+def test_up_to_scalar_classes_are_built_once_per_context():
+    ctx = jordan._Context(4, GF(7))
+    x = y = indec(4, 2)
+    d = ctx.stable_dim(x, y)
+    first = ctx.all_classes(x, y, up_to_scalar=True)
+    assert ctx.all_classes(x, y, up_to_scalar=True) is first
+    assert len(first) == (7**d - 1) // (7 - 1)
+    full = ctx.all_classes(x, y)
+    assert len(full) == 7**d - 1
+    assert ctx.all_classes(x, y) is not full
+    assert list(ctx._up_to_scalar) == [(x.blocks, y.blocks)]
+    assert all(kept is first for kept in ctx._up_to_scalar.values())
 
 
 # -- context cache ----------------------------------------------------------------
