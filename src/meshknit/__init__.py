@@ -10,7 +10,6 @@ module category of k[t]/(t^n).
 from .errors import (
     DegreeError,
     DimensionError,
-    ExactnessError,
     FieldMismatchError,
     InternalCheckError,
     InvalidVertexError,
@@ -38,13 +37,10 @@ from .mesh import (
     HomSpace,
     LayerTable,
     PathSignReport,
-    PathVector,
     diamond_cokernel,
     hom_dim_mesh,
     knit_layers,
-    mesh_relation,
     path_sign_check,
-    relation_instances,
     rim_obstruction_check,
 )
 from .jordan import (

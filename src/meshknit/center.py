@@ -32,7 +32,7 @@ from .errors import (
     QuiverKindError,
     UnsupportedParameterError,
 )
-from .mesh import DIAMOND_MARGIN_RINGS, LayerTable, diamond_cokernel, rim_obstruction_check
+from .mesh import LayerTable, diamond_cokernel, rim_obstruction_check
 from .quiver import Arrow, DihedralFamily, TranslationQuiver, Tube, Vertex, ZAInf
 
 
@@ -157,16 +157,14 @@ class DiamondElement(GradedCenterElement):
         self.quiver.validate(v)
         return True
 
-    def _local_window(self) -> int:
-        return self.n + max(DIAMOND_MARGIN_RINGS, self.n - 2) + 3
-
     def image_table(self, v: Vertex) -> LayerTable:
         self.quiver.validate(v)
         i, j = v.coords
         anchor = self.quiver.vertex(i % 2, j % 2)
         table = self._anchor_tables.get(anchor)
         if table is None:
-            table = diamond_cokernel(self.quiver, anchor, self.n, self._local_window())
+            # Window n + 1 holds the anchor's corner anchor + (2n, 2n).
+            table = diamond_cokernel(self.quiver, anchor, self.n, self.n + 1)
             self._anchor_tables[anchor] = table
         offset = (i - anchor.coords[0], j - anchor.coords[1])
         if offset == (0, 0):

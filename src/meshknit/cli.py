@@ -244,6 +244,7 @@ def _cmd_diamond(args) -> int:
     window = _resolve_window(args)
     q = build_dihedral_family(window)
     vertex = parse_vertex(q, args.vertex)
+    # The table does not depend on the field; the artifact's config records it.
     fld = _parse_field(args.field)
     config = RunConfig(
         command="diamond",
@@ -252,7 +253,7 @@ def _cmd_diamond(args) -> int:
         field=str(fld),
         params={"n": args.n, "vertex": str(vertex)},
     )
-    table = diamond_cokernel(q, vertex, args.n, window, field=fld)
+    table = diamond_cokernel(q, vertex, args.n, window)
     if args.format == "json":
         text = canonical_json(layer_table_payload(table, config.to_dict()))
     else:
@@ -367,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"meshknit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MeshknitError as exc:
-        # InternalCheckError, ExactnessError and the like: a bug, not a counterexample
+        # InternalCheckError and the like: a bug, not a counterexample
         print(f"meshknit: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (RecursionError, MemoryError) as exc:

@@ -21,13 +21,6 @@ class DimensionError(MeshknitError):
     """Matrix or vector shapes are incompatible."""
 
 
-class ExactnessError(MeshknitError):
-    """Two exact computations that must agree returned different answers.
-
-    This is never resolved silently; the message carries both values.
-    """
-
-
 class InvalidVertexError(MeshknitError):
     """A vertex label violates the quiver's coordinate rules."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, ExactnessError, FieldMismatchError
+from .errors import DimensionError, FieldMismatchError
 
 
 def _is_prime(p: int) -> bool:
@@ -102,11 +102,6 @@ def GF(p: int) -> Field:
 
 
 GF5 = GF(5)
-
-# Prime used for the rational-vs-modular cross check.  Large enough that
-# the small integer matrices exercised by the tests cannot lose rank mod p.
-CROSS_CHECK_PRIME = 65521
-
 
 class Matrix:
     """Immutable dense matrix with exact entries.
@@ -363,19 +358,3 @@ def quotient_dim(field: Field, space: Sequence[Sequence], subspace: Sequence[Seq
     sub_rank = sub.rank
     sub.extend(space)
     return sub.rank - sub_rank
-
-
-def rank_cross_check(int_rows: Sequence[Sequence[int]], p: int = CROSS_CHECK_PRIME) -> int:
-    """Rank of an integer matrix over Q, cross-checked against GF(p).
-
-    Any disagreement raises ExactnessError carrying both values; it is
-    never resolved silently.
-    """
-    width = len(int_rows[0]) if int_rows else 0
-    rank_q = span_rank(QQ, int_rows, width)
-    rank_p = span_rank(GF(p), int_rows, width)
-    if rank_q != rank_p:
-        raise ExactnessError(
-            f"rank disagreement: {rank_q} over Q vs {rank_p} over GF({p})"
-        )
-    return rank_q

@@ -13,6 +13,9 @@ is therefore "zero, or plus-or-minus one representative per class", and
 one signed union-find over the parallel paths (:class:`_MeshClasses`)
 computes it exactly, with no linear algebra.
 
+Diamond cokernels enumerate no paths: on the dihedral family they are
+alternating sums of four knitting tables (see :func:`diamond_cokernel`).
+
 Path length is the grading, and doubles as the radical filtration:
 irreducible morphisms (single arrows) span grade 1.
 
@@ -66,35 +69,6 @@ def path_vertices(u: Vertex, path: Path) -> list[Vertex]:
 
 def path_word(path: Path) -> tuple[str, ...]:
     return tuple(a.label for a in path)
-
-
-@dataclass(frozen=True)
-class PathVector:
-    """A formal linear combination of parallel equal-length paths."""
-
-    source: Vertex
-    target: Vertex
-    terms: tuple[tuple[Path, object], ...]
-
-    def __post_init__(self):
-        lengths = set()
-        for path, coeff in self.terms:
-            seq = path_vertices(self.source, path)
-            if seq[-1] != self.target:
-                raise PreconditionError(
-                    f"path ends at {seq[-1]}, expected {self.target}"
-                )
-            if coeff == 0:
-                raise PreconditionError("zero coefficient in PathVector term")
-            lengths.add(len(path))
-        if len(lengths) > 1:
-            raise MixedPathLengthError(
-                f"mixed path lengths {sorted(lengths)} in one PathVector"
-            )
-
-    @property
-    def grade(self) -> int:
-        return len(self.terms[0][0]) if self.terms else 0
 
 
 @dataclass(frozen=True)
@@ -194,108 +168,48 @@ class _Window:
 def _enumerate_paths(
     q: TranslationQuiver, u: Vertex, m: Vertex, grade: int, win: _Window
 ) -> list[Path]:
-    """All directed paths u -> m of the exact given length, in word order."""
+    """All directed paths u -> m of the exact given length, in word order.
+
+    Depth first with an explicit stack of arrow iterators, so the grade is
+    not bounded by the recursion limit.  A vertex is entered only if m is
+    reachable from it in exactly the remaining number of steps.
+    """
     win.check(u)
     win.check(m)
-    out: list[Path] = []
     distances: dict[Vertex, int | None] = {}
     grade_forced = q.grade_forced
 
-    def walk(at: Vertex, acc: list[Arrow]):
-        remaining = grade - len(acc)
+    def reaches(at: Vertex, remaining: int) -> bool:
         if at not in distances:
             distances[at] = q.distance(at, m)
         d = distances[at]
-        if d is None or d > remaining or (remaining - d) % 2 != 0:
-            return
-        if grade_forced and d != remaining:
-            return
+        if d is None or d > remaining or (remaining - d) % 2:
+            return False
+        return not grade_forced or d == remaining
+
+    if not reaches(u, grade):
+        return []
+    if grade == 0:
+        return [()]
+    out: list[Path] = []
+    prefix: list[Arrow] = []
+    stack = [iter(q.arrows_out(u))]
+    while stack:
+        a = next(stack[-1], None)
+        if a is None:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        win.check(a.target)
+        remaining = grade - len(prefix) - 1
+        if not reaches(a.target, remaining):
+            continue
         if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for a in q.arrows_out(at):
-            win.check(a.target)
-            acc.append(a)
-            walk(a.target, acc)
-            acc.pop()
-
-    try:
-        walk(u, [])
-    finally:
-        # walk refers to itself: drop the name so that the cycle does not
-        # keep out and distances alive until a full collection.
-        del walk
-    return out
-
-
-def _relation_rows(
-    q: TranslationQuiver,
-    u: Vertex,
-    m: Vertex,
-    grade: int,
-    paths: list[Path],
-    win: _Window,
-) -> list[list[int]]:
-    """All mesh-relation instances between the given paths, as int rows.
-
-    An instance is prefix . relation . suffix: a path u -> tau(v), the
-    relation at the mesh ending in v, and a path v -> m.  Every instance
-    connects equal-length paths by construction.  The candidate meshes
-    are read off the enumerated paths themselves: the two-step segment
-    of an instance is a segment of a full u -> m path.
-    """
-    index = {p: i for i, p in enumerate(paths)}
-    candidates = set()
-    for p in paths:
-        seq = path_vertices(u, p)
-        for s in range(grade - 1):
-            v = q.tau_inv(seq[s])
-            if seq[s + 2] == v:
-                candidates.add((s, v))
-    rows = []
-    for s, v in sorted(candidates):
-        start = q.tau(v)
-        mesh = q.mesh(v)
-        for w in mesh.middles:
-            win.check(w)
-        prefixes = _enumerate_paths(q, u, start, s, win)
-        suffixes = _enumerate_paths(q, v, m, grade - s - 2, win)
-        for pre in prefixes:
-            for suf in suffixes:
-                row = [0] * len(paths)
-                for w in mesh.middles:
-                    first = q.arrow_between(start, w)
-                    second = q.arrow_between(w, v)
-                    full = pre + (first, second) + suf
-                    row[index[full]] += 1
-                rows.append(row)
-    return rows
-
-
-def mesh_relation(q: TranslationQuiver, v: Vertex) -> PathVector:
-    """The defining relation of the mesh ending at v (coefficients all +1)."""
-    mesh = q.mesh(v)
-    terms = []
-    for w in mesh.middles:
-        first = q.arrow_between(mesh.start, w)
-        second = q.arrow_between(w, v)
-        terms.append(((first, second), 1))
-    return PathVector(mesh.start, v, tuple(terms))
-
-
-def relation_instances(
-    q: TranslationQuiver, u: Vertex, m: Vertex, grade: int, window: int
-) -> list[PathVector]:
-    """Mesh-relation instances between grade-`grade` paths u -> m."""
-    win = _Window(q, window, grade + 2)
-    paths = _enumerate_paths(q, u, m, grade, win)
-    rows = _relation_rows(q, u, m, grade, paths, win)
-    out = []
-    for row in rows:
-        terms = tuple(
-            (paths[i], coeff) for i, coeff in enumerate(row) if coeff
-        )
-        out.append(PathVector(u, m, terms))
+            out.append((*prefix, a))
+        else:
+            prefix.append(a)
+            stack.append(iter(q.arrows_out(a.target)))
     return out
 
 
@@ -619,22 +533,20 @@ def path_sign_check(
 DIAMOND_MARGIN_RINGS = 2
 
 
-def diamond_cokernel(
-    q: TranslationQuiver,
-    m: Vertex,
-    n: int,
-    window: int,
-    field: Field = QQ,
-) -> LayerTable:
-    """Layer table of coker(Hom(-, top + bottom) -> Hom(-, m)) for the
-    diamond with corners m, m+(2n,0), m+(0,2n), m+(2n,2n).
+def diamond_cokernel(q: TranslationQuiver, m: Vertex, n: int, window: int) -> LayerTable:
+    """Layer table of coker(Hom(-, T + B) -> Hom(-, m)) for the diamond
+    with corners m, T = m+(2n,0), B = m+(0,2n), X = m+(2n,2n), the maps
+    being the all-gamma_prime chain from T and the all-gamma chain from B.
 
-    The two maps are the all-gamma_prime chain from the top corner and
-    the all-gamma chain from the bottom corner.  Per vertex v the
-    multiplicity is the quotient dimension of grade-forced Hom(v, m) by
-    the relation span plus every composite factoring through a corner.
-    The scan covers the diamond quadrant plus DIAMOND_MARGIN_RINGS rings
-    so the vanishing outside the expected grid is checked, not assumed.
+    Every mesh of the dihedral family has two middles, so Hom(v, w) is
+    one-dimensional for v in the cone w + (a, b), a, b >= 0, zero
+    elsewhere, and no composite of nonzero classes vanishes.  The cones
+    of T and B meet in the cone of X, so over every field the sequence
+    Hom(-, X) -> Hom(-, T) + Hom(-, B) -> Hom(-, m) -> coker -> 0 is
+    exact, and the table is knit(m) - knit(T) - knit(B) + knit(X), each
+    indexed by its grade to m.  It covers the diamond quadrant plus
+    DIAMOND_MARGIN_RINGS rings, where a negative entry raises
+    InternalCheckError: the vanishing off the grid is checked, not assumed.
     """
     if not isinstance(q, DihedralFamily):
         raise QuiverKindError(f"diamond_cokernel needs the dihedral family, got {q.kind}")
@@ -642,40 +554,38 @@ def diamond_cokernel(
         raise UnsupportedParameterError(f"n must be >= 1, got {n}")
     q.validate(m)
     mi, mj = m.coords
-    # The two fixed edge maps, as (corner, label word of the chain to m).
-    chains = (
-        (q.vertex(mi + 2 * n, mj), ("gamma_prime",) * n),
-        (q.vertex(mi, mj + 2 * n), ("gamma",) * n),
+    # (corner, grade from the corner to m, sign in the alternating sum)
+    corners = (
+        (m, 0, 1),
+        (q.vertex(mi + 2 * n, mj), n, -1),
+        (q.vertex(mi, mj + 2 * n), n, -1),
+        (q.vertex(mi + 2 * n, mj + 2 * n), 2 * n, 1),
     )
-    # Rings grow with n so that every layer up to the deepest possible
-    # factor (grade 2n-2) is scanned completely, not just on the grid.
-    rings = max(DIAMOND_MARGIN_RINGS, n - 2)
-    win = _Window(q, window, n + rings + 2)
-    win.check_base(m)
-    for corner in (chains[0][0], chains[1][0], q.tensor_translate(m, (2 * n, 2 * n))):
+    # Check every corner before knitting any, so a far corner fails at once.
+    win = _Window(q, window, 0)
+    for corner, _, _ in corners:
         win.check_base(corner)
-
-    reach = 2 * n + 2 * rings
-    layers: dict[int, dict[Vertex, int]] = {}
-    for a in range(0, reach + 1, 2):
-        for b in range(0, reach + 1, 2):
-            v = q.vertex(mi + a, mj + b)
-            win.check(v)
-            grade = (a + b) // 2
-            classes = _MeshClasses(q, v, m, grade, win, field)
-            if not classes.paths:
-                continue
-            for corner, chain_word in chains:
-                lead = q.distance(v, corner)
-                if lead is None:
-                    continue
-                for p in _enumerate_paths(q, v, corner, lead, win):
-                    classes.kill(classes.index[path_word(p) + chain_word])
-            mult = classes.live
-            if mult > 0:
-                layers.setdefault(grade, {})[v] = mult
-    # Rows are complete (every vertex of the grade scanned) up to n+rings.
+    # Rings grow with n so that every layer up to the deepest possible
+    # factor (grade 2n-2) is covered completely, not just on the grid.
+    rings = max(DIAMOND_MARGIN_RINGS, n - 2)
     complete_through = n + rings
+    reach = 2 * complete_through
+    sums: Counter[tuple[int, Vertex]] = Counter()
+    for corner, shift, sign in corners:
+        for k, row in knit_layers(q, corner, reach - shift, window).layers.items():
+            for v, mult in row.items():
+                i, j = v.coords
+                if i - mi <= reach and j - mj <= reach:
+                    sums[k + shift, v] += sign * mult
+    layers: dict[int, dict[Vertex, int]] = {}
+    for (grade, v), mult in sorted(sums.items()):
+        if mult < 0:
+            raise InternalCheckError(
+                f"diamond cokernel at {m} has multiplicity {mult} at {v} (grade {grade})",
+                (grade, v),
+            )
+        if mult:
+            layers.setdefault(grade, {})[v] = mult
     return LayerTable(
         target=m, layers=layers, k_max=complete_through, valid_through=complete_through
     )

@@ -1,14 +1,18 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshknit import cli
-from meshknit.errors import ExactnessError, FieldMismatchError, InternalCheckError
+from meshknit.errors import FieldMismatchError, InternalCheckError
 from meshknit.jordan import CheckReport
 
 
@@ -308,7 +312,7 @@ def test_failed_rename_leaves_no_temporary_file(run, tmp_path):
 # -- internal errors ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("error", [InternalCheckError, ExactnessError, FieldMismatchError])
+@pytest.mark.parametrize("error", [InternalCheckError, FieldMismatchError])
 def test_internal_errors_exit_6_with_one_line(run, monkeypatch, error):
     def broken(*args, **kwargs):
         raise error("forced failure")
@@ -323,20 +327,18 @@ def test_internal_errors_exit_6_with_one_line(run, monkeypatch, error):
 # -- resource limits and grades ---------------------------------------------------
 
 
-def test_grade_too_deep_exits_7_with_one_line():
-    # The path enumeration recurses once per step of the grade.
-    argv = ["signcheck", "--quiver", "tube:3", "--source", "J1", "--target", "J1", "--grade", "2000"]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    env.pop("MESHKNIT_WINDOW", None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "meshknit.cli", *argv], capture_output=True, text=True, env=env
+def test_grade_past_the_recursion_limit_has_one_path(run):
+    # Path enumeration keeps an explicit stack, so a grade far past the
+    # interpreter's recursion limit is an ordinary request: tube:3 has a
+    # single path J1 -> J2 -> J1 -> ... of every even length.
+    assert 2000 > sys.getrecursionlimit()
+    code, out, err = run(
+        ["signcheck", "--quiver", "tube:3", "--source", "J1", "--target", "J1", "--grade", "2000"]
     )
-    assert proc.returncode == cli.EXIT_LIMIT == 7
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("meshknit: error: input too large: ")
+    assert code == cli.EXIT_OK
+    assert err == ""
+    report = json.loads(out)
+    assert report["num_paths"] == 1
 
 
 def test_out_of_memory_exits_7(run, monkeypatch):
@@ -375,3 +377,125 @@ def test_artifact_ends_with_single_newline(run):
     _, out, _ = run(["oracle", "--n", "3", "--check", "socle"])
     assert out.endswith("\n")
     assert not out.endswith("\n\n")
+
+
+# -- fuzzed argument vectors ----------------------------------------------------------
+#
+# Every argument vector ends in an exit code of the contract, never in a
+# traceback.  Each value is valid seven times in eight and malformed
+# otherwise; the valid numbers are bounded so that each request stays
+# small (center --mu and knit --kmax cost grows with the square of the
+# value).  Values are passed as --flag=value, since argparse would take a
+# separate value such as -2,0 for an option.
+
+
+def _mostly(valid, malformed):
+    # Hypothesis favours the ends of a range, so the rare branch sits inside it.
+    return st.integers(0, 7).flatmap(lambda k: malformed if k == 3 else valid)
+
+
+def _int_text(lo, hi, *out_of_range):
+    """An integer in [lo, hi], or text argparse or the command rejects."""
+    bad = ["", "x", "1.5", "0x10", "3e1", *map(str, out_of_range)]
+    return _mostly(st.integers(lo, hi).map(str), st.sampled_from(bad))
+
+
+def _opt(flag, values):
+    """--flag=value, or (one time in twenty) nothing at all."""
+    return st.tuples(st.integers(0, 19), values).map(lambda t: [] if t[0] == 3 else [f"{flag}={t[1]}"])
+
+
+_BAD_VERTICES = st.sampled_from(
+    ["", "J", "Jx", "J0", "J9", "0,0,0", "a,b", "1,", "1,0", "0,0:blue", "1,1:even", "0,3", "-1,0"]
+)
+
+
+def _dihedral_text(i, k, tagged):
+    """The vertex (i, i + 2k), with its parity tag when tagged."""
+    tag = (":odd" if i % 2 else ":even") if tagged else ""
+    return f"{i},{i + 2 * k}{tag}"
+
+
+def _vertex(quiver_spec):
+    """A vertex in the quiver's own syntax, mostly; any syntax otherwise."""
+    if quiver_spec.startswith("tube:") and quiver_spec[5:].isdigit():
+        valid = st.integers(1, max(1, int(quiver_spec[5:]) - 1)).map("J{}".format)
+    elif quiver_spec == "za-inf":
+        valid = st.builds("{},{}".format, st.integers(1, 4), st.integers(-4, 4))
+    else:
+        valid = st.builds(_dihedral_text, st.integers(-4, 4), st.integers(-2, 2), st.booleans())
+    return _mostly(valid, _BAD_VERTICES)
+
+
+_QUIVERS = _mostly(
+    st.sampled_from(["tube:3", "tube:4", "tube:5", "tube:6", "dihedral", "za-inf"]),
+    st.sampled_from(["tube:2", "tube:x", "torus", ""]),
+)
+_FIELDS = _mostly(
+    st.sampled_from(["q", "Q", "p:2", "p:3", "p:5", "p:7", "p:11", "p:13", "p:17", "p:19"]),
+    st.sampled_from(["p:4", "p:1", "p:-5", "p:", "p:x", "r"]),
+)
+
+
+@st.composite
+def _argv(draw, name, *options):
+    """The subcommand, its options in order, then --window and --format."""
+    argv = [name]
+    for option in options:
+        argv += draw(option)
+    argv += draw(_opt("--window", _int_text(1, 8, 0, -1)))
+    formats = ["tsv", "json"] if name in ("knit", "diamond") else ["json"]
+    argv += draw(_opt("--format", _mostly(st.sampled_from(formats), st.just("xml"))))
+    return argv
+
+
+@st.composite
+def _on_a_quiver(draw, name, vertex_flags, *options):
+    """--quiver, then each vertex flag in that quiver's syntax, then the options."""
+    spec = draw(_QUIVERS)
+    vertices = [_opt(flag, _vertex(spec)) for flag in vertex_flags]
+    return draw(_argv(name, _opt("--quiver", st.just(spec)), *vertices, *options))
+
+
+CLI_ARGVS = st.one_of(
+    _on_a_quiver("knit", ["--vertex"], _opt("--kmax", _int_text(0, 60, -2))),
+    _argv(
+        "diamond",
+        _opt("--n", _int_text(1, 6, 0, -1)),
+        _opt("--vertex", _vertex("dihedral")),
+        _opt("--field", _FIELDS),
+    ),
+    _argv("center", _opt("--mu", _int_text(1, 4, 0, -1)), st.sampled_from([[], ["--report"]])),
+    _argv(
+        "oracle",
+        _opt("--n", _int_text(3, 4, 2, 0, -1)),
+        _opt("--check", _mostly(
+            st.sampled_from(["all", "serre", "socle", "simple-fp", "mono-split",
+                             "comp-factors", "almost-vanishing"]),
+            st.just("nope"),
+        )),
+        _opt("--field", _FIELDS),
+    ),
+    _on_a_quiver(
+        "signcheck",
+        ["--source", "--target"],
+        _opt("--grade", _int_text(0, 12, -3)),
+        _opt("--field", _FIELDS),
+    ),
+    st.lists(st.sampled_from(["bogus", "--window", "4", "knit", ""]), max_size=3),
+)
+
+
+@given(CLI_ARGVS)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_argument_vectors_exit_by_the_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop("MESHKNIT_WINDOW", None)
+        code = cli.main(argv)
+    assert code in range(8), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    # A failure is one line on stderr and no artifact.
+    if code not in (cli.EXIT_OK, cli.EXIT_COUNTEREXAMPLE, cli.EXIT_TRUNCATED):
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1

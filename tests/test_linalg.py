@@ -143,11 +143,17 @@ sign_matrices = st.lists(
 )
 
 
+# Large enough that the small sign matrices below cannot lose rank mod p.
+CROSS_CHECK_PRIME = 65521
+
+
 @given(sign_matrices)
 def test_rational_rank_agrees_with_large_prime(rows):
     # Sign matrices cannot hit the cross-check characteristic, so the
-    # two computations must agree exactly.
-    assert la.rank_cross_check(rows) == la.rank(la.Matrix(la.QQ, rows))
+    # three computations must agree exactly.
+    over_q = la.span_rank(la.QQ, rows, len(rows[0]))
+    assert over_q == la.span_rank(la.GF(CROSS_CHECK_PRIME), rows, len(rows[0]))
+    assert over_q == la.rank(la.Matrix(la.QQ, rows))
 
 
 @given(rational_matrices(max_dim=3), rational_matrices(max_dim=3))
