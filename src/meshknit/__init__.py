@@ -51,7 +51,6 @@ from .jordan import (
     SocleReport,
     SolverReport,
     StableMap,
-    all_stable_classes,
     almost_vanishing_agreement_suite,
     almost_vanishing_class,
     ar_sequence,
@@ -72,6 +71,7 @@ from .jordan import (
     socle_of_representable,
     socle_suite,
     stable_basis,
+    stable_class_lines,
     stable_hom_dim,
 )
 from .center import (

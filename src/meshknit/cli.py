@@ -52,6 +52,7 @@ EXIT_INTERNAL = 6
 EXIT_LIMIT = 7
 
 DEFAULT_WINDOW = 4
+_VERTEX_FLAGS = ("--vertex", "--source", "--target")
 
 
 class _UsageError(Exception):
@@ -213,6 +214,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _glue_vertex_values(argv: list[str]) -> list[str]:
+    """'--vertex -2,0' or '--vert -2,0' as '--vertex=-2,0' or '--vert=-2,0' for argparse.
+
+    argparse takes a separate '-2,0' for an option, not for the flag's value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        is_flag = len(prev) > 2 and any(flag.startswith(prev) for flag in _VERTEX_FLAGS)
+        if is_flag and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 @functools.cache
 def _parser() -> _Parser:
     # Building the parser costs about as much as a small request; argparse
@@ -287,6 +304,8 @@ _ORACLE_CHECKS = {
     "simple-fp": lambda n, fld: jordan.simple_fp_suite(n, fld),
     "mono-split": lambda n, fld: jordan.mono_representable_split_check(n, fld),
     "comp-factors": lambda n, fld: jordan.composition_factors_equivalence_check(n, fld),
+    # Only the report differs (checks run once per line either way): the recorded
+    # artifacts pin the per-class ``classes`` counts below n = 5 and this stat.
     "almost-vanishing": lambda n, fld: jordan.almost_vanishing_agreement_suite(
         n, fld, up_to_scalar=n >= 5
     ),
@@ -346,7 +365,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_glue_vertex_values(sys.argv[1:] if argv is None else argv))
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"meshknit: error: {exc}", file=sys.stderr)

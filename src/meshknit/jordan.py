@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
-from itertools import islice, product
+from functools import wraps
+from itertools import product
 from operator import attrgetter
 
 from .errors import (
@@ -246,10 +247,26 @@ def _combination(field: Field, vectors: list, target) -> tuple | None:
 
 
 _key = attrgetter("key")
+_MISSING = object()
+
+
+def _memo(method):
+    """Memoize a method in its context's ``_memo`` by (name, *args); a raise stores nothing."""
+    name = method.__name__
+
+    @wraps(method)
+    def memoized(self, *args):
+        key = (name, *args)
+        got = self._memo.get(key, _MISSING)
+        if got is _MISSING:
+            got = self._memo[key] = method(self, *args)
+        return got
+
+    return memoized
 
 
 class _Context:
-    """Cached Hom/stable-Hom data for one (n, field) pair."""
+    """Hom/stable-Hom data for one (n, field) pair, memoized per method and arguments."""
 
     def __init__(self, n: int, field: Field):
         if n < 3:
@@ -257,14 +274,7 @@ class _Context:
         self.n = n
         self.field = field
         self.projective = JordanModule((n,), n)
-        self._t: dict = {}
-        self._hom: dict = {}
-        self._proj: dict = {}
-        self._stable: dict = {}
-        self._rad: dict = {}
-        self._av: dict = {}
-        self._up_to_scalar: dict = {}
-        self._omega_verified: set = set()
+        self._memo: dict = {}
 
     # -- plumbing --------------------------------------------------------
     def indecomposables(self, include_projective: bool = False) -> list[JordanModule]:
@@ -276,19 +286,16 @@ class _Context:
             raise FieldMismatchError(f"module over k[t]/(t^{x.n}) used in n={self.n} context")
         return x
 
+    @_memo
     def t_matrix(self, x: JordanModule) -> Matrix:
-        got = self._t.get(x.blocks)
-        if got is None:
-            d = x.dim
-            rows = [[0] * d for _ in range(d)]
-            offset = 0
-            for b in x.blocks:
-                for a in range(b - 1):
-                    rows[offset + a + 1][offset + a] = 1
-                offset += b
-            got = Matrix(self.field, rows)
-            self._t[x.blocks] = got
-        return got
+        d = x.dim
+        rows = [[0] * d for _ in range(d)]
+        offset = 0
+        for b in x.blocks:
+            for a in range(b - 1):
+                rows[offset + a + 1][offset + a] = 1
+            offset += b
+        return Matrix(self.field, rows)
 
     def proj_matrix(self, i: int, j: int) -> Matrix:
         """Canonical surjection J_i -> J_j (j <= i): kill the top powers."""
@@ -308,17 +315,13 @@ class _Context:
         data = [vec[r * cols : (r + 1) * cols] for r in range(rows)]
         return Matrix(self.field, data)
 
+    @_memo
     def hom_basis(self, x: JordanModule, y: JordanModule) -> list[Matrix]:
         """Basis of equivariant maps x -> y: solutions of X T_x = T_y X."""
         self.check_module(x)
         self.check_module(y)
-        key = (x.blocks, y.blocks)
-        got = self._hom.get(key)
-        if got is not None:
-            return got
         dx, dy = x.dim, y.dim
         if dx == 0 or dy == 0:
-            self._hom[key] = []
             return []
         tx = self.t_matrix(x)
         ty = self.t_matrix(y)
@@ -334,22 +337,16 @@ class _Context:
                         row[r * dx + k] -= 1
                 eqs.append(row)
         basis = kernel_basis(Matrix(self.field, eqs))
-        got = [self._unflatten(v, dy, dx) for v in basis]
-        self._hom[key] = got
-        return got
+        return [self._unflatten(v, dy, dx) for v in basis]
 
+    @_memo
     def proj_subspace(self, x: JordanModule, y: JordanModule) -> Subspace:
         """Flattened span of maps x -> y factoring through the projective."""
-        key = (x.blocks, y.blocks)
-        got = self._proj.get(key)
-        if got is not None:
-            return got
         space = Subspace(self.field, x.dim * y.dim)
         p = self.projective
         for f in self.hom_basis(x, p):
             for g in self.hom_basis(p, y):
                 space.insert(g.mul(f).flatten())
-        self._proj[key] = space
         return space
 
     def classify(self, x: JordanModule, y: JordanModule, matrix: Matrix) -> StableMap:
@@ -359,14 +356,10 @@ class _Context:
     def residue(self, x: JordanModule, y: JordanModule, matrix: Matrix) -> tuple:
         return self.proj_subspace(x, y).residue(matrix.flatten())
 
+    @_memo
     def stable_basis(self, x: JordanModule, y: JordanModule) -> list[StableMap]:
-        key = (x.blocks, y.blocks)
-        got = self._stable.get(key)
-        if got is not None:
-            return got
         candidates = (self.classify(x, y, b) for b in self.hom_basis(x, y))
-        got = self._stable[key] = _independent(self.field, x.dim * y.dim, candidates, _key)
-        return got
+        return _independent(self.field, x.dim * y.dim, candidates, _key)
 
     def stable_dim(self, x: JordanModule, y: JordanModule) -> int:
         return len(self.stable_basis(x, y))
@@ -391,15 +384,12 @@ class _Context:
                 acc = acc.add(b.matrix.scale(c))
         return self.classify(x, y, acc)
 
-    def all_classes(
-        self, x: JordanModule, y: JordanModule, up_to_scalar: bool = False
-    ) -> list[StableMap]:
-        """Every nonzero stable class x -> y (finite field only).
+    @_memo
+    def class_lines(self, x: JordanModule, y: JordanModule) -> list[StableMap]:
+        """One class per line of nonzero stable classes x -> y (finite field only).
 
-        Both lists follow ``product`` order of the coefficient tuples.  Up to
-        scalar, the classes are those whose first nonzero coefficient is 1:
-        built directly and cached, since the almost-vanishing sweep asks for
-        them once per class it checks.
+        Each is the line's class with first nonzero coefficient 1, in
+        ``product`` order; every check here is unchanged by a nonzero scalar.
         """
         p = self.field.char
         if p == 0:
@@ -408,19 +398,13 @@ class _Context:
             )
         basis = self.stable_basis(x, y)
         d = len(basis)
-        if not up_to_scalar:
-            coeffs = islice(product(range(p), repeat=d), 1, None)
-            return [self.combine(x, y, basis, c) for c in coeffs]
-        key = (x.blocks, y.blocks)
-        got = self._up_to_scalar.get(key)
-        if got is None:
-            got = self._up_to_scalar[key] = [
-                self.combine(x, y, basis, (0,) * k + (1,) + tail)
-                for k in reversed(range(d))
-                for tail in product(range(p), repeat=d - 1 - k)
-            ]
-        return got
+        return [
+            self.combine(x, y, basis, (0,) * k + (1,) + tail)
+            for k in reversed(range(d))
+            for tail in product(range(p), repeat=d - 1 - k)
+        ]
 
+    @_memo
     def rad_stable_basis(self, x: JordanModule, y: JordanModule) -> list[StableMap]:
         """Spanning classes of the non-isomorphisms x -> y (x, y indecomposable).
 
@@ -428,20 +412,13 @@ class _Context:
         non-isomorphisms are the radical of the local endomorphism ring,
         spanned by t times the endomorphisms.
         """
-        key = (x.blocks, y.blocks)
-        got = self._rad.get(key)
-        if got is not None:
-            return got
         if not (x.is_indecomposable and y.is_indecomposable):
             raise PreconditionError("radical basis is defined here for indecomposables")
         if x.blocks != y.blocks:
-            got = self.stable_basis(x, y)
-        else:
-            t = self.t_matrix(x)
-            candidates = (self.classify(x, y, t.mul(b)) for b in self.hom_basis(x, y))
-            got = _independent(self.field, x.dim * y.dim, candidates, _key)
-        self._rad[key] = got
-        return got
+            return self.stable_basis(x, y)
+        t = self.t_matrix(x)
+        candidates = (self.classify(x, y, t.mul(b)) for b in self.hom_basis(x, y))
+        return _independent(self.field, x.dim * y.dim, candidates, _key)
 
     def rad_module_basis(self, u: JordanModule, m: JordanModule) -> list[Matrix]:
         """Module-level spanning set of non-isomorphisms u -> m."""
@@ -452,35 +429,34 @@ class _Context:
         return _independent(self.field, u.dim * m.dim, candidates, Matrix.flatten)
 
     # -- syzygies --------------------------------------------------------
+    @_memo
     def omega_object(self, x: JordanModule) -> JordanModule:
         """Kernel of the projective cover J_n ->> J_i, verified to be J_{n-i}."""
         i = x.block
         if i == self.n:
             raise PreconditionError(f"{x} is projective; omega is undefined")
-        if i not in self._omega_verified:
-            pi = self.proj_matrix(self.n, i)
-            kernel = kernel_basis(pi)
-            if len(kernel) != self.n - i:
+        pi = self.proj_matrix(self.n, i)
+        kernel = kernel_basis(pi)
+        if len(kernel) != self.n - i:
+            raise InternalCheckError(
+                f"projective cover of J{i} has kernel of dim {len(kernel)}", witness=x
+            )
+        # The canonical kernel basis is e_i..e_{n-1}; the t-action on it
+        # must be the shift of a single block of size n-i.
+        kappa = self._kappa(i)
+        for vec, col in zip(kernel, range(self.n - i)):
+            expected = tuple(kappa.entry(r, col) for r in range(self.n))
+            if tuple(vec) != expected:
                 raise InternalCheckError(
-                    f"projective cover of J{i} has kernel of dim {len(kernel)}", witness=x
+                    f"unexpected kernel basis for cover of J{i}", witness=x
                 )
-            # The canonical kernel basis is e_i..e_{n-1}; the t-action on it
-            # must be the shift of a single block of size n-i.
-            kappa = self._kappa(i)
-            for vec, col in zip(kernel, range(self.n - i)):
-                expected = tuple(kappa.entry(r, col) for r in range(self.n))
-                if tuple(vec) != expected:
-                    raise InternalCheckError(
-                        f"unexpected kernel basis for cover of J{i}", witness=x
-                    )
-            shifted = self.t_matrix(self.projective).mul(kappa)
-            target = kappa.mul(self.t_matrix(indec(self.n, self.n - i)))
-            if shifted != target:
-                raise InternalCheckError(
-                    f"kernel of cover of J{i} does not carry the J{self.n - i} action",
-                    witness=x,
-                )
-            self._omega_verified.add(i)
+        shifted = self.t_matrix(self.projective).mul(kappa)
+        target = kappa.mul(self.t_matrix(indec(self.n, self.n - i)))
+        if shifted != target:
+            raise InternalCheckError(
+                f"kernel of cover of J{i} does not carry the J{self.n - i} action",
+                witness=x,
+            )
         return indec(self.n, self.n - i)
 
     def _kappa(self, i: int) -> Matrix:
@@ -527,6 +503,7 @@ class _Context:
         return f if r % 2 == 0 else self.omega_map(f)
 
     # -- almost vanishing --------------------------------------------------
+    @_memo
     def av_class(self, m: JordanModule) -> StableMap:
         """The canonical almost-vanishing class m -> Omega(m).
 
@@ -534,17 +511,13 @@ class _Context:
         the unique (up to scalar) nonzero class killed by composition
         with every non-isomorphism into m.  Uniqueness is asserted.
         """
-        got = self._av.get(m.blocks)
-        if got is not None:
-            return got
         target = self.omega_object(m)
         sols = self.killed_by_radical(m, target)
         if len(sols) != 1:
             raise InternalCheckError(
                 f"almost-vanishing space of {m} has dimension {len(sols)}", witness=m
             )
-        got = self._av[m.blocks] = self.combine(m, target, self.stable_basis(m, target), sols[0])
-        return got
+        return self.combine(m, target, self.stable_basis(m, target), sols[0])
 
     def killed_by_radical(self, x: JordanModule, y: JordanModule) -> list[tuple]:
         """Classes x -> y killed by every non-isomorphism into x.
@@ -597,12 +570,11 @@ def stable_hom_dim(x: JordanModule, y: JordanModule, field: Field = GF5) -> int:
     return len(stable_basis(x, y, field))
 
 
-def all_stable_classes(
-    x: JordanModule, y: JordanModule, field: Field = GF5, up_to_scalar: bool = False
-) -> list[StableMap]:
+def stable_class_lines(x: JordanModule, y: JordanModule, field: Field = GF5) -> list[StableMap]:
+    """One class per line of nonzero stable classes x -> y; see ``_Context.class_lines``."""
     ctx = context(x.n, field)
     ctx.check_module(y)
-    return ctx.all_classes(x, y, up_to_scalar)
+    return ctx.class_lines(x, y)
 
 
 def compose(g: StableMap, f: StableMap, field: Field = GF5) -> StableMap:
@@ -742,12 +714,12 @@ def is_almost_vanishing(f: StableMap, field: Field | None = None) -> AlmostVanis
         "factors_through_incoming": all(
             spans_f(c.matrix.mul(b.matrix) for b in ctx.stable_basis(x, u))
             for u in indecs
-            for c in ctx.all_classes(u, y, up_to_scalar=True)
+            for c in ctx.class_lines(u, y)
         ),
         "factors_through_outgoing": all(
             spans_f(b.matrix.mul(c.matrix) for b in ctx.stable_basis(v, y))
             for v in indecs
-            for c in ctx.all_classes(x, v, up_to_scalar=True)
+            for c in ctx.class_lines(x, v)
         ),
         "kills_non_split_epis": not any(
             any(ctx.residue(u, y, f.matrix.mul(g.matrix)))
@@ -861,7 +833,7 @@ def mono_representable_split_check(n: int, field: Field = GF5) -> CheckReport:
     checked = 0
     for u in ctx.indecomposables():
         for v in ctx.indecomposables():
-            for theta in ctx.all_classes(u, v, up_to_scalar=True):
+            for theta in ctx.class_lines(u, v):
                 checked += 1
                 if not all(injective(theta, x) for x in ctx.indecomposables()):
                     continue
@@ -1010,29 +982,30 @@ def almost_vanishing_agreement_suite(
     """Run all five almost-vanishing conditions on every nonzero class.
 
     Fails when the condition verdicts disagree on some class, or when a
-    class passes while its target is not the syzygy of its source.
+    class passes while its target is not the syzygy of its source.  Both
+    are unchanged by a nonzero scalar, so they run once per line of classes;
+    without ``up_to_scalar`` a line counts, and repeats its failure entry,
+    once for each of its p - 1 classes, grouped by line.
     """
     if n > 6:
         raise UnsupportedParameterError(f"n={n} exceeds the n <= 6 budget")
     ctx = context(n, field)
+    per_line = 1 if up_to_scalar else field.char - 1
     failures = []
     classes = 0
     found = 0
     for x in ctx.indecomposables():
         for y in ctx.indecomposables():
-            for f in ctx.all_classes(x, y, up_to_scalar):
-                classes += 1
+            where = {"x": str(x), "y": str(y)}
+            for f in ctx.class_lines(x, y):
+                classes += per_line
                 rep = is_almost_vanishing(f, field)
                 if not rep.agreement:
-                    failures.append(
-                        {"x": str(x), "y": str(y), "conditions": rep.conditions}
-                    )
+                    failures += [{**where, "conditions": rep.conditions}] * per_line
                 if rep.verdict:
-                    found += 1
+                    found += per_line
                     if y != ctx.omega_object(x):
-                        failures.append(
-                            {"x": str(x), "y": str(y), "error": "wrong codomain"}
-                        )
+                        failures += [{**where, "error": "wrong codomain"}] * per_line
     return CheckReport(
         "almost-vanishing-agreement",
         not failures,

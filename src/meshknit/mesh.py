@@ -172,7 +172,8 @@ def _enumerate_paths(
 
     Depth first with an explicit stack of arrow iterators, so the grade is
     not bounded by the recursion limit.  A vertex is entered only if m is
-    reachable from it in exactly the remaining number of steps.
+    reachable from it in exactly the remaining number of steps.  Each
+    vertex is window-checked once, on its first visit.
     """
     win.check(u)
     win.check(m)
@@ -181,7 +182,7 @@ def _enumerate_paths(
 
     def reaches(at: Vertex, remaining: int) -> bool:
         if at not in distances:
-            distances[at] = q.distance(at, m)
+            distances[at] = q.distance(win.check(at), m)
         d = distances[at]
         if d is None or d > remaining or (remaining - d) % 2:
             return False
@@ -201,7 +202,6 @@ def _enumerate_paths(
             if prefix:
                 prefix.pop()
             continue
-        win.check(a.target)
         remaining = grade - len(prefix) - 1
         if not reaches(a.target, remaining):
             continue

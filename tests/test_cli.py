@@ -225,6 +225,32 @@ def test_bad_vertex_syntax(run):
     assert code == 4
 
 
+def _spelled_apart(argv):
+    """Each --flag=value of argv as the two arguments --flag value."""
+    return [part for arg in argv for part in (arg.split("=", 1) if arg.startswith("--") else [arg])]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["knit", "--quiver=dihedral", "--vertex=-2,0", "--kmax=4"],
+        ["knit", "--quiver=dihedral", "--vertex=-3,-1:odd", "--kmax=3", "--format=json"],
+        ["knit", "--quiver=za-inf", "--vertex=2,-3", "--kmax=5"],
+        ["knit", "--quiver=dihedral", "--vertex=-9,-9", "--kmax=2", "--window=2"],
+        ["diamond", "--n=2", "--vertex=-2,-2", "--field=p:3"],
+        ["diamond", "--n=2", "--vertex=-1,0"],
+        ["signcheck", "--quiver=dihedral", "--source=4,4", "--target=-4,-4", "--window=8"],
+        ["signcheck", "--quiver=dihedral", "--source=-2,2", "--target=-4,-4", "--field=p:5"],
+        ["signcheck", "--quiver=dihedral", "--sou=-2,2", "--targ=-4,-4", "--field=p:5"],
+        ["signcheck", "--quiver=tube:4", "--source=J1", "--target=J3", "--grade=-3"],
+    ],
+)
+def test_separate_and_joined_flag_values_agree(run, argv):
+    apart = _spelled_apart(argv)
+    assert apart != argv
+    assert run(apart) == run(argv)
+
+
 def test_bad_quiver_and_field_specs(run):
     code, _, _ = run(["knit", "--quiver", "cube:4", "--vertex", "J1", "--kmax", "1"])
     assert code == 4
@@ -385,8 +411,7 @@ def test_artifact_ends_with_single_newline(run):
 # traceback.  Each value is valid seven times in eight and malformed
 # otherwise; the valid numbers are bounded so that each request stays
 # small (center --mu and knit --kmax cost grows with the square of the
-# value).  Values are passed as --flag=value, since argparse would take a
-# separate value such as -2,0 for an option.
+# value).  Values are passed as --flag=value or as --flag value.
 
 
 def _mostly(valid, malformed):
@@ -400,9 +425,15 @@ def _int_text(lo, hi, *out_of_range):
     return _mostly(st.integers(lo, hi).map(str), st.sampled_from(bad))
 
 
+def _spelling(flag, k, value):
+    if k == 3:
+        return []
+    return [flag, value] if k % 2 else [f"{flag}={value}"]
+
+
 def _opt(flag, values):
-    """--flag=value, or (one time in twenty) nothing at all."""
-    return st.tuples(st.integers(0, 19), values).map(lambda t: [] if t[0] == 3 else [f"{flag}={t[1]}"])
+    """--flag=value or --flag value, or (one time in twenty) nothing at all."""
+    return st.tuples(st.integers(0, 19), values).map(lambda t: _spelling(flag, *t))
 
 
 _BAD_VERTICES = st.sampled_from(

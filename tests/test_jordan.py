@@ -1,15 +1,17 @@
 """Brute-force matrix model of the stable category of k[t]/(t^n)."""
 
+import gc
+import weakref
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import meshknit as mk
-from meshknit import jordan
+from meshknit import cli, jordan
 from meshknit.jordan import context, indec
 from meshknit.linalg import GF, GF5, QQ, Subspace
-from meshknit.errors import PreconditionError, UnsupportedParameterError
+from meshknit.errors import FieldMismatchError, PreconditionError, UnsupportedParameterError
 
 
 # -- modules ----------------------------------------------------------------
@@ -176,7 +178,7 @@ def test_av_report_rejects_the_identity():
 
 
 def test_av_report_rejects_wrong_codomain():
-    for f in mk.all_stable_classes(indec(4, 1), indec(4, 2), up_to_scalar=True):
+    for f in mk.stable_class_lines(indec(4, 1), indec(4, 2)):
         report = mk.is_almost_vanishing(f)
         assert not report.verdict
         assert report.agreement
@@ -198,7 +200,7 @@ def test_av_report_flags_the_zero_class():
 
 def test_av_classes_require_a_finite_field():
     with pytest.raises(UnsupportedParameterError):
-        mk.all_stable_classes(indec(4, 2), indec(4, 2), field=QQ)
+        mk.stable_class_lines(indec(4, 2), indec(4, 2), field=QQ)
 
 
 def test_av_agreement_suite_full_enumeration():
@@ -341,10 +343,10 @@ def test_stable_dims_are_field_independent():
 
 
 def test_class_enumeration_counts_mod_5():
-    classes = mk.all_stable_classes(indec(4, 2), indec(4, 2))
+    classes = _classes_by_filter(context(4), indec(4, 2), indec(4, 2), False)
     assert len(classes) == 24
-    reps = mk.all_stable_classes(indec(4, 2), indec(4, 2), up_to_scalar=True)
-    assert len(reps) == 6
+    lines = mk.stable_class_lines(indec(4, 2), indec(4, 2))
+    assert len(lines) == 6
 
 
 def _classes_by_filter(ctx, x, y, up_to_scalar):
@@ -365,7 +367,7 @@ def _conditions_by_loops(ctx, f):
     conditions = {}
     ok = True
     for u in ctx.indecomposables():
-        for u_class in ctx.all_classes(u, y, up_to_scalar=True):
+        for u_class in ctx.class_lines(u, y):
             span = Subspace(ctx.field, x.dim * y.dim)
             for b in ctx.stable_basis(x, u):
                 span.insert(ctx.residue(x, y, u_class.matrix.mul(b.matrix)))
@@ -377,7 +379,7 @@ def _conditions_by_loops(ctx, f):
     conditions["factors_through_incoming"] = ok
     ok = True
     for v in ctx.indecomposables():
-        for v_class in ctx.all_classes(x, v, up_to_scalar=True):
+        for v_class in ctx.class_lines(x, v):
             span = Subspace(ctx.field, x.dim * y.dim)
             for b in ctx.stable_basis(v, y):
                 span.insert(ctx.residue(x, y, b.matrix.mul(v_class.matrix)))
@@ -415,29 +417,124 @@ def test_class_enumeration_and_conditions_match_the_reference(n, p):
     ctx = context(n, GF(p))
     for x in ctx.indecomposables():
         for y in ctx.indecomposables():
-            for up_to_scalar in (False, True):
-                got = [c.key for c in ctx.all_classes(x, y, up_to_scalar)]
-                assert got == [c.key for c in _classes_by_filter(ctx, x, y, up_to_scalar)]
-            for f in ctx.all_classes(x, y, up_to_scalar=True):
+            lines = ctx.class_lines(x, y)
+            assert [c.key for c in lines] == [c.key for c in _classes_by_filter(ctx, x, y, True)]
+            # The p - 1 nonzero multiples of the lines are every class, once.
+            multiples = [ctx.classify(x, y, f.matrix.scale(c)).key for f in lines for c in range(1, p)]
+            assert sorted(multiples) == sorted(c.key for c in _classes_by_filter(ctx, x, y, False))
+            for f in lines:
                 report = mk.is_almost_vanishing(f, GF(p))
                 assert report.conditions == _conditions_by_loops(ctx, f)
 
 
-def test_up_to_scalar_classes_are_built_once_per_context():
+def _suite_by_classes(n, field, up_to_scalar):
+    """Reference agreement suite: one check per class, in coefficient order."""
+    ctx = context(n, field)
+    failures = []
+    classes = found = 0
+    for x in ctx.indecomposables():
+        for y in ctx.indecomposables():
+            for f in _classes_by_filter(ctx, x, y, up_to_scalar):
+                classes += 1
+                rep = jordan.is_almost_vanishing(f, field)
+                if not rep.agreement:
+                    failures.append({"x": str(x), "y": str(y), "conditions": rep.conditions})
+                if rep.verdict:
+                    found += 1
+                    if y != ctx.omega_object(x):
+                        failures.append({"x": str(x), "y": str(y), "error": "wrong codomain"})
+    stats = {"classes": classes, "almost_vanishing": found, "up_to_scalar": up_to_scalar}
+    return not failures, failures, stats
+
+
+@pytest.mark.parametrize("up_to_scalar", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_agreement_suite_matches_the_class_by_class_reference(n, p, up_to_scalar):
+    report = mk.almost_vanishing_agreement_suite(n, GF(p), up_to_scalar)
+    assert (report.ok, report.failures, report.stats) == _suite_by_classes(n, GF(p), up_to_scalar)
+
+
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_a_disagreeing_line_fails_once_per_class(p, monkeypatch):
+    ctx = context(4, GF(p))
+    x = y = indec(4, 2)
+    line = ctx.class_lines(x, y)[1]
+    on_line = {ctx.classify(x, y, line.matrix.scale(c)).key for c in range(1, p)}
+    checked = jordan.is_almost_vanishing
+
+    def disagreeing(f, field=None):
+        report = checked(f, field)
+        if (f.source, f.target) == (x, y) and f.key in on_line:
+            report.conditions["image_is_simple"] = not report.conditions["image_is_simple"]
+        return report
+
+    monkeypatch.setattr(jordan, "is_almost_vanishing", disagreeing)
+    for up_to_scalar, entries in ((False, p - 1), (True, 1)):
+        report = mk.almost_vanishing_agreement_suite(4, GF(p), up_to_scalar)
+        assert not report.ok
+        assert len(report.failures) == entries
+        assert all(entry["x"] == entry["y"] == "J2" for entry in report.failures)
+        assert (report.ok, report.failures, report.stats) == _suite_by_classes(4, GF(p), up_to_scalar)
+
+
+def test_oracle_checks_one_class_per_line(monkeypatch, tmp_path):
+    calls = []
+    checked = jordan.is_almost_vanishing
+
+    def counting(f, field=None):
+        calls.append(f)
+        return checked(f, field)
+
+    monkeypatch.setattr(jordan, "is_almost_vanishing", counting)
+    assert cli.main(["oracle", "--n", "4", "--field", "p:101", "--out", str(tmp_path / "a")]) == 0
+    # Eight pairs of indecomposables with a one-dimensional stable Hom, one
+    # line each, and J2 -> J2 with a plane: 101 + 1 lines.  A sweep of every
+    # class makes 8 * 100 + (101**2 - 1) = 11000 checks.
+    assert len(calls) == 8 + 102
+
+
+def test_class_lines_are_built_once_per_context():
     ctx = jordan._Context(4, GF(7))
     x = y = indec(4, 2)
     d = ctx.stable_dim(x, y)
-    first = ctx.all_classes(x, y, up_to_scalar=True)
-    assert ctx.all_classes(x, y, up_to_scalar=True) is first
+    first = ctx.class_lines(x, y)
+    assert ctx.class_lines(x, y) is first
     assert len(first) == (7**d - 1) // (7 - 1)
-    full = ctx.all_classes(x, y)
-    assert len(full) == 7**d - 1
-    assert ctx.all_classes(x, y) is not full
-    assert list(ctx._up_to_scalar) == [(x.blocks, y.blocks)]
-    assert all(kept is first for kept in ctx._up_to_scalar.values())
+    assert [key for key in ctx._memo if key[0] == "class_lines"] == [("class_lines", x, y)]
+    assert ctx._memo["class_lines", x, y] is first
+
+
+def test_failed_calls_are_not_memoized():
+    ctx = jordan._Context(4, GF(7))
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            ctx.omega_object(indec(4, 4))
+        with pytest.raises(PreconditionError):
+            ctx.rad_stable_basis(jordan.JordanModule((2, 1), 4), indec(4, 2))
+        with pytest.raises(FieldMismatchError):
+            ctx.hom_basis(indec(5, 2), indec(5, 2))
+    assert ctx._memo == {}
+    with pytest.raises(UnsupportedParameterError):
+        jordan._Context(4, QQ).class_lines(indec(4, 2), indec(4, 2))
 
 
 # -- context cache ----------------------------------------------------------------
+
+
+def test_an_evicted_context_frees_its_memo():
+    ctx = context(3, GF(83))
+    ctx.av_class(indec(3, 1))
+    assert ctx._memo
+    gone = weakref.ref(ctx)
+    subspace = weakref.ref(ctx.proj_subspace(indec(3, 1), indec(3, 2)))
+    del ctx
+    for p in (89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167):
+        context(3, GF(p))
+    assert (3, 83) not in jordan._contexts
+    gc.collect()
+    assert gone() is None
+    assert subspace() is None
 
 
 def test_context_cache_keeps_the_most_recently_used():

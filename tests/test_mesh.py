@@ -71,6 +71,80 @@ def test_window_violation_is_loud(dihedral):
         )
 
 
+def _enumerate_paths_checking_each_arrow(q, u, m, grade, win):
+    """Reference walk: window-checks the target of every arrow it follows."""
+    win.check(u)
+    win.check(m)
+    distances = {}
+
+    def reaches(at, remaining):
+        if at not in distances:
+            distances[at] = q.distance(at, m)
+        d = distances[at]
+        if d is None or d > remaining or (remaining - d) % 2:
+            return False
+        return not q.grade_forced or d == remaining
+
+    if not reaches(u, grade):
+        return []
+    if grade == 0:
+        return [()]
+    out, prefix, stack = [], [], [iter(q.arrows_out(u))]
+    while stack:
+        a = next(stack[-1], None)
+        if a is None:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        win.check(a.target)
+        remaining = grade - len(prefix) - 1
+        if not reaches(a.target, remaining):
+            continue
+        if remaining == 0:
+            out.append((*prefix, a))
+        else:
+            prefix.append(a)
+            stack.append(iter(q.arrows_out(a.target)))
+    return out
+
+
+def _walk_outcome(enumerate_paths, q, u, m, grade, radius):
+    try:
+        return enumerate_paths(q, u, m, grade, mesh._Window(q, radius, 0))
+    except WindowError as exc:
+        return ("WindowError", str(exc), exc.vertex)
+
+
+def test_each_vertex_is_window_checked_once_with_the_per_arrow_outcome():
+    tube = quiver.build_tube(5)
+    za = quiver.build_za_inf(6)
+    dih = quiver.build_dihedral_family(9)
+    cases = [
+        (tube, tube.vertex(1), tube.vertex(1), grade) for grade in range(7)
+    ] + [
+        (za, za.vertex(1, 0), za.vertex(level, -k), grade)
+        for level in (1, 2)
+        for k in range(5)
+        for grade in range(9)
+    ] + [
+        (dih, dih.vertex(*u), dih.vertex(*m), None)
+        for u, m in [((10, 10), (0, 0)), ((4, 4), (-4, -4)), ((6, 2), (0, -2))]
+    ]
+    interior = 0
+    for q, u, m, grade in cases:
+        if grade is None:
+            grade = q.distance(u, m)
+        for radius in range(1, 10):
+            got = _walk_outcome(mesh._enumerate_paths, q, u, m, grade, radius)
+            want = _walk_outcome(_enumerate_paths_checking_each_arrow, q, u, m, grade, radius)
+            assert got == want, (q, u, m, grade, radius)
+            interior += isinstance(got, tuple) and got[2] not in (u, m)
+    # Some walks leave the window between their endpoints (ZA-infinity
+    # paths climb above both ends), so the check inside the walk is exercised.
+    assert interior > 0
+
+
 def test_hom_dims_agree_over_finite_field(dihedral):
     pairs = [((4, 2), (0, 0)), ((2, 2), (0, 0)), ((6, 0), (0, 0))]
     for src, tgt in pairs:
