@@ -36,7 +36,7 @@ from .errors import (
     PreconditionError,
     UnsupportedParameterError,
 )
-from .linalg import GF5, Field, Matrix, Subspace, kernel_basis, quotient_dim, rank, solve, span_rank
+from .linalg import GF5, Field, Matrix, Subspace, kernel_basis, rank, solve
 from .mesh import LayerTable
 from .quiver import TUBE, Vertex
 
@@ -519,6 +519,25 @@ class _Context:
             )
         return self.combine(m, target, self.stable_basis(m, target), sols[0])
 
+    # -- composition images ----------------------------------------------
+    # Keyed by the representative matrix of f: source -> target, so every
+    # class checked against f shares one span instead of rebuilding it.
+    @_memo
+    def post_image(self, source, target, matrix: Matrix, v: JordanModule) -> Subspace:
+        """Span of the classes f . b, b running over ``stable_basis(v, source)``."""
+        space = Subspace(self.field, v.dim * target.dim)
+        for b in self.stable_basis(v, source):
+            space.insert(self.residue(v, target, matrix.mul(b.matrix)))
+        return space
+
+    @_memo
+    def pre_image(self, source, target, matrix: Matrix, w: JordanModule) -> Subspace:
+        """Span of the classes b . f, b running over ``stable_basis(target, w)``."""
+        space = Subspace(self.field, source.dim * w.dim)
+        for b in self.stable_basis(target, w):
+            space.insert(self.residue(source, w, b.matrix.mul(matrix)))
+        return space
+
     def killed_by_radical(self, x: JordanModule, y: JordanModule) -> list[tuple]:
         """Classes x -> y killed by every non-isomorphism into x.
 
@@ -663,17 +682,12 @@ def image_comp_factors(f: StableMap, field: Field | None = None) -> dict[JordanM
     """Composition-factor multiset of the image of Hom(-, f).
 
     The multiplicity at an indecomposable V is the dimension of the
-    image of composition-with-f on classes out of V, computed through
-    quotient_dim against the zero subspace.
+    image of composition-with-f on classes out of V.
     """
     ctx = context(f.source.n, field if field is not None else f.matrix.field)
     out: dict[JordanModule, int] = {}
     for v in ctx.indecomposables():
-        vectors = [
-            ctx.residue(v, f.target, f.matrix.mul(b.matrix))
-            for b in ctx.stable_basis(v, f.source)
-        ]
-        mult = quotient_dim(ctx.field, vectors, [], v.dim * f.target.dim)
+        mult = ctx.post_image(f.source, f.target, f.matrix, v).rank
         if mult:
             out[v] = mult
     return out
@@ -704,20 +718,14 @@ def is_almost_vanishing(f: StableMap, field: Field | None = None) -> AlmostVanis
         return AlmostVanishingReport(x, y, False, {}, note="stably zero class")
 
     indecs = ctx.indecomposables()
-
-    def spans_f(composites) -> bool:
-        span = Subspace(ctx.field, x.dim * y.dim)
-        span.extend(ctx.residue(x, y, c) for c in composites)
-        return span.contains(f.key)
-
     conditions = {
         "factors_through_incoming": all(
-            spans_f(c.matrix.mul(b.matrix) for b in ctx.stable_basis(x, u))
+            ctx.post_image(u, y, c.matrix, x).contains(f.key)
             for u in indecs
             for c in ctx.class_lines(u, y)
         ),
         "factors_through_outgoing": all(
-            spans_f(b.matrix.mul(c.matrix) for b in ctx.stable_basis(v, y))
+            ctx.pre_image(x, v, c.matrix, y).contains(f.key)
             for v in indecs
             for c in ctx.class_lines(x, v)
         ),
@@ -821,27 +829,22 @@ def mono_representable_split_check(n: int, field: Field = GF5) -> CheckReport:
             f"split-mono sweep enumerates all classes; n={n} exceeds the n <= 6 budget"
         )
     ctx = context(n, field)
-
-    def injective(theta: StableMap, x: JordanModule) -> bool:
-        """Composing with theta is injective on the classes x -> theta.source."""
-        basis = ctx.stable_basis(x, theta.source)
-        images = [ctx.residue(x, theta.target, theta.matrix.mul(b.matrix)) for b in basis]
-        return span_rank(ctx.field, images, x.dim * theta.target.dim) == len(basis)
-
+    indecs = ctx.indecomposables()
     failures = []
     monos = 0
     checked = 0
-    for u in ctx.indecomposables():
-        for v in ctx.indecomposables():
+    for u in indecs:
+        for v in indecs:
             for theta in ctx.class_lines(u, v):
                 checked += 1
-                if not all(injective(theta, x) for x in ctx.indecomposables()):
+                # Composing with theta must be injective on the classes x -> u.
+                if not all(
+                    ctx.post_image(u, v, theta.matrix, x).rank == ctx.stable_dim(x, u)
+                    for x in indecs
+                ):
                     continue
                 monos += 1
-                columns = [
-                    ctx.residue(u, u, b.matrix.mul(theta.matrix)) for b in ctx.stable_basis(v, u)
-                ]
-                if _combination(ctx.field, columns, ctx.identity_map(u).key) is None:
+                if not ctx.pre_image(u, v, theta.matrix, u).contains(ctx.identity_map(u).key):
                     failures.append({"source": str(u), "target": str(v), "class": theta.key})
     return CheckReport(
         "mono-representable-split",

@@ -13,8 +13,11 @@ their residues are equal tuples.
 
 from __future__ import annotations
 
+import operator
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, FieldMismatchError
@@ -63,6 +66,13 @@ class Field:
             return (x.numerator % p) * pow(den, p - 2, p) % p
         raise TypeError(f"cannot coerce {type(x).__name__} into GF({p})")
 
+    def coerce_row(self, row: Iterable) -> tuple:
+        """Coerce a row of entries: ints mod p (Fractions over Q) pass straight through."""
+        p = self.char
+        if p:
+            return tuple([x % p if type(x) is int else self.coerce(x) for x in row])
+        return tuple([x if type(x) is Fraction else self.coerce(x) for x in row])
+
     @property
     def zero(self):
         return Fraction(0) if self.char == 0 else 0
@@ -107,32 +117,41 @@ class Matrix:
     """Immutable dense matrix with exact entries.
 
     Rows are stored as tuples.  Matrices act on column vectors, so an
-    ``m x n`` matrix maps length-n vectors to length-m vectors.
+    ``m x n`` matrix maps length-n vectors to length-m vectors.  The
+    constructor coerces its entries; products, sums and scalings of
+    matrices are built from entries already in the field.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: Field, data: Iterable[Iterable]):
-        rows = tuple(tuple(field.coerce(x) for x in row) for row in data)
-        if rows:
-            width = len(rows[0])
-            for r in rows:
-                if len(r) != width:
-                    raise DimensionError("ragged rows in matrix literal")
-        else:
-            width = 0
+        rows = tuple(field.coerce_row(row) for row in data)
+        width = len(rows[0]) if rows else 0
+        if any(len(r) != width for r in rows):
+            raise DimensionError("ragged rows in matrix literal")
         self.field = field
         self.rows = len(rows)
         self.cols = width
         self.data = rows
 
     @classmethod
+    def _of(cls, field: Field, data: tuple, cols: int) -> "Matrix":
+        """A matrix on rows of field elements, with its column count given."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = len(data)
+        m.cols = cols
+        m.data = data
+        return m
+
+    @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, [[0] * cols for _ in range(rows)])
+        return cls._of(field, ((field.zero,) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        rows = tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n))
+        return cls._of(field, rows, n)
 
     def entry(self, i: int, j: int):
         return self.data[i][j]
@@ -140,27 +159,26 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.data[i]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.data)) if self.data else [])
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise FieldMismatchError(f"cannot multiply over {self.field} and {other.field}")
         if self.cols != other.rows:
             raise DimensionError(f"shape mismatch: ({self.rows}x{self.cols}) * ({other.rows}x{other.cols})")
         f = self.field
+        if not self.cols:
+            return Matrix.zeros(f, self.rows, other.cols)
         columns = list(zip(*other.data))
-        out = []
-        for r in self.data:
-            out_row = []
-            for c in columns:
-                acc = f.zero
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = f.add(acc, f.mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(f, out)
+        p = f.char
+        if p:
+            out = tuple(
+                tuple(sum(map(operator.mul, r, c)) % p for c in columns) for r in self.data
+            )
+        else:
+            out = tuple(
+                tuple(sum((a * b for a, b in zip(r, c) if a and b), f.zero) for c in columns)
+                for r in self.data
+            )
+        return Matrix._of(f, out, other.cols)
 
     def add(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -169,38 +187,27 @@ class Matrix:
             raise DimensionError(
                 f"shape mismatch: ({self.rows}x{self.cols}) + ({other.rows}x{other.cols})"
             )
-        f = self.field
-        return Matrix(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ],
-        )
+        p = self.field.char
+        pairs = zip(self.data, other.data)
+        if p:
+            out = tuple(tuple((a + b) % p for a, b in zip(r1, r2)) for r1, r2 in pairs)
+        else:
+            out = tuple(tuple(map(operator.add, r1, r2)) for r1, r2 in pairs)
+        return Matrix._of(self.field, out, self.cols)
 
     def scale(self, c) -> "Matrix":
         f = self.field
         c = f.coerce(c)
-        return Matrix(f, [[f.mul(c, x) for x in row] for row in self.data])
-
-    def apply(self, vec: Sequence) -> tuple:
-        """Matrix times column vector."""
-        if len(vec) != self.cols:
-            raise DimensionError(f"vector length {len(vec)} != column count {self.cols}")
-        f = self.field
-        v = [f.coerce(x) for x in vec]
-        out = []
-        for r in self.data:
-            acc = f.zero
-            for a, b in zip(r, v):
-                if a and b:
-                    acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        p = f.char
+        if p:
+            out = tuple(tuple(c * x % p for x in row) for row in self.data)
+        else:
+            out = tuple(tuple(c * x for x in row) for row in self.data)
+        return Matrix._of(f, out, self.cols)
 
     def flatten(self) -> tuple:
         """Row-major flattening, used to treat maps as vectors."""
-        return tuple(x for row in self.data for x in row)
+        return tuple(chain.from_iterable(self.data))
 
     def __eq__(self, other) -> bool:
         return (
@@ -228,29 +235,34 @@ class Subspace:
     def __init__(self, field: Field, ambient_dim: int):
         self.field = field
         self.ambient_dim = ambient_dim
-        # pivot column -> normalized, fully reduced row (as list)
-        self._rows: dict[int, list] = {}
+        # pivot column -> normalized, fully reduced row; pivots kept sorted
+        self._rows: dict[int, tuple] = {}
+        self._pivots: list[int] = []
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
-    def _reduce(self, vec: Sequence) -> list:
-        f = self.field
-        v = [f.coerce(x) for x in vec]
+    def _minus(self, v: Sequence, coeff, row: tuple) -> tuple:
+        """v - coeff * row, entrywise."""
+        p = self.field.char
+        if p:
+            return tuple([(a - coeff * b) % p for a, b in zip(v, row)])
+        return tuple([a - coeff * b if b else a for a, b in zip(v, row)])
+
+    def _reduce(self, vec: Sequence) -> tuple:
+        v = self.field.coerce_row(vec)
         if len(v) != self.ambient_dim:
             raise DimensionError(f"vector length {len(v)} != ambient dim {self.ambient_dim}")
-        for c in sorted(self._rows):
+        rows = self._rows
+        for c in self._pivots:
             coeff = v[c]
             if coeff:
-                row = self._rows[c]
-                for j in range(c, self.ambient_dim):
-                    if row[j]:
-                        v[j] = f.sub(v[j], f.mul(coeff, row[j]))
+                v = self._minus(v, coeff, rows[c])
         return v
 
     def residue(self, vec: Sequence) -> tuple:
-        return tuple(self._reduce(vec))
+        return self._reduce(vec)
 
     def contains(self, vec: Sequence) -> bool:
         return not any(self._reduce(vec))
@@ -263,43 +275,38 @@ class Subspace:
         if pivot is None:
             return False
         inv = f.inv(v[pivot])
-        v = [f.mul(inv, x) for x in v]
+        p = f.char
+        v = tuple([inv * x % p for x in v] if p else [inv * x for x in v])
         # keep existing rows reduced against the new pivot
-        for c, row in self._rows.items():
+        rows = self._rows
+        for c, row in rows.items():
             coeff = row[pivot]
             if coeff:
-                self._rows[c] = [f.sub(a, f.mul(coeff, b)) for a, b in zip(row, v)]
-        self._rows[pivot] = v
+                rows[c] = self._minus(row, coeff, v)
+        rows[pivot] = v
+        insort(self._pivots, pivot)
         return True
 
     def extend(self, vecs: Iterable[Sequence]) -> int:
-        added = 0
-        for v in vecs:
-            if self.insert(v):
-                added += 1
-        return added
+        """Insert each vector; the number that raised the rank."""
+        return sum(map(self.insert, vecs))
 
     def basis(self) -> list[tuple]:
         """RREF basis rows ordered by pivot column."""
-        return [tuple(self._rows[c]) for c in sorted(self._rows)]
-
-
-def span_rank(field: Field, vectors: Iterable[Sequence], ambient_dim: int) -> int:
-    space = Subspace(field, ambient_dim)
-    space.extend(vectors)
-    return space.rank
+        return [self._rows[c] for c in self._pivots]
 
 
 def rank(m: Matrix) -> int:
-    return span_rank(m.field, m.data, m.cols)
+    space = Subspace(m.field, m.cols)
+    space.extend(m.data)
+    return space.rank
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot columns."""
     space = Subspace(m.field, m.cols)
     space.extend(m.data)
-    pivots = tuple(sorted(space._rows))
-    return Matrix(m.field, space.basis()), pivots
+    return Matrix._of(m.field, tuple(space.basis()), m.cols), tuple(space._pivots)
 
 
 def kernel_basis(m: Matrix) -> list[tuple]:
@@ -332,9 +339,10 @@ def solve(m: Matrix, b: Sequence):
     if len(b) != m.rows:
         raise DimensionError(f"rhs length {len(b)} != row count {m.rows}")
     f = m.field
-    aug = Matrix(f, [list(row) + [bi] for row, bi in zip(m.data, [f.coerce(x) for x in b])] or [])
+    b = f.coerce_row(b)
     if m.rows == 0:
-        return tuple([f.zero] * m.cols)
+        return (f.zero,) * m.cols
+    aug = Matrix._of(f, tuple(row + (bi,) for row, bi in zip(m.data, b)), m.cols + 1)
     reduced, pivots = rref(aug)
     if m.cols in pivots:
         return None
@@ -342,19 +350,3 @@ def solve(m: Matrix, b: Sequence):
     for r, pcol in zip(reduced.data, pivots):
         x[pcol] = r[m.cols]
     return tuple(x)
-
-
-def quotient_dim(field: Field, space: Sequence[Sequence], subspace: Sequence[Sequence], ambient_dim: int) -> int:
-    """dim(span(space) / (span(space) ∩ span(subspace))).
-
-    Computed as rank(space ∪ subspace) - rank(subspace), which equals the
-    stated dimension by the modular law for subspace dimensions.
-    """
-    for v in list(space) + list(subspace):
-        if len(v) != ambient_dim:
-            raise DimensionError(f"vector length {len(v)} != ambient dim {ambient_dim}")
-    sub = Subspace(field, ambient_dim)
-    sub.extend(subspace)
-    sub_rank = sub.rank
-    sub.extend(space)
-    return sub.rank - sub_rank

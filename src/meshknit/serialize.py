@@ -123,10 +123,12 @@ def layer_table_tsv(table: LayerTable, config: dict) -> str:
         lines.append("# truncated: true")
     columns = list(range(table.valid_through + 1))
     lines.append("\t".join(["vertex"] + [str(k) for k in columns]))
-    rows = [table.layers.get(k, {}) for k in columns]
-    for v in table.vertices():
-        entries = [str(row.get(v, 0)) for row in rows]
-        lines.append("\t".join([vertex_str(v)] + entries))
+    vertices = table.vertices()
+    grid = {v: [vertex_str(v)] + ["0"] * len(columns) for v in vertices}
+    for k in columns:
+        for v, mult in table.layers.get(k, {}).items():
+            grid[v][k + 1] = str(mult)
+    lines += ["\t".join(grid[v]) for v in vertices]
     return "\n".join(lines) + "\n"
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from collections import Counter, OrderedDict
 from itertools import product
 
 import pytest
@@ -407,8 +408,128 @@ def _conditions_by_loops(ctx, f):
         if not ok:
             break
     conditions["killed_by_non_split_monos"] = ok
-    conditions["image_is_simple"] = sum(mk.image_comp_factors(f, ctx.field).values()) == 1
+    conditions["image_is_simple"] = sum(_image_comp_factors_by_class(ctx, f).values()) == 1
     return conditions
+
+
+def _span(ctx, x, y, composites):
+    """Subspace spanned by the residues of maps x -> y."""
+    span = Subspace(ctx.field, x.dim * y.dim)
+    span.extend(ctx.residue(x, y, c) for c in composites)
+    return span
+
+
+def _image_comp_factors_by_class(ctx, f):
+    """Reference image multiplicities, from this class's own composites.
+
+    The multiplicity is the quotient dimension of their span against the
+    zero subspace, that is its rank.
+    """
+    out = {}
+    for v in ctx.indecomposables():
+        composites = (f.matrix.mul(b.matrix) for b in ctx.stable_basis(v, f.source))
+        mult = _span(ctx, v, f.target, composites).rank
+        if mult:
+            out[v] = mult
+    return out
+
+
+def _av_report_by_class(f, field=None):
+    """Reference ``is_almost_vanishing``: every span rebuilt for this class."""
+    ctx = context(f.source.n, field if field is not None else f.matrix.field)
+    x, y = f.source, f.target
+    if f.is_zero:
+        return jordan.AlmostVanishingReport(x, y, False, {}, note="stably zero class")
+    indecs = ctx.indecomposables()
+
+    def spans_f(composites):
+        return _span(ctx, x, y, composites).contains(f.key)
+
+    conditions = {
+        "factors_through_incoming": all(
+            spans_f(c.matrix.mul(b.matrix) for b in ctx.stable_basis(x, u))
+            for u in indecs
+            for c in ctx.class_lines(u, y)
+        ),
+        "factors_through_outgoing": all(
+            spans_f(b.matrix.mul(c.matrix) for b in ctx.stable_basis(v, y))
+            for v in indecs
+            for c in ctx.class_lines(x, v)
+        ),
+        "kills_non_split_epis": not any(
+            any(ctx.residue(u, y, f.matrix.mul(g.matrix)))
+            for u in indecs
+            for g in ctx.rad_stable_basis(u, x)
+        ),
+        "killed_by_non_split_monos": not any(
+            any(ctx.residue(x, u, h.matrix.mul(f.matrix)))
+            for u in indecs
+            for h in ctx.rad_stable_basis(y, u)
+        ),
+        "image_is_simple": sum(_image_comp_factors_by_class(ctx, f).values()) == 1,
+    }
+    return jordan.AlmostVanishingReport(x, y, all(conditions.values()), conditions)
+
+
+def _injective_by_class(ctx, theta, x):
+    """Reference: composing with theta is injective on the classes x -> theta.source."""
+    basis = ctx.stable_basis(x, theta.source)
+    composites = (theta.matrix.mul(b.matrix) for b in basis)
+    return _span(ctx, x, theta.target, composites).rank == len(basis)
+
+
+def _splits_by_class(ctx, theta):
+    """Reference: some class b . theta is the identity, solved for per class."""
+    u, v = theta.source, theta.target
+    columns = [ctx.residue(u, u, b.matrix.mul(theta.matrix)) for b in ctx.stable_basis(v, u)]
+    return jordan._combination(ctx.field, columns, ctx.identity_map(u).key) is not None
+
+
+def _mono_split_by_class(n, field):
+    """Reference split-mono sweep: image ranks and a section solved per class."""
+    ctx = context(n, field)
+    indecs = ctx.indecomposables()
+    failures = []
+    monos = checked = 0
+    for u in indecs:
+        for v in indecs:
+            for theta in ctx.class_lines(u, v):
+                checked += 1
+                if not all(_injective_by_class(ctx, theta, x) for x in indecs):
+                    continue
+                monos += 1
+                if not _splits_by_class(ctx, theta):
+                    failures.append({"source": str(u), "target": str(v), "class": theta.key})
+    return not failures, failures, {"classes_checked": checked, "functor_monos": monos}
+
+
+@given(st.sampled_from([3, 4, 5]), st.sampled_from([2, 3, 5, 7]))
+@settings(max_examples=30, deadline=None)
+def test_shared_images_match_the_per_class_references(n, p):
+    field = GF(p)
+    ctx = context(n, field)
+    for x in ctx.indecomposables():
+        for y in ctx.indecomposables():
+            for f in ctx.class_lines(x, y):
+                assert mk.is_almost_vanishing(f, field).conditions == _av_report_by_class(f).conditions
+                assert mk.image_comp_factors(f, field) == _image_comp_factors_by_class(ctx, f)
+                for u in ctx.indecomposables():
+                    image = ctx.post_image(x, y, f.matrix, u)
+                    assert (image.rank == ctx.stable_dim(u, x)) == _injective_by_class(ctx, f, u)
+                identity = ctx.identity_map(x).key
+                assert ctx.pre_image(x, y, f.matrix, x).contains(identity) == _splits_by_class(ctx, f)
+    report = mk.mono_representable_split_check(n, field)
+    assert (report.ok, report.failures, report.stats) == _mono_split_by_class(n, field)
+    for up_to_scalar in (False, True):
+        report = mk.almost_vanishing_agreement_suite(n, field, up_to_scalar)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(jordan, "is_almost_vanishing", _av_report_by_class)
+            reference = mk.almost_vanishing_agreement_suite(n, field, up_to_scalar)
+        assert (report.ok, report.failures, report.stats) == (
+            reference.ok,
+            reference.failures,
+            reference.stats,
+        )
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -519,6 +640,35 @@ def test_failed_calls_are_not_memoized():
         jordan._Context(4, QQ).class_lines(indec(4, 2), indec(4, 2))
 
 
+def test_composition_images_are_built_once_per_context(monkeypatch):
+    built = Counter()
+    requested = Counter()
+    for name in ("post_image", "pre_image"):
+        build = getattr(jordan._Context, name).__wrapped__
+
+        def counting(self, *args, _build=build):
+            built[_build.__name__, *args] += 1
+            return _build(self, *args)
+
+        counting.__name__ = name
+        memoized = jordan._memo(counting)
+
+        def requesting(self, *args, _memoized=memoized, _name=name):
+            requested[_name] += 1
+            return _memoized(self, *args)
+
+        monkeypatch.setattr(jordan._Context, name, requesting)
+    monkeypatch.setattr(jordan, "_contexts", OrderedDict())
+    field = GF(7)
+    assert mk.mono_representable_split_check(5, field).ok
+    assert mk.almost_vanishing_agreement_suite(5, field).ok
+    ctx = context(5, field)
+    assert set(built.values()) == {1}
+    assert set(built) == {key for key in ctx._memo if key[0] in ("post_image", "pre_image")}
+    # Both sweeps and every checked class share the images.
+    assert sum(requested.values()) > len(built)
+
+
 # -- context cache ----------------------------------------------------------------
 
 
@@ -528,6 +678,11 @@ def test_an_evicted_context_frees_its_memo():
     assert ctx._memo
     gone = weakref.ref(ctx)
     subspace = weakref.ref(ctx.proj_subspace(indec(3, 1), indec(3, 2)))
+    line = ctx.class_lines(indec(3, 1), indec(3, 2))[0]
+    images = [
+        weakref.ref(ctx.post_image(line.source, line.target, line.matrix, indec(3, 2))),
+        weakref.ref(ctx.pre_image(line.source, line.target, line.matrix, indec(3, 1))),
+    ]
     del ctx
     for p in (89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167):
         context(3, GF(p))
@@ -535,6 +690,7 @@ def test_an_evicted_context_frees_its_memo():
     gc.collect()
     assert gone() is None
     assert subspace() is None
+    assert [image() for image in images] == [None, None]
 
 
 def test_context_cache_keeps_the_most_recently_used():
