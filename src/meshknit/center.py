@@ -33,23 +33,11 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .mesh import LayerTable, diamond_cokernel, rim_obstruction_check
-from .quiver import Arrow, DihedralFamily, TranslationQuiver, Tube, Vertex, ZAInf
+from .quiver import Arrow, DihedralFamily, TranslationQuiver, Vertex, ZAInf
 
 
 def _empty_table(v: Vertex) -> LayerTable:
     return LayerTable(target=v, layers={}, k_max=0, valid_through=0)
-
-
-def _same_tau_orbit(q: TranslationQuiver, u: Vertex, w: Vertex) -> bool:
-    if isinstance(q, Tube):
-        return u == w
-    if isinstance(q, DihedralFamily):
-        di = w.coords[0] - u.coords[0]
-        dj = w.coords[1] - u.coords[1]
-        return di == dj and di % 2 == 0
-    if isinstance(q, ZAInf):
-        return u.coords[0] == w.coords[0]
-    raise QuiverKindError(f"unknown quiver kind {q.kind}")
 
 
 def translate_table(q: DihedralFamily, table: LayerTable, offset: tuple[int, int]) -> LayerTable:
@@ -111,13 +99,7 @@ class SingleOrbitElement(GradedCenterElement):
             q.validate(v)
         except Exception:
             return False
-        if isinstance(q, Tube):
-            return v in (self.base, q.sigma(self.base))
-        if isinstance(q, DihedralFamily):
-            di = v.coords[0] - self.base.coords[0]
-            dj = v.coords[1] - self.base.coords[1]
-            return di == dj
-        raise QuiverKindError(f"single-orbit membership undefined on {q.kind}")
+        return q.shift_orbit(v) == q.shift_orbit(self.base)
 
     def supports(self, v: Vertex) -> bool:
         return self.orbit_contains(v)
@@ -207,20 +189,13 @@ def single_orbit_element(
     forced to be almost vanishing.  Additionally no orbit member may be
     an arrow neighbor of another (otherwise naturality across the
     connecting mesh is not automatic); this is checked on the window.
+    The degree rule is checked at v too, whose orbit may miss the window.
     """
     q.validate(v)
-    bound = 4 * window + 8
-    orbit: list[Vertex] = []
-    for k in range(-bound, bound + 1):
-        try:
-            u = q.sigma_pow(v, k)
-        except QuiverKindError:
-            continue
-        if q.in_window(u, window) and u not in orbit:
-            orbit.append(u)
-    orbit.sort()
+    key = q.shift_orbit(v)
+    orbit = [u for u in q.window(window) if q.shift_orbit(u) == key]
 
-    for u in orbit:
+    for u in (*orbit, v):
         target = q.sigma_pow(u, -degree)
         serre = q.serre(u)
         if target != serre:
@@ -231,16 +206,10 @@ def single_orbit_element(
 
     element = SingleOrbitElement(q, v, degree, {})
     for u in orbit:
-        for a in q.arrows_out(u):
-            if element.orbit_contains(a.target):
-                raise PreconditionError(
-                    f"orbit member {a.target} is an arrow neighbor of {u}"
-                )
-        for a in q.arrows_in(u):
-            if element.orbit_contains(a.source):
-                raise PreconditionError(
-                    f"orbit member {a.source} is an arrow neighbor of {u}"
-                )
+        neighbors = [a.target for a in q.arrows_out(u)] + [a.source for a in q.arrows_in(u)]
+        for w in neighbors:
+            if q.shift_orbit(w) == key:
+                raise PreconditionError(f"orbit member {w} is an arrow neighbor of {u}")
 
     if scalars is None:
         scalars = {u: 1 for u in orbit}
@@ -403,7 +372,7 @@ def check_propagation(
     shift_exp = e.degree - q.cy_degree
     try:
         hyp_orbit = all(
-            _same_tau_orbit(q, v, q.sigma_pow(v, shift_exp)) for v in vertices
+            q.tau_orbit(v) == q.tau_orbit(q.sigma_pow(v, shift_exp)) for v in vertices
         )
     except QuiverKindError:
         hyp_orbit = False

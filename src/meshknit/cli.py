@@ -37,7 +37,6 @@ from .serialize import (
     layer_table_payload,
     layer_table_tsv,
     oracle_payload,
-    parse_vertex,
     sign_report_payload,
     support_payload,
 )
@@ -240,7 +239,7 @@ def _parser() -> _Parser:
 def _cmd_knit(args) -> int:
     window = _resolve_window(args)
     q = _build_quiver(args.quiver, window)
-    vertex = parse_vertex(q, args.vertex)
+    vertex = q.parse(args.vertex)
     config = RunConfig(
         command="knit",
         window=window,
@@ -260,7 +259,7 @@ def _cmd_knit(args) -> int:
 def _cmd_diamond(args) -> int:
     window = _resolve_window(args)
     q = build_dihedral_family(window)
-    vertex = parse_vertex(q, args.vertex)
+    vertex = q.parse(args.vertex)
     # The table does not depend on the field; the artifact's config records it.
     fld = _parse_field(args.field)
     config = RunConfig(
@@ -334,8 +333,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_signcheck(args) -> int:
     window = _resolve_window(args)
     q = _build_quiver(args.quiver, window)
-    source = parse_vertex(q, args.source)
-    target = parse_vertex(q, args.target)
+    source = q.parse(args.source)
+    target = q.parse(args.target)
     fld = _parse_field(args.field)
     config = RunConfig(
         command="signcheck",

@@ -273,13 +273,14 @@ class _Context:
             raise UnsupportedParameterError(f"need n >= 3, got {n}")
         self.n = n
         self.field = field
-        self.projective = JordanModule((n,), n)
+        # J_1..J_n, built once so that memo hits compare modules by identity
+        self._modules = tuple(indec(n, i) for i in range(1, n + 1))
+        self.projective = self._modules[-1]
         self._memo: dict = {}
 
     # -- plumbing --------------------------------------------------------
-    def indecomposables(self, include_projective: bool = False) -> list[JordanModule]:
-        top = self.n + 1 if include_projective else self.n
-        return [indec(self.n, i) for i in range(1, top)]
+    def indecomposables(self, include_projective: bool = False) -> tuple[JordanModule, ...]:
+        return self._modules if include_projective else self._modules[:-1]
 
     def check_module(self, x: JordanModule) -> JordanModule:
         if x.n != self.n:
@@ -450,14 +451,15 @@ class _Context:
                 raise InternalCheckError(
                     f"unexpected kernel basis for cover of J{i}", witness=x
                 )
+        omega = self._modules[self.n - i - 1]
         shifted = self.t_matrix(self.projective).mul(kappa)
-        target = kappa.mul(self.t_matrix(indec(self.n, self.n - i)))
+        target = kappa.mul(self.t_matrix(omega))
         if shifted != target:
             raise InternalCheckError(
                 f"kernel of cover of J{i} does not carry the J{self.n - i} action",
                 witness=x,
             )
-        return indec(self.n, self.n - i)
+        return omega
 
     def _kappa(self, i: int) -> Matrix:
         """Inclusion of the cover kernel: J_{n-i} -> J_n spanning e_i..e_{n-1}."""
@@ -596,17 +598,16 @@ def stable_class_lines(x: JordanModule, y: JordanModule, field: Field = GF5) -> 
     return ctx.class_lines(x, y)
 
 
-def compose(g: StableMap, f: StableMap, field: Field = GF5) -> StableMap:
-    return context(g.source.n, field).compose(g, f)
+def compose(g: StableMap, f: StableMap) -> StableMap:
+    return context(g.source.n, g.matrix.field).compose(g, f)
 
 
 def omega(x: JordanModule, field: Field = GF5) -> JordanModule:
     return context(x.n, field).omega_object(x)
 
 
-def omega_map(f: StableMap, field: Field | None = None) -> StableMap:
-    ctx = context(f.source.n, field if field is not None else f.matrix.field)
-    return ctx.omega_map(f)
+def omega_map(f: StableMap) -> StableMap:
+    return context(f.source.n, f.matrix.field).omega_map(f)
 
 
 def almost_vanishing_class(m: JordanModule, field: Field = GF5) -> StableMap:
@@ -678,13 +679,13 @@ def ar_sequence(m: JordanModule, field: Field = GF5) -> ARSequence:
     )
 
 
-def image_comp_factors(f: StableMap, field: Field | None = None) -> dict[JordanModule, int]:
+def image_comp_factors(f: StableMap) -> dict[JordanModule, int]:
     """Composition-factor multiset of the image of Hom(-, f).
 
     The multiplicity at an indecomposable V is the dimension of the
     image of composition-with-f on classes out of V.
     """
-    ctx = context(f.source.n, field if field is not None else f.matrix.field)
+    ctx = context(f.source.n, f.matrix.field)
     out: dict[JordanModule, int] = {}
     for v in ctx.indecomposables():
         mult = ctx.post_image(f.source, f.target, f.matrix, v).rank
@@ -693,7 +694,7 @@ def image_comp_factors(f: StableMap, field: Field | None = None) -> dict[JordanM
     return out
 
 
-def is_almost_vanishing(f: StableMap, field: Field | None = None) -> AlmostVanishingReport:
+def is_almost_vanishing(f: StableMap) -> AlmostVanishingReport:
     """Evaluate five equivalent descriptions of an almost-vanishing class.
 
     The conditions, each computed independently on the stable category:
@@ -712,7 +713,7 @@ def is_almost_vanishing(f: StableMap, field: Field | None = None) -> AlmostVanis
     The verdicts must coincide; ``report.agreement`` says whether they
     did.  A stably zero class short-circuits to False with a note.
     """
-    ctx = context(f.source.n, field if field is not None else f.matrix.field)
+    ctx = context(f.source.n, f.matrix.field)
     x, y = f.source, f.target
     if f.is_zero:
         return AlmostVanishingReport(x, y, False, {}, note="stably zero class")
@@ -739,7 +740,7 @@ def is_almost_vanishing(f: StableMap, field: Field | None = None) -> AlmostVanis
             for u in indecs
             for h in ctx.rad_stable_basis(y, u)
         ),
-        "image_is_simple": sum(image_comp_factors(f, ctx.field).values()) == 1,
+        "image_is_simple": sum(image_comp_factors(f).values()) == 1,
     }
 
     verdict = all(conditions.values())
@@ -858,7 +859,7 @@ def simple_fp_check(m: JordanModule, field: Field = GF5) -> bool:
     """Image of the connecting class of the almost split sequence is s^m."""
     ctx = context(m.n, field)
     connecting = ctx.av_class(m)
-    factors = image_comp_factors(connecting, ctx.field)
+    factors = image_comp_factors(connecting)
     return factors == {m: 1}
 
 
@@ -911,8 +912,10 @@ def single_object_support_solver(m: JordanModule, r: int, field: Field = GF5) ->
     omega_rule = codomain == ctx.omega_object(m)
     spanned = False
     if len(solutions) == 1 and omega_rule:
-        av = ctx.av_class(m)
-        spanned = _proportional(ctx.field, solutions[0].key, av.key)
+        # both keys are nonzero, so this asks whether they span one line
+        av_line = Subspace(ctx.field, m.dim * codomain.dim)
+        av_line.insert(ctx.av_class(m).key)
+        spanned = av_line.contains(solutions[0].key)
     return SolverReport(
         module=m,
         degree=r,
@@ -922,22 +925,6 @@ def single_object_support_solver(m: JordanModule, r: int, field: Field = GF5) ->
         omega_rule=omega_rule,
         spanned_by_almost_vanishing=spanned,
     )
-
-
-def _proportional(field: Field, a: tuple, b: tuple) -> bool:
-    if len(a) != len(b):
-        return False
-    scalar = None
-    for x, y in zip(a, b):
-        if bool(x) != bool(y):
-            return False
-        if x:
-            ratio = field.mul(x, field.inv(y))
-            if scalar is None:
-                scalar = ratio
-            elif scalar != ratio:
-                return False
-    return scalar is not None
 
 
 def composition_factors_equivalence_check(n: int, field: Field = GF5) -> CheckReport:
@@ -972,7 +959,7 @@ def simple_fp_suite(n: int, field: Field = GF5) -> CheckReport:
     failures = []
     for m in ctx.indecomposables():
         if not simple_fp_check(m, field):
-            factors = image_comp_factors(ctx.av_class(m), field)
+            factors = image_comp_factors(ctx.av_class(m))
             failures.append(
                 {"m": str(m), "factors": {str(v): c for v, c in factors.items()}}
             )
@@ -1002,7 +989,7 @@ def almost_vanishing_agreement_suite(
             where = {"x": str(x), "y": str(y)}
             for f in ctx.class_lines(x, y):
                 classes += per_line
-                rep = is_almost_vanishing(f, field)
+                rep = is_almost_vanishing(f)
                 if not rep.agreement:
                     failures += [{**where, "conditions": rep.conditions}] * per_line
                 if rep.verdict:

@@ -25,6 +25,10 @@ quivers being stable translation quivers: the mesh ending at v starts at
 tau(v), and its middles are exactly the targets of the arrows out of
 tau(v), which are also exactly the sources of the arrows into v.
 
+Each shape alone also knows its vertex syntax, ``parse(text)``, and
+its orbits: valid vertices share ``tau_orbit(v)`` or ``shift_orbit(v)``
+exactly when they share a tau- or a sigma-orbit.
+
 Every quiver also exposes ``sigma`` (inverse shift on vertices),
 ``sigma_pow`` and ``window(radius)``.  The Calabi-Yau degree is -1 for
 all three shapes: ``sigma(tau(v))`` is the Serre image of ``v``.
@@ -97,6 +101,18 @@ class TranslationQuiver:
 
     def _tau(self, v: Vertex, k: int) -> Vertex:
         """tau^k of the valid vertex v."""
+        raise NotImplementedError
+
+    def parse(self, text: str) -> Vertex:
+        """The valid vertex that ``text`` names in this shape's vertex syntax."""
+        raise NotImplementedError
+
+    def tau_orbit(self, v: Vertex):
+        """Key of the tau-orbit of the valid vertex v."""
+        raise NotImplementedError
+
+    def shift_orbit(self, v: Vertex):
+        """Key of the shift (sigma) orbit of the valid vertex v."""
         raise NotImplementedError
 
     def sigma(self, v: Vertex) -> Vertex:
@@ -188,6 +204,23 @@ class Tube(TranslationQuiver):
     def _tau(self, v: Vertex, k: int) -> Vertex:
         return v
 
+    def parse(self, text: str) -> Vertex:
+        text = text.strip()
+        if not text.startswith("J"):
+            raise InvalidVertexError(f"tube vertices look like J<i>, got {text!r}")
+        try:
+            i = int(text[1:])
+        except ValueError:
+            raise InvalidVertexError(f"bad tube vertex {text!r}") from None
+        return self.vertex(i)
+
+    def tau_orbit(self, v: Vertex) -> Vertex:
+        return v
+
+    def shift_orbit(self, v: Vertex) -> int:
+        # sigma swaps J_i and J_{n-i}
+        return min(v.coords[0], self.n - v.coords[0])
+
     def sigma(self, v: Vertex) -> Vertex:
         self.validate(v)
         return Vertex(TUBE, (self.n - v.coords[0],))
@@ -268,6 +301,33 @@ class DihedralFamily(TranslationQuiver):
         i, j = v.coords
         return Vertex(v.component, (i + 2 * k, j + 2 * k))
 
+    def parse(self, text: str) -> Vertex:
+        text = text.strip()
+        head, sep, suffix = text.partition(":")
+        coords = head.split(",")
+        if len(coords) != 2:
+            raise InvalidVertexError(f"dihedral vertices look like <i>,<j>, got {text!r}")
+        try:
+            i, j = (int(c) for c in coords)
+        except ValueError:
+            raise InvalidVertexError(f"bad dihedral vertex {text!r}") from None
+        v = self.vertex(i, j)
+        if sep:
+            if suffix not in ("odd", "even"):
+                raise InvalidVertexError(f"unknown parity tag {suffix!r}")
+            if (suffix == "odd") != (v.component == DIHEDRAL_ODD):
+                raise InvalidVertexError(
+                    f"parity tag {suffix!r} contradicts coordinates {head}"
+                )
+        return v
+
+    def tau_orbit(self, v: Vertex) -> tuple[str, int]:
+        return v.component, v.coords[0] - v.coords[1]
+
+    def shift_orbit(self, v: Vertex) -> int:
+        # sigma subtracts (1, 1) and crosses components, so the key has none
+        return v.coords[0] - v.coords[1]
+
     def sigma(self, v: Vertex) -> Vertex:
         self.validate(v)
         return self._shift(v, -1, -1)
@@ -331,6 +391,10 @@ class ZAInf(TranslationQuiver):
     """
 
     kind = "za-inf"
+    _NO_SIGMA = (
+        "the odd shift power leaves the modeled ZA-infinity component; "
+        "only even powers are defined (sigma_pow with even exponent)"
+    )
 
     def __init__(self, window_radius: int):
         if window_radius < 1:
@@ -352,11 +416,27 @@ class ZAInf(TranslationQuiver):
         level, pos = v.coords
         return Vertex(ZA_INF, (level, pos + k))
 
+    def parse(self, text: str) -> Vertex:
+        text = text.strip()
+        coords = text.split(",")
+        if len(coords) != 2:
+            raise InvalidVertexError(
+                f"ZA-infinity vertices look like <level>,<pos>, got {text!r}"
+            )
+        try:
+            level, pos = (int(c) for c in coords)
+        except ValueError:
+            raise InvalidVertexError(f"bad ZA-infinity vertex {text!r}") from None
+        return self.vertex(level, pos)
+
+    def tau_orbit(self, v: Vertex) -> int:
+        return v.coords[0]
+
+    def shift_orbit(self, v: Vertex):
+        raise QuiverKindError(self._NO_SIGMA)
+
     def sigma(self, v: Vertex) -> Vertex:
-        raise QuiverKindError(
-            "the odd shift power leaves the modeled ZA-infinity component; "
-            "only even powers are defined (sigma_pow with even exponent)"
-        )
+        raise QuiverKindError(self._NO_SIGMA)
 
     def sigma_pow(self, v: Vertex, r: int) -> Vertex:
         self.validate(v)

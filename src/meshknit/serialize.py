@@ -10,71 +10,14 @@ from __future__ import annotations
 
 import json
 
-from .errors import InvalidVertexError
 from .mesh import LayerTable, PathSignReport
-from .quiver import (
-    DihedralFamily,
-    DIHEDRAL_ODD,
-    TranslationQuiver,
-    Tube,
-    Vertex,
-    ZAInf,
-)
+from .quiver import Vertex
 
 SCHEMA_VERSION = "meshknit/1"
 
 
 def vertex_str(v: Vertex) -> str:
     return str(v)
-
-
-def parse_vertex(q: TranslationQuiver, text: str) -> Vertex:
-    """Parse the per-shape vertex syntax and validate against the quiver.
-
-    Tube vertices are ``J<i>``; dihedral vertices are ``<i>,<j>`` with an
-    optional ``:odd``/``:even`` suffix that is cross-checked against the
-    coordinate parity; ZA-infinity vertices are ``<level>,<pos>``.
-    """
-    text = text.strip()
-    if isinstance(q, Tube):
-        if not text.startswith("J"):
-            raise InvalidVertexError(f"tube vertices look like J<i>, got {text!r}")
-        try:
-            i = int(text[1:])
-        except ValueError:
-            raise InvalidVertexError(f"bad tube vertex {text!r}") from None
-        return q.vertex(i)
-    if isinstance(q, DihedralFamily):
-        head, sep, suffix = text.partition(":")
-        coords = head.split(",")
-        if len(coords) != 2:
-            raise InvalidVertexError(f"dihedral vertices look like <i>,<j>, got {text!r}")
-        try:
-            i, j = (int(c) for c in coords)
-        except ValueError:
-            raise InvalidVertexError(f"bad dihedral vertex {text!r}") from None
-        v = q.vertex(i, j)
-        if sep:
-            if suffix not in ("odd", "even"):
-                raise InvalidVertexError(f"unknown parity tag {suffix!r}")
-            is_odd = v.component == DIHEDRAL_ODD
-            if (suffix == "odd") != is_odd:
-                raise InvalidVertexError(
-                    f"parity tag {suffix!r} contradicts coordinates {head}"
-                )
-        return v
-    if isinstance(q, ZAInf):
-        coords = text.split(",")
-        if len(coords) != 2:
-            raise InvalidVertexError(
-                f"ZA-infinity vertices look like <level>,<pos>, got {text!r}"
-            )
-        try:
-            level, pos = (int(c) for c in coords)
-        except ValueError:
-            raise InvalidVertexError(f"bad ZA-infinity vertex {text!r}") from None
-        return q.vertex(level, pos)
-    raise InvalidVertexError(f"no vertex syntax for quiver kind {q.kind}")
 
 
 def canonical_json(payload: dict) -> str:

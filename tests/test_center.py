@@ -82,6 +82,70 @@ def test_za_orbit_elements_are_out_of_scope(za):
         center.single_orbit_element(za, za.vertex(1, 0), degree=1)
 
 
+def test_far_orbit_is_degree_checked():
+    # The orbit of (40, 40) misses the default window; the base is checked.
+    q = quiver.build_dihedral_family(20)
+    with pytest.raises(DegreeError):
+        center.single_orbit_element(q, q.vertex(40, 40), degree=3)
+
+
+def test_orbit_covers_the_whole_window():
+    q = quiver.build_dihedral_family(20)
+    e = center.single_orbit_element(q, q.vertex(20, 20), degree=1)
+    assert set(e.scalars) == {q.vertex(k, k) for k in range(-8, 9)}
+    assert len(e.scalars) == 17
+
+
+# The orbit tests as they stood before the shapes keyed their own orbits:
+# the reference for tau_orbit and shift_orbit.
+
+
+def _old_same_tau_orbit(q, u, w):
+    if isinstance(q, quiver.Tube):
+        return u == w
+    if isinstance(q, quiver.DihedralFamily):
+        di = w.coords[0] - u.coords[0]
+        dj = w.coords[1] - u.coords[1]
+        return di == dj and di % 2 == 0
+    return u.coords[0] == w.coords[0]
+
+
+def _old_orbit_contains(q, base, v):
+    try:
+        q.validate(v)
+    except Exception:
+        return False
+    if isinstance(q, quiver.Tube):
+        return v in (base, q.sigma(base))
+    if isinstance(q, quiver.DihedralFamily):
+        di = v.coords[0] - base.coords[0]
+        dj = v.coords[1] - base.coords[1]
+        return di == dj
+    raise QuiverKindError(f"single-orbit membership undefined on {q.kind}")
+
+
+ORBIT_QUIVERS = [quiver.build_tube(n) for n in range(3, 8)] + [
+    quiver.build_dihedral_family(3),
+    quiver.build_za_inf(3),
+]
+
+
+@pytest.mark.parametrize("q", ORBIT_QUIVERS, ids=repr)
+def test_orbit_keys_match_the_old_orbit_tests(q):
+    vertices = q.window(3)
+    for u in vertices:
+        element = center.SingleOrbitElement(q, u, 1, {})
+        for w in vertices:
+            assert (q.tau_orbit(u) == q.tau_orbit(w)) == _old_same_tau_orbit(q, u, w)
+            if isinstance(q, quiver.ZAInf):
+                with pytest.raises(QuiverKindError):
+                    element.orbit_contains(w)
+                with pytest.raises(QuiverKindError):
+                    _old_orbit_contains(q, u, w)
+            else:
+                assert element.orbit_contains(w) == _old_orbit_contains(q, u, w)
+
+
 # -- diamond elements ------------------------------------------------------------
 
 

@@ -163,6 +163,18 @@ def test_av_class_squares_to_zero():
     assert mk.compose(av, av).is_zero
 
 
+def test_compose_works_over_the_field_of_its_maps():
+    # Composing in a GF(5) context reduced 6 to 1 here.
+    ctx = context(4, GF(7))
+    x = indec(4, 2)
+    ident = ctx.identity_map(x)
+    six = ctx.classify(x, x, ident.matrix.scale(6))
+    got = mk.compose(six, ident)
+    assert got.key == (6, 0, 0, 6)
+    assert got == six
+    assert mk.omega_map(six).matrix.field == GF(7)
+
+
 def test_av_report_accepts_the_av_class():
     report = mk.is_almost_vanishing(mk.almost_vanishing_class(indec(4, 2)))
     assert report.verdict
@@ -434,9 +446,9 @@ def _image_comp_factors_by_class(ctx, f):
     return out
 
 
-def _av_report_by_class(f, field=None):
+def _av_report_by_class(f):
     """Reference ``is_almost_vanishing``: every span rebuilt for this class."""
-    ctx = context(f.source.n, field if field is not None else f.matrix.field)
+    ctx = context(f.source.n, f.matrix.field)
     x, y = f.source, f.target
     if f.is_zero:
         return jordan.AlmostVanishingReport(x, y, False, {}, note="stably zero class")
@@ -511,8 +523,8 @@ def test_shared_images_match_the_per_class_references(n, p):
     for x in ctx.indecomposables():
         for y in ctx.indecomposables():
             for f in ctx.class_lines(x, y):
-                assert mk.is_almost_vanishing(f, field).conditions == _av_report_by_class(f).conditions
-                assert mk.image_comp_factors(f, field) == _image_comp_factors_by_class(ctx, f)
+                assert mk.is_almost_vanishing(f).conditions == _av_report_by_class(f).conditions
+                assert mk.image_comp_factors(f) == _image_comp_factors_by_class(ctx, f)
                 for u in ctx.indecomposables():
                     image = ctx.post_image(x, y, f.matrix, u)
                     assert (image.rank == ctx.stable_dim(u, x)) == _injective_by_class(ctx, f, u)
@@ -544,7 +556,7 @@ def test_class_enumeration_and_conditions_match_the_reference(n, p):
             multiples = [ctx.classify(x, y, f.matrix.scale(c)).key for f in lines for c in range(1, p)]
             assert sorted(multiples) == sorted(c.key for c in _classes_by_filter(ctx, x, y, False))
             for f in lines:
-                report = mk.is_almost_vanishing(f, GF(p))
+                report = mk.is_almost_vanishing(f)
                 assert report.conditions == _conditions_by_loops(ctx, f)
 
 
@@ -557,7 +569,7 @@ def _suite_by_classes(n, field, up_to_scalar):
         for y in ctx.indecomposables():
             for f in _classes_by_filter(ctx, x, y, up_to_scalar):
                 classes += 1
-                rep = jordan.is_almost_vanishing(f, field)
+                rep = jordan.is_almost_vanishing(f)
                 if not rep.agreement:
                     failures.append({"x": str(x), "y": str(y), "conditions": rep.conditions})
                 if rep.verdict:
@@ -584,8 +596,8 @@ def test_a_disagreeing_line_fails_once_per_class(p, monkeypatch):
     on_line = {ctx.classify(x, y, line.matrix.scale(c)).key for c in range(1, p)}
     checked = jordan.is_almost_vanishing
 
-    def disagreeing(f, field=None):
-        report = checked(f, field)
+    def disagreeing(f):
+        report = checked(f)
         if (f.source, f.target) == (x, y) and f.key in on_line:
             report.conditions["image_is_simple"] = not report.conditions["image_is_simple"]
         return report
@@ -603,9 +615,9 @@ def test_oracle_checks_one_class_per_line(monkeypatch, tmp_path):
     calls = []
     checked = jordan.is_almost_vanishing
 
-    def counting(f, field=None):
+    def counting(f):
         calls.append(f)
-        return checked(f, field)
+        return checked(f)
 
     monkeypatch.setattr(jordan, "is_almost_vanishing", counting)
     assert cli.main(["oracle", "--n", "4", "--field", "p:101", "--out", str(tmp_path / "a")]) == 0

@@ -312,7 +312,7 @@ DERIVED = ("tau", "tau_inv", "mesh", "arrows_out", "arrows_in")
 def test_shapes_supply_only_the_primitives():
     for shape in (quiver.Tube, quiver.DihedralFamily, quiver.ZAInf):
         assert not set(DERIVED) & set(vars(shape)), shape
-        assert {"_arrows", "_tau"} <= set(vars(shape)), shape
+        assert {"_arrows", "_tau", "parse", "tau_orbit", "shift_orbit"} <= set(vars(shape)), shape
 
 
 @given(valid_cases)
@@ -344,3 +344,88 @@ def test_mesh_middles_match_incoming_arrows(case):
     # Each middle receives an arrow from tau(v) as well.
     for mid in mesh.middles:
         assert mesh.start in {a.source for a in q.arrows_in(mid)}
+
+
+# -- vertex syntax -------------------------------------------------------------
+#
+# The per-shape parser as it stood in the serialization layer: the
+# reference for each shape's own parse.
+
+
+def _old_parse_vertex(q, text):
+    text = text.strip()
+    if isinstance(q, quiver.Tube):
+        if not text.startswith("J"):
+            raise InvalidVertexError(f"tube vertices look like J<i>, got {text!r}")
+        try:
+            i = int(text[1:])
+        except ValueError:
+            raise InvalidVertexError(f"bad tube vertex {text!r}") from None
+        return q.vertex(i)
+    if isinstance(q, quiver.DihedralFamily):
+        head, sep, suffix = text.partition(":")
+        coords = head.split(",")
+        if len(coords) != 2:
+            raise InvalidVertexError(f"dihedral vertices look like <i>,<j>, got {text!r}")
+        try:
+            i, j = (int(c) for c in coords)
+        except ValueError:
+            raise InvalidVertexError(f"bad dihedral vertex {text!r}") from None
+        v = q.vertex(i, j)
+        if sep:
+            if suffix not in ("odd", "even"):
+                raise InvalidVertexError(f"unknown parity tag {suffix!r}")
+            is_odd = v.component == quiver.DIHEDRAL_ODD
+            if (suffix == "odd") != is_odd:
+                raise InvalidVertexError(
+                    f"parity tag {suffix!r} contradicts coordinates {head}"
+                )
+        return v
+    coords = text.split(",")
+    if len(coords) != 2:
+        raise InvalidVertexError(
+            f"ZA-infinity vertices look like <level>,<pos>, got {text!r}"
+        )
+    try:
+        level, pos = (int(c) for c in coords)
+    except ValueError:
+        raise InvalidVertexError(f"bad ZA-infinity vertex {text!r}") from None
+    return q.vertex(level, pos)
+
+
+def _outcome(parse, q, text):
+    try:
+        return parse(q, text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+PARSE_QUIVERS = (
+    quiver.build_tube(3),
+    quiver.build_tube(6),
+    quiver.build_dihedral_family(4),
+    quiver.build_za_inf(4),
+)
+coordinate = st.integers(-12, 12).map(str)
+padding = st.sampled_from(["", " ", "  ", "\t", " \n"])
+well_formed = st.builds(
+    lambda pad, head, coords, tag, tail: pad + head + ",".join(coords) + tag + tail,
+    padding,
+    st.sampled_from(["", "J"]),
+    st.lists(coordinate, min_size=1, max_size=3),
+    st.sampled_from(["", ":odd", ":even", ":Odd", ":", ":odd:even"]),
+    padding,
+)
+malformed = st.text(alphabet="J0123456789,-+: oddevn\tx", max_size=10)
+
+
+@given(st.sampled_from(PARSE_QUIVERS), st.one_of(well_formed, malformed))
+@settings(max_examples=400)
+def test_parse_matches_the_old_parser(q, text):
+    assert _outcome(type(q).parse, q, text) == _outcome(_old_parse_vertex, q, text)
+
+
+@pytest.mark.parametrize("q", PARSE_QUIVERS, ids=repr)
+def test_parse_inverts_str_on_the_window(q):
+    for v in q.window(3):
+        assert q.parse(str(v)) == v
