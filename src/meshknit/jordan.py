@@ -406,6 +406,25 @@ class _Context:
         ]
 
     @_memo
+    def _coordinates(self, x: JordanModule, y: JordanModule) -> list[tuple[int, tuple]]:
+        """Rows (i, tail): a class x -> y has coefficients sum(key[i] * tail) on the stable
+        basis; pivot and unit part of the reduced span of the keys with unit vectors appended."""
+        basis = self.stable_basis(x, y)
+        width, units = x.dim * y.dim, Matrix.identity(self.field, len(basis)).data
+        space = Subspace(self.field, width + len(basis))
+        space.extend(b.key + e for b, e in zip(basis, units))
+        return [(next(i for i, a in enumerate(r) if a), r[width:]) for r in space.basis()]
+
+    def line(self, f: StableMap) -> StableMap:
+        """f's line's class with first nonzero coefficient 1 (f if it is that, or zero)."""
+        pairs = self._coordinates(f.source, f.target)
+        coeffs = (sum(f.key[i] * row[j] for i, row in pairs) for j in range(len(pairs)))
+        lead = next((c for c in self.field.coerce_row(coeffs) if c), 1)
+        if lead == 1:
+            return f
+        return self.classify(f.source, f.target, f.matrix.scale(self.field.inv(lead)))
+
+    @_memo
     def rad_stable_basis(self, x: JordanModule, y: JordanModule) -> list[StableMap]:
         """Spanning classes of the non-isomorphisms x -> y (x, y indecomposable).
 
@@ -522,22 +541,22 @@ class _Context:
         return self.combine(m, target, self.stable_basis(m, target), sols[0])
 
     # -- composition images ----------------------------------------------
-    # Keyed by the representative matrix of f: source -> target, so every
-    # class checked against f shares one span instead of rebuilding it.
+    # Keyed by the class f, so every class checked against f shares one
+    # span; callers pass one class per line (``line``), as c.f spans alike.
     @_memo
-    def post_image(self, source, target, matrix: Matrix, v: JordanModule) -> Subspace:
-        """Span of the classes f . b, b running over ``stable_basis(v, source)``."""
-        space = Subspace(self.field, v.dim * target.dim)
-        for b in self.stable_basis(v, source):
-            space.insert(self.residue(v, target, matrix.mul(b.matrix)))
+    def post_image(self, f: StableMap, v: JordanModule) -> Subspace:
+        """Span of the classes f . b, b running over ``stable_basis(v, f.source)``."""
+        space = Subspace(self.field, v.dim * f.target.dim)
+        for b in self.stable_basis(v, f.source):
+            space.insert(self.residue(v, f.target, f.matrix.mul(b.matrix)))
         return space
 
     @_memo
-    def pre_image(self, source, target, matrix: Matrix, w: JordanModule) -> Subspace:
-        """Span of the classes b . f, b running over ``stable_basis(target, w)``."""
-        space = Subspace(self.field, source.dim * w.dim)
-        for b in self.stable_basis(target, w):
-            space.insert(self.residue(source, w, b.matrix.mul(matrix)))
+    def pre_image(self, f: StableMap, w: JordanModule) -> Subspace:
+        """Span of the classes b . f, b running over ``stable_basis(f.target, w)``."""
+        space = Subspace(self.field, f.source.dim * w.dim)
+        for b in self.stable_basis(f.target, w):
+            space.insert(self.residue(f.source, w, b.matrix.mul(f.matrix)))
         return space
 
     def killed_by_radical(self, x: JordanModule, y: JordanModule) -> list[tuple]:
@@ -686,9 +705,10 @@ def image_comp_factors(f: StableMap) -> dict[JordanModule, int]:
     image of composition-with-f on classes out of V.
     """
     ctx = context(f.source.n, f.matrix.field)
+    f = ctx.line(f)
     out: dict[JordanModule, int] = {}
     for v in ctx.indecomposables():
-        mult = ctx.post_image(f.source, f.target, f.matrix, v).rank
+        mult = ctx.post_image(f, v).rank
         if mult:
             out[v] = mult
     return out
@@ -721,12 +741,12 @@ def is_almost_vanishing(f: StableMap) -> AlmostVanishingReport:
     indecs = ctx.indecomposables()
     conditions = {
         "factors_through_incoming": all(
-            ctx.post_image(u, y, c.matrix, x).contains(f.key)
+            ctx.post_image(c, x).contains(f.key)
             for u in indecs
             for c in ctx.class_lines(u, y)
         ),
         "factors_through_outgoing": all(
-            ctx.pre_image(x, v, c.matrix, y).contains(f.key)
+            ctx.pre_image(c, y).contains(f.key)
             for v in indecs
             for c in ctx.class_lines(x, v)
         ),
@@ -840,12 +860,12 @@ def mono_representable_split_check(n: int, field: Field = GF5) -> CheckReport:
                 checked += 1
                 # Composing with theta must be injective on the classes x -> u.
                 if not all(
-                    ctx.post_image(u, v, theta.matrix, x).rank == ctx.stable_dim(x, u)
+                    ctx.post_image(theta, x).rank == ctx.stable_dim(x, u)
                     for x in indecs
                 ):
                     continue
                 monos += 1
-                if not ctx.pre_image(u, v, theta.matrix, u).contains(ctx.identity_map(u).key):
+                if not ctx.pre_image(theta, u).contains(ctx.identity_map(u).key):
                     failures.append({"source": str(u), "target": str(v), "class": theta.key})
     return CheckReport(
         "mono-representable-split",

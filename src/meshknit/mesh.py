@@ -11,7 +11,7 @@ Every mesh of the modeled shapes has one or two middles, so every
 relation instance is a single path or a sum of two paths.  The quotient
 is therefore "zero, or plus-or-minus one representative per class", and
 one signed union-find over the parallel paths (:class:`_MeshClasses`)
-computes it exactly, with no linear algebra.
+computes it exactly, with no linear algebra and without building a path.
 
 Diamond cokernels enumerate no paths: on the dihedral family they are
 alternating sums of four knitting tables (see :func:`diamond_cokernel`).
@@ -41,34 +41,17 @@ from .errors import (
 )
 from .linalg import QQ, Field
 from .quiver import (
-    Arrow,
     DihedralFamily,
     TranslationQuiver,
     Vertex,
     ZAInf,
 )
 
-Path = tuple[Arrow, ...]
-
 # path_sign_check labels reports on up to this many paths "dense" and
 # gives them hom_dim and per-pair counts; larger ones are "certificate".
 # Both come from the same union-find: the label is kept because the
 # benchmark checks it.
 DENSE_SIGN_LIMIT = 120
-
-
-def path_vertices(u: Vertex, path: Path) -> list[Vertex]:
-    """Vertex sequence visited by a path starting at u (length + 1 entries)."""
-    seq = [u]
-    for a in path:
-        if a.source != seq[-1]:
-            raise PreconditionError(f"path is not composable at {seq[-1]}")
-        seq.append(a.target)
-    return seq
-
-
-def path_word(path: Path) -> tuple[str, ...]:
-    return tuple(a.label for a in path)
 
 
 @dataclass(frozen=True)
@@ -165,20 +148,24 @@ class _Window:
         return v
 
 
-def _enumerate_paths(
+def _prefix_blocks(
     q: TranslationQuiver, u: Vertex, m: Vertex, grade: int, win: _Window
-) -> list[Path]:
-    """All directed paths u -> m of the exact given length, in word order.
+) -> list[dict[Vertex, tuple[int, dict[Vertex, int]]]]:
+    """The trie of the paths u -> m of the given length, by depth and vertex.
 
-    Depth first with an explicit stack of arrow iterators, so the grade is
-    not bounded by the recursion limit.  A vertex is entered only if m is
-    reachable from it in exactly the remaining number of steps.  Each
-    vertex is window-checked once, on its first visit.
+    With the paths numbered in word order (arrows in label order), those
+    through a prefix of t arrows ending at x form a block of consecutive
+    indices.  ``blocks[t][x]`` is (size, offsets): the number of paths
+    x -> m of length grade - t, and where each child's block starts in it.
+
+    Each (t, x) is expanded once, depth first with an explicit stack, and
+    only if m is reachable from x in exactly the remaining number of
+    steps.  Each vertex is window-checked on its first visit, in the
+    order a walk of every path would first meet it.
     """
     win.check(u)
     win.check(m)
     distances: dict[Vertex, int | None] = {}
-    grade_forced = q.grade_forced
 
     def reaches(at: Vertex, remaining: int) -> bool:
         if at not in distances:
@@ -186,31 +173,35 @@ def _enumerate_paths(
         d = distances[at]
         if d is None or d > remaining or (remaining - d) % 2:
             return False
-        return not grade_forced or d == remaining
+        return not q.grade_forced or d == remaining
 
+    blocks: list[dict] = [{} for _ in range(grade + 1)]
     if not reaches(u, grade):
-        return []
-    if grade == 0:
-        return [()]
-    out: list[Path] = []
-    prefix: list[Arrow] = []
-    stack = [iter(q.arrows_out(u))]
-    while stack:
-        a = next(stack[-1], None)
+        return blocks
+    blocks[grade][m] = (1, {})
+    # frame: depth, vertex, its arrow iterator, child offsets, block size so far
+    frames = [[0, u, iter(q.arrows_out(u)), {}, 0]] if grade else []
+    while frames:
+        frame = frames[-1]
+        t, x, arrows, kids, size = frame
+        a = next(arrows, None)
         if a is None:
-            stack.pop()
-            if prefix:
-                prefix.pop()
-            continue
-        remaining = grade - len(prefix) - 1
-        if not reaches(a.target, remaining):
-            continue
-        if remaining == 0:
-            out.append((*prefix, a))
-        else:
-            prefix.append(a)
-            stack.append(iter(q.arrows_out(a.target)))
-    return out
+            frames.pop()
+            blocks[t][x] = (size, kids)
+            if frames and size:  # x's block follows its elder siblings' in the parent's
+                frames[-1][3][x] = frames[-1][4]
+                frames[-1][4] += size
+        elif reaches(a.target, grade - t - 1):
+            y = a.target
+            if y not in blocks[t + 1]:
+                frames.append([t + 1, y, iter(q.arrows_out(y)), {}, 0])
+            elif y in kids:
+                # offsets are keyed by the child vertex
+                raise InternalCheckError(f"two arrows {x} -> {y} lie on paths to {m}", x)
+            elif blocks[t + 1][y][0]:
+                kids[y] = size
+                frame[4] = size + blocks[t + 1][y][0]
+    return blocks
 
 
 @dataclass
@@ -234,63 +225,56 @@ class _MeshClasses:
     collapse), its flips close an odd cycle, p = -p.  The quotient
     dimension is the number of live components.
 
-    One scan finds every instance: position s of a path with
-    seq[s] = tau(seq[s + 2]) is the mesh ending at seq[s + 2], applied
-    with that path's own prefix and suffix.
+    One walk of the prefix trie (:func:`_prefix_blocks`) finds every
+    instance and builds no path.  A prefix ending tau(v) -> w -> v
+    carries the mesh ending at v on its whole block.  With one middle the
+    block dies; with two it pairs, path by path, with the block through
+    the other middle w', found by adding the offsets of w' and of v.
     """
 
     def __init__(
         self, q: TranslationQuiver, u: Vertex, m: Vertex, grade: int, win: _Window, field: Field
     ):
-        self.paths = paths = _enumerate_paths(q, u, m, grade, win)
-        n = len(paths)
+        blocks = _prefix_blocks(q, u, m, grade, win)
+        n, root_kids = blocks[0].get(u, (0, {}))
+        self.paths = self.components = n
         self.parent = list(range(n))
         self.parity = [0] * n  # relative to the parent
         self.dead = [False] * n  # read at roots only
         self.signed = field.char != 2
-        self.components = n
         self.flip_edges: list[FlipEdge] = []
         self.zero_paths: set[int] = set()
-        # Label words are cheap dictionary keys; from a fixed source they
-        # determine the path on every modeled shape.
-        words = [path_word(p) for p in paths]
-        self.index = {w: i for i, w in enumerate(words)}
-        if len(self.index) != n:
-            raise InternalCheckError(f"arrow labels do not determine the paths from {u}")
-
-        # tau and the mesh exchanges are cached per mesh end: the same
-        # vertex recurs across paths.  None marks a one-middle mesh.
-        tau_of: dict[Vertex, Vertex] = {}
-        swaps_of: dict[Vertex, dict[Vertex, tuple[str, str]] | None] = {}
-        for i, p in enumerate(paths):
-            seq = path_vertices(u, p)
-            word = words[i]
-            for s in range(grade - 1):
-                v = seq[s + 2]
-                start = tau_of.get(v)
-                if start is None:
-                    start = tau_of[v] = q.tau(v)
-                if seq[s] != start:
+        add_edge, join = self.flip_edges.append, self.join
+        meshes = {}  # per mesh end: the vertex recurs across prefixes
+        seq, lows = [u] * (grade + 1), [0] * (grade + 1)  # vertex, block start per depth
+        # depth first in word order; child y of x closes the segment seq[t - 1] -> x -> y
+        stack = [(1, x, off) for x, off in reversed(root_kids.items())] if grade > 1 else []
+        while stack:
+            t, x, lo = stack.pop()
+            seq[t], lows[t] = x, lo
+            for y, off in reversed(blocks[t][x][1].items()):
+                y_lo = lo + off
+                if t + 1 < grade:
+                    stack.append((t + 1, y, y_lo))
+                mesh = meshes.get(y)
+                if mesh is None:
+                    mesh = meshes[y] = q.mesh(y)
+                if mesh.start != seq[t - 1]:
                     continue
-                if v not in swaps_of:
-                    middles = q.mesh(v).middles
-                    swaps_of[v] = None if len(middles) == 1 else {
-                        w: (q.arrow_between(start, w).label, q.arrow_between(w, v).label)
-                        for w in middles
-                    }
-                swaps = swaps_of[v]
-                if swaps is None:
+                block = range(y_lo, y_lo + blocks[t + 1][y][0])
+                if len(mesh.middles) == 1:
                     # the two-step segment is a full relation on its own
-                    self.zero_paths.add(i)
-                    self.kill(i)
+                    self.zero_paths.update(block)
+                    for i in block:
+                        self.kill(i)
                     continue
-                for w, labels in swaps.items():
-                    if w == seq[s + 1]:
-                        continue
-                    j = self.index[word[:s] + labels + word[s + 2:]]
-                    if i < j:
-                        self.flip_edges.append(FlipEdge(i, j, s, v))
-                        self.join(i, j)
+                start_kids = blocks[t - 1][mesh.start][1]
+                for w in mesh.middles:
+                    shift = lows[t - 1] + start_kids[w] + blocks[t][w][1][y] - y_lo
+                    if shift > 0:  # w != x, and each pair is joined from its lower side
+                        for i in block:
+                            add_edge(FlipEdge(i, i + shift, t - 1, y))
+                            join(i, i + shift)
 
     def find(self, i: int) -> tuple[int, int]:
         """The root of path i's component and the parity of i relative to it.
@@ -332,6 +316,17 @@ class _MeshClasses:
         return sum(1 for i, r in enumerate(self.parent) if i == r and not self.dead[i])
 
 
+def _windowed_classes(
+    q: TranslationQuiver, u: Vertex, m: Vertex, window: int, grade: int, field: Field
+) -> _MeshClasses:
+    if grade < 0:
+        raise UnsupportedParameterError(f"grade must be >= 0, got {grade}")
+    win = _Window(q, window, grade + 2)
+    win.check_base(u)
+    win.check_base(m)
+    return _MeshClasses(q, u, m, grade, win, field)
+
+
 def hom_dim_mesh(
     q: TranslationQuiver,
     u: Vertex,
@@ -354,20 +349,10 @@ def hom_dim_mesh(
                 f"path lengths u -> m are not forced on the {q.kind} quiver; "
                 "pass an explicit grade"
             )
-        d = q.distance(u, m)
-        if d is None:
-            win = _Window(q, window, 2)
-            win.check_base(u)
-            win.check_base(m)
-            return HomSpace(u, m, 0, 0, 0)
-        grade = d
-    elif grade < 0:
-        raise UnsupportedParameterError(f"grade must be >= 0, got {grade}")
-    win = _Window(q, window, grade + 2)
-    win.check_base(u)
-    win.check_base(m)
-    classes = _MeshClasses(q, u, m, grade, win, field)
-    return HomSpace(u, m, grade, len(classes.paths), len(classes.paths) - classes.live)
+        # with no path u -> m at all, grade 0 counts none below
+        grade = q.distance(u, m) or 0
+    classes = _windowed_classes(q, u, m, window, grade, field)
+    return HomSpace(u, m, grade, classes.paths, classes.paths - classes.live)
 
 
 def knit_layers(
@@ -477,13 +462,8 @@ def path_sign_check(
         grade = q.distance(u, m)
         if grade is None:
             return PathSignReport(u, m, 0, 0, "vacuous")
-    elif grade < 0:
-        raise UnsupportedParameterError(f"grade must be >= 0, got {grade}")
-    win = _Window(q, window, grade + 2)
-    win.check_base(u)
-    win.check_base(m)
-    classes = _MeshClasses(q, u, m, grade, win, field)
-    n = len(classes.paths)
+    classes = _windowed_classes(q, u, m, window, grade, field)
+    n = classes.paths
     if n == 0:
         return PathSignReport(u, m, grade, 0, "vacuous")
 
@@ -604,13 +584,11 @@ def rim_obstruction_check(q: TranslationQuiver, rim_vertex: Vertex, window: int)
     q.validate(rim_vertex)
     if rim_vertex.coords[0] != 1:
         raise PreconditionError(f"{rim_vertex} is not on the rim (level 1)")
-    win = _Window(q, window, 4)
-    win.check_base(rim_vertex)
+    _Window(q, window, 0).check_base(rim_vertex)
     start = q.tau(rim_vertex)
-    win.check_base(start)
-    classes = _MeshClasses(q, start, rim_vertex, 2, win, QQ)
-    if len(classes.paths) != 1:
+    classes = _windowed_classes(q, start, rim_vertex, window, 2, QQ)
+    if classes.paths != 1:
         raise PreconditionError(
-            f"expected exactly one double-step path {start} -> {rim_vertex}, found {len(classes.paths)}"
+            f"expected exactly one double-step path {start} -> {rim_vertex}, found {classes.paths}"
         )
     return classes.live == 0

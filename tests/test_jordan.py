@@ -526,10 +526,10 @@ def test_shared_images_match_the_per_class_references(n, p):
                 assert mk.is_almost_vanishing(f).conditions == _av_report_by_class(f).conditions
                 assert mk.image_comp_factors(f) == _image_comp_factors_by_class(ctx, f)
                 for u in ctx.indecomposables():
-                    image = ctx.post_image(x, y, f.matrix, u)
+                    image = ctx.post_image(f, u)
                     assert (image.rank == ctx.stable_dim(u, x)) == _injective_by_class(ctx, f, u)
                 identity = ctx.identity_map(x).key
-                assert ctx.pre_image(x, y, f.matrix, x).contains(identity) == _splits_by_class(ctx, f)
+                assert ctx.pre_image(f, x).contains(identity) == _splits_by_class(ctx, f)
     report = mk.mono_representable_split_check(n, field)
     assert (report.ok, report.failures, report.stats) == _mono_split_by_class(n, field)
     for up_to_scalar in (False, True):
@@ -681,6 +681,38 @@ def test_composition_images_are_built_once_per_context(monkeypatch):
     assert sum(requested.values()) > len(built)
 
 
+@pytest.mark.parametrize("p", [2, 3, 31])
+def test_scalar_multiples_share_their_line_images(p, monkeypatch):
+    # Every nonzero multiple of a class, whatever its representative
+    # matrix, reads its images from the span stored for the class's line.
+    monkeypatch.setattr(jordan, "_contexts", OrderedDict())
+    ctx = context(5, GF(p))
+    x = indec(5, 3)
+    lines = ctx.class_lines(x, x)
+    assert len(lines) == p + 1
+    factors = [mk.image_comp_factors(f) for f in lines]
+    zero = ctx.zero_map(x, x)
+    assert mk.image_comp_factors(zero) == {}
+    size = len(ctx._memo)
+    # a nonzero map x -> x that factors through the projective
+    proj = ctx.projective
+    through = next(
+        g.mul(h)
+        for h in ctx.hom_basis(x, proj)
+        for g in ctx.hom_basis(proj, x)
+        if g.mul(h) != zero.matrix
+    )
+    assert ctx.classify(x, x, through) == zero
+    for f, expected in zip(lines, factors):
+        for c in range(1, p):
+            g = ctx.classify(x, x, f.matrix.scale(c).add(through))
+            assert g.matrix != f.matrix
+            assert ctx.line(g) == f
+            assert mk.image_comp_factors(g) == expected
+    assert mk.image_comp_factors(ctx.classify(x, x, through)) == {}
+    assert len(ctx._memo) == size
+
+
 # -- context cache ----------------------------------------------------------------
 
 
@@ -692,8 +724,8 @@ def test_an_evicted_context_frees_its_memo():
     subspace = weakref.ref(ctx.proj_subspace(indec(3, 1), indec(3, 2)))
     line = ctx.class_lines(indec(3, 1), indec(3, 2))[0]
     images = [
-        weakref.ref(ctx.post_image(line.source, line.target, line.matrix, indec(3, 2))),
-        weakref.ref(ctx.pre_image(line.source, line.target, line.matrix, indec(3, 1))),
+        weakref.ref(ctx.post_image(line, indec(3, 2))),
+        weakref.ref(ctx.pre_image(line, indec(3, 1))),
     ]
     del ctx
     for p in (89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167):

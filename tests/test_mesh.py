@@ -71,6 +71,115 @@ def test_window_violation_is_loud(dihedral):
         )
 
 
+# -- the path-materialising scan, kept as the oracle ----------------------------
+#
+# The package numbers the paths u -> m by the trie of their prefixes and
+# never builds one.  The functions below build every path as a tuple of
+# arrows, and _PathScanClasses finds each relation instance by scanning
+# every position of every path, looking its flip partner up by label
+# word.  They are the literal computation the prefix walk must agree with.
+
+
+def path_vertices(u, path):
+    """Vertex sequence visited by a path starting at u (length + 1 entries)."""
+    seq = [u]
+    for a in path:
+        if a.source != seq[-1]:
+            raise PreconditionError(f"path is not composable at {seq[-1]}")
+        seq.append(a.target)
+    return seq
+
+
+def path_word(path):
+    return tuple(a.label for a in path)
+
+
+def _enumerate_paths(q, u, m, grade, win):
+    """All directed paths u -> m of the exact given length, in word order.
+
+    Depth first with an explicit stack of arrow iterators.  A vertex is
+    entered only if m is reachable from it in exactly the remaining
+    number of steps.  Each vertex is window-checked once, on its first
+    visit.
+    """
+    win.check(u)
+    win.check(m)
+    distances = {}
+
+    def reaches(at, remaining):
+        if at not in distances:
+            distances[at] = q.distance(win.check(at), m)
+        d = distances[at]
+        if d is None or d > remaining or (remaining - d) % 2:
+            return False
+        return not q.grade_forced or d == remaining
+
+    if not reaches(u, grade):
+        return []
+    if grade == 0:
+        return [()]
+    out, prefix, stack = [], [], [iter(q.arrows_out(u))]
+    while stack:
+        a = next(stack[-1], None)
+        if a is None:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        remaining = grade - len(prefix) - 1
+        if not reaches(a.target, remaining):
+            continue
+        if remaining == 0:
+            out.append((*prefix, a))
+        else:
+            prefix.append(a)
+            stack.append(iter(q.arrows_out(a.target)))
+    return out
+
+
+class _PathScanClasses(mesh._MeshClasses):
+    """The signed union-find of the package, filled by a scan of every path.
+
+    ``paths`` is the list of enumerated paths and ``index`` maps each
+    label word to its path's index.
+    """
+
+    def __init__(self, q, u, m, grade, win, field):
+        self.paths = paths = _enumerate_paths(q, u, m, grade, win)
+        n = len(paths)
+        self.parent = list(range(n))
+        self.parity = [0] * n
+        self.dead = [False] * n
+        self.signed = field.char != 2
+        self.components = n
+        self.flip_edges = []
+        self.zero_paths = set()
+        words = [path_word(p) for p in paths]
+        self.index = {w: i for i, w in enumerate(words)}
+        if len(self.index) != n:
+            raise InternalCheckError(f"arrow labels do not determine the paths from {u}")
+        for i, (p, word) in enumerate(zip(paths, words)):
+            seq = path_vertices(u, p)
+            for s in range(grade - 1):
+                v = seq[s + 2]
+                start = q.tau(v)
+                if seq[s] != start:
+                    continue
+                middles = q.mesh(v).middles
+                if len(middles) == 1:
+                    self.zero_paths.add(i)
+                    self.kill(i)
+                    continue
+                for w in middles:
+                    if w == seq[s + 1]:
+                        continue
+                    labels = (q.arrow_between(start, w).label, q.arrow_between(w, v).label)
+                    j = self.index[word[:s] + labels + word[s + 2:]]
+                    if i < j:
+                        self.flip_edges.append(mesh.FlipEdge(i, j, s, v))
+                        self.join(i, j)
+
+
 def _enumerate_paths_checking_each_arrow(q, u, m, grade, win):
     """Reference walk: window-checks the target of every arrow it follows."""
     win.check(u)
@@ -109,11 +218,15 @@ def _enumerate_paths_checking_each_arrow(q, u, m, grade, win):
     return out
 
 
-def _walk_outcome(enumerate_paths, q, u, m, grade, radius):
+def _walk_outcome(count_paths, q, u, m, grade, radius):
     try:
-        return enumerate_paths(q, u, m, grade, mesh._Window(q, radius, 0))
+        return count_paths(q, u, m, grade, mesh._Window(q, radius, 0))
     except WindowError as exc:
         return ("WindowError", str(exc), exc.vertex)
+
+
+def _prefix_walk_count(q, u, m, grade, win):
+    return mesh._MeshClasses(q, u, m, grade, win, QQ).paths
 
 
 def test_each_vertex_is_window_checked_once_with_the_per_arrow_outcome():
@@ -136,8 +249,12 @@ def test_each_vertex_is_window_checked_once_with_the_per_arrow_outcome():
         if grade is None:
             grade = q.distance(u, m)
         for radius in range(1, 10):
-            got = _walk_outcome(mesh._enumerate_paths, q, u, m, grade, radius)
-            want = _walk_outcome(_enumerate_paths_checking_each_arrow, q, u, m, grade, radius)
+            want = _walk_outcome(
+                lambda *a: len(_enumerate_paths_checking_each_arrow(*a)), q, u, m, grade, radius
+            )
+            got = _walk_outcome(lambda *a: len(_enumerate_paths(*a)), q, u, m, grade, radius)
+            assert got == want, (q, u, m, grade, radius)
+            got = _walk_outcome(_prefix_walk_count, q, u, m, grade, radius)
             assert got == want, (q, u, m, grade, radius)
             interior += isinstance(got, tuple) and got[2] not in (u, m)
     # Some walks leave the window between their endpoints (ZA-infinity
@@ -173,7 +290,7 @@ class PathVector:
     def __post_init__(self):
         lengths = set()
         for path, coeff in self.terms:
-            seq = mesh.path_vertices(self.source, path)
+            seq = path_vertices(self.source, path)
             if seq[-1] != self.target:
                 raise PreconditionError(f"path ends at {seq[-1]}, expected {self.target}")
             if coeff == 0:
@@ -199,7 +316,7 @@ def _relation_rows(q, u, m, grade, paths, win):
     index = {p: i for i, p in enumerate(paths)}
     candidates = set()
     for p in paths:
-        seq = mesh.path_vertices(u, p)
+        seq = path_vertices(u, p)
         for s in range(grade - 1):
             v = q.tau_inv(seq[s])
             if seq[s + 2] == v:
@@ -210,8 +327,8 @@ def _relation_rows(q, u, m, grade, paths, win):
         middles = q.mesh(v).middles
         for w in middles:
             win.check(w)
-        prefixes = mesh._enumerate_paths(q, u, start, s, win)
-        suffixes = mesh._enumerate_paths(q, v, m, grade - s - 2, win)
+        prefixes = _enumerate_paths(q, u, start, s, win)
+        suffixes = _enumerate_paths(q, v, m, grade - s - 2, win)
         for pre in prefixes:
             for suf in suffixes:
                 row = [0] * len(paths)
@@ -234,7 +351,7 @@ def mesh_relation(q, v):
 def relation_instances(q, u, m, grade, window):
     """Mesh-relation instances between grade-`grade` paths u -> m."""
     win = mesh._Window(q, window, grade + 2)
-    paths = mesh._enumerate_paths(q, u, m, grade, win)
+    paths = _enumerate_paths(q, u, m, grade, win)
     return [
         PathVector(u, m, tuple((paths[i], c) for i, c in enumerate(row) if c))
         for row in _relation_rows(q, u, m, grade, paths, win)
@@ -586,7 +703,7 @@ def parallel_pairs(draw):
 def _oracle_ideal(q, u, m, grade, field):
     """The enumerated paths and the RREF span of every relation instance."""
     win = mesh._Window(q, ORACLE_WINDOW, grade + 2)
-    paths = mesh._enumerate_paths(q, u, m, grade, win)
+    paths = _enumerate_paths(q, u, m, grade, win)
     ideal = Subspace(field, len(paths))
     for row in _relation_rows(q, u, m, grade, paths, win):
         ideal.insert(row)
@@ -693,7 +810,7 @@ def test_diamond_cokernel_matches_the_rref_oracle(n, c, field):
             for corner, chain in chains:
                 lead = DIHEDRAL.distance(v, corner)
                 if lead is not None:
-                    for p in mesh._enumerate_paths(DIHEDRAL, v, corner, lead, win):
+                    for p in _enumerate_paths(DIHEDRAL, v, corner, lead, win):
                         span.insert(_unit(len(paths), index[p + chain]))
             assert table.entry(grade, v) == len(paths) - span.rank, (v, grade)
 
@@ -730,15 +847,15 @@ def _diamond_scan(q, m, n, window, field):
             v = q.vertex(mi + a, mj + b)
             win.check(v)
             grade = (a + b) // 2
-            classes = mesh._MeshClasses(q, v, m, grade, win, field)
+            classes = _PathScanClasses(q, v, m, grade, win, field)
             if not classes.paths:
                 continue
             for corner, chain_word in chains:
                 lead = q.distance(v, corner)
                 if lead is None:
                     continue
-                for p in mesh._enumerate_paths(q, v, corner, lead, win):
-                    classes.kill(classes.index[mesh.path_word(p) + chain_word])
+                for p in _enumerate_paths(q, v, corner, lead, win):
+                    classes.kill(classes.index[path_word(p) + chain_word])
             if classes.live > 0:
                 layers.setdefault(grade, {})[v] = classes.live
     return mesh.LayerTable(target=m, layers=layers, k_max=n + rings, valid_through=n + rings)
@@ -859,6 +976,117 @@ def test_disconnected_flip_graph_matches_the_rref_oracle(field):
     assert [c["pair"] for c in report.counterexamples] == [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
 
 
+@st.composite
+def toy_quivers(draw):
+    """(quiver, source, target, grade) on a random layered _ToyQuiver.
+
+    Layer 0 is the source and the last layer the target; arrows join
+    consecutive layers, with labels in a drawn order so that label order
+    and vertex order disagree.  tau is drawn among the pairs (s, v) two
+    layers apart where every target of an arrow out of s has an arrow
+    into v and there are one or two of them, so the meshes have one or
+    two middles.  Paths that meet no mesh, or whose meshes do not link
+    them, give disconnected flip graphs.
+    """
+    grade = draw(st.integers(0, 6))
+    sizes = [1] + [draw(st.integers(1, 3)) for _ in range(grade - 1)] + [1] * (grade > 0)
+    layers, first = [], 0
+    for size in sizes:
+        layers.append(list(range(first, first + size)))
+        first += size
+    arrows = []
+    for here, there in zip(layers, layers[1:]):
+        for x in here:
+            targets = [y for y in there if draw(st.booleans())] or [draw(st.sampled_from(there))]
+            order = draw(st.permutations(range(len(targets))))
+            arrows += [(x, y, f"a{k}") for y, k in zip(targets, order)]
+    out = {x: {y for s, y, _ in arrows if s == x} for layer in layers for x in layer}
+    into = {y: {s for s, t, _ in arrows if t == y} for layer in layers for y in layer}
+    pairs = [
+        (v, s)
+        for low, high in zip(layers, layers[2:])
+        for s in low
+        for v in high
+        if 1 <= len(out[s]) <= 2 and out[s] <= into[v]
+    ]
+    tau = {}
+    for v, s in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []:
+        if v not in tau and s not in tau.values():
+            tau[v] = s
+    q = _ToyQuiver(arrows, tau)
+    return q, q.v(0), q.v(first - 1), grade
+
+
+def _odd_cycle(n, edges):
+    """True when the graph on range(n) with these edges is not 2-colourable."""
+    adjacent = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    colour = [None] * n
+    for root in range(n):
+        if colour[root] is not None:
+            continue
+        colour[root], todo = 0, [root]
+        while todo:
+            a = todo.pop()
+            for b in adjacent[a]:
+                if colour[b] is None:
+                    colour[b] = colour[a] ^ 1
+                    todo.append(b)
+                elif colour[b] == colour[a]:
+                    return True
+    return False
+
+
+def _classes_outcome(classes, q, u, m, grade, window, field):
+    """Everything the union-find of paths u -> m holds, or the WindowError raised.
+
+    The parity half of ``find`` is compared only when the flip graph is
+    2-colourable: along an odd cycle it depends on the order of the joins.
+    """
+    try:
+        c = classes(q, u, m, grade, mesh._Window(q, window, 0), field)
+    except WindowError as exc:
+        return type(exc), str(exc), exc.vertex
+    n = c.paths if isinstance(c.paths, int) else len(c.paths)
+    edges = sorted((e.path_a, e.path_b, e.position, e.mesh_end) for e in c.flip_edges)
+    finds = [c.find(i) for i in range(n)]
+    if _odd_cycle(n, [e[:2] for e in edges]):
+        finds = [root for root, _ in finds]
+    return n, finds, sorted(c.zero_paths), edges, c.components, c.live
+
+
+@st.composite
+def scan_requests(draw):
+    """(quiver, source, target, grade, window) on one of the four graph kinds.
+
+    The window gets no margin, and the modeled shapes draw it below what
+    their paths need, so some requests fail the window check, some of
+    them between the endpoints.
+    """
+    if draw(st.booleans()):
+        q, u, m, grade = draw(toy_quivers())
+        return q, u, m, grade, 1
+    q, u, m, grade = draw(parallel_pairs())
+    if grade is None:
+        grade = q.distance(u, m)
+        if grade is None:
+            grade = draw(st.integers(0, 8))
+    return q, u, m, grade, draw(st.integers(1, 8))
+
+
+@given(scan_requests(), fields)
+@example((DIHEDRAL, DIHEDRAL.vertex(8, 8), DIHEDRAL.vertex(0, 0), 8, ORACLE_WINDOW), GF(3))
+@example((ZA, ZA.vertex(1, 4), ZA.vertex(1, 0), 8, 4), QQ)
+@example((TUBES[6], TUBES[6].vertex(3), TUBES[6].vertex(2), 7, 1), GF(2))
+@settings(max_examples=300, deadline=None)
+def test_prefix_walk_matches_the_path_scan(case, field):
+    q, u, m, grade, window = case
+    expected = _classes_outcome(_PathScanClasses, q, u, m, grade, window, field)
+    assert _classes_outcome(mesh._MeshClasses, q, u, m, grade, window, field) == expected
+
+
 relation_ops = st.integers(1, 8).flatmap(
     lambda n: st.tuples(
         st.just(n),
@@ -870,12 +1098,13 @@ relation_ops = st.integers(1, 8).flatmap(
 @given(relation_ops, fields)
 @settings(max_examples=150, deadline=None)
 def test_union_find_matches_rref_on_arbitrary_relations(case, field):
-    # n parallel single-arrow paths and no meshes, so every relation comes
+    # n parallel two-step paths 0 -> k + 2 -> 1 and no meshes (the arrows
+    # out of a vertex must have distinct targets), so every relation comes
     # from the drawn kills (path_i = 0) and joins (path_i + path_j = 0),
     # including odd cycles, which the modeled shapes never produce.
     n, ops = case
-    q = _ToyQuiver([(0, 1, f"a{k}") for k in range(n)], {})
-    classes = mesh._MeshClasses(q, q.v(0), q.v(1), 1, mesh._Window(q, 1, 3), field)
+    q = _ToyQuiver([(0, k + 2, f"a{k}") for k in range(n)] + [(k + 2, 1, "b") for k in range(n)], {})
+    classes = mesh._MeshClasses(q, q.v(0), q.v(1), 2, mesh._Window(q, 1, 4), field)
     ideal = Subspace(field, n)
     for is_kill, i, j in ops:
         row = _unit(n, i)
