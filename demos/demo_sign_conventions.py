@@ -9,8 +9,9 @@ differ by (-1)^(number of flips).
 
 No mesh has more than two middles, so every relation either kills one
 path or equates two paths up to -1. The reduction is therefore a signed
-union-find over the paths: one class per component, zero when the
-component holds a killed path.
+union-find: one class per component, zero when the component holds a
+killed path. It runs depth by depth on classes of path prefixes, not on
+the paths; the flip edges are listed only when the report is asked.
 """
 
 from meshknit import mesh, quiver

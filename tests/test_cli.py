@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -365,6 +366,20 @@ def test_grade_past_the_recursion_limit_has_one_path(run):
     assert err == ""
     report = json.loads(out)
     assert report["num_paths"] == 1
+
+
+def test_impossible_path_count_fails_fast(run):
+    # C(40, 20), about 1.4e11 paths: the classes are cheap, but the report
+    # holds one sign per path, and that list is allocated before any is
+    # filled, so the request fails at once instead of growing toward the limit.
+    t0 = time.perf_counter()
+    code, out, err = run(
+        ["signcheck", "--quiver", "dihedral", "--source=40,40", "--target=0,0", "--window", "30"]
+    )
+    assert code == 7
+    assert out == ""
+    assert err.splitlines() == ["meshknit: error: input too large: MemoryError"]
+    assert time.perf_counter() - t0 < 5
 
 
 def test_out_of_memory_exits_7(run, monkeypatch):

@@ -73,11 +73,13 @@ def test_window_violation_is_loud(dihedral):
 
 # -- the path-materialising scan, kept as the oracle ----------------------------
 #
-# The package numbers the paths u -> m by the trie of their prefixes and
-# never builds one.  The functions below build every path as a tuple of
-# arrows, and _PathScanClasses finds each relation instance by scanning
-# every position of every path, looking its flip partner up by label
-# word.  They are the literal computation the prefix walk must agree with.
+# The package computes the classes of paths u -> m depth by depth, on a
+# few nodes per (length, vertex) pair, and never builds a path.  The
+# functions below build every path as a tuple of arrows, and
+# _PathScanClasses runs a signed union-find on the paths themselves,
+# finding each relation instance by scanning every position of every
+# path and looking its flip partner up by label word.  They are the
+# literal computation the depth classes must agree with.
 
 
 def path_vertices(u, path):
@@ -137,19 +139,22 @@ def _enumerate_paths(q, u, m, grade, win):
     return out
 
 
-class _PathScanClasses(mesh._MeshClasses):
-    """The signed union-find of the package, filled by a scan of every path.
+class _PathScanClasses:
+    """The signed union-find of every path, filled by a scan of every path.
 
-    ``paths`` is the list of enumerated paths and ``index`` maps each
-    label word to its path's index.
+    Each path is (-1)^parity times its component's root, the lowest-index
+    path of the component, or zero when the component is dead: it holds
+    a killed path or, outside characteristic 2, its flips close an odd
+    cycle.  ``paths`` is the list of enumerated paths and ``index`` maps
+    each label word to its path's index.
     """
 
     def __init__(self, q, u, m, grade, win, field):
         self.paths = paths = _enumerate_paths(q, u, m, grade, win)
         n = len(paths)
         self.parent = list(range(n))
-        self.parity = [0] * n
-        self.dead = [False] * n
+        self.parity = [0] * n  # relative to the parent
+        self.dead = [False] * n  # read at roots only
         self.signed = field.char != 2
         self.components = n
         self.flip_edges = []
@@ -178,6 +183,41 @@ class _PathScanClasses(mesh._MeshClasses):
                     if i < j:
                         self.flip_edges.append(mesh.FlipEdge(i, j, s, v))
                         self.join(i, j)
+
+    def find(self, i):
+        """The root of path i's component and the parity of i relative to it."""
+        parent, parity = self.parent, self.parity
+        odd = 0
+        while parent[i] != i:
+            up = parent[i]
+            parity[i] ^= parity[up]
+            parent[i] = parent[up]
+            odd ^= parity[i]
+            i = parent[i]
+        return i, odd
+
+    def kill(self, i):
+        self.dead[self.find(i)[0]] = True
+
+    def join(self, i, j):
+        """Impose path_i + path_j = 0."""
+        (ri, pi), (rj, pj) = self.find(i), self.find(j)
+        if ri == rj:
+            # an odd cycle of flips forces p = -p
+            if pi == pj and self.signed:
+                self.dead[ri] = True
+            return
+        if rj < ri:
+            ri, rj = rj, ri
+        self.parent[rj] = ri
+        self.parity[rj] = pi ^ pj ^ 1
+        self.dead[ri] = self.dead[ri] or self.dead[rj]
+        self.components -= 1
+
+    @property
+    def live(self):
+        """Dimension of the quotient: the number of live components."""
+        return sum(1 for i, r in enumerate(self.parent) if i == r and not self.dead[i])
 
 
 def _enumerate_paths_checking_each_arrow(q, u, m, grade, win):
@@ -604,6 +644,20 @@ def test_sign_check_records_zero_paths_through_rim():
     assert report.all_ok
 
 
+def test_flip_edges_are_listed_on_first_access(dihedral):
+    report = mesh.path_sign_check(
+        dihedral, dihedral.vertex(4, 4), dihedral.vertex(0, 0), window=6
+    )
+    assert callable(report._edges)
+    edges = report.flip_edges
+    assert report.flip_edges is edges
+    # by prefix, prefixes in word order
+    assert [(e.path_a, e.path_b, e.position, str(e.mesh_end)) for e in edges] == [
+        (1, 3, 0, "2,2"), (2, 4, 0, "2,2"), (0, 1, 1, "2,0"),
+        (1, 2, 2, "0,0"), (4, 5, 1, "0,2"), (3, 4, 2, "0,0"),
+    ]
+
+
 # -- diamond cokernel ---------------------------------------------------------
 
 
@@ -668,7 +722,7 @@ def test_rim_obstruction_rejects_other_quivers(dihedral):
 
 # -- the union-find against the RREF oracle -------------------------------------
 #
-# The mesh ideal is computed by a signed union-find of path classes.  The
+# The mesh ideal is computed by a signed union-find of classes.  The
 # oracle below is its literal definition instead: every relation instance
 # from _relation_rows, reduced by exact RREF.
 
@@ -769,6 +823,42 @@ def test_hom_dim_matches_the_rref_oracle(case, field):
     paths, ideal = _oracle_ideal(q, u, m, hom.grade, field)
     assert hom.basis_dim == len(paths)
     assert hom.dim == len(paths) - ideal.rank
+
+
+@st.composite
+def knit_hom_requests(draw):
+    """(quiver, target, k_max, window, sources) on the tube or the dihedral family.
+
+    The sources are every tube vertex, or on the dihedral family the
+    vertices m + (2a, 2b) for a, b in -1..k_max (the knit's support and a
+    ring around it).
+    """
+    if draw(st.booleans()):
+        q = TUBES[draw(st.integers(3, 6))]
+        return q, q.vertex(draw(st.integers(1, q.n - 1))), draw(st.integers(0, 12)), 4, [
+            q.vertex(i) for i in range(1, q.n)
+        ]
+    c = draw(st.integers(-1, 1))
+    k_max = draw(st.integers(0, 6))
+    sources = [
+        DIHEDRAL.vertex(c + 2 * a, c + 2 * b)
+        for a in range(-1, k_max + 1)
+        for b in range(-1, k_max + 1)
+    ]
+    return DIHEDRAL, DIHEDRAL.vertex(c, c), k_max, ORACLE_WINDOW, sources
+
+
+@given(knit_hom_requests(), fields)
+@settings(max_examples=60, deadline=None)
+def test_knit_entries_are_the_graded_hom_dims(case, field):
+    # Where knitting is valid, its entry at (g, u) is dim Hom(u, m)_g,
+    # which the depth classes compute directly.
+    q, m, k_max, window, sources = case
+    table = mesh.knit_layers(q, m, k_max, window)
+    for g in range(table.valid_through + 1):
+        for u in sources:
+            hom = mesh.hom_dim_mesh(q, u, m, window, grade=g, field=field)
+            assert table.entry(g, u) == hom.dim, (u, g)
 
 
 @given(parallel_pairs(), fields)
@@ -1039,22 +1129,40 @@ def _odd_cycle(n, edges):
     return False
 
 
-def _classes_outcome(classes, q, u, m, grade, window, field):
+def _scan_view(c):
+    """What the path scan holds: per path (root, parity), then per component."""
+    n = len(c.paths)
+    finds = [c.find(i) for i in range(n)]
+    firsts = list(dict.fromkeys(root for root, _ in finds))
+    sizes = [(sum(1 for r, _ in finds if r == root), c.dead[root]) for root in firsts]
+    return n, finds, sorted(c.zero_paths), c.flip_edges, c.components, c.live, sizes
+
+
+def _depth_view(c):
+    """The same from the depth classes, whose codes name each path's component."""
+    codes = c.codes()
+    firsts = {}
+    finds = [(firsts.setdefault(abs(code), i), int(code < 0)) for i, code in enumerate(codes)]
+    assert list(firsts) == list(range(1, len(firsts) + 1))
+    return c.paths, finds, c.zero_paths(), c.flip_edges(), c.components, c.live, c.sizes
+
+
+def _classes_outcome(classes, view, q, u, m, grade, window, field):
     """Everything the union-find of paths u -> m holds, or the WindowError raised.
 
-    The parity half of ``find`` is compared only when the flip graph is
-    2-colourable: along an odd cycle it depends on the order of the joins.
+    The parity half of each path's (root, parity) is compared only when
+    the flip graph is 2-colourable: along an odd cycle it depends on the
+    order of the joins.
     """
     try:
         c = classes(q, u, m, grade, mesh._Window(q, window, 0), field)
     except WindowError as exc:
         return type(exc), str(exc), exc.vertex
-    n = c.paths if isinstance(c.paths, int) else len(c.paths)
-    edges = sorted((e.path_a, e.path_b, e.position, e.mesh_end) for e in c.flip_edges)
-    finds = [c.find(i) for i in range(n)]
+    n, finds, zero_paths, flip_edges, components, live, sizes = view(c)
+    edges = sorted((e.path_a, e.path_b, e.position, e.mesh_end) for e in flip_edges)
     if _odd_cycle(n, [e[:2] for e in edges]):
         finds = [root for root, _ in finds]
-    return n, finds, sorted(c.zero_paths), edges, c.components, c.live
+    return n, finds, zero_paths, edges, components, live, sizes
 
 
 @st.composite
@@ -1081,10 +1189,11 @@ def scan_requests(draw):
 @example((ZA, ZA.vertex(1, 4), ZA.vertex(1, 0), 8, 4), QQ)
 @example((TUBES[6], TUBES[6].vertex(3), TUBES[6].vertex(2), 7, 1), GF(2))
 @settings(max_examples=300, deadline=None)
-def test_prefix_walk_matches_the_path_scan(case, field):
+def test_depth_classes_match_the_path_scan(case, field):
     q, u, m, grade, window = case
-    expected = _classes_outcome(_PathScanClasses, q, u, m, grade, window, field)
-    assert _classes_outcome(mesh._MeshClasses, q, u, m, grade, window, field) == expected
+    expected = _classes_outcome(_PathScanClasses, _scan_view, q, u, m, grade, window, field)
+    got = _classes_outcome(mesh._MeshClasses, _depth_view, q, u, m, grade, window, field)
+    assert got == expected
 
 
 relation_ops = st.integers(1, 8).flatmap(
@@ -1098,13 +1207,14 @@ relation_ops = st.integers(1, 8).flatmap(
 @given(relation_ops, fields)
 @settings(max_examples=150, deadline=None)
 def test_union_find_matches_rref_on_arbitrary_relations(case, field):
-    # n parallel two-step paths 0 -> k + 2 -> 1 and no meshes (the arrows
-    # out of a vertex must have distinct targets), so every relation comes
-    # from the drawn kills (path_i = 0) and joins (path_i + path_j = 0),
-    # including odd cycles, which the modeled shapes never produce.
+    # The path-level union-find of the oracle scan, on n parallel two-step
+    # paths 0 -> k + 2 -> 1 and no meshes (the arrows out of a vertex must
+    # have distinct targets), so every relation comes from the drawn kills
+    # (path_i = 0) and joins (path_i + path_j = 0), including odd cycles,
+    # which the modeled shapes never produce.
     n, ops = case
     q = _ToyQuiver([(0, k + 2, f"a{k}") for k in range(n)] + [(k + 2, 1, "b") for k in range(n)], {})
-    classes = mesh._MeshClasses(q, q.v(0), q.v(1), 2, mesh._Window(q, 1, 4), field)
+    classes = _PathScanClasses(q, q.v(0), q.v(1), 2, mesh._Window(q, 1, 4), field)
     ideal = Subspace(field, n)
     for is_kill, i, j in ops:
         row = _unit(n, i)
