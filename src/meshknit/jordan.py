@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
 from functools import wraps
-from itertools import product
+from itertools import islice
 from operator import attrgetter
 
 from .errors import (
@@ -37,6 +37,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .linalg import GF5, Field, Matrix, Subspace, kernel_basis, rank, solve
+from .linalg import _echelon, _lines, _mix, _spans
 from .mesh import LayerTable
 from .quiver import TUBE, Vertex
 
@@ -246,6 +247,26 @@ def _combination(field: Field, vectors: list, target) -> tuple | None:
     return solve(Matrix(field, list(zip(*vectors))), target)
 
 
+def _post(p: int, table: list, a) -> list[tuple]:
+    """Coordinates of c . b_j for each j, c having coordinates a (see ``_Context._table``)."""
+    return [_mix(p, a, column) for column in zip(*table)]
+
+
+def _pre(p: int, table: list, a) -> list[tuple]:
+    """Coordinates of b_i . f for each i, f having coordinates a (see ``_Context._table``)."""
+    return [_mix(p, a, row) for row in table]
+
+
+def _stacked(blocks) -> list[tuple]:
+    """Row i: the i-th vectors of the blocks, concatenated."""
+    return [sum(row, ()) for row in zip(*blocks)]
+
+
+def _image_ranks(p: int, tables, phi: tuple):
+    """Rank of the composites c . b_j per table, c having coordinates phi."""
+    return (len(_echelon(p, _post(p, t, phi))) for t in tables)
+
+
 _key = attrgetter("key")
 _MISSING = object()
 
@@ -312,9 +333,10 @@ class _Context:
         rows = [[1 if a == c + (j - i) else 0 for c in range(i)] for a in range(j)]
         return Matrix(self.field, rows)
 
-    def _unflatten(self, vec, rows: int, cols: int) -> Matrix:
-        data = [vec[r * cols : (r + 1) * cols] for r in range(rows)]
-        return Matrix(self.field, data)
+    def _unflatten(self, vec: tuple, rows: int, cols: int) -> Matrix:
+        """The rows x cols matrix with row-major entries vec, already in the field."""
+        data = tuple(vec[r * cols : (r + 1) * cols] for r in range(rows))
+        return Matrix._of(self.field, data, cols)
 
     @_memo
     def hom_basis(self, x: JordanModule, y: JordanModule) -> list[Matrix]:
@@ -390,39 +412,79 @@ class _Context:
         """One class per line of nonzero stable classes x -> y (finite field only).
 
         Each is the line's class with first nonzero coefficient 1, in
-        ``product`` order; every check here is unchanged by a nonzero scalar.
+        ``product`` order (``_lines``); every check here is unchanged by a
+        nonzero scalar.  A key is linear in its map, so it is the same
+        combination of the basis keys.
         """
-        p = self.field.char
-        if p == 0:
-            raise UnsupportedParameterError(
-                "full class enumeration needs a finite coefficient field"
-            )
-        basis = self.stable_basis(x, y)
-        d = len(basis)
+        lines = _lines(self.field, self.stable_dim(x, y))
+        basis, p = self.stable_basis(x, y), self.field.char
+        flats, keys = [b.matrix.flatten() for b in basis], [b.key for b in basis]
         return [
-            self.combine(x, y, basis, (0,) * k + (1,) + tail)
-            for k in reversed(range(d))
-            for tail in product(range(p), repeat=d - 1 - k)
+            StableMap(x, y, self._unflatten(_mix(p, a, flats), y.dim, x.dim), _mix(p, a, keys))
+            for a in lines
         ]
 
     @_memo
-    def _coordinates(self, x: JordanModule, y: JordanModule) -> list[tuple[int, tuple]]:
-        """Rows (i, tail): a class x -> y has coefficients sum(key[i] * tail) on the stable
+    def _coordinate_rows(self, x: JordanModule, y: JordanModule) -> tuple[list, list]:
+        """(pivots, tails): a class x -> y has coefficients sum(key[i] * tail) on the stable
         basis; pivot and unit part of the reduced span of the keys with unit vectors appended."""
         basis = self.stable_basis(x, y)
         width, units = x.dim * y.dim, Matrix.identity(self.field, len(basis)).data
         space = Subspace(self.field, width + len(basis))
         space.extend(b.key + e for b, e in zip(basis, units))
-        return [(next(i for i, a in enumerate(r) if a), r[width:]) for r in space.basis()]
+        rows = space.basis()
+        return [next(i for i, a in enumerate(r) if a) for r in rows], [r[width:] for r in rows]
 
-    def line(self, f: StableMap) -> StableMap:
-        """f's line's class with first nonzero coefficient 1 (f if it is that, or zero)."""
-        pairs = self._coordinates(f.source, f.target)
-        coeffs = (sum(f.key[i] * row[j] for i, row in pairs) for j in range(len(pairs)))
-        lead = next((c for c in self.field.coerce_row(coeffs) if c), 1)
-        if lead == 1:
-            return f
-        return self.classify(f.source, f.target, f.matrix.scale(self.field.inv(lead)))
+    def _coordinates(self, x: JordanModule, y: JordanModule, key: tuple) -> tuple:
+        """Coefficients on ``stable_basis(x, y)`` of the class x -> y with this key."""
+        pivots, tails = self._coordinate_rows(x, y)
+        return _mix(self.field.char, [key[i] for i in pivots], tails)
+
+    @_memo
+    def _table(self, x: JordanModule, u: JordanModule, y: JordanModule) -> list[list[tuple]]:
+        """Entry [i][j]: coordinates on ``stable_basis(x, y)`` of the class
+        ``stable_basis(u, y)[i] . stable_basis(x, u)[j]``."""
+        return [
+            [
+                self._coordinates(x, y, self.residue(x, y, b.matrix.mul(a.matrix)))
+                for a in self.stable_basis(x, u)
+            ]
+            for b in self.stable_basis(u, y)
+        ]
+
+    @_memo
+    def _av_conditions(self, x: JordanModule, y: JordanModule):
+        """``is_almost_vanishing``'s five conditions as a function of the coordinates of a
+        nonzero class f: x -> y, on the tables of the pair, fetched once."""
+        field, p, indecs = self.field, self.field.char, self.indecomposables()
+        incoming = [self._table(x, u, y) for u in indecs]
+        outgoing = [(self._table(x, v, y), self.stable_dim(x, v)) for v in indecs]
+        images = [self._table(v, x, y) for v in indecs if self.stable_dim(v, x)]
+        # Row i of epis (monos) holds the coordinates of b_i . g for every g in a
+        # radical basis into x (of h . b_i for every h out of y), b_i running over
+        # stable_basis(x, y): f . g (h . f) are these rows mixed by f's coordinates.
+        epis = _stacked(self._radical_composites(x, y))
+        monos = _stacked(
+            _post(p, self._table(x, y, u), self._coordinates(y, u, h.key))
+            for u in indecs
+            for h in self.rad_stable_basis(y, u)
+        )
+
+        def conditions(phi: tuple) -> dict[str, bool]:
+            return {
+                "factors_through_incoming": all(
+                    _spans(p, _post(p, t, c), phi) for t in incoming for c in _lines(field, len(t))
+                ),
+                "factors_through_outgoing": all(
+                    _spans(p, _pre(p, t, c), phi) for t, d in outgoing for c in _lines(field, d)
+                ),
+                "kills_non_split_epis": not any(_mix(p, phi, epis)),
+                "killed_by_non_split_monos": not any(_mix(p, phi, monos)),
+                # the first two nonzero ranks tell whether they sum to 1
+                "image_is_simple": sum(islice(filter(None, _image_ranks(p, images, phi)), 2)) == 1,
+            }
+
+        return conditions
 
     @_memo
     def rad_stable_basis(self, x: JordanModule, y: JordanModule) -> list[StableMap]:
@@ -540,37 +602,22 @@ class _Context:
             )
         return self.combine(m, target, self.stable_basis(m, target), sols[0])
 
-    # -- composition images ----------------------------------------------
-    # Keyed by the class f, so every class checked against f shares one
-    # span; callers pass one class per line (``line``), as c.f spans alike.
-    @_memo
-    def post_image(self, f: StableMap, v: JordanModule) -> Subspace:
-        """Span of the classes f . b, b running over ``stable_basis(v, f.source)``."""
-        space = Subspace(self.field, v.dim * f.target.dim)
-        for b in self.stable_basis(v, f.source):
-            space.insert(self.residue(v, f.target, f.matrix.mul(b.matrix)))
-        return space
-
-    @_memo
-    def pre_image(self, f: StableMap, w: JordanModule) -> Subspace:
-        """Span of the classes b . f, b running over ``stable_basis(f.target, w)``."""
-        space = Subspace(self.field, f.source.dim * w.dim)
-        for b in self.stable_basis(f.target, w):
-            space.insert(self.residue(f.source, w, b.matrix.mul(f.matrix)))
-        return space
-
     def killed_by_radical(self, x: JordanModule, y: JordanModule) -> list[tuple]:
         """Classes x -> y killed by every non-isomorphism into x.
 
         They are returned as coefficient vectors on ``stable_basis(x, y)``.
         """
-        basis = self.stable_basis(x, y)
-        composites = (
-            [self.residue(u, y, b.matrix.mul(g.matrix)) for b in basis]
+        return _null_combinations(self.field, self.stable_dim(x, y), self._radical_composites(x, y))
+
+    def _radical_composites(self, x: JordanModule, y: JordanModule):
+        """For each g in ``rad_stable_basis(u, x)``, u running over the indecomposables:
+        the coordinates of b . g for every b in ``stable_basis(x, y)``."""
+        p = self.field.char
+        return (
+            _pre(p, self._table(u, x, y), self._coordinates(u, x, g.key))
             for u in self.indecomposables()
             for g in self.rad_stable_basis(u, x)
         )
-        return _null_combinations(self.field, len(basis), composites)
 
 
 # Contexts are cached per (n, p); beyond this many the least recently
@@ -705,13 +752,10 @@ def image_comp_factors(f: StableMap) -> dict[JordanModule, int]:
     image of composition-with-f on classes out of V.
     """
     ctx = context(f.source.n, f.matrix.field)
-    f = ctx.line(f)
-    out: dict[JordanModule, int] = {}
-    for v in ctx.indecomposables():
-        mult = ctx.post_image(f, v).rank
-        if mult:
-            out[v] = mult
-    return out
+    x, y, indecs = f.source, f.target, ctx.indecomposables()
+    tables = [ctx._table(v, x, y) for v in indecs]
+    ranks = _image_ranks(ctx.field.char, tables, ctx._coordinates(x, y, f.key))
+    return {v: rank for v, rank in zip(indecs, ranks) if rank}
 
 
 def is_almost_vanishing(f: StableMap) -> AlmostVanishingReport:
@@ -738,31 +782,9 @@ def is_almost_vanishing(f: StableMap) -> AlmostVanishingReport:
     if f.is_zero:
         return AlmostVanishingReport(x, y, False, {}, note="stably zero class")
 
-    indecs = ctx.indecomposables()
-    conditions = {
-        "factors_through_incoming": all(
-            ctx.post_image(c, x).contains(f.key)
-            for u in indecs
-            for c in ctx.class_lines(u, y)
-        ),
-        "factors_through_outgoing": all(
-            ctx.pre_image(c, y).contains(f.key)
-            for v in indecs
-            for c in ctx.class_lines(x, v)
-        ),
-        "kills_non_split_epis": not any(
-            any(ctx.residue(u, y, f.matrix.mul(g.matrix)))
-            for u in indecs
-            for g in ctx.rad_stable_basis(u, x)
-        ),
-        "killed_by_non_split_monos": not any(
-            any(ctx.residue(x, u, h.matrix.mul(f.matrix)))
-            for u in indecs
-            for h in ctx.rad_stable_basis(y, u)
-        ),
-        "image_is_simple": sum(image_comp_factors(f).values()) == 1,
-    }
-
+    # Classes are read in coordinates on the stable bases: a class c is a
+    # line's coefficient tuple (``_lines``), composites come from the tables.
+    conditions = ctx._av_conditions(x, y)(ctx._coordinates(x, y, f.key))
     verdict = all(conditions.values())
     return AlmostVanishingReport(x, y, verdict, conditions)
 
@@ -850,23 +872,28 @@ def mono_representable_split_check(n: int, field: Field = GF5) -> CheckReport:
             f"split-mono sweep enumerates all classes; n={n} exceeds the n <= 6 budget"
         )
     ctx = context(n, field)
+    p = field.char
     indecs = ctx.indecomposables()
     failures = []
     monos = 0
     checked = 0
     for u in indecs:
+        identity = ctx._coordinates(u, u, ctx.identity_map(u).key)
+        dims = [ctx.stable_dim(x, u) for x in indecs]
         for v in indecs:
-            for theta in ctx.class_lines(u, v):
+            tables = [ctx._table(x, u, v) for x in indecs]
+            sections = ctx._table(u, v, u)
+            for a in _lines(field, ctx.stable_dim(u, v)):
                 checked += 1
-                # Composing with theta must be injective on the classes x -> u.
-                if not all(
-                    ctx.post_image(theta, x).rank == ctx.stable_dim(x, u)
-                    for x in indecs
-                ):
+                # Composing with the line a must be injective on the classes x -> u.
+                if not all(r == d for r, d in zip(_image_ranks(p, tables, a), dims)):
                     continue
                 monos += 1
-                if not ctx.pre_image(theta, u).contains(ctx.identity_map(u).key):
-                    failures.append({"source": str(u), "target": str(v), "class": theta.key})
+                # Split: some class b . a is the identity of u.
+                if not _spans(p, _pre(p, sections, a), identity):
+                    # the key of the line's class, keys being linear in their maps
+                    keys = [b.key for b in ctx.stable_basis(u, v)]
+                    failures.append({"source": str(u), "target": str(v), "class": _mix(p, a, keys)})
     return CheckReport(
         "mono-representable-split",
         not failures,

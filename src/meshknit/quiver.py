@@ -88,8 +88,9 @@ class TranslationQuiver:
     grade_forced: bool = True
 
     def __init__(self):
-        # arrows_out results per vertex, so that paths share Arrow objects
+        # arrows_out and mesh results per vertex, so that paths share Arrow objects
         self._arrows_out: dict[Vertex, tuple[Arrow, ...]] = {}
+        self._meshes: dict[Vertex, Mesh] = {}
 
     # -- soul of the shape; subclasses implement these ------------------
     def validate(self, v: Vertex) -> Vertex:
@@ -141,8 +142,12 @@ class TranslationQuiver:
 
     def mesh(self, v: Vertex) -> Mesh:
         """The mesh ending at v.  Middles are the targets of arrows out of tau(v)."""
-        start = self._tau(self.validate(v), 1)
-        return Mesh(start, tuple(sorted(t for _, t in self._arrows(start))), v)
+        got = self._meshes.get(v)
+        if got is None:
+            start = self._tau(self.validate(v), 1)
+            got = Mesh(start, tuple(sorted(t for _, t in self._arrows(start))), v)
+            self._meshes[v] = got
+        return got
 
     def arrows_out(self, v: Vertex) -> tuple[Arrow, ...]:
         """Arrows out of v in label order; one shared tuple per vertex."""

@@ -5,7 +5,8 @@ sha256 prefix of the artifact of every request the cli-knit benchmark
 can draw.  This replays, through ``cli.main`` with ``--out``, every
 request at the vertex or target ``0,0``, every ``tube:5`` knit, both
 ``center`` requests, every ``oracle`` request at n = 3 and 4 (all forty
-primes) and the two at n = 5 over ``p:7`` and ``p:13``, so that byte drift
+primes) and the three at n = 5 over ``p:7``, ``p:13`` and ``p:191`` (the
+last with 192 lines per two-dimensional stable Hom space), so that byte drift
 in any command fails the test suite and not only the benchmark.  The
 reference file is only read.
 """
@@ -29,7 +30,7 @@ def _replayed(argv):
         or "--target=0,0" in argv
         or (argv[0] == "knit" and "tube:5" in argv)
         or argv[0] == "center"
-        or (argv[0] == "oracle" and (argv[2] in ("3", "4") or argv[-1] in ("p:7", "p:13")))
+        or (argv[0] == "oracle" and (argv[2] in ("3", "4") or argv[-1] in ("p:7", "p:13", "p:191")))
     )
 
 
@@ -45,7 +46,7 @@ REQUESTS = _requests()
 def test_the_replayed_slice_covers_every_command():
     commands = {key.split(" ")[0] for key, _ in REQUESTS}
     assert commands == {"knit", "diamond", "center", "oracle", "signcheck"}
-    assert len(REQUESTS) == 212
+    assert len(REQUESTS) == 213
 
 
 @pytest.mark.parametrize("key,want", REQUESTS, ids=[key for key, _ in REQUESTS])

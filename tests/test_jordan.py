@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import meshknit as mk
-from meshknit import cli, jordan
+from meshknit import cli, jordan, linalg
 from meshknit.jordan import context, indec
 from meshknit.linalg import GF, GF5, QQ, Subspace
 from meshknit.errors import FieldMismatchError, PreconditionError, UnsupportedParameterError
@@ -515,21 +515,25 @@ def _mono_split_by_class(n, field):
     return not failures, failures, {"classes_checked": checked, "functor_monos": monos}
 
 
-@given(st.sampled_from([3, 4, 5]), st.sampled_from([2, 3, 5, 7]))
-@settings(max_examples=30, deadline=None)
-def test_shared_images_match_the_per_class_references(n, p):
+def _check_sweeps_against_the_per_class_references(n, p):
     field = GF(p)
     ctx = context(n, field)
     for x in ctx.indecomposables():
+        identity = ctx._coordinates(x, x, ctx.identity_map(x).key)
         for y in ctx.indecomposables():
-            for f in ctx.class_lines(x, y):
+            lines = ctx.class_lines(x, y)
+            coordinates = [ctx._coordinates(x, y, f.key) for f in lines]
+            # A line's coordinates are its coefficient tuple, in enumeration order.
+            assert coordinates == list(linalg._lines(field, ctx.stable_dim(x, y)))
+            for f, phi in zip(lines, coordinates):
                 assert mk.is_almost_vanishing(f).conditions == _av_report_by_class(f).conditions
                 assert mk.image_comp_factors(f) == _image_comp_factors_by_class(ctx, f)
                 for u in ctx.indecomposables():
-                    image = ctx.post_image(f, u)
-                    assert (image.rank == ctx.stable_dim(u, x)) == _injective_by_class(ctx, f, u)
-                identity = ctx.identity_map(x).key
-                assert ctx.pre_image(f, x).contains(identity) == _splits_by_class(ctx, f)
+                    image = linalg._echelon(p, jordan._post(p, ctx._table(u, x, y), phi))
+                    assert (len(image) == ctx.stable_dim(u, x)) == _injective_by_class(ctx, f, u)
+                sections = linalg._echelon(p, jordan._pre(p, ctx._table(x, y, x), phi))
+                splits = not any(linalg._residue(p, sections, identity))
+                assert splits == _splits_by_class(ctx, f)
     report = mk.mono_representable_split_check(n, field)
     assert (report.ok, report.failures, report.stats) == _mono_split_by_class(n, field)
     for up_to_scalar in (False, True):
@@ -542,6 +546,32 @@ def test_shared_images_match_the_per_class_references(n, p):
             reference.failures,
             reference.stats,
         )
+
+
+@given(st.sampled_from([3, 4, 5]), st.sampled_from([2, 3, 5, 7]))
+@settings(max_examples=30, deadline=None)
+def test_shared_images_match_the_per_class_references(n, p):
+    _check_sweeps_against_the_per_class_references(n, p)
+
+
+def test_coordinate_sweeps_match_the_per_class_references_at_many_lines():
+    # Over GF(101) each two-dimensional stable Hom space at n = 5 has 102 lines.
+    _check_sweeps_against_the_per_class_references(5, 101)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_composition_tables_hold_the_composites(n, p):
+    ctx = jordan._Context(n, GF(p))
+    indecs = ctx.indecomposables()
+    for x, u, y in product(indecs, repeat=3):
+        basis = ctx.stable_basis(x, y)
+        table = ctx._table(x, u, y)
+        assert len(table) == ctx.stable_dim(u, y)
+        for b, row in zip(ctx.stable_basis(u, y), table):
+            assert len(row) == ctx.stable_dim(x, u)
+            for a, entry in zip(ctx.stable_basis(x, u), row):
+                assert ctx.combine(x, y, basis, entry) == ctx.compose(b, a)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -652,10 +682,10 @@ def test_failed_calls_are_not_memoized():
         jordan._Context(4, QQ).class_lines(indec(4, 2), indec(4, 2))
 
 
-def test_composition_images_are_built_once_per_context(monkeypatch):
+def test_composition_tables_are_built_once_per_context(monkeypatch):
     built = Counter()
     requested = Counter()
-    for name in ("post_image", "pre_image"):
+    for name in ("_table", "_av_conditions"):
         build = getattr(jordan._Context, name).__wrapped__
 
         def counting(self, *args, _build=build):
@@ -676,15 +706,27 @@ def test_composition_images_are_built_once_per_context(monkeypatch):
     assert mk.almost_vanishing_agreement_suite(5, field).ok
     ctx = context(5, field)
     assert set(built.values()) == {1}
-    assert set(built) == {key for key in ctx._memo if key[0] in ("post_image", "pre_image")}
-    # Both sweeps and every checked class share the images.
+    assert set(built) == {key for key in ctx._memo if key[0] in ("_table", "_av_conditions")}
+    # Both sweeps and every checked class share the tables.
     assert sum(requested.values()) > len(built)
+
+
+def test_the_memo_does_not_grow_with_the_number_of_lines(monkeypatch):
+    sizes = []
+    for p in (7, 173):
+        monkeypatch.setattr(jordan, "_contexts", OrderedDict())
+        field = GF(p)
+        assert mk.mono_representable_split_check(5, field).ok
+        assert mk.almost_vanishing_agreement_suite(5, field, up_to_scalar=True).ok
+        sizes.append(len(context(5, field)._memo))
+    assert sizes[0] == sizes[1]
 
 
 @pytest.mark.parametrize("p", [2, 3, 31])
 def test_scalar_multiples_share_their_line_images(p, monkeypatch):
     # Every nonzero multiple of a class, whatever its representative
-    # matrix, reads its images from the span stored for the class's line.
+    # matrix, has the multiple of its line's coordinates and the same
+    # image factors, read from the tables the lines built.
     monkeypatch.setattr(jordan, "_contexts", OrderedDict())
     ctx = context(5, GF(p))
     x = indec(5, 3)
@@ -704,10 +746,11 @@ def test_scalar_multiples_share_their_line_images(p, monkeypatch):
     )
     assert ctx.classify(x, x, through) == zero
     for f, expected in zip(lines, factors):
+        phi = ctx._coordinates(x, x, f.key)
         for c in range(1, p):
             g = ctx.classify(x, x, f.matrix.scale(c).add(through))
             assert g.matrix != f.matrix
-            assert ctx.line(g) == f
+            assert ctx._coordinates(x, x, g.key) == tuple(c * a % p for a in phi)
             assert mk.image_comp_factors(g) == expected
     assert mk.image_comp_factors(ctx.classify(x, x, through)) == {}
     assert len(ctx._memo) == size
@@ -716,25 +759,35 @@ def test_scalar_multiples_share_their_line_images(p, monkeypatch):
 # -- context cache ----------------------------------------------------------------
 
 
-def test_an_evicted_context_frees_its_memo():
+class _Tracked(list):
+    """A table that takes weak references (a plain list does not)."""
+
+
+def test_an_evicted_context_frees_its_memo(monkeypatch):
+    build = jordan._Context._table.__wrapped__
+
+    def tracked(self, *args):
+        return _Tracked(build(self, *args))
+
+    tracked.__name__ = "_table"
+    monkeypatch.setattr(jordan._Context, "_table", jordan._memo(tracked))
     ctx = context(3, GF(83))
     ctx.av_class(indec(3, 1))
     assert ctx._memo
     gone = weakref.ref(ctx)
     subspace = weakref.ref(ctx.proj_subspace(indec(3, 1), indec(3, 2)))
     line = ctx.class_lines(indec(3, 1), indec(3, 2))[0]
-    images = [
-        weakref.ref(ctx.post_image(line, indec(3, 2))),
-        weakref.ref(ctx.pre_image(line, indec(3, 1))),
-    ]
-    del ctx
+    assert mk.is_almost_vanishing(line).verdict
+    tables = [weakref.ref(ctx._table(*args)) for key, *args in ctx._memo if key == "_table"]
+    assert tables
+    del ctx, line
     for p in (89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167):
         context(3, GF(p))
     assert (3, 83) not in jordan._contexts
     gc.collect()
     assert gone() is None
     assert subspace() is None
-    assert [image() for image in images] == [None, None]
+    assert [table() for table in tables] == [None] * len(tables)
 
 
 def test_context_cache_keeps_the_most_recently_used():

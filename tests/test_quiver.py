@@ -334,6 +334,20 @@ def test_derived_api_rejects_invalid_vertices(case):
     for name in DERIVED:
         with pytest.raises(InvalidVertexError):
             getattr(q, name)(v)
+    # A rejected vertex leaves no cached mesh behind.
+    with pytest.raises(InvalidVertexError):
+        q.mesh(v)
+    assert v not in q._meshes
+
+
+@given(valid_cases)
+def test_meshes_are_cached_per_vertex(case):
+    q, v = case
+    first = q.mesh(v)
+    assert q.mesh(v) is first
+    # An equal vertex made anew reads the same cached mesh.
+    assert q.mesh(V(v.component, tuple(v.coords))) is first
+    assert first == _old_mesh(q, v)
 
 
 @given(valid_cases)
