@@ -41,13 +41,18 @@ def _empty_table(v: Vertex) -> LayerTable:
 
 
 def translate_table(q: DihedralFamily, table: LayerTable, offset: tuple[int, int]) -> LayerTable:
-    """Relabel a layer table by coordinate translation (tensor rule)."""
+    """Relabel a layer table by coordinate translation (tensor rule).
+
+    The offset is checked once, with the target, whose component every entry shares.
+    """
+    target = q.tensor_translate(table.target, offset)
+    s, t = offset
     moved = {
-        k: {q.tensor_translate(v, offset): mult for v, mult in row.items()}
+        k: {Vertex(target.component, (i + s, j + t)): mult for (_, (i, j)), mult in row.items()}
         for k, row in table.layers.items()
     }
     return LayerTable(
-        target=q.tensor_translate(table.target, offset),
+        target=target,
         layers=moved,
         k_max=table.k_max,
         valid_through=table.valid_through,
@@ -322,7 +327,7 @@ class PropagationReport:
     theorem needs both, recorded in ``applicable``.  The conclusion
     (support covers every windowed vertex of the touched components) is
     evaluated unconditionally since elements may satisfy it without the
-    theorem forcing them to.
+    theorem forcing them to.  ``support`` is the report they were read from.
     """
 
     quiver_kind: str
@@ -334,6 +339,7 @@ class PropagationReport:
     applicable: bool
     conclusion: bool
     hom_support_sizes: dict[Vertex, int]
+    support: SupportReport
     notes: list[str] = dataclass_field(default_factory=list)
 
     @property
@@ -420,6 +426,7 @@ def check_propagation(
         applicable=applicable,
         conclusion=conclusion,
         hom_support_sizes=sizes,
+        support=rep,
         notes=notes,
     )
 

@@ -288,10 +288,8 @@ def _cmd_center(args) -> int:
         output_format=args.format,
         params={"mu": args.mu, "report": args.report},
     )
-    support = center_mod.support_report(element, window)
-    propagation = (
-        center_mod.check_propagation(q, element, window) if args.report else None
-    )
+    propagation = center_mod.check_propagation(q, element, window) if args.report else None
+    support = propagation.support if args.report else center_mod.support_report(element, window)
     text = canonical_json(support_payload(support, propagation, config.to_dict()))
     _emit(text, args.out)
     return EXIT_OK

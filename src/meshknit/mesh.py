@@ -488,8 +488,12 @@ def knit_layers(
     layer_{k-1} over the middles of v minus layer_{k-2}(tau(v)), and it
     is exact: with M summing over middles and T applying tau, both read
     the (m, x) entry of P_k = M P_{k-1} - T P_{k-2}, and M and T commute
-    because tau is an automorphism, mid(tau(v)) = tau(mid(v)).  The cost
-    is the total row size: O(k_max^2) on the dihedral family and
+    because tau is an automorphism, mid(tau(v)) = tau(mid(v)).  On the
+    dihedral family the mesh ending at (i, j) has middles (i+2, j) and
+    (i, j+2), so layer k lives on m + (2a, 2(k-a)), a = 0..k, and the push
+    is R_k[a] = R_{k-1}[a-1] + R_{k-1}[a] - R_{k-2}[a-1] on integer lists
+    (terms out of range 0); the tube and ZA-infinity push mesh by mesh.
+    The cost is the total row size: O(k_max^2) on the dihedral family and
     ZA-infinity, O(k_max n) on the tube of rank n.
 
     The recurrence is exact on shapes where the mesh sequences stay
@@ -502,7 +506,28 @@ def knit_layers(
     q.validate(m)
     win = _Window(q, window, k_max + 2)
     win.check_base(m)
+    if not isinstance(q, DihedralFamily):
+        return _knit_push(q, m, k_max, win)
 
+    c, (mi, mj) = m
+    rows: dict[int, dict[Vertex, int]] = {0: {m: 1}}
+    older, last = [], [1]
+    for k in range(1, k_max + 1):
+        line = [x + y - z for x, y, z in zip([0, *last], [*last, 0], [0, *older, 0])]
+        cells = zip(range(mi, mi + 2 * k + 1, 2), range(mj + 2 * k, mj - 1, -2), line)
+        row = {Vertex(c, (i, j)): r for i, j, r in cells if r}
+        # The window is a coordinate box and the row a segment: its ends decide.
+        win.check(next(iter(row)))
+        win.check(next(reversed(row)))
+        if min(line) < 0:
+            return LayerTable(target=m, layers=rows, k_max=k_max, valid_through=k - 1)
+        rows[k] = row
+        older, last = last, line
+    return LayerTable(target=m, layers=rows, k_max=k_max, valid_through=k_max)
+
+
+def _knit_push(q: TranslationQuiver, m: Vertex, k_max: int, win: _Window) -> LayerTable:
+    """The forward push of :func:`knit_layers`, one mesh per vertex, on any shape."""
     rows: dict[int, dict[Vertex, int]] = {0: {m: 1}}
     for k in range(1, k_max + 1):
         acc: Counter[Vertex] = Counter()

@@ -35,13 +35,9 @@ def config_line(config: dict) -> str:
 def layer_table_payload(table: LayerTable, config: dict) -> dict:
     layers = []
     for k in range(table.valid_through + 1):
-        row = table.row(k)
-        layers.append(
-            {
-                "k": k,
-                "row": {vertex_str(v): row[v] for v in sorted(row)},
-            }
-        )
+        row = table.layers.get(k, {})
+        # canonical_json sorts the vertex keys
+        layers.append({"k": k, "row": {vertex_str(v): mult for v, mult in row.items()}})
     return {
         "schema": SCHEMA_VERSION,
         "kind": "layer-table",
@@ -64,14 +60,16 @@ def layer_table_tsv(table: LayerTable, config: dict) -> str:
     ]
     if table.truncated:
         lines.append("# truncated: true")
-    columns = list(range(table.valid_through + 1))
-    lines.append("\t".join(["vertex"] + [str(k) for k in columns]))
-    vertices = table.vertices()
-    grid = {v: [vertex_str(v)] + ["0"] * len(columns) for v in vertices}
-    for k in columns:
+    columns = table.valid_through + 1
+    lines.append("\t".join(["vertex"] + [str(k) for k in range(columns)]))
+    # per vertex line: its text so far and the number of layers written; zeros go in as runs
+    cells = {v: [vertex_str(v), 0] for v in table.vertices()}
+    for k in range(columns):
         for v, mult in table.layers.get(k, {}).items():
-            grid[v][k + 1] = str(mult)
-    lines += ["\t".join(grid[v]) for v in vertices]
+            cell = cells[v]
+            cell[0] += "\t0" * (k - cell[1]) + f"\t{mult}"
+            cell[1] = k + 1
+    lines += [text + "\t0" * (columns - filled) for text, filled in cells.values()]
     return "\n".join(lines) + "\n"
 
 

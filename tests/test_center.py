@@ -1,10 +1,12 @@
 """Graded-center elements: orbits, diamonds, sums, propagation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshknit import center, mesh, quiver
 from meshknit.errors import (
     DegreeError,
+    InvalidVertexError,
     PreconditionError,
     QuiverKindError,
     UnsupportedParameterError,
@@ -182,6 +184,42 @@ def test_diamond_tables_translate(dihedral):
         v = dihedral.vertex(*coords)
         direct = mesh.diamond_cokernel(dihedral, v, 2, window=8)
         assert mu2.image_table(v).multiplicities() == direct.multiplicities()
+
+
+@st.composite
+def _tables_and_offsets(draw):
+    """A random dihedral layer table on its target's component, and an offset."""
+    q = quiver.build_dihedral_family(4)
+    odd = draw(st.booleans())
+    vertex = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(
+        lambda c: q.vertex(2 * c[0] + odd, 2 * c[1] + odd)
+    )
+    layers = draw(
+        st.dictionaries(
+            st.integers(0, 5), st.dictionaries(vertex, st.integers(1, 4), max_size=6), max_size=4
+        )
+    )
+    table = mesh.LayerTable(draw(vertex), layers, k_max=5, valid_through=draw(st.integers(0, 5)))
+    return q, table, draw(st.tuples(st.integers(-7, 7), st.integers(-7, 7)))
+
+
+@given(_tables_and_offsets())
+@settings(max_examples=150, deadline=None)
+def test_translate_table_matches_the_per_vertex_translation(case):
+    q, table, offset = case
+    try:
+        moved = center.translate_table(q, table, offset)
+    except InvalidVertexError as exc:
+        with pytest.raises(InvalidVertexError) as want:
+            q.tensor_translate(table.target, offset)
+        assert str(exc) == str(want.value)
+        return
+    assert moved.target == q.tensor_translate(table.target, offset)
+    assert moved.layers == {
+        k: {q.tensor_translate(v, offset): mult for v, mult in row.items()}
+        for k, row in table.layers.items()
+    }
+    assert (moved.k_max, moved.valid_through) == (table.k_max, table.valid_through)
 
 
 def test_factor_distance_bound(dihedral):

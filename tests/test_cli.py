@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshknit import cli
+from meshknit import center, cli
 from meshknit.errors import FieldMismatchError, InternalCheckError
 from meshknit.jordan import CheckReport
 
@@ -124,6 +124,22 @@ def test_center_without_report_has_no_hypotheses(run):
     payload = json.loads(out)
     assert "hypotheses" not in payload
     assert "support" in payload
+
+
+def test_center_report_reads_the_support_once(run, monkeypatch):
+    calls = []
+    support_report = center.support_report
+
+    def counted(*args):
+        calls.append(args)
+        return support_report(*args)
+
+    monkeypatch.setattr(center, "support_report", counted)
+    for argv, want in (([], 1), (["--report"], 2)):
+        code, out, _ = run(["center", "--mu", "1", "--window", "2", *argv])
+        assert code == 0
+        assert len(calls) == want
+        assert ("hypotheses" in json.loads(out)) == bool(argv)
 
 
 def test_center_rejects_tsv(run):

@@ -3,7 +3,8 @@
 ``perfbench/data/cli_reference.json`` holds the exit code and the
 sha256 prefix of the artifact of every request the cli-knit benchmark
 can draw.  This replays, through ``cli.main`` with ``--out``, every
-request at the vertex or target ``0,0``, every ``tube:5`` knit, both
+request at the vertex or target ``0,0``, every dihedral knit and diamond
+at ``1,-1`` (on the odd parity component), every ``tube:5`` knit, both
 ``center`` requests, every ``oracle`` request at n = 3 and 4 (all forty
 primes) and the three at n = 5 over ``p:7``, ``p:13`` and ``p:191`` (the
 last with 192 lines per two-dimensional stable Hom space), so that byte drift
@@ -27,6 +28,7 @@ REFERENCE = os.path.join(
 def _replayed(argv):
     return (
         "--vertex=0,0" in argv
+        or "--vertex=1,-1" in argv
         or "--target=0,0" in argv
         or (argv[0] == "knit" and "tube:5" in argv)
         or argv[0] == "center"
@@ -46,7 +48,7 @@ REQUESTS = _requests()
 def test_the_replayed_slice_covers_every_command():
     commands = {key.split(" ")[0] for key, _ in REQUESTS}
     assert commands == {"knit", "diamond", "center", "oracle", "signcheck"}
-    assert len(REQUESTS) == 213
+    assert len(REQUESTS) == 249
 
 
 @pytest.mark.parametrize("key,want", REQUESTS, ids=[key for key, _ in REQUESTS])

@@ -589,6 +589,36 @@ def test_knit_matches_the_per_vertex_recursion(case):
     assert _knit_outcome(mesh.knit_layers, *case) == _knit_outcome(_knit_reference, *case)
 
 
+def _knit_pushed(q, m, k_max, window):
+    """knit_layers' checks, then the per-vertex push it keeps for the tube and ZA-infinity."""
+    q.validate(m)
+    win = mesh._Window(q, window, k_max + 2)
+    win.check_base(m)
+    return mesh._knit_push(q, m, k_max, win)
+
+
+@given(
+    st.integers(-5, 5),
+    st.integers(-5, 5),
+    st.booleans(),
+    st.integers(0, 40),
+    st.integers(1, 4),
+)
+@settings(max_examples=150, deadline=None)
+def test_dihedral_rows_match_the_per_vertex_push(half_i, half_j, odd, k_max, window):
+    # both parity components; some vertices lie outside the smaller windows
+    m = KNIT_DIHEDRAL.vertex(2 * half_i + odd, 2 * half_j + odd)
+    case = (KNIT_DIHEDRAL, m, k_max, window)
+    assert _knit_outcome(mesh.knit_layers, *case) == _knit_outcome(_knit_pushed, *case)
+
+
+def test_dihedral_knit_builds_no_mesh():
+    q = quiver.build_dihedral_family(4)
+    table = mesh.knit_layers(q, q.vertex(1, -1), k_max=20, window=4)
+    assert table.valid_through == 20
+    assert q._meshes == {} and q._arrows_out == {}
+
+
 def test_knit_rejects_negative_k_max(tube4):
     with pytest.raises(UnsupportedParameterError):
         mesh.knit_layers(tube4, tube4.vertex(1), k_max=-1, window=4)
