@@ -45,18 +45,17 @@ def translate_table(q: DihedralFamily, table: LayerTable, offset: tuple[int, int
 
     The offset is checked once, with the target, whose component every entry shares.
     """
-    target = q.tensor_translate(table.target, offset)
+    return _translated(table, q.tensor_translate(table.target, offset), offset)
+
+
+def _translated(table: LayerTable, target: Vertex, offset: tuple[int, int]) -> LayerTable:
+    """The table moved by a parity-preserving offset onto its valid new target."""
     s, t = offset
     moved = {
         k: {Vertex(target.component, (i + s, j + t)): mult for (_, (i, j)), mult in row.items()}
         for k, row in table.layers.items()
     }
-    return LayerTable(
-        target=target,
-        layers=moved,
-        k_max=table.k_max,
-        valid_through=table.valid_through,
-    )
+    return LayerTable(target, moved, k_max=table.k_max, valid_through=table.valid_through)
 
 
 class GradedCenterElement:
@@ -147,16 +146,15 @@ class DiamondElement(GradedCenterElement):
     def image_table(self, v: Vertex) -> LayerTable:
         self.quiver.validate(v)
         i, j = v.coords
-        anchor = self.quiver.vertex(i % 2, j % 2)
+        anchor = Vertex(v.component, (i % 2, j % 2))
         table = self._anchor_tables.get(anchor)
         if table is None:
             # Window n + 1 holds the anchor's corner anchor + (2n, 2n).
             table = diamond_cokernel(self.quiver, anchor, self.n, self.n + 1)
             self._anchor_tables[anchor] = table
-        offset = (i - anchor.coords[0], j - anchor.coords[1])
-        if offset == (0, 0):
+        if v == anchor:
             return table
-        return translate_table(self.quiver, table, offset)
+        return _translated(table, v, (i - anchor.coords[0], j - anchor.coords[1]))
 
 
 class SumElement(GradedCenterElement):
@@ -201,8 +199,8 @@ def single_orbit_element(
     orbit = [u for u in q.window(window) if q.shift_orbit(u) == key]
 
     for u in (*orbit, v):
-        target = q.sigma_pow(u, -degree)
-        serre = q.serre(u)
+        target = q._sigma_pow(u, -degree)
+        serre = q._sigma_pow(q._tau(u, 1), 1)
         if target != serre:
             raise DegreeError(
                 f"degree {degree} forces codomain {target} at {u}, but the "
@@ -363,14 +361,16 @@ def check_propagation(
     if e.quiver is not q:
         raise PreconditionError("element does not live on the given quiver")
     notes: list[str] = []
-    vertices = q.window(window)
+    vertices = q.window(window)  # valid, so the hypotheses call the hooks
 
     try:
-        hyp_cy = all(q.sigma_pow(v, q.cy_degree) == q.serre(v) for v in vertices)
+        hyp_cy = all(
+            q._sigma_pow(v, q.cy_degree) == q._sigma_pow(q._tau(v, 1), 1) for v in vertices
+        )
     except QuiverKindError:
         # Odd shift powers are not representable here; verify the squared
         # identity instead, which is what the component can express.
-        hyp_cy = all(q.sigma_pow(v, 2 * q.cy_degree) == q.tau(v) for v in vertices)
+        hyp_cy = all(q._sigma_pow(v, 2 * q.cy_degree) == q._tau(v, 1) for v in vertices)
         notes.append(
             "calabi_yau checked at even shift powers only (odd powers leave the component)"
         )
@@ -378,7 +378,7 @@ def check_propagation(
     shift_exp = e.degree - q.cy_degree
     try:
         hyp_orbit = all(
-            q.tau_orbit(v) == q.tau_orbit(q.sigma_pow(v, shift_exp)) for v in vertices
+            q.tau_orbit(v) == q.tau_orbit(q._sigma_pow(v, shift_exp)) for v in vertices
         )
     except QuiverKindError:
         hyp_orbit = False
@@ -386,7 +386,7 @@ def check_propagation(
             f"shift power {shift_exp} not representable on this component"
         )
 
-    hyp_mesh = all(len(q.mesh(v).middles) <= 2 for v in vertices)
+    hyp_mesh = all(len(q._mesh(v).middles) <= 2 for v in vertices)
 
     rep = support_report(e, window)
     sizes = {v: len(ws) for v, ws in rep.per_vertex_hom_support.items()}

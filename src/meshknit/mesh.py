@@ -130,7 +130,7 @@ class LayerTable:
 
 
 class _Window:
-    """Caller window plus internal safety margin; fails loudly at the edge."""
+    """Caller window plus internal safety margin, for valid vertices; fails loudly at the edge."""
 
     def __init__(self, quiver: TranslationQuiver, base: int, margin: int):
         if base < 1:
@@ -140,12 +140,12 @@ class _Window:
         self.radius = base + margin
 
     def check_base(self, v: Vertex) -> Vertex:
-        if not self.quiver.in_window(v, self.base):
+        if not self.quiver._in_window(v, self.base):
             raise WindowError(f"vertex {v} lies outside window radius {self.base}", v)
         return v
 
     def check(self, v: Vertex) -> Vertex:
-        if not self.quiver.in_window(v, self.radius):
+        if not self.quiver._in_window(v, self.radius):
             raise WindowError(
                 f"computation needed vertex {v} outside the enlarged window "
                 f"(radius {self.radius}); widen the window",
@@ -175,7 +175,7 @@ def _prefix_blocks(
 
     def reaches(at: Vertex, remaining: int) -> bool:
         if at not in distances:
-            distances[at] = q.distance(win.check(at), m)
+            distances[at] = q._distance(win.check(at), m)
         d = distances[at]
         if d is None or d > remaining or (remaining - d) % 2:
             return False
@@ -290,7 +290,7 @@ class _MeshClasses:
             for s, s_roots in by_vertex[t - 2].items() if t > 1 else ():
                 y = mesh_ends.get(s)
                 if y is None:
-                    y = mesh_ends[s] = q.tau_inv(s)
+                    y = mesh_ends[s] = q._tau(s, -1)
                 if y not in layer or not layer[y][0]:
                     continue
                 middles = blocks[t - 2][s][1]
@@ -409,7 +409,6 @@ class _MeshClasses:
         """
         q, blocks, grade = self.q, self.blocks, self.grade
         edges: list[FlipEdge] = []
-        meshes = {}
         seq, lows = [self.u] * (grade + 1), [0] * (grade + 1)  # vertex, block start per depth
         # depth first in word order; child y of x closes the segment seq[t - 1] -> x -> y
         root_kids = blocks[0][self.u][1] if self.paths else {}
@@ -421,9 +420,7 @@ class _MeshClasses:
                 y_lo = lo + off
                 if t + 1 < grade:
                     stack.append((t + 1, y, y_lo))
-                mesh = meshes.get(y)
-                if mesh is None:
-                    mesh = meshes[y] = q.mesh(y)
+                mesh = q._mesh(y)
                 if mesh.start != seq[t - 1] or len(mesh.middles) == 1:
                     continue
                 start_kids = blocks[t - 1][mesh.start][1]
@@ -471,7 +468,7 @@ def hom_dim_mesh(
                 "pass an explicit grade"
             )
         # with no path u -> m at all, grade 0 counts none below
-        grade = q.distance(u, m) or 0
+        grade = q._distance(u, m) or 0
     classes = _windowed_classes(q, u, m, window, grade, field)
     return HomSpace(u, m, grade, classes.paths, classes.paths - classes.live)
 
@@ -532,10 +529,10 @@ def _knit_push(q: TranslationQuiver, m: Vertex, k_max: int, win: _Window) -> Lay
     for k in range(1, k_max + 1):
         acc: Counter[Vertex] = Counter()
         for v, mult in rows[k - 1].items():
-            for w in q.mesh(v).middles:
+            for w in q._mesh(v).middles:
                 acc[w] += mult
         for v, mult in rows.get(k - 2, {}).items():
-            acc[q.mesh(v).start] -= mult
+            acc[q._mesh(v).start] -= mult
         row = {win.check(x): mult for x, mult in acc.items() if mult}
         if any(mult < 0 for mult in row.values()):
             return LayerTable(target=m, layers=rows, k_max=k_max, valid_through=k - 1)
@@ -622,7 +619,7 @@ def path_sign_check(
             raise MixedPathLengthError(
                 f"pass an explicit grade on the {q.kind} quiver"
             )
-        grade = q.distance(u, m)
+        grade = q._distance(u, m)
         if grade is None:
             return PathSignReport(u, m, 0, 0, "vacuous")
     classes = _windowed_classes(q, u, m, window, grade, field)
@@ -742,7 +739,7 @@ def rim_obstruction_check(q: TranslationQuiver, rim_vertex: Vertex, window: int)
     if rim_vertex.coords[0] != 1:
         raise PreconditionError(f"{rim_vertex} is not on the rim (level 1)")
     _Window(q, window, 0).check_base(rim_vertex)
-    start = q.tau(rim_vertex)
+    start = q._tau(rim_vertex, 1)
     classes = _windowed_classes(q, start, rim_vertex, window, 2, QQ)
     if classes.paths != 1:
         raise PreconditionError(

@@ -15,23 +15,27 @@ an explicit window radius.
   adds (1, 1) and swaps parity components, so degree bookkeeping that
   crosses components stays representable.
 
-Each shape supplies two private primitives on vertices it has already
-validated: ``_arrows(v)``, the ``(label, target)`` pairs of the arrows
-out of v in label order, and ``_tau(v, k)``, the k-th power of the
-translate by coordinate arithmetic.  :class:`TranslationQuiver` derives
-``tau``, ``tau_inv``, ``mesh``, ``arrows_out`` and ``arrows_in`` from
-them once, validating each argument once.  The derivation rests on the
-quivers being stable translation quivers: the mesh ending at v starts at
-tau(v), and its middles are exactly the targets of the arrows out of
-tau(v), which are also exactly the sources of the arrows into v.
+Each shape supplies private hooks on valid vertices: ``_arrows(v)``,
+the ``(label, target)`` pairs of the arrows out of v in label order;
+``_tau(v, k)`` and ``_sigma_pow(v, r)``, powers of the translate and of
+the inverse shift; ``_distance(u, m)``; and ``_in_window(v, radius)``.
+A hook validates nothing, and every vertex it builds is valid.
+:class:`TranslationQuiver` defines ``tau``, ``tau_inv``, ``sigma``,
+``sigma_pow``, ``serre``, ``distance``, ``in_window``, ``mesh``,
+``arrows_out`` and ``arrows_in`` once: each validates its vertex
+arguments (raising :class:`~meshknit.errors.InvalidVertexError`) and
+then calls the hooks.  Code past a validated entry point calls the
+hooks too, so each vertex is checked once, where it enters.  The mesh
+derivation rests on the quivers being stable translation quivers: the
+mesh ending at v starts at tau(v), and its middles are exactly the
+targets of the arrows out of tau(v), which are also exactly the sources
+of the arrows into v.
 
-Each shape alone also knows its vertex syntax, ``parse(text)``, and
-its orbits: valid vertices share ``tau_orbit(v)`` or ``shift_orbit(v)``
-exactly when they share a tau- or a sigma-orbit.
-
-Every quiver also exposes ``sigma`` (inverse shift on vertices),
-``sigma_pow`` and ``window(radius)``.  The Calabi-Yau degree is -1 for
-all three shapes: ``sigma(tau(v))`` is the Serre image of ``v``.
+Each shape alone also knows its vertex syntax, ``parse(text)``, its
+orbits (valid vertices share ``tau_orbit(v)`` or ``shift_orbit(v)``
+exactly when they share a tau- or a sigma-orbit) and ``window(radius)``.
+The Calabi-Yau degree is -1 for all three shapes: ``sigma(tau(v))`` is
+the Serre image of ``v``.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ class Vertex(NamedTuple):
     def __str__(self) -> str:
         if self.component == TUBE:
             return f"J{self.coords[0]}"
-        return ",".join(str(c) for c in self.coords)
+        return ",".join(map(str, self.coords))
 
 
 class Arrow(NamedTuple):
@@ -104,6 +108,18 @@ class TranslationQuiver:
         """tau^k of the valid vertex v."""
         raise NotImplementedError
 
+    def _sigma_pow(self, v: Vertex, r: int) -> Vertex:
+        """sigma^r of the valid vertex v."""
+        raise NotImplementedError
+
+    def _distance(self, u: Vertex, m: Vertex) -> int | None:
+        """:meth:`distance` between valid vertices."""
+        raise NotImplementedError
+
+    def _in_window(self, v: Vertex, radius: int) -> bool:
+        """:meth:`in_window` for the valid vertex v."""
+        raise NotImplementedError
+
     def parse(self, text: str) -> Vertex:
         """The valid vertex that ``text`` names in this shape's vertex syntax."""
         raise NotImplementedError
@@ -116,37 +132,48 @@ class TranslationQuiver:
         """Key of the shift (sigma) orbit of the valid vertex v."""
         raise NotImplementedError
 
-    def sigma(self, v: Vertex) -> Vertex:
-        raise NotImplementedError
-
-    def sigma_pow(self, v: Vertex, r: int) -> Vertex:
-        raise NotImplementedError
-
     def window(self, radius: int) -> list[Vertex]:
         """All vertices of the finite working window, sorted."""
         raise NotImplementedError
 
-    def in_window(self, v: Vertex, radius: int) -> bool:
-        raise NotImplementedError
-
-    # -- derived -------------------------------------------------------
+    # -- public: validate the arguments, then call the hooks -------------
     def tau(self, v: Vertex) -> Vertex:
         return self._tau(self.validate(v), 1)
 
     def tau_inv(self, v: Vertex) -> Vertex:
         return self._tau(self.validate(v), -1)
 
+    def sigma(self, v: Vertex) -> Vertex:
+        return self._sigma_pow(self.validate(v), 1)
+
+    def sigma_pow(self, v: Vertex, r: int) -> Vertex:
+        return self._sigma_pow(self.validate(v), r)
+
     def serre(self, v: Vertex) -> Vertex:
         """Serre image sigma(tau(v)); the codomain of almost-vanishing classes."""
         return self.sigma(self.tau(v))
 
+    def in_window(self, v: Vertex, radius: int) -> bool:
+        return self._in_window(self.validate(v), radius)
+
+    def distance(self, u: Vertex, m: Vertex) -> int | None:
+        """Length of the shortest directed path u -> m, or None if none exists.
+
+        On the dihedral and ZA-infinity shapes all directed paths between
+        a fixed pair share one length, so this is the forced grade there.
+        """
+        return self._distance(self.validate(u), self.validate(m))
+
     def mesh(self, v: Vertex) -> Mesh:
         """The mesh ending at v.  Middles are the targets of arrows out of tau(v)."""
+        return self._meshes.get(v) or self._mesh(self.validate(v))
+
+    def _mesh(self, v: Vertex) -> Mesh:
+        """:meth:`mesh` of the valid vertex v, cached per vertex."""
         got = self._meshes.get(v)
         if got is None:
-            start = self._tau(self.validate(v), 1)
-            got = Mesh(start, tuple(sorted(t for _, t in self._arrows(start))), v)
-            self._meshes[v] = got
+            start = self._tau(v, 1)
+            got = self._meshes[v] = Mesh(start, tuple(sorted(t for _, t in self._arrows(start))), v)
         return got
 
     def arrows_out(self, v: Vertex) -> tuple[Arrow, ...]:
@@ -168,14 +195,6 @@ class TranslationQuiver:
             if a.target == t:
                 return a
         return None
-
-    def distance(self, u: Vertex, m: Vertex) -> int | None:
-        """Length of the shortest directed path u -> m, or None if none exists.
-
-        On the dihedral and ZA-infinity shapes all directed paths between
-        a fixed pair share one length, so this is the forced grade there.
-        """
-        raise NotImplementedError
 
 
 class Tube(TranslationQuiver):
@@ -226,13 +245,8 @@ class Tube(TranslationQuiver):
         # sigma swaps J_i and J_{n-i}
         return min(v.coords[0], self.n - v.coords[0])
 
-    def sigma(self, v: Vertex) -> Vertex:
-        self.validate(v)
-        return Vertex(TUBE, (self.n - v.coords[0],))
-
-    def sigma_pow(self, v: Vertex, r: int) -> Vertex:
-        self.validate(v)
-        return v if r % 2 == 0 else self.sigma(v)
+    def _sigma_pow(self, v: Vertex, r: int) -> Vertex:
+        return v if r % 2 == 0 else Vertex(TUBE, (self.n - v.coords[0],))
 
     def _arrows(self, v: Vertex) -> tuple[tuple[str, Vertex], ...]:
         i = v.coords[0]
@@ -247,13 +261,10 @@ class Tube(TranslationQuiver):
         # The tube is already finite; the radius is irrelevant.
         return [Vertex(TUBE, (i,)) for i in range(1, self.n)]
 
-    def in_window(self, v: Vertex, radius: int) -> bool:
-        self.validate(v)
+    def _in_window(self, v: Vertex, radius: int) -> bool:
         return True
 
-    def distance(self, u: Vertex, m: Vertex) -> int | None:
-        self.validate(u)
-        self.validate(m)
+    def _distance(self, u: Vertex, m: Vertex) -> int | None:
         return abs(u.coords[0] - m.coords[0])
 
     def __repr__(self) -> str:
@@ -299,8 +310,8 @@ class DihedralFamily(TranslationQuiver):
         return v
 
     def _shift(self, v: Vertex, di: int, dj: int) -> Vertex:
-        i, j = v.coords
-        return self.vertex(i + di, j + dj)
+        i, j = v.coords  # di = dj (mod 2)
+        return Vertex(self._component(i + di, j + dj), (i + di, j + dj))
 
     def _tau(self, v: Vertex, k: int) -> Vertex:
         i, j = v.coords
@@ -333,12 +344,7 @@ class DihedralFamily(TranslationQuiver):
         # sigma subtracts (1, 1) and crosses components, so the key has none
         return v.coords[0] - v.coords[1]
 
-    def sigma(self, v: Vertex) -> Vertex:
-        self.validate(v)
-        return self._shift(v, -1, -1)
-
-    def sigma_pow(self, v: Vertex, r: int) -> Vertex:
-        self.validate(v)
+    def _sigma_pow(self, v: Vertex, r: int) -> Vertex:
         return self._shift(v, -r, -r)
 
     def tensor_translate(self, v: Vertex, offset: tuple[int, int]) -> Vertex:
@@ -356,23 +362,19 @@ class DihedralFamily(TranslationQuiver):
         return (("gamma", Vertex(c, (i, j - 2))), ("gamma_prime", Vertex(c, (i - 2, j))))
 
     def window(self, radius: int) -> list[Vertex]:
-        out = []
         bound = 2 * radius
-        for i in range(-bound, bound + 1):
-            for j in range(-bound, bound + 1):
-                if (i - j) % 2 == 0:
-                    out.append(self.vertex(i, j))
-        out.sort()
-        return out
+        return sorted(
+            Vertex(self._component(i, i), (i, j))
+            for i in range(-bound, bound + 1)
+            for j in range(-bound + i % 2, bound + 1, 2)
+        )
 
-    def in_window(self, v: Vertex, radius: int) -> bool:
-        self.validate(v)
+    def _in_window(self, v: Vertex, radius: int) -> bool:
         i, j = v.coords
-        return max(abs(i), abs(j)) <= 2 * radius
+        bound = 2 * radius
+        return -bound <= i <= bound and -bound <= j <= bound
 
-    def distance(self, u: Vertex, m: Vertex) -> int | None:
-        self.validate(u)
-        self.validate(m)
+    def _distance(self, u: Vertex, m: Vertex) -> int | None:
         if u.component != m.component:
             return None
         di = u.coords[0] - m.coords[0]
@@ -443,8 +445,7 @@ class ZAInf(TranslationQuiver):
     def sigma(self, v: Vertex) -> Vertex:
         raise QuiverKindError(self._NO_SIGMA)
 
-    def sigma_pow(self, v: Vertex, r: int) -> Vertex:
-        self.validate(v)
+    def _sigma_pow(self, v: Vertex, r: int) -> Vertex:
         if r % 2 != 0:
             raise QuiverKindError(
                 f"odd shift power {r} is not representable on the ZA-infinity component"
@@ -465,14 +466,11 @@ class ZAInf(TranslationQuiver):
         out.sort()
         return out
 
-    def in_window(self, v: Vertex, radius: int) -> bool:
-        self.validate(v)
+    def _in_window(self, v: Vertex, radius: int) -> bool:
         level, pos = v.coords
         return level <= radius + 1 and abs(pos) <= radius
 
-    def distance(self, u: Vertex, m: Vertex) -> int | None:
-        self.validate(u)
-        self.validate(m)
+    def _distance(self, u: Vertex, m: Vertex) -> int | None:
         ups = u.coords[1] - m.coords[1]
         downs = u.coords[0] - m.coords[0] + ups
         if ups < 0 or downs < 0:

@@ -1061,10 +1061,10 @@ class _ToyQuiver(quiver.TranslationQuiver):
         inverse = {b: a for a, b in self.tau_map.items()}
         return inverse.get(v, quiver.Vertex("no-tau-inv", v.coords))
 
-    def in_window(self, v, radius):
+    def _in_window(self, v, radius):
         return True
 
-    def distance(self, u, m):
+    def _distance(self, u, m):
         frontier, d = {u}, 0
         while frontier:
             if m in frontier:
