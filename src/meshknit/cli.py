@@ -15,7 +15,6 @@ import contextlib
 import functools
 import os
 import sys
-from dataclasses import dataclass, field as dataclass_field
 
 from . import center as center_mod
 from . import jordan
@@ -69,30 +68,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class RunConfig:
+def _config(args, window: int, fld: Field | None = None, k_max: int = 0, **params) -> dict:
     """Everything a run depends on; embedded in every artifact."""
-
-    command: str
-    window: int
-    output_format: str
-    k_max: int = 0
-    field: str | None = None
-    seed: int = 0
-    params: dict = dataclass_field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {
-            "command": self.command,
-            "window": self.window,
-            "format": self.output_format,
-            "k_max": self.k_max,
-            "seed": self.seed,
-        }
-        if self.field is not None:
-            out["field"] = self.field
-        out.update(self.params)
-        return out
+    config = {"command": args.command, "window": window, "format": args.format, "k_max": k_max}
+    if fld is not None:
+        config["field"] = str(fld)
+    return {**config, "seed": 0, **params}
 
 
 def _parse_field(text: str) -> Field:
@@ -137,17 +118,28 @@ def _resolve_window(args) -> int:
 def _emit(text: str, out_path: str | None) -> None:
     """Write the artifact to stdout, or atomically to out_path.
 
-    The text goes to a temporary file in the target directory first and
-    is renamed over out_path, so a failure never leaves a partial file.
+    The bytes go to a temporary file in the target directory first and
+    are renamed over out_path, so a failure never leaves a partial file.
     """
     if out_path is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # Whatever is still buffered would fail again when the interpreter
+            # flushes stdout at exit: send it to the null device instead.
+            with contextlib.suppress(OSError, ValueError):
+                fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+            raise _WriteError(f"cannot write to stdout: {exc.strerror or exc}") from None
         return
     head, tail = os.path.split(out_path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(text.encode())
         os.replace(tmp, out_path)
     except OSError as exc:
         with contextlib.suppress(OSError):
@@ -164,6 +156,7 @@ def _add_common(parser: argparse.ArgumentParser, formats=("tsv", "json")) -> Non
 def build_parser() -> _Parser:
     parser = _Parser(prog="meshknit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser
 
     knit = sub.add_parser("knit", help="radical layers by the knitting recurrence")
     knit.add_argument("--quiver", required=True)
@@ -220,12 +213,12 @@ def _glue_vertex_values(argv: list[str]) -> list[str]:
     """
     out: list[str] = []
     for arg in argv:
-        prev = out[-1] if out else ""
-        is_flag = len(prev) > 2 and any(flag.startswith(prev) for flag in _VERTEX_FLAGS)
-        if is_flag and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
+        if arg[:1] == "-" and arg[1:2].isdigit() and out:
+            prev = out[-1]
+            if len(prev) > 2 and any(flag.startswith(prev) for flag in _VERTEX_FLAGS):
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
     return out
 
 
@@ -236,23 +229,29 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What the full parser returns, from the subcommand's parser alone."""
+    argv = _glue_vertex_values(argv)
+    command = _parser().commands.get(argv[0]) if argv else None
+    if command is None:  # no arguments, -h or an unknown command: help or a usage error
+        return _parser().parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
+def _emit_table(table, args, config: dict) -> None:
+    if args.format == "json":
+        _emit(canonical_json(layer_table_payload(table, config)), args.out)
+    else:
+        _emit(layer_table_tsv(table, config), args.out)
+
+
 def _cmd_knit(args) -> int:
     window = _resolve_window(args)
     q = _build_quiver(args.quiver, window)
     vertex = q.parse(args.vertex)
-    config = RunConfig(
-        command="knit",
-        window=window,
-        output_format=args.format,
-        k_max=args.kmax,
-        params={"quiver": args.quiver, "vertex": str(vertex)},
-    )
+    config = _config(args, window, k_max=args.kmax, quiver=args.quiver, vertex=str(vertex))
     table = knit_layers(q, vertex, args.kmax, window)
-    if args.format == "json":
-        text = canonical_json(layer_table_payload(table, config.to_dict()))
-    else:
-        text = layer_table_tsv(table, config.to_dict())
-    _emit(text, args.out)
+    _emit_table(table, args, config)
     return EXIT_TRUNCATED if table.truncated else EXIT_OK
 
 
@@ -261,20 +260,8 @@ def _cmd_diamond(args) -> int:
     q = build_dihedral_family(window)
     vertex = q.parse(args.vertex)
     # The table does not depend on the field; the artifact's config records it.
-    fld = _parse_field(args.field)
-    config = RunConfig(
-        command="diamond",
-        window=window,
-        output_format=args.format,
-        field=str(fld),
-        params={"n": args.n, "vertex": str(vertex)},
-    )
-    table = diamond_cokernel(q, vertex, args.n, window)
-    if args.format == "json":
-        text = canonical_json(layer_table_payload(table, config.to_dict()))
-    else:
-        text = layer_table_tsv(table, config.to_dict())
-    _emit(text, args.out)
+    config = _config(args, window, _parse_field(args.field), n=args.n, vertex=str(vertex))
+    _emit_table(diamond_cokernel(q, vertex, args.n, window), args, config)
     return EXIT_OK
 
 
@@ -282,16 +269,10 @@ def _cmd_center(args) -> int:
     window = _resolve_window(args)
     q = build_dihedral_family(window)
     element = center_mod.mu_element(q, args.mu)
-    config = RunConfig(
-        command="center",
-        window=window,
-        output_format=args.format,
-        params={"mu": args.mu, "report": args.report},
-    )
+    config = _config(args, window, mu=args.mu, report=args.report)
     propagation = center_mod.check_propagation(q, element, window) if args.report else None
     support = propagation.support if args.report else center_mod.support_report(element, window)
-    text = canonical_json(support_payload(support, propagation, config.to_dict()))
-    _emit(text, args.out)
+    _emit(canonical_json(support_payload(support, propagation, config)), args.out)
     return EXIT_OK
 
 
@@ -313,17 +294,8 @@ def _cmd_oracle(args) -> int:
     window = _resolve_window(args)
     fld = _parse_field(args.field)
     names = list(_ORACLE_CHECKS) if args.check == "all" else [args.check]
-    results = {}
-    for name in names:
-        results[name] = _ORACLE_CHECKS[name](args.n, fld)
-    config = RunConfig(
-        command="oracle",
-        window=window,
-        output_format=args.format,
-        field=str(fld),
-        params={"n": args.n, "check": args.check},
-    )
-    payload = oracle_payload(results, config.to_dict())
+    results = {name: _ORACLE_CHECKS[name](args.n, fld) for name in names}
+    payload = oracle_payload(results, _config(args, window, fld, n=args.n, check=args.check))
     _emit(canonical_json(payload), args.out)
     return EXIT_OK if payload["all_ok"] else EXIT_COUNTEREXAMPLE
 
@@ -334,20 +306,11 @@ def _cmd_signcheck(args) -> int:
     source = q.parse(args.source)
     target = q.parse(args.target)
     fld = _parse_field(args.field)
-    config = RunConfig(
-        command="signcheck",
-        window=window,
-        output_format=args.format,
-        field=str(fld),
-        params={
-            "quiver": args.quiver,
-            "source": str(source),
-            "target": str(target),
-            "grade": args.grade,
-        },
+    config = _config(
+        args, window, fld, quiver=args.quiver, source=str(source), target=str(target), grade=args.grade
     )
     report = path_sign_check(q, source, target, window, grade=args.grade, field=fld)
-    _emit(canonical_json(sign_report_payload(report, config.to_dict())), args.out)
+    _emit(canonical_json(sign_report_payload(report, config)), args.out)
     return EXIT_OK if report.all_ok else EXIT_COUNTEREXAMPLE
 
 
@@ -362,11 +325,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(_glue_vertex_values(sys.argv[1:] if argv is None else argv))
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"meshknit: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except _WriteError as exc:
         print(f"meshknit: error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -374,6 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"meshknit: window error: {exc}", file=sys.stderr)
         return EXIT_WINDOW
     except (
+        _UsageError,
         DegreeError,
         InvalidVertexError,
         MixedPathLengthError,

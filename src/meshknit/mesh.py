@@ -102,12 +102,6 @@ class LayerTable:
     def row(self, k: int) -> dict[Vertex, int]:
         return dict(self.layers.get(k, {}))
 
-    def vertices(self) -> list[Vertex]:
-        seen = set()
-        for row in self.layers.values():
-            seen.update(row)
-        return sorted(seen)
-
     @property
     def max_layer(self) -> int:
         nonzero = [k for k, row in self.layers.items() if row]

@@ -1,48 +1,74 @@
 """Canonical serialization of tables and reports: versioned JSON and TSV.
 
 Both formats are deterministic byte for byte: JSON is emitted with
-sorted keys and fixed indentation, TSV rows are sorted by vertex, and
-every artifact embeds the run configuration together with the schema
-tag ``meshknit/1``.
+sorted keys and fixed indentation, exactly as ``json.dumps(payload,
+sort_keys=True, indent=2, ensure_ascii=True)`` writes it, TSV rows are
+sorted by vertex, and every artifact embeds the run configuration
+together with the schema tag ``meshknit/1``.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .mesh import LayerTable, PathSignReport
 from .quiver import Vertex
 
 SCHEMA_VERSION = "meshknit/1"
-
-
-def vertex_str(v: Vertex) -> str:
-    return str(v)
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    return _json(payload, "\n") + "\n"
 
 
-def _config_items(config: dict) -> list[tuple[str, object]]:
-    return sorted(config.items())
+def _json(x, indent: str) -> str:
+    """x as JSON text whose nested lines start with indent (a newline and spaces)."""
+    if isinstance(x, str):
+        return _quote(x)
+    inner = indent + "  "
+    if isinstance(x, (list, tuple)):
+        items = [_json(item, inner) for item in x]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+    if isinstance(x, dict):
+        # json sorts the keys as they are, then writes non-string keys as scalar text
+        items = [
+            f"{_quote(k if isinstance(k, str) else _scalar(k))}: "
+            f"{v if type(v) is int else _json(v, inner)}"
+            for k, v in sorted(x.items())
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    return _scalar(x)
+
+
+def _scalar(x) -> str:
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _NONFINITE.get(text, text)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def config_line(config: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in _config_items(config))
+    return " ".join(f"{k}={v}" for k, v in sorted(config.items()))
 
 
 def layer_table_payload(table: LayerTable, config: dict) -> dict:
-    layers = []
-    for k in range(table.valid_through + 1):
-        row = table.layers.get(k, {})
-        # canonical_json sorts the vertex keys
-        layers.append({"k": k, "row": {vertex_str(v): mult for v, mult in row.items()}})
+    # canonical_json sorts the vertex keys
+    labels = _labels(table)
+    layers = [
+        {"k": k, "row": {labels[v]: mult for v, mult in table.layers.get(k, {}).items()}}
+        for k in range(table.valid_through + 1)
+    ]
     return {
         "schema": SCHEMA_VERSION,
         "kind": "layer-table",
-        "config": dict(_config_items(config)),
-        "target": vertex_str(table.target),
+        "config": dict(config),
+        "target": str(table.target),
         "k_max": table.k_max,
         "valid_through": table.valid_through,
         "truncated": table.truncated,
@@ -54,32 +80,44 @@ def layer_table_tsv(table: LayerTable, config: dict) -> str:
     lines = [
         f"# schema: {SCHEMA_VERSION}",
         f"# config: {config_line(config)}",
-        f"# target: {vertex_str(table.target)}",
+        f"# target: {table.target}",
         f"# k_max: {table.k_max}",
         f"# valid_through: {table.valid_through}",
     ]
     if table.truncated:
         lines.append("# truncated: true")
     columns = table.valid_through + 1
-    lines.append("\t".join(["vertex"] + [str(k) for k in range(columns)]))
-    # per vertex line: its text so far and the number of layers written; zeros go in as runs
-    cells = {v: [vertex_str(v), 0] for v in table.vertices()}
+    lines.append("\t".join(["vertex", *map(str, range(columns))]))
+    # per vertex: its line so far and the number of layers it holds; zeros go
+    # in as slices of one run, and a vertex met only past valid_through gets zeros
+    zeros = "\t0" * columns
+    text = _labels(table)
+    filled = dict.fromkeys(text, 0)
     for k in range(columns):
         for v, mult in table.layers.get(k, {}).items():
-            cell = cells[v]
-            cell[0] += "\t0" * (k - cell[1]) + f"\t{mult}"
-            cell[1] = k + 1
-    lines += [text + "\t0" * (columns - filled) for text, filled in cells.values()]
-    return "\n".join(lines) + "\n"
+            text[v] = f"{text[v]}{zeros[: 2 * (k - filled[v])]}\t{mult}"
+            filled[v] = k + 1
+    # two stable sorts, by coordinates and then by component, give the vertex
+    # order for a fraction of what comparing whole vertices costs
+    order = sorted(text, key=itemgetter(1))
+    order.sort(key=itemgetter(0))
+    lines += [text[v] + zeros[2 * filled[v] :] for v in order]
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _labels(table: LayerTable) -> dict[Vertex, str]:
+    """The label of every vertex in the table's rows, made once per vertex."""
+    return {v: str(v) for v in dict.fromkeys([v for row in table.layers.values() for v in row])}
 
 
 def sign_report_payload(report: PathSignReport, config: dict) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "kind": "sign-report",
-        "config": dict(_config_items(config)),
-        "source": vertex_str(report.source),
-        "target": vertex_str(report.target),
+        "config": dict(config),
+        "source": str(report.source),
+        "target": str(report.target),
         "grade": report.grade,
         "num_paths": report.num_paths,
         "method": report.method,
@@ -98,20 +136,18 @@ def support_payload(support, propagation, config: dict) -> dict:
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": support.element_kind,
-        "config": dict(_config_items(config)),
+        "config": dict(config),
         "degree": support.degree,
         "window": support.window,
-        "support": [vertex_str(v) for v in sorted(support.element_support)],
+        "support": [str(v) for v in sorted(support.element_support)],
         "per_vertex": {
-            vertex_str(v): [vertex_str(w) for w in ws]
-            for v, ws in sorted(support.per_vertex_hom_support.items())
+            str(v): [str(w) for w in ws]
+            for v, ws in support.per_vertex_hom_support.items()
         },
-        "finite_flags": {
-            vertex_str(v): flag for v, flag in sorted(support.finite_flags.items())
-        },
+        "finite_flags": {str(v): flag for v, flag in support.finite_flags.items()},
     }
     if propagation is not None:
-        payload["hypotheses"] = dict(sorted(propagation.hypotheses.items()))
+        payload["hypotheses"] = dict(propagation.hypotheses)
         payload["support_min_two"] = propagation.support_min_two
         payload["applicable"] = propagation.applicable
         payload["conclusion"] = propagation.conclusion
@@ -120,17 +156,14 @@ def support_payload(support, propagation, config: dict) -> dict:
 
 
 def oracle_payload(results: dict, config: dict) -> dict:
-    checks = {}
-    for name, rep in sorted(results.items()):
-        checks[name] = {
-            "ok": bool(rep.ok),
-            "failures": list(rep.failures),
-            "stats": dict(sorted(rep.stats.items())),
-        }
+    checks = {
+        name: {"ok": bool(rep.ok), "failures": list(rep.failures), "stats": dict(rep.stats)}
+        for name, rep in results.items()
+    }
     return {
         "schema": SCHEMA_VERSION,
         "kind": "oracle-report",
-        "config": dict(_config_items(config)),
+        "config": dict(config),
         "checks": checks,
         "all_ok": all(c["ok"] for c in checks.values()),
     }

@@ -352,6 +352,130 @@ def test_failed_rename_leaves_no_temporary_file(run, tmp_path):
     assert list(tmp_path.parent.glob(f".{tmp_path.name}.*")) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # fails while writing, with megabytes to go
+        ["knit", "--quiver", "dihedral", "--vertex", "0,0", "--kmax", "150", "--window", "80"],
+        # fits in the buffer and fails on the flush
+        ["knit", "--quiver", "tube:4", "--vertex", "J1", "--kmax", "1"],
+    ],
+)
+def test_closed_stdout_pipe_exits_5(argv):
+    # The reader is gone before the artifact is written: one error line, no
+    # traceback, and nothing left for the interpreter to fail on at exit.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("MESHKNIT_WINDOW", None)
+    # stdout buffered as usual, so bytes are still pending when the process exits
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "meshknit.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_IO == 5
+    assert proc.stderr.splitlines() == ["meshknit: error: cannot write to stdout: Broken pipe"]
+
+
+class _BrokenStream(io.StringIO):
+    """A stdout with no file descriptor whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_stdout_without_a_descriptor_exits_5(capsys):
+    with contextlib.redirect_stdout(_BrokenStream()):
+        code = cli.main(["knit", "--quiver", "tube:4", "--vertex", "J2", "--kmax", "3"])
+    assert code == cli.EXIT_IO
+    assert capsys.readouterr().err == "meshknit: error: cannot write to stdout: Broken pipe\n"
+    # the process's stdout is untouched and still works
+    assert cli.main(["knit", "--quiver", "tube:4", "--vertex", "J2", "--kmax", "1"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("# schema: meshknit/1\n")
+
+
+# -- argument parsing ----------------------------------------------------------------
+
+
+def _full_parse(argv):
+    """The namespace from the full parser, or its usage error, or its exit and output."""
+    return _outcome(lambda: cli._parser().parse_args(cli._glue_vertex_values(argv)))
+
+
+def _outcome(parse):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return ("namespace", vars(parse()))
+        except cli._UsageError as exc:
+            return ("usage", str(exc))
+        except SystemExit as exc:
+            return ("exit", exc.code, out.getvalue(), err.getvalue())
+
+
+def _reference_argvs():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "data",
+                           "cli_reference.json"), encoding="utf-8") as fh:
+        return [key.split(" ") for key in sorted(json.load(fh)["requests"])]
+
+
+# malformed or unusual: help, missing and bad values, unknown options and commands,
+# negative vertex values, abbreviated flags, a "--" separator
+UNUSUAL_ARGVS = [
+    [],
+    ["nope"],
+    ["-h"],
+    ["--help"],
+    ["knit", "-h"],
+    ["knit", "--quiver", "dihedral", "--vertex", "0,0"],
+    ["knit", "--quiver", "dihedral", "--vertex", "0,0", "--kmax", "x"],
+    ["knit", "--quiver", "dihedral", "--vertex", "0,0", "--kmax", "3", "--bogus", "1"],
+    ["knit", "--quiver", "dihedral", "--vert", "-2,0", "--kmax", "3"],
+    ["signcheck", "--quiver", "dihedral", "--source", "-2,0", "--target", "0,0"],
+    ["signcheck", "--quiver", "dihedral", "--so", "-2,0", "--target", "0,0"],
+    ["--window", "4", "knit"],
+    ["knit", "--quiver", "tube:4", "--vertex", "J1", "--kmax", "1", "extra"],
+    ["knit", "--", "--quiver"],
+    ["kni", "--quiver", "tube:4"],
+    ["oracle", "--n", "3", "--check", "nope"],
+    ["center", "--mu", "1", "--format", "tsv"],
+]
+
+
+def test_the_subcommand_parser_agrees_with_the_full_parser():
+    argvs = _reference_argvs()
+    assert len(argvs) == 1446
+    for argv in argvs + UNUSUAL_ARGVS:
+        want = _full_parse(argv)
+        assert _outcome(lambda: cli._parse(argv)) == want, argv
+    assert _full_parse(["knit", "--quiver", "d"])[0] == "usage"
+    assert _full_parse(["knit", "-h"])[:2] == ("exit", 0)
+
+
+def _old_glue(argv):
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        is_flag = len(prev) > 2 and any(flag.startswith(prev) for flag in cli._VERTEX_FLAGS)
+        if is_flag and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+@given(st.lists(st.sampled_from(
+    ["--vertex", "--vert", "--v", "--", "-", "--s", "--sou", "--source", "--target", "--targetx",
+     "--kmax", "-2,0", "-1", "-x", "2,0", "", "-2,0:odd", "--vertex=-2,0", "knit"]
+), max_size=8))
+def test_glued_vertex_values_are_unchanged(argv):
+    assert cli._glue_vertex_values(argv) == _old_glue(argv)
+
+
 # -- internal errors ---------------------------------------------------------------
 
 
