@@ -26,8 +26,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
 from functools import wraps
-from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, mul
 
 from .errors import (
     DimensionError,
@@ -37,7 +36,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .linalg import GF5, Field, Matrix, Subspace, kernel_basis, rank, solve
-from .linalg import _echelon, _lines, _mix, _spans
+from .linalg import _apply, _echelon, _kernel, _lines, _mix, _spans
 from .mesh import LayerTable
 from .quiver import TUBE, Vertex
 
@@ -56,6 +55,11 @@ class JordanModule:
         for b in self.blocks:
             if not 1 <= b <= self.n:
                 raise PreconditionError(f"block size {b} outside 1..{self.n}")
+        # modules key every memoized context method: hash each once
+        object.__setattr__(self, "_hash", hash((self.blocks, self.n)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -229,17 +233,6 @@ def _independent(field: Field, width: int, candidates, key) -> list:
     return [c for c in candidates if seen.insert(key(c))]
 
 
-def _null_combinations(field: Field, count: int, groups) -> list[tuple]:
-    """Kernel basis of the stacked system: each group holds one vector per unknown.
-
-    A group gives one equation per coordinate, whose coefficients are that
-    coordinate of each of its vectors.  With no equations all ``count``
-    unknowns are free.
-    """
-    rows = [row for vectors in groups for row in zip(*vectors)]
-    return kernel_basis(Matrix(field, rows or [[0] * count]))
-
-
 def _combination(field: Field, vectors: list, target) -> tuple | None:
     """Coefficients c with sum(c_i vectors_i) = target, or None when there are none."""
     if not vectors:
@@ -247,24 +240,54 @@ def _combination(field: Field, vectors: list, target) -> tuple | None:
     return solve(Matrix(field, list(zip(*vectors))), target)
 
 
-def _post(p: int, table: list, a) -> list[tuple]:
-    """Coordinates of c . b_j for each j, c having coordinates a (see ``_Context._table``)."""
-    return [_mix(p, a, column) for column in zip(*table)]
+def _post(table: list) -> list[list[tuple]]:
+    """Matrices M_j, ``_apply(p, M_j, a)`` being the coordinates of c . b_j, c having
+    coordinates a (see ``_Context._table``)."""
+    return [list(zip(*column)) for column in zip(*table)]
 
 
-def _pre(p: int, table: list, a) -> list[tuple]:
-    """Coordinates of b_i . f for each i, f having coordinates a (see ``_Context._table``)."""
-    return [_mix(p, a, row) for row in table]
+def _pre(table: list) -> list[list[tuple]]:
+    """Matrices M_i, ``_apply(p, M_i, a)`` being the coordinates of b_i . f, f having
+    coordinates a (see ``_Context._table``)."""
+    return [list(zip(*row)) for row in table]
 
 
-def _stacked(blocks) -> list[tuple]:
-    """Row i: the i-th vectors of the blocks, concatenated."""
-    return [sum(row, ()) for row in zip(*blocks)]
+def _composites(p: int, matrices, a) -> list[list]:
+    """``_apply(p, m, a)`` for each matrix m of ``_post`` or ``_pre``, inlined: this is
+    the inner loop of every line sweep."""
+    if p:
+        return [[sum(map(mul, a, row)) % p for row in m] for m in matrices]
+    return [[sum(map(mul, a, row)) for row in m] for m in matrices]
 
 
-def _image_ranks(p: int, tables, phi: tuple):
-    """Rank of the composites c . b_j per table, c having coordinates phi."""
-    return (len(_echelon(p, _post(p, t, phi))) for t in tables)
+def _transposed(blocks) -> list[tuple]:
+    """The rows of each block's transpose, in turn: each block's vectors mix to zero under
+    a exactly when every row r has r . a = 0."""
+    return [row for block in blocks for row in zip(*block)]
+
+
+def _row_basis(p: int, rows) -> list[tuple]:
+    """Echelon rows spanning the rows: a vector is killed by these exactly when by those."""
+    return [row for _, row in _echelon(p, rows)]
+
+
+def _killing_rows(p: int, width: int, images) -> list:
+    """Rows spanning the sum of the annihilators of the images, each a list of vectors
+    in F^width: a vector lies in every image exactly when every row kills it.  The sweep
+    stops once the rows span F^width, when no nonzero vector lies in every image."""
+    rows = []
+    for image in images:
+        kernel = _kernel(p, width, image)
+        if kernel:  # a full-rank image kills nothing
+            rows = _echelon(p, kernel, rows)
+            if len(rows) == width:
+                break
+    return [row for _, row in rows]
+
+
+def _image_ranks(p: int, posts, phi: tuple):
+    """Rank of the composites c . b_j per ``_post`` of a table, c having coordinates phi."""
+    return (len(_echelon(p, _composites(p, m, phi))) for m in posts)
 
 
 _key = attrgetter("key")
@@ -340,27 +363,45 @@ class _Context:
 
     @_memo
     def hom_basis(self, x: JordanModule, y: JordanModule) -> list[Matrix]:
-        """Basis of equivariant maps x -> y: solutions of X T_x = T_y X."""
+        """Basis of equivariant maps x -> y: solutions of X T_x = T_y X, as ``kernel_basis``
+        gives them.
+
+        Equation (r, c) reads X[r-1][c] = X[r][c+1], a side dropping out where r starts
+        a block of y or c ends a block of x.  Each entry is on each side of at most one
+        equation, so the two-term equations chain entries and the one-term ones zero
+        them: the basis is the indicators of the chains free of zeros, ordered by their
+        last entry, which is the chain's free column.
+        """
         self.check_module(x)
         self.check_module(y)
         dx, dy = x.dim, y.dim
-        if dx == 0 or dy == 0:
-            return []
-        tx = self.t_matrix(x)
-        ty = self.t_matrix(y)
-        eqs = []
+        starts = {sum(y.blocks[:k]) for k in range(len(y.blocks))}
+        ends = {sum(x.blocks[: k + 1]) - 1 for k in range(len(x.blocks))}
+        following, zeros = {}, set()
         for r in range(dy):
             for c in range(dx):
-                row = [0] * (dy * dx)
-                for k in range(dy):
-                    if ty.entry(r, k):
-                        row[k * dx + c] += 1
-                for k in range(dx):
-                    if tx.entry(k, c):
-                        row[r * dx + k] -= 1
-                eqs.append(row)
-        basis = kernel_basis(Matrix(self.field, eqs))
-        return [self._unflatten(v, dy, dx) for v in basis]
+                terms = [(r - 1) * dx + c] if r not in starts else []
+                if c not in ends:
+                    terms.append(r * dx + c + 1)
+                if len(terms) == 2:
+                    following[terms[0]] = terms[1]
+                elif terms:
+                    zeros.add(terms[0])
+        chains = []
+        for head in set(range(dx * dy)).difference(following.values()):
+            chain = [head]
+            while chain[-1] in following:
+                chain.append(following[chain[-1]])
+            if zeros.isdisjoint(chain):
+                chains.append(chain)
+        field = self.field
+        basis = []
+        for chain in sorted(chains, key=lambda chain: chain[-1]):
+            v = [field.zero] * (dx * dy)
+            for e in chain:
+                v[e] = field.one
+            basis.append(self._unflatten(tuple(v), dy, dx))
+        return basis
 
     @_memo
     def proj_subspace(self, x: JordanModule, y: JordanModule) -> Subspace:
@@ -384,6 +425,7 @@ class _Context:
         candidates = (self.classify(x, y, b) for b in self.hom_basis(x, y))
         return _independent(self.field, x.dim * y.dim, candidates, _key)
 
+    @_memo
     def stable_dim(self, x: JordanModule, y: JordanModule) -> int:
         return len(self.stable_basis(x, y))
 
@@ -457,31 +499,56 @@ class _Context:
         """``is_almost_vanishing``'s five conditions as a function of the coordinates of a
         nonzero class f: x -> y, on the tables of the pair, fetched once."""
         field, p, indecs = self.field, self.field.char, self.indecomposables()
-        incoming = [self._table(x, u, y) for u in indecs]
-        outgoing = [(self._table(x, v, y), self.stable_dim(x, v)) for v in indecs]
-        images = [self._table(v, x, y) for v in indecs if self.stable_dim(v, x)]
-        # Row i of epis (monos) holds the coordinates of b_i . g for every g in a
-        # radical basis into x (of h . b_i for every h out of y), b_i running over
-        # stable_basis(x, y): f . g (h . f) are these rows mixed by f's coordinates.
-        epis = _stacked(self._radical_composites(x, y))
-        monos = _stacked(
-            _post(p, self._table(x, y, u), self._coordinates(y, u, h.key))
-            for u in indecs
-            for h in self.rad_stable_basis(y, u)
+        d = self.stable_dim(x, y)
+        # f factors through every line c: u -> y (c: x -> v) exactly when it is killed by
+        # the annihilators of all the images c . - (- . c): one sweep of the lines per pair.
+        # The sum does not depend on the order; the spaces with the fewest lines go
+        # first, so that a sweep which fills F^d early stops before the long ones.
+        incoming = _killing_rows(
+            p,
+            d,
+            (
+                _composites(p, m, c)
+                for u in sorted(indecs, key=lambda u: self.stable_dim(u, y))
+                for m in [_post(self._table(x, u, y))]
+                for c in _lines(field, self.stable_dim(u, y))
+            ),
         )
+        outgoing = _killing_rows(
+            p,
+            d,
+            (
+                _composites(p, m, c)
+                for v in sorted(indecs, key=lambda v: self.stable_dim(x, v))
+                for m in [_pre(self._table(x, v, y))]
+                for c in _lines(field, self.stable_dim(x, v))
+            ),
+        )
+        # f . g (h . f) for g in a radical basis into x (h out of y): f's coordinates
+        # mixing the composites with the basis of the pair, whose rows these span.
+        epis = _row_basis(p, _transposed(self._radical_composites(x, y)))
+        monos = _row_basis(
+            p,
+            _transposed(
+                _composites(p, post, h)
+                for u in indecs
+                for post in [_post(self._table(x, y, u))]
+                for h in self._rad_coordinates(y, u)
+            ),
+        )
+        # x first: f . id_x = f is nonzero, so most lines settle on its rank alone
+        sources = [x] + [v for v in indecs if v != x and self.stable_dim(v, x)]
+        images = [_post(self._table(v, x, y)) for v in sources]
 
         def conditions(phi: tuple) -> dict[str, bool]:
+            nonzero = filter(None, _image_ranks(p, images, phi))
             return {
-                "factors_through_incoming": all(
-                    _spans(p, _post(p, t, c), phi) for t in incoming for c in _lines(field, len(t))
-                ),
-                "factors_through_outgoing": all(
-                    _spans(p, _pre(p, t, c), phi) for t, d in outgoing for c in _lines(field, d)
-                ),
-                "kills_non_split_epis": not any(_mix(p, phi, epis)),
-                "killed_by_non_split_monos": not any(_mix(p, phi, monos)),
-                # the first two nonzero ranks tell whether they sum to 1
-                "image_is_simple": sum(islice(filter(None, _image_ranks(p, images, phi)), 2)) == 1,
+                "factors_through_incoming": not any(_apply(p, incoming, phi)),
+                "factors_through_outgoing": not any(_apply(p, outgoing, phi)),
+                "kills_non_split_epis": not any(_apply(p, epis, phi)),
+                "killed_by_non_split_monos": not any(_apply(p, monos, phi)),
+                # the ranks sum to 1: the first nonzero one is 1 and no other follows
+                "image_is_simple": next(nonzero, 0) == 1 and next(nonzero, 0) == 0,
             }
 
         return conditions
@@ -607,17 +674,24 @@ class _Context:
 
         They are returned as coefficient vectors on ``stable_basis(x, y)``.
         """
-        return _null_combinations(self.field, self.stable_dim(x, y), self._radical_composites(x, y))
+        rows = _transposed(self._radical_composites(x, y))
+        return _kernel(self.field.char, self.stable_dim(x, y), rows)
 
     def _radical_composites(self, x: JordanModule, y: JordanModule):
         """For each g in ``rad_stable_basis(u, x)``, u running over the indecomposables:
         the coordinates of b . g for every b in ``stable_basis(x, y)``."""
         p = self.field.char
         return (
-            _pre(p, self._table(u, x, y), self._coordinates(u, x, g.key))
+            _composites(p, pre, g)
             for u in self.indecomposables()
-            for g in self.rad_stable_basis(u, x)
+            for pre in [_pre(self._table(u, x, y))]
+            for g in self._rad_coordinates(u, x)
         )
+
+    @_memo
+    def _rad_coordinates(self, x: JordanModule, y: JordanModule) -> list[tuple]:
+        """Coordinates on ``stable_basis(x, y)`` of each class of ``rad_stable_basis(x, y)``."""
+        return [self._coordinates(x, y, g.key) for g in self.rad_stable_basis(x, y)]
 
 
 # Contexts are cached per (n, p); beyond this many the least recently
@@ -753,8 +827,8 @@ def image_comp_factors(f: StableMap) -> dict[JordanModule, int]:
     """
     ctx = context(f.source.n, f.matrix.field)
     x, y, indecs = f.source, f.target, ctx.indecomposables()
-    tables = [ctx._table(v, x, y) for v in indecs]
-    ranks = _image_ranks(ctx.field.char, tables, ctx._coordinates(x, y, f.key))
+    posts = [_post(ctx._table(v, x, y)) for v in indecs]
+    ranks = _image_ranks(ctx.field.char, posts, ctx._coordinates(x, y, f.key))
     return {v: rank for v, rank in zip(indecs, ranks) if rank}
 
 
@@ -765,8 +839,12 @@ def is_almost_vanishing(f: StableMap) -> AlmostVanishingReport:
 
     * factors_through_incoming: f factors through every nonzero class
       into its target (all sources, all classes; finite-field sweep).
+      f lies in the image c . - of every line c: u -> y exactly when the
+      annihilators of those images kill it, so the sweep visits each line
+      once per pair (x, y), O(sum_u L_uy) eliminations with L_uy the lines
+      of Hom(u, y), and f costs one product with the annihilator rows.
     * factors_through_outgoing: f factors through every nonzero class
-      out of its source (dual sweep).
+      out of its source (dual sweep, over the images - . c).
     * kills_non_split_epis: f . g = 0 for every non-split-epimorphism g
       into the source; linear, checked on radical spanning sets.
     * killed_by_non_split_monos: h . f = 0 for every non-split-mono h
@@ -775,7 +853,9 @@ def is_almost_vanishing(f: StableMap) -> AlmostVanishingReport:
       length one.
 
     The verdicts must coincide; ``report.agreement`` says whether they
-    did.  A stably zero class short-circuits to False with a note.
+    did.  A stably zero class short-circuits to False with a note.  The
+    sweeps are built once per pair (``_Context._av_conditions``) and
+    shared by every class of the pair.
     """
     ctx = context(f.source.n, f.matrix.field)
     x, y = f.source, f.target
@@ -877,20 +957,23 @@ def mono_representable_split_check(n: int, field: Field = GF5) -> CheckReport:
     failures = []
     monos = 0
     checked = 0
+    # every pair's lines first, so that Q is refused before anything is composed
+    lines = {(u, v): _lines(field, ctx.stable_dim(u, v)) for u in indecs for v in indecs}
     for u in indecs:
         identity = ctx._coordinates(u, u, ctx.identity_map(u).key)
-        dims = [ctx.stable_dim(x, u) for x in indecs]
+        sources = [x for x in indecs if ctx.stable_dim(x, u)]
+        dims = [ctx.stable_dim(x, u) for x in sources]
         for v in indecs:
-            tables = [ctx._table(x, u, v) for x in indecs]
-            sections = ctx._table(u, v, u)
-            for a in _lines(field, ctx.stable_dim(u, v)):
+            posts = [_post(ctx._table(x, u, v)) for x in sources]
+            sections = _pre(ctx._table(u, v, u))
+            for a in lines[u, v]:
                 checked += 1
                 # Composing with the line a must be injective on the classes x -> u.
-                if not all(r == d for r, d in zip(_image_ranks(p, tables, a), dims)):
+                if not all(r == d for r, d in zip(_image_ranks(p, posts, a), dims)):
                     continue
                 monos += 1
                 # Split: some class b . a is the identity of u.
-                if not _spans(p, _pre(p, sections, a), identity):
+                if not _spans(p, _composites(p, sections, a), identity):
                     # the key of the line's class, keys being linear in their maps
                     keys = [b.key for b in ctx.stable_basis(u, v)]
                     failures.append({"source": str(u), "target": str(v), "class": _mix(p, a, keys)})
@@ -953,7 +1036,7 @@ def single_object_support_solver(m: JordanModule, r: int, field: Field = GF5) ->
         if m in (x, y)
         for g in ctx.stable_basis(x, y)
     )
-    sols = _null_combinations(ctx.field, len(basis), squares)
+    sols = _kernel(ctx.field.char, len(basis), _transposed(squares))
     solutions = [ctx.combine(m, codomain, basis, c) for c in sols]
 
     omega_rule = codomain == ctx.omega_object(m)
@@ -1020,9 +1103,11 @@ def almost_vanishing_agreement_suite(
 
     Fails when the condition verdicts disagree on some class, or when a
     class passes while its target is not the syzygy of its source.  Both
-    are unchanged by a nonzero scalar, so they run once per line of classes;
-    without ``up_to_scalar`` a line counts, and repeats its failure entry,
-    once for each of its p - 1 classes, grouped by line.
+    are unchanged by a nonzero scalar, so they run once per line of classes,
+    on the line's coefficient tuple (``_lines``) and its pair's conditions
+    (``_Context._av_conditions``); without ``up_to_scalar`` a line counts,
+    and repeats its failure entry, once for each of its p - 1 classes,
+    grouped by line.
     """
     if n > 6:
         raise UnsupportedParameterError(f"n={n} exceeds the n <= 6 budget")
@@ -1033,10 +1118,16 @@ def almost_vanishing_agreement_suite(
     found = 0
     for x in ctx.indecomposables():
         for y in ctx.indecomposables():
+            d = ctx.stable_dim(x, y)
+            if not d:
+                continue
             where = {"x": str(x), "y": str(y)}
-            for f in ctx.class_lines(x, y):
+            lines = _lines(field, d)  # refuses Q before the conditions are built
+            conditions = ctx._av_conditions(x, y)
+            for phi in lines:
                 classes += per_line
-                rep = is_almost_vanishing(f)
+                checks = conditions(phi)
+                rep = AlmostVanishingReport(x, y, all(checks.values()), checks)
                 if not rep.agreement:
                     failures += [{**where, "conditions": rep.conditions}] * per_line
                 if rep.verdict:

@@ -9,10 +9,11 @@ The workhorse for the rest of the package is :class:`Subspace`, an
 incrementally maintained reduced row echelon form.  It gives canonical
 residues, so two vectors are congruent modulo the subspace exactly when
 their residues are equal tuples.  The plain-row helpers at the end
-(``_mix``, ``_echelon``) serve the matrix model's inner loops on short
-coordinate vectors, whose entries are already in the field and where a
-Subspace's coercion and bookkeeping would cost more than the arithmetic;
-they stay private, so the benchmark's span tracer leaves them unwrapped.
+(``_apply``, ``_mix``, ``_echelon``, ``_kernel``) serve the matrix model's
+inner loops on short coordinate vectors, whose entries are already in the
+field and where a Subspace's coercion and bookkeeping would cost more than
+the arithmetic; they stay private, so the benchmark's span tracer leaves
+them unwrapped.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ class Matrix:
         p = f.char
         if p:
             out = tuple(
-                tuple(sum(map(operator.mul, r, c)) % p for c in columns) for r in self.data
+                [tuple([sum(map(operator.mul, r, c)) % p for c in columns]) for r in self.data]
             )
         else:
             out = tuple(
@@ -317,22 +318,9 @@ def kernel_basis(m: Matrix) -> list[tuple]:
     """Basis of the right kernel {v : m v = 0}, one vector per free column.
 
     Deterministic: vectors are ordered by their free column index, and
-    each has a 1 in its free column.
+    each has a 1 in its free column and 0 in the others.
     """
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    f = m.field
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [f.zero] * m.cols
-        v[free] = f.one
-        for r, pcol in zip(reduced.data, pivots):
-            # pivot entry is 1, so the pivot coordinate is -r[free]
-            v[pcol] = f.neg(r[free])
-        basis.append(tuple(v))
-    return basis
+    return _kernel(m.field.char, m.cols, m.data)
 
 
 def solve(m: Matrix, b: Sequence):
@@ -368,18 +356,25 @@ def _lines(field: Field, d: int):
     )
 
 
-def _mix(p: int, coeffs, vectors) -> tuple:
-    """sum(coeffs_i * vectors_i) over GF(p), or over Q when p is 0; vectors nonempty."""
+def _apply(p: int, rows, a) -> list:
+    """The matrix with these rows times the column vector a, over GF(p), or over Q when p is 0."""
     if p:
-        return tuple([sum(map(operator.mul, coeffs, column)) % p for column in zip(*vectors)])
-    return tuple([sum(map(operator.mul, coeffs, column)) for column in zip(*vectors)])
+        return [sum(map(operator.mul, a, row)) % p for row in rows]
+    return [sum(map(operator.mul, a, row)) for row in rows]
 
 
-def _echelon(p: int, vectors) -> list[tuple[int, tuple]]:
-    """(pivot, row) pairs spanning the vectors, each row 0 at the pivots before its own."""
-    rows = []
+def _mix(p: int, coeffs, vectors) -> tuple:
+    """sum(coeffs_i * vectors_i); vectors nonempty."""
+    return tuple(_apply(p, zip(*vectors), coeffs))
+
+
+def _echelon(p: int, vectors, rows=()) -> list[tuple[int, Sequence]]:
+    """(pivot, row) pairs spanning the vectors and the given ``_echelon`` rows, each row
+    0 at the pivots before its own."""
+    rows = list(rows)
     for v in vectors:
-        v = _residue(p, rows, v)
+        if rows:
+            v = _residue(p, rows, v)
         for i, a in enumerate(v):
             if a:
                 rows.append((i, v))
@@ -387,15 +382,44 @@ def _echelon(p: int, vectors) -> list[tuple[int, tuple]]:
     return rows
 
 
-def _residue(p: int, rows: list[tuple[int, tuple]], v: tuple) -> tuple:
+def _residue(p: int, rows: list[tuple[int, Sequence]], v: Sequence) -> Sequence:
     """A nonzero multiple of v reduced by ``_echelon`` rows: zero exactly if v is in their span."""
     for pivot, row in rows:
         a = v[pivot]
         if a:
-            b, pairs = row[pivot], zip(v, row)
-            combined = [b * s - a * r for s, r in pairs]
-            v = tuple([c % p for c in combined] if p else combined)
+            b = row[pivot]
+            if p:
+                v = [(b * s - a * r) % p for s, r in zip(v, row)]
+            else:
+                v = [b * s - a * r for s, r in zip(v, row)]
     return v
+
+
+def _kernel(p: int, width: int, rows) -> list[tuple]:
+    """``kernel_basis`` of the matrix with these rows and width columns; a full-rank
+    system is told by its ``_echelon`` rows alone."""
+    echelon = _echelon(p, rows)
+    if len(echelon) == width:
+        return []
+    # Each echelon row is 0 at the pivots before its own: scaled to 1 at its pivot and
+    # cleared from the rows before it, they are the reduced row echelon form.
+    reduced: dict[int, list] = {}
+    for pivot, v in echelon:
+        inv = pow(v[pivot], p - 2, p) if p else 1 / Fraction(v[pivot])
+        v = [inv * a % p for a in v] if p else [inv * a for a in v]
+        for q, row in reduced.items():
+            reduced[q] = _residue(p, [(pivot, v)], row)  # v is 1 at the pivot: row - row[pivot] v
+        reduced[pivot] = v
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+    basis = []
+    for free in range(width):
+        if free not in reduced:
+            w = [zero] * width
+            w[free] = one
+            for pivot, row in reduced.items():
+                w[pivot] = -row[free] % p if p else -row[free]
+            basis.append(tuple(w))
+    return basis
 
 
 def _spans(p: int, vectors, phi: tuple) -> bool:

@@ -61,9 +61,12 @@ class Vertex(NamedTuple):
     coords: tuple[int, ...]
 
     def __str__(self) -> str:
+        coords = self.coords
         if self.component == TUBE:
-            return f"J{self.coords[0]}"
-        return ",".join(map(str, self.coords))
+            return f"J{coords[0]}"
+        if len(coords) == 2:  # every dihedral and ZA-infinity vertex
+            return f"{coords[0]},{coords[1]}"
+        return ",".join(map(str, coords))
 
 
 class Arrow(NamedTuple):

@@ -189,6 +189,28 @@ def test_oracle_counterexample_exit_code(run, monkeypatch):
     assert payload["checks"]["serre"]["failures"]
 
 
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["--n", "7"], "split-mono sweep enumerates all classes; n=7 exceeds the n <= 6 budget"),
+        (["--n", "6", "--field", "q"], "full class enumeration needs a finite coefficient field"),
+    ],
+)
+def test_oracle_refuses_before_it_computes(run, monkeypatch, argv, refusal):
+    ran = []
+    for name, check in list(cli._ORACLE_CHECKS.items()):
+
+        def recording(n, field, _name=name, _check=check):
+            ran.append(_name)
+            return _check(n, field)
+
+        monkeypatch.setitem(cli._ORACLE_CHECKS, name, recording)
+    code, out, err = run(["oracle", *argv])
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"meshknit: error: {refusal}\n")
+    # The first check refuses, so none of the others computed anything.
+    assert ran == ["mono-split"]
+
+
 # -- signcheck ------------------------------------------------------------------
 
 

@@ -3,7 +3,7 @@
 import gc
 import weakref
 from collections import Counter, OrderedDict
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +50,45 @@ def test_hom_dims_count_shift_maps():
     assert len(mk.hom_basis(indec(4, 2), indec(4, 3))) == 2
     assert len(mk.hom_basis(indec(4, 1), indec(4, 3))) == 1
     assert len(mk.hom_basis(indec(4, 3), indec(4, 3))) == 3
+
+
+def _hom_basis_by_dense_system(ctx, x, y):
+    """Reference ``hom_basis``: the kernel basis of the stacked system X T_x = T_y X."""
+    dx, dy = x.dim, y.dim
+    if dx == 0 or dy == 0:
+        return []
+    tx, ty = ctx.t_matrix(x), ctx.t_matrix(y)
+    eqs = []
+    for r in range(dy):
+        for c in range(dx):
+            row = [0] * (dy * dx)
+            for k in range(dy):
+                if ty.entry(r, k):
+                    row[k * dx + c] += 1
+            for k in range(dx):
+                if tx.entry(k, c):
+                    row[r * dx + k] -= 1
+            eqs.append(row)
+    return [ctx._unflatten(v, dy, dx) for v in linalg.kernel_basis(linalg.Matrix(ctx.field, eqs))]
+
+
+@pytest.mark.parametrize(
+    "n, field", [(3, QQ), (4, QQ), (3, GF(2)), (6, GF(2)), (4, GF(5)), (5, GF(5))], ids=str
+)
+def test_hom_bases_match_the_dense_system(n, field):
+    ctx = jordan._Context(n, field)
+    modules = [
+        jordan.JordanModule(blocks, n)
+        for k in range(3)
+        for blocks in combinations_with_replacement(range(1, n + 1), k)
+    ]
+    for x, y in product(modules, repeat=2):
+        basis = ctx.hom_basis(x, y)
+        reference = _hom_basis_by_dense_system(ctx, x, y)
+        shape = [(m.rows, m.cols, m.data) for m in basis]
+        assert shape == [(m.rows, m.cols, m.data) for m in reference]
+        entries = [(a, b) for m, r in zip(basis, reference) for a, b in zip(m.flatten(), r.flatten())]
+        assert all(type(a) is type(b) for a, b in entries)
 
 
 def test_stable_dims_on_the_tube_n4():
@@ -529,29 +568,56 @@ def _check_sweeps_against_the_per_class_references(n, p):
                 assert mk.is_almost_vanishing(f).conditions == _av_report_by_class(f).conditions
                 assert mk.image_comp_factors(f) == _image_comp_factors_by_class(ctx, f)
                 for u in ctx.indecomposables():
-                    image = linalg._echelon(p, jordan._post(p, ctx._table(u, x, y), phi))
+                    composites = jordan._composites(p, jordan._post(ctx._table(u, x, y)), phi)
+                    image = linalg._echelon(p, composites)
                     assert (len(image) == ctx.stable_dim(u, x)) == _injective_by_class(ctx, f, u)
-                sections = linalg._echelon(p, jordan._pre(p, ctx._table(x, y, x), phi))
+                composites = jordan._composites(p, jordan._pre(ctx._table(x, y, x)), phi)
+                sections = linalg._echelon(p, composites)
                 splits = not any(linalg._residue(p, sections, identity))
                 assert splits == _splits_by_class(ctx, f)
     report = mk.mono_representable_split_check(n, field)
     assert (report.ok, report.failures, report.stats) == _mono_split_by_class(n, field)
     for up_to_scalar in (False, True):
         report = mk.almost_vanishing_agreement_suite(n, field, up_to_scalar)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(jordan, "is_almost_vanishing", _av_report_by_class)
-            reference = mk.almost_vanishing_agreement_suite(n, field, up_to_scalar)
-        assert (report.ok, report.failures, report.stats) == (
-            reference.ok,
-            reference.failures,
-            reference.stats,
-        )
+        reference = _suite_by_lines(ctx, up_to_scalar, _av_report_by_class)
+        assert (report.ok, report.failures, report.stats) == reference
 
 
-@given(st.sampled_from([3, 4, 5]), st.sampled_from([2, 3, 5, 7]))
+def _suite_by_lines(ctx, up_to_scalar, av_report):
+    """Reference agreement suite: ``av_report`` on each line's class, counted p - 1 times
+    without ``up_to_scalar``."""
+    per_line = 1 if up_to_scalar else ctx.field.char - 1
+    failures = []
+    classes = found = 0
+    for x in ctx.indecomposables():
+        for y in ctx.indecomposables():
+            for f in ctx.class_lines(x, y):
+                classes += per_line
+                rep = av_report(f)
+                if not rep.agreement:
+                    failures += [{"x": str(x), "y": str(y), "conditions": rep.conditions}] * per_line
+                if rep.verdict:
+                    found += per_line
+                    if y != ctx.omega_object(x):
+                        failures += [{"x": str(x), "y": str(y), "error": "wrong codomain"}] * per_line
+    stats = {"classes": classes, "almost_vanishing": found, "up_to_scalar": up_to_scalar}
+    return not failures, failures, stats
+
+
+# n = 6 is the only allowed size with a three-dimensional stable Hom space, so the
+# only one where the lines' images can meet in a proper line or plane.
+SWEEP_CASES = [(n, p) for n in (3, 4, 5) for p in (2, 3, 5, 7)] + [(6, p) for p in (2, 3, 5)]
+
+
+@given(st.sampled_from(SWEEP_CASES))
 @settings(max_examples=30, deadline=None)
-def test_shared_images_match_the_per_class_references(n, p):
-    _check_sweeps_against_the_per_class_references(n, p)
+def test_shared_images_match_the_per_class_references(case):
+    _check_sweeps_against_the_per_class_references(*case)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sweeps_at_n6_match_the_per_class_references(p):
+    _check_sweeps_against_the_per_class_references(6, p)
 
 
 def test_coordinate_sweeps_match_the_per_class_references_at_many_lines():
@@ -618,21 +684,33 @@ def test_agreement_suite_matches_the_class_by_class_reference(n, p, up_to_scalar
     assert (report.ok, report.failures, report.stats) == _suite_by_classes(n, GF(p), up_to_scalar)
 
 
+def _patch_pair_conditions(monkeypatch, wrap):
+    """Route every pair's almost-vanishing conditions through ``wrap(x, y, conditions)``."""
+    built = jordan._Context._av_conditions
+
+    def wrapped(self, x, y):
+        return wrap(x, y, built(self, x, y))
+
+    monkeypatch.setattr(jordan._Context, "_av_conditions", wrapped)
+
+
 @pytest.mark.parametrize("p", [2, 5, 7])
 def test_a_disagreeing_line_fails_once_per_class(p, monkeypatch):
     ctx = context(4, GF(p))
     x = y = indec(4, 2)
-    line = ctx.class_lines(x, y)[1]
-    on_line = {ctx.classify(x, y, line.matrix.scale(c)).key for c in range(1, p)}
-    checked = jordan.is_almost_vanishing
+    line = ctx._coordinates(x, y, ctx.class_lines(x, y)[1].key)
+    on_line = {tuple(c * a % p for a in line) for c in range(1, p)}
 
-    def disagreeing(f):
-        report = checked(f)
-        if (f.source, f.target) == (x, y) and f.key in on_line:
-            report.conditions["image_is_simple"] = not report.conditions["image_is_simple"]
-        return report
+    def disagreeing(u, v, conditions):
+        def flipped(phi):
+            checks = conditions(phi)
+            if (u, v) == (x, y) and phi in on_line:
+                checks["image_is_simple"] = not checks["image_is_simple"]
+            return checks
 
-    monkeypatch.setattr(jordan, "is_almost_vanishing", disagreeing)
+        return flipped
+
+    _patch_pair_conditions(monkeypatch, disagreeing)
     for up_to_scalar, entries in ((False, p - 1), (True, 1)):
         report = mk.almost_vanishing_agreement_suite(4, GF(p), up_to_scalar)
         assert not report.ok
@@ -643,13 +721,15 @@ def test_a_disagreeing_line_fails_once_per_class(p, monkeypatch):
 
 def test_oracle_checks_one_class_per_line(monkeypatch, tmp_path):
     calls = []
-    checked = jordan.is_almost_vanishing
 
-    def counting(f):
-        calls.append(f)
-        return checked(f)
+    def counting(x, y, conditions):
+        def counted(phi):
+            calls.append(phi)
+            return conditions(phi)
 
-    monkeypatch.setattr(jordan, "is_almost_vanishing", counting)
+        return counted
+
+    _patch_pair_conditions(monkeypatch, counting)
     assert cli.main(["oracle", "--n", "4", "--field", "p:101", "--out", str(tmp_path / "a")]) == 0
     # Eight pairs of indecomposables with a one-dimensional stable Hom, one
     # line each, and J2 -> J2 with a plane: 101 + 1 lines.  A sweep of every

@@ -333,6 +333,27 @@ def test_plain_int_kernels_match_the_field_method_references(field, data):
     assert la.solve(product, rhs) == ref_solve(product, [field.coerce(x) for x in rhs])
 
 
+@given(st.sampled_from(KERNEL_FIELDS), st.sampled_from(["drawn", "a zero row", "full rank"]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_plain_row_kernels_match_the_reference(field, shape, data):
+    width = data.draw(st.integers(min_value=0, max_value=5))
+    entries = st.integers(min_value=-40000, max_value=40000) | st.fractions(max_denominator=5).filter(
+        lambda q: field.char == 0 or q.denominator % field.char
+    )
+    rows = data.draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=5))
+    if shape == "a zero row":
+        rows.insert(data.draw(st.integers(min_value=0, max_value=len(rows))), [0] * width)
+    elif shape == "full rank":
+        rows += la.Matrix.identity(field, width).data
+    # plain rows hold field elements
+    rows = [field.coerce_row(row) for row in rows]
+    kernel = la._kernel(field.char, width, rows)
+    assert kernel == ref_kernel_basis(la.Matrix._of(field, tuple(rows), width))
+    assert all(_is_field_element(field, x) for v in kernel for x in v)
+    if shape == "full rank":
+        assert kernel == []
+
+
 NOT_EXACT = [0.5, 1.0, True, False, "1"]
 
 

@@ -451,3 +451,13 @@ def test_parse_matches_the_old_parser(q, text):
 def test_parse_inverts_str_on_the_window(q):
     for v in q.window(3):
         assert q.parse(str(v)) == v
+
+
+@given(
+    st.sampled_from([quiver.TUBE, quiver.DIHEDRAL_EVEN, quiver.DIHEDRAL_ODD, quiver.ZA_INF]),
+    st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=3),
+)
+def test_vertex_labels_join_their_coordinates(component, coords):
+    v = quiver.Vertex(component, tuple(coords))
+    expected = f"J{coords[0]}" if component == quiver.TUBE else ",".join(map(str, coords))
+    assert str(v) == expected
