@@ -28,12 +28,13 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .errors import (
     DegreeError,
+    InvalidVertexError,
     PreconditionError,
     QuiverKindError,
     UnsupportedParameterError,
 )
 from .mesh import LayerTable, diamond_cokernel, rim_obstruction_check
-from .quiver import Arrow, DihedralFamily, TranslationQuiver, Vertex, ZAInf
+from .quiver import Arrow, DihedralFamily, TranslationQuiver, Vertex, ZAInf, new_vertex
 
 
 def _empty_table(v: Vertex) -> LayerTable:
@@ -71,6 +72,10 @@ class GradedCenterElement:
     def image_table(self, v: Vertex) -> LayerTable:
         raise NotImplementedError
 
+    def image_support(self, v: Vertex) -> list[Vertex]:
+        """The vertices of the image table at v, sorted."""
+        return sorted(self.image_table(v).multiplicities())
+
     def support_in(self, window: int) -> list[Vertex]:
         return [v for v in self.quiver.window(window) if self.supports(v)]
 
@@ -101,7 +106,7 @@ class SingleOrbitElement(GradedCenterElement):
         q = self.quiver
         try:
             q.validate(v)
-        except Exception:
+        except InvalidVertexError:
             return False
         return q.shift_orbit(v) == q.shift_orbit(self.base)
 
@@ -122,7 +127,8 @@ class DiamondElement(GradedCenterElement):
     are computed once per parity anchor on a local window sized to the
     diamond and transported by coordinate translation; the equivariance
     this relies on is itself covered by tests against direct
-    computation.
+    computation.  Supports are sorted once per anchor too: a translation
+    inside one component keeps the order of its vertices.
     """
 
     kind = "diamond"
@@ -138,6 +144,7 @@ class DiamondElement(GradedCenterElement):
         self.n = n
         self.degree = 2 * n - 1
         self._anchor_tables: dict[Vertex, LayerTable] = {}
+        self._anchor_supports: dict[str, list[tuple[int, int]]] = {}
 
     def supports(self, v: Vertex) -> bool:
         self.quiver.validate(v)
@@ -152,9 +159,18 @@ class DiamondElement(GradedCenterElement):
             # Window n + 1 holds the anchor's corner anchor + (2n, 2n).
             table = diamond_cokernel(self.quiver, anchor, self.n, self.n + 1)
             self._anchor_tables[anchor] = table
-        if v == anchor:
-            return table
+        # a translated copy even at the anchor, so no caller holds the cached table
         return _translated(table, v, (i - anchor.coords[0], j - anchor.coords[1]))
+
+    def image_support(self, v: Vertex) -> list[Vertex]:
+        self.quiver.validate(v)
+        c, (i, j) = v
+        support = self._anchor_supports.get(c)
+        if support is None:  # the anchor's support, sorted, as coordinates
+            anchor = super().image_support(Vertex(c, (i % 2, j % 2)))
+            support = self._anchor_supports[c] = [w.coords for w in anchor]
+        s, t = i - i % 2, j - j % 2
+        return [new_vertex((c, (x + s, y + t))) for x, y in support]
 
 
 class SumElement(GradedCenterElement):
@@ -293,25 +309,19 @@ def support_report(e: GradedCenterElement, window: int) -> SupportReport:
     """Read supports off the image tables over the window.
 
     A vertex is in the element support exactly when its image table is
-    nonempty.  Tables here are finite mappings by construction, so the
-    finiteness flags record a verified (if unexciting) hypothesis.
+    nonempty; ``image_support`` reads the table's vertices, and a diamond
+    element answers without building it.  Tables here are finite mappings
+    by construction, so the finiteness flags record a verified (if
+    unexciting) hypothesis.
     """
-    per_vertex: dict[Vertex, list[Vertex]] = {}
-    flags: dict[Vertex, bool] = {}
-    supported: list[Vertex] = []
-    for v in e.quiver.window(window):
-        factors = sorted(e.image_table(v).multiplicities())
-        per_vertex[v] = factors
-        flags[v] = True
-        if factors:
-            supported.append(v)
+    per_vertex = {v: e.image_support(v) for v in e.quiver.window(window)}
     return SupportReport(
         element_kind=e.kind,
         degree=e.degree,
         window=window,
-        element_support=supported,
+        element_support=[v for v, factors in per_vertex.items() if factors],
         per_vertex_hom_support=per_vertex,
-        finite_flags=flags,
+        finite_flags=dict.fromkeys(per_vertex, True),
     )
 
 
@@ -386,7 +396,8 @@ def check_propagation(
             f"shift power {shift_exp} not representable on this component"
         )
 
-    hyp_mesh = all(len(q._mesh(v).middles) <= 2 for v in vertices)
+    # the middles of the mesh ending at v are the targets of the arrows out of tau(v)
+    hyp_mesh = all(len(q._arrows(q._tau(v, 1))) <= 2 for v in vertices)
 
     rep = support_report(e, window)
     sizes = {v: len(ws) for v, ws in rep.per_vertex_hom_support.items()}
@@ -497,13 +508,9 @@ def cross_component_vanishing(
             f"{f_source} and {f_target} lie in the same component"
         )
     if isinstance(e, DiamondElement):
-        limit = 2 * e.n - 2
-        table = e.image_table(f_target)
-        for w in table.multiplicities():
-            a = w.coords[0] - f_target.coords[0]
-            b = w.coords[1] - f_target.coords[1]
-            if not (0 <= a <= limit and 0 <= b <= limit):
-                return False
+        (i, j), limit = f_target.coords, 2 * e.n - 2
+        support = e.image_support(f_target)
+        return all(0 <= a - i <= limit and 0 <= b - j <= limit for _, (a, b) in support)
     return True
 
 
@@ -511,13 +518,8 @@ def factor_distance_ok(e: DiamondElement, m: Vertex) -> bool:
     """Every image-table factor sits at path distance <= 2n from m."""
     if not isinstance(e, DiamondElement):
         raise PreconditionError("factor distance bound applies to diamond elements")
-    table = e.image_table(m)
-    bound = 2 * e.n
-    for w in table.multiplicities():
-        d = e.quiver.distance(w, m)
-        if d is None or d > bound:
-            return False
-    return True
+    distances = [e.quiver.distance(w, m) for w in e.image_support(m)]
+    return all(d is not None and d <= 2 * e.n for d in distances)
 
 
 def naturality_on_arrow(e: GradedCenterElement, arrow: Arrow) -> bool:
@@ -535,7 +537,7 @@ def naturality_on_arrow(e: GradedCenterElement, arrow: Arrow) -> bool:
     u, v = arrow.source, arrow.target
     if q.arrow_between(u, v) is None:
         raise PreconditionError(f"no arrow {u} -> {v}")
-    supp_u = set(e.image_table(u).multiplicities())
-    supp_v = set(e.image_table(v).multiplicities())
+    supp_u = set(e.image_support(u))
+    supp_v = set(e.image_support(v))
     reachable = {w for w in supp_v if q.distance(w, u) is not None}
     return reachable == (supp_u & supp_v)

@@ -51,6 +51,7 @@ from .quiver import (
     TranslationQuiver,
     Vertex,
     ZAInf,
+    new_vertex,
 )
 
 # path_sign_check labels reports on up to this many paths "dense" and
@@ -506,7 +507,7 @@ def knit_layers(
     for k in range(1, k_max + 1):
         line = [x + y - z for x, y, z in zip([0, *last], [*last, 0], [0, *older, 0])]
         cells = zip(range(mi, mi + 2 * k + 1, 2), range(mj + 2 * k, mj - 1, -2), line)
-        row = {Vertex(c, (i, j)): r for i, j, r in cells if r}
+        row = {new_vertex((c, (i, j))): r for i, j, r in cells if r}
         # The window is a coordinate box and the row a segment: its ends decide.
         win.check(next(iter(row)))
         win.check(next(reversed(row)))

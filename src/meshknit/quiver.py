@@ -40,6 +40,7 @@ the Serre image of ``v``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from .errors import (
@@ -67,6 +68,10 @@ class Vertex(NamedTuple):
         if len(coords) == 2:  # every dihedral and ZA-infinity vertex
             return f"{coords[0]},{coords[1]}"
         return ",".join(map(str, coords))
+
+
+# Vertex((component, coords)) in one C call, without the named tuple's Python-level __new__
+new_vertex = partial(tuple.__new__, Vertex)
 
 
 class Arrow(NamedTuple):

@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
 from .mesh import LayerTable, PathSignReport
-from .quiver import Vertex
+from .quiver import TUBE, Vertex
 
 SCHEMA_VERSION = "meshknit/1"
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -59,7 +59,7 @@ def config_line(config: dict) -> str:
 
 def layer_table_payload(table: LayerTable, config: dict) -> dict:
     # canonical_json sorts the vertex keys
-    labels = _labels(table)
+    labels = _labels([v for row in table.layers.values() for v in row])
     layers = [
         {"k": k, "row": {labels[v]: mult for v, mult in table.layers.get(k, {}).items()}}
         for k in range(table.valid_through + 1)
@@ -91,7 +91,7 @@ def layer_table_tsv(table: LayerTable, config: dict) -> str:
     # per vertex: its line so far and the number of layers it holds; zeros go
     # in as slices of one run, and a vertex met only past valid_through gets zeros
     zeros = "\t0" * columns
-    text = _labels(table)
+    text = _labels([v for row in table.layers.values() for v in row])
     filled = dict.fromkeys(text, 0)
     for k in range(columns):
         for v, mult in table.layers.get(k, {}).items():
@@ -106,9 +106,21 @@ def layer_table_tsv(table: LayerTable, config: dict) -> str:
     return "\n".join(lines)
 
 
-def _labels(table: LayerTable) -> dict[Vertex, str]:
-    """The label of every vertex in the table's rows, made once per vertex."""
-    return {v: str(v) for v in dict.fromkeys([v for row in table.layers.values() for v in row])}
+def _labels(vertices: list[Vertex]) -> dict[Vertex, str]:
+    """``str(v)`` of each vertex, from one test of the components, not one per vertex.
+
+    ``J<i>`` labels vertices all on the tube and ``<i>,<j>`` vertices none of which is;
+    a mix of the two, or coordinates that do not fit the format, fall back to ``str``.
+    A vertex listed twice is labelled twice, so a caller with many repeats passes them once.
+    """
+    components = set(map(itemgetter(0), vertices))
+    fmt = "J%s" if components == {TUBE} else None if TUBE in components else "%s,%s"
+    if fmt:
+        try:
+            return {v: fmt % v[1] for v in vertices}
+        except TypeError:  # a coordinate tuple of another length
+            pass
+    return {v: str(v) for v in vertices}
 
 
 def sign_report_payload(report: PathSignReport, config: dict) -> dict:
@@ -133,18 +145,18 @@ def sign_report_payload(report: PathSignReport, config: dict) -> dict:
 
 def support_payload(support, propagation, config: dict) -> dict:
     """SupportReport (plus optional PropagationReport) as one JSON object."""
+    per_vertex = support.per_vertex_hom_support
+    vertices = [*per_vertex, *support.finite_flags, *support.element_support]
+    label = _labels(list(dict.fromkeys(vertices + [w for ws in per_vertex.values() for w in ws])))
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": support.element_kind,
         "config": dict(config),
         "degree": support.degree,
         "window": support.window,
-        "support": [str(v) for v in sorted(support.element_support)],
-        "per_vertex": {
-            str(v): [str(w) for w in ws]
-            for v, ws in support.per_vertex_hom_support.items()
-        },
-        "finite_flags": {str(v): flag for v, flag in support.finite_flags.items()},
+        "support": [label[v] for v in sorted(support.element_support)],
+        "per_vertex": {label[v]: [label[w] for w in ws] for v, ws in per_vertex.items()},
+        "finite_flags": {label[v]: flag for v, flag in support.finite_flags.items()},
     }
     if propagation is not None:
         payload["hypotheses"] = dict(propagation.hypotheses)

@@ -1,9 +1,11 @@
 """Graded-center elements: orbits, diamonds, sums, propagation."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshknit import center, mesh, quiver
+from meshknit import center, cli, mesh, quiver, serialize
 from meshknit.errors import (
     DegreeError,
     InvalidVertexError,
@@ -98,6 +100,23 @@ def test_orbit_covers_the_whole_window():
     assert len(e.scalars) == 17
 
 
+def test_orbit_contains_is_false_on_invalid_vertices(dihedral):
+    e = center.single_orbit_element(dihedral, dihedral.vertex(0, 0), degree=1)
+    for v in (
+        quiver.Vertex(quiver.DIHEDRAL_ODD, (2, 2)),
+        quiver.Vertex(quiver.DIHEDRAL_EVEN, (0, 1)),
+        quiver.Vertex(quiver.TUBE, (1,)),
+    ):
+        assert not e.orbit_contains(v)
+
+
+def test_orbit_contains_raises_on_non_vertices(dihedral):
+    e = center.single_orbit_element(dihedral, dihedral.vertex(0, 0), degree=1)
+    for bad in (None, "0,0", 3):
+        with pytest.raises(AttributeError):
+            e.orbit_contains(bad)
+
+
 # The orbit tests as they stood before the shapes keyed their own orbits:
 # the reference for tau_orbit and shift_orbit.
 
@@ -184,6 +203,55 @@ def test_diamond_tables_translate(dihedral):
         v = dihedral.vertex(*coords)
         direct = mesh.diamond_cokernel(dihedral, v, 2, window=8)
         assert mu2.image_table(v).multiplicities() == direct.multiplicities()
+
+
+def test_image_tables_do_not_share_the_anchor_table():
+    q = quiver.build_dihedral_family(4)
+    e = center.mu_element(q, 1)
+    e.image_table(q.vertex(0, 0)).layers.clear()
+    assert e.image_table(q.vertex(2, 2)).multiplicities() == {q.vertex(2, 2): 1}
+    for row in e.image_table(q.vertex(1, 1)).layers.values():
+        row.clear()
+    assert e.image_table(q.vertex(1, 1)).multiplicities() == {q.vertex(1, 1): 1}
+    assert e.image_support(q.vertex(1, 1)) == [q.vertex(1, 1)]
+
+
+def test_image_supports_are_fresh_lists():
+    q = quiver.build_dihedral_family(4)
+    e = center.mu_element(q, 2)
+    for v in (q.vertex(0, 0), q.vertex(1, 1), q.vertex(4, -2)):
+        want = sorted(e.image_table(v).multiplicities())
+        got = e.image_support(v)
+        assert got == want
+        got.clear()
+        got = e.image_support(v)
+        got.append(q.vertex(9, 9))
+        got[0] = q.vertex(7, 7)
+        assert e.image_support(v) == want
+        assert e.image_support(v) is not e.image_support(v)
+    assert sorted(e.image_table(q.vertex(0, 0)).multiplicities()) == e.image_support(q.vertex(0, 0))
+
+
+MU_ELEMENTS = {n: center.mu_element(quiver.build_dihedral_family(4), n) for n in range(1, 5)}
+
+
+@given(
+    st.integers(1, 4),
+    st.booleans(),
+    st.integers(-40, 40),
+    st.integers(-20, 20),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_image_support_is_the_sorted_image_table(n, odd, a, b, fresh):
+    e = MU_ELEMENTS[n]
+    if fresh:  # the support is read before any table is cached
+        e = center.mu_element(e.quiver, n)
+    i = 2 * a + odd
+    v = e.quiver.vertex(i, i + 2 * b)
+    got = e.image_support(v)
+    assert got == sorted(e.image_table(v).multiplicities())
+    assert all(type(w) is quiver.Vertex and w.component == v.component for w in got)
 
 
 @st.composite
@@ -421,3 +489,147 @@ def test_naturality_needs_the_dihedral_family():
     arrow = q.arrows_out(q.vertex(1))[0]
     with pytest.raises(QuiverKindError):
         center.naturality_on_arrow(e, arrow)
+
+
+# -- reports against the per-vertex image tables -------------------------------------------
+
+
+def _reference_support_report(e, window):
+    """support_report as it read each support off a per-vertex image table."""
+    per_vertex = {v: sorted(e.image_table(v).multiplicities()) for v in e.quiver.window(window)}
+    return center.SupportReport(
+        element_kind=e.kind,
+        degree=e.degree,
+        window=window,
+        element_support=[v for v, ws in per_vertex.items() if ws],
+        per_vertex_hom_support=per_vertex,
+        finite_flags=dict.fromkeys(per_vertex, True),
+    )
+
+
+def _reference_support_payload(support, propagation, config):
+    """support_payload as it labelled each vertex with str, once per use."""
+    payload = {
+        "schema": serialize.SCHEMA_VERSION,
+        "kind": support.element_kind,
+        "config": dict(config),
+        "degree": support.degree,
+        "window": support.window,
+        "support": [str(v) for v in sorted(support.element_support)],
+        "per_vertex": {str(v): [str(w) for w in ws] for v, ws in support.per_vertex_hom_support.items()},
+        "finite_flags": {str(v): flag for v, flag in support.finite_flags.items()},
+    }
+    if propagation is not None:
+        payload["hypotheses"] = dict(propagation.hypotheses)
+        payload["support_min_two"] = propagation.support_min_two
+        payload["applicable"] = propagation.applicable
+        payload["conclusion"] = propagation.conclusion
+        payload["notes"] = list(propagation.notes)
+    return payload
+
+
+def _report_elements():
+    dihedral = quiver.build_dihedral_family(5)
+    tube = quiver.build_tube(6)
+    za = quiver.build_za_inf(5)
+    orbit = center.single_orbit_element(dihedral, dihedral.vertex(0, 0), degree=1)
+    other = center.single_orbit_element(dihedral, dihedral.vertex(0, 2), degree=1)
+    yield from (center.mu_element(dihedral, n) for n in (1, 2, 3))
+    yield orbit
+    yield center.sum_elements([orbit, other])
+    yield center.sum_elements([center.single_orbit_element(dihedral, dihedral.vertex(3, -1), degree=1)])
+    yield center.sum_elements([], quiver=dihedral)
+    yield center.single_orbit_element(tube, tube.vertex(1), degree=1)
+    yield center.sum_elements([center.single_orbit_element(tube, tube.vertex(3), degree=1)])
+    yield center.sum_elements([], quiver=za)
+
+
+REPORT_ELEMENTS = list(_report_elements())
+
+
+@pytest.mark.parametrize("window", range(1, 6))
+@pytest.mark.parametrize(
+    "e", REPORT_ELEMENTS, ids=[f"{e.kind}-{e.quiver.kind}-{i}" for i, e in enumerate(REPORT_ELEMENTS)]
+)
+def test_reports_match_the_per_vertex_image_tables(e, window, monkeypatch):
+    q = e.quiver
+    support = center.support_report(e, window)
+    want = _reference_support_report(e, window)
+    assert support == want
+    propagation = center.check_propagation(q, e, window)
+    assert propagation.hypotheses["meshes_at_most_two_middles"] == all(
+        len(q.mesh(v).middles) <= 2 for v in q.window(window)
+    )
+    with monkeypatch.context() as m:
+        m.setattr(center, "support_report", _reference_support_report)
+        want_propagation = center.check_propagation(q, e, window)
+    assert propagation == want_propagation
+    config = {"command": "center", "window": window, "format": "json"}
+    for got, want_payload in (
+        (serialize.support_payload(support, None, config), _reference_support_payload(want, None, config)),
+        (
+            serialize.support_payload(support, propagation, config),
+            _reference_support_payload(want, want_propagation, config),
+        ),
+    ):
+        assert serialize.canonical_json(got) == serialize.canonical_json(want_payload)
+
+
+@pytest.mark.parametrize("report", [(), ("--report",)])
+@pytest.mark.parametrize("window", range(1, 6))
+@pytest.mark.parametrize("mu", (1, 2, 3))
+def test_center_artifact_matches_the_per_vertex_reference(mu, window, report, tmp_path, monkeypatch):
+    monkeypatch.delenv("MESHKNIT_WINDOW", raising=False)
+    out = tmp_path / "artifact"
+    assert cli.main(["center", "--mu", str(mu), "--window", str(window), *report, "--out", str(out)]) == 0
+    got = out.read_bytes()
+    q = quiver.build_dihedral_family(window)
+    e = center.mu_element(q, mu)
+    with monkeypatch.context() as m:
+        m.setattr(center, "support_report", _reference_support_report)
+        propagation = center.check_propagation(q, e, window) if report else None
+    support = propagation.support if report else _reference_support_report(e, window)
+    config = json.loads(got)["config"]
+    assert config["mu"] == mu and config["window"] == window
+    want = serialize.canonical_json(_reference_support_payload(support, propagation, config))
+    assert got == want.encode()
+
+
+def _reference_cross_component(e, f_target):
+    limit = 2 * e.n - 2
+    for w in e.image_table(f_target).multiplicities():
+        a = w.coords[0] - f_target.coords[0]
+        b = w.coords[1] - f_target.coords[1]
+        if not (0 <= a <= limit and 0 <= b <= limit):
+            return False
+    return True
+
+
+def _reference_factor_distance(e, m):
+    return all(
+        e.quiver.distance(w, m) is not None and e.quiver.distance(w, m) <= 2 * e.n
+        for w in e.image_table(m).multiplicities()
+    )
+
+
+def _reference_naturality(e, arrow):
+    q, u, v = e.quiver, arrow.source, arrow.target
+    supp_u = set(e.image_table(u).multiplicities())
+    supp_v = set(e.image_table(v).multiplicities())
+    return {w for w in supp_v if q.distance(w, u) is not None} == (supp_u & supp_v)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_support_checks_match_the_per_vertex_image_tables(n):
+    q = quiver.build_dihedral_family(3)
+    e = center.mu_element(q, n)
+    other = {quiver.DIHEDRAL_EVEN: q.vertex(1, 1), quiver.DIHEDRAL_ODD: q.vertex(0, 0)}
+    for v in q.window(2):
+        assert center.cross_component_vanishing(e, other[v.component], v) == _reference_cross_component(e, v)
+        assert center.factor_distance_ok(e, v) == _reference_factor_distance(e, v)
+        for arrow in q.arrows_out(v) + q.arrows_in(v):
+            assert center.naturality_on_arrow(e, arrow) == _reference_naturality(e, arrow)
+    orbit = center.single_orbit_element(q, q.vertex(0, 0), degree=1)
+    for v in q.window(2):
+        for arrow in q.arrows_out(v):
+            assert center.naturality_on_arrow(orbit, arrow) == _reference_naturality(orbit, arrow)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshknit import quiver
+from meshknit import center, mesh, quiver
 from meshknit.errors import (
     InvalidVertexError,
     QuiverKindError,
@@ -461,3 +461,26 @@ def test_vertex_labels_join_their_coordinates(component, coords):
     v = quiver.Vertex(component, tuple(coords))
     expected = f"J{coords[0]}" if component == quiver.TUBE else ",".join(map(str, coords))
     assert str(v) == expected
+
+
+@given(
+    st.sampled_from([quiver.TUBE, quiver.DIHEDRAL_EVEN, quiver.DIHEDRAL_ODD, quiver.ZA_INF]),
+    st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=3),
+)
+def test_new_vertex_is_the_named_tuple(component, coords):
+    v = quiver.new_vertex((component, tuple(coords)))
+    w = quiver.Vertex(component, tuple(coords))
+    assert type(v) is quiver.Vertex
+    assert (v, hash(v), str(v), repr(v)) == (w, hash(w), str(w), repr(w))
+    assert (v.component, v.coords) == (w.component, w.coords)
+    assert {v: 1} == {w: 1} and v in {w}
+
+
+def test_knit_rows_and_shifted_supports_hold_named_tuples():
+    q = quiver.build_dihedral_family(8)
+    for v in (q.vertex(0, 0), q.vertex(3, -1), q.vertex(-6, 4)):
+        table = mesh.knit_layers(q, v, 12, 8)
+        for row in table.layers.values():
+            assert all(type(w) is quiver.Vertex and w == quiver.Vertex(*w) for w in row)
+        e = center.mu_element(q, 2)
+        assert all(type(w) is quiver.Vertex and w == quiver.Vertex(*w) for w in e.image_support(v))

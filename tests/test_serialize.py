@@ -4,6 +4,8 @@
 ``json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True)``.
 ``layer_table_tsv`` and ``layer_table_payload`` label and sort each
 vertex once; their references are the writers they replaced, kept here.
+The labeller formats a table's coordinates without calling ``str`` per
+vertex; its reference is ``str(v)``.
 """
 
 import json
@@ -14,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 from meshknit import quiver
 from meshknit.jordan import CheckReport
-from meshknit.mesh import LayerTable
+from meshknit.mesh import LayerTable, diamond_cokernel, knit_layers
 from meshknit.serialize import (
     SCHEMA_VERSION,
+    _labels,
     canonical_json,
     layer_table_payload,
     layer_table_tsv,
@@ -202,3 +205,72 @@ def test_odd_dihedral_table_past_valid_through():
     assert tsv.splitlines()[-4:] == ["-3,1\t0\t0", "-1,-1\t0\t0", "1,-1\t1\t0", "1,3\t0\t0"]
     payload = layer_table_payload(table, CONFIG)
     assert canonical_json(payload) == reference_json(reference_payload(table, CONFIG))
+
+
+# -- labels against str(v) ---------------------------------------------------------
+
+
+def _table_labels(table: LayerTable) -> dict:
+    return _labels([v for row in table.layers.values() for v in row])
+
+
+def _str_labels(table: LayerTable) -> dict:
+    return {v: str(v) for row in table.layers.values() for v in row}
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        *(knit_layers(TUBE, TUBE.vertex(i), 14, 4) for i in range(1, 6)),
+        *(knit_layers(ZA, ZA.vertex(level, pos), 9, 12) for level, pos in [(1, 0), (3, -2), (5, 4)]),
+        *(knit_layers(DIHEDRAL, DIHEDRAL.vertex(i, j), 12, 20) for i, j in [(0, 0), (3, -1), (-4, 6)]),
+        *(diamond_cokernel(DIHEDRAL, DIHEDRAL.vertex(i, j), n, 12) for i, j in [(0, 0), (-1, 3)] for n in (1, 2, 3)),
+    ],
+    ids=lambda t: f"{t.target.component}:{t.target}:{t.k_max}",
+)
+def test_labels_of_knit_and_diamond_tables_are_str(table):
+    labels = _table_labels(table)
+    assert labels == _str_labels(table)
+    assert list(labels) == list(dict.fromkeys(v for row in table.layers.values() for v in row))
+
+
+# Any component, the three shapes' and one unknown, with one to three coordinates
+# (one-coordinate dihedral vertices, two-coordinate tube vertices, ...).
+any_vertex = st.builds(
+    quiver.Vertex,
+    st.sampled_from([quiver.TUBE, quiver.DIHEDRAL_EVEN, quiver.DIHEDRAL_ODD, quiver.ZA_INF, "x"]),
+    st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=3).map(tuple),
+)
+
+
+@st.composite
+def hand_made_tables(draw):
+    # most tables draw from a few components and coordinate lengths, so that
+    # single-component and single-length tables come up often
+    vertices = st.sampled_from(draw(st.lists(any_vertex, min_size=1, max_size=6)))
+    layers = draw(
+        st.dictionaries(st.integers(0, 4), st.dictionaries(vertices, st.integers(1, 9), max_size=5), max_size=4)
+    )
+    return LayerTable(draw(vertices), layers, 4, draw(st.integers(0, 4)))
+
+
+@given(hand_made_tables())
+@settings(max_examples=300, deadline=None)
+def test_labels_of_hand_made_tables_are_str(table):
+    assert _table_labels(table) == _str_labels(table)
+    assert layer_table_tsv(table, CONFIG) == reference_tsv(table, CONFIG)
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        [],
+        [quiver.Vertex(quiver.TUBE, (3,)), quiver.Vertex(quiver.DIHEDRAL_EVEN, (0, 2))],
+        [quiver.Vertex(quiver.TUBE, (3, 4)), quiver.Vertex(quiver.TUBE, (2,))],
+        [quiver.Vertex(quiver.DIHEDRAL_ODD, (1, 1)), quiver.Vertex(quiver.ZA_INF, (5,))],
+        [quiver.Vertex(quiver.ZA_INF, (1, 2, 3)), quiver.Vertex(quiver.ZA_INF, (1, 2))],
+        [quiver.Vertex(quiver.DIHEDRAL_EVEN, (-2, 4))] * 3,
+    ],
+)
+def test_labels_of_mixed_vertex_lists_are_str(vertices):
+    assert _labels(vertices) == {v: str(v) for v in vertices}
