@@ -53,7 +53,7 @@ def _translated(table: LayerTable, target: Vertex, offset: tuple[int, int]) -> L
     """The table moved by a parity-preserving offset onto its valid new target."""
     s, t = offset
     moved = {
-        k: {Vertex(target.component, (i + s, j + t)): mult for (_, (i, j)), mult in row.items()}
+        k: {new_vertex((target.component, (i + s, j + t))): mult for (_, (i, j)), mult in row.items()}
         for k, row in table.layers.items()
     }
     return LayerTable(target, moved, k_max=table.k_max, valid_through=table.valid_through)
@@ -74,6 +74,10 @@ class GradedCenterElement:
 
     def image_support(self, v: Vertex) -> list[Vertex]:
         """The vertices of the image table at v, sorted."""
+        return self._image_support(self.quiver.validate(v))
+
+    def _image_support(self, v: Vertex) -> list[Vertex]:
+        """:meth:`image_support` at the valid vertex v."""
         return sorted(self.image_table(v).multiplicities())
 
     def support_in(self, window: int) -> list[Vertex]:
@@ -114,8 +118,8 @@ class SingleOrbitElement(GradedCenterElement):
         return self.orbit_contains(v)
 
     def image_table(self, v: Vertex) -> LayerTable:
-        self.quiver.validate(v)
-        if self.orbit_contains(v):
+        q = self.quiver
+        if q.shift_orbit(q.validate(v)) == q.shift_orbit(self.base):
             return LayerTable(target=v, layers={0: {v: 1}}, k_max=0, valid_through=0)
         return _empty_table(v)
 
@@ -124,10 +128,10 @@ class DiamondElement(GradedCenterElement):
     """The mu-type element on the dihedral family: degree 2n-1 Diamond(n).
 
     The image table at m is the diamond cokernel anchored at m.  Tables
-    are computed once per parity anchor on a local window sized to the
+    are computed at the parity anchor on a local window sized to the
     diamond and transported by coordinate translation; the equivariance
     this relies on is itself covered by tests against direct
-    computation.  Supports are sorted once per anchor too: a translation
+    computation.  Supports are sorted once per anchor: a translation
     inside one component keeps the order of its vertices.
     """
 
@@ -143,7 +147,6 @@ class DiamondElement(GradedCenterElement):
         self.quiver = quiver
         self.n = n
         self.degree = 2 * n - 1
-        self._anchor_tables: dict[Vertex, LayerTable] = {}
         self._anchor_supports: dict[str, list[tuple[int, int]]] = {}
 
     def supports(self, v: Vertex) -> bool:
@@ -153,21 +156,16 @@ class DiamondElement(GradedCenterElement):
     def image_table(self, v: Vertex) -> LayerTable:
         self.quiver.validate(v)
         i, j = v.coords
-        anchor = Vertex(v.component, (i % 2, j % 2))
-        table = self._anchor_tables.get(anchor)
-        if table is None:
-            # Window n + 1 holds the anchor's corner anchor + (2n, 2n).
-            table = diamond_cokernel(self.quiver, anchor, self.n, self.n + 1)
-            self._anchor_tables[anchor] = table
-        # a translated copy even at the anchor, so no caller holds the cached table
+        anchor = new_vertex((v.component, (i % 2, j % 2)))
+        # Window n + 1 holds the anchor's corner anchor + (2n, 2n).
+        table = diamond_cokernel(self.quiver, anchor, self.n, self.n + 1)
         return _translated(table, v, (i - anchor.coords[0], j - anchor.coords[1]))
 
-    def image_support(self, v: Vertex) -> list[Vertex]:
-        self.quiver.validate(v)
+    def _image_support(self, v: Vertex) -> list[Vertex]:
         c, (i, j) = v
         support = self._anchor_supports.get(c)
         if support is None:  # the anchor's support, sorted, as coordinates
-            anchor = super().image_support(Vertex(c, (i % 2, j % 2)))
+            anchor = super()._image_support(new_vertex((c, (i % 2, j % 2))))
             support = self._anchor_supports[c] = [w.coords for w in anchor]
         s, t = i - i % 2, j - j % 2
         return [new_vertex((c, (x + s, y + t))) for x, y in support]
@@ -309,12 +307,12 @@ def support_report(e: GradedCenterElement, window: int) -> SupportReport:
     """Read supports off the image tables over the window.
 
     A vertex is in the element support exactly when its image table is
-    nonempty; ``image_support`` reads the table's vertices, and a diamond
-    element answers without building it.  Tables here are finite mappings
-    by construction, so the finiteness flags record a verified (if
-    unexciting) hypothesis.
+    nonempty; ``_image_support`` reads the table's vertices at a valid
+    vertex, and a diamond element answers without building it.  Tables
+    here are finite mappings by construction, so the finiteness flags
+    record a verified (if unexciting) hypothesis.
     """
-    per_vertex = {v: e.image_support(v) for v in e.quiver.window(window)}
+    per_vertex = {v: e._image_support(v) for v in e.quiver.window(window)}
     return SupportReport(
         element_kind=e.kind,
         degree=e.degree,
@@ -371,7 +369,9 @@ def check_propagation(
     if e.quiver is not q:
         raise PreconditionError("element does not live on the given quiver")
     notes: list[str] = []
-    vertices = q.window(window)  # valid, so the hypotheses call the hooks
+    rep = support_report(e, window)
+    # the report's window, built once: valid vertices, so the hypotheses call the hooks
+    vertices = rep.per_vertex_hom_support
 
     try:
         hyp_cy = all(
@@ -399,7 +399,6 @@ def check_propagation(
     # the middles of the mesh ending at v are the targets of the arrows out of tau(v)
     hyp_mesh = all(len(q._arrows(q._tau(v, 1))) <= 2 for v in vertices)
 
-    rep = support_report(e, window)
     sizes = {v: len(ws) for v, ws in rep.per_vertex_hom_support.items()}
     hyp_finite = all(rep.finite_flags.values())
     min_two = any(size >= 2 for size in sizes.values())

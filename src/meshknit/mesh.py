@@ -503,19 +503,25 @@ def knit_layers(
 
     c, (mi, mj) = m
     rows: dict[int, dict[Vertex, int]] = {0: {m: 1}}
-    older, last = [], [1]
-    for k in range(1, k_max + 1):
-        line = [x + y - z for x, y, z in zip([0, *last], [*last, 0], [0, *older, 0])]
+    for k, line in enumerate(_knit_lines(k_max)[1:], 1):
         cells = zip(range(mi, mi + 2 * k + 1, 2), range(mj + 2 * k, mj - 1, -2), line)
-        row = {new_vertex((c, (i, j))): r for i, j, r in cells if r}
+        rows[k] = row = {new_vertex((c, (i, j))): r for i, j, r in cells if r}
         # The window is a coordinate box and the row a segment: its ends decide.
         win.check(next(iter(row)))
         win.check(next(reversed(row)))
+    return LayerTable(target=m, layers=rows, k_max=k_max, valid_through=len(rows) - 1)
+
+
+def _knit_lines(k_max: int) -> list[list[int]]:
+    """The integer rows R_0..R_k_max of a dihedral knit, up to one with a negative entry."""
+    lines = [[1]]
+    for k in range(k_max):
+        last, older = lines[-1], lines[-2] if k else []
+        line = [x + y - z for x, y, z in zip([0, *last], [*last, 0], [0, *older, 0])]
         if min(line) < 0:
-            return LayerTable(target=m, layers=rows, k_max=k_max, valid_through=k - 1)
-        rows[k] = row
-        older, last = last, line
-    return LayerTable(target=m, layers=rows, k_max=k_max, valid_through=k_max)
+            break
+        lines.append(line)
+    return lines
 
 
 def _knit_push(q: TranslationQuiver, m: Vertex, k_max: int, win: _Window) -> LayerTable:
@@ -681,40 +687,43 @@ def diamond_cokernel(q: TranslationQuiver, m: Vertex, n: int, window: int) -> La
         raise QuiverKindError(f"diamond_cokernel needs the dihedral family, got {q.kind}")
     if n < 1:
         raise UnsupportedParameterError(f"n must be >= 1, got {n}")
-    q.validate(m)
-    mi, mj = m.coords
-    # (corner, grade from the corner to m, sign in the alternating sum)
+    c, (mi, mj) = q.validate(m)
+    # (corner, its offset a along the rows m + (2a, 2(grade - a)), grade from it to m, sign)
     corners = (
-        (m, 0, 1),
-        (q.vertex(mi + 2 * n, mj), n, -1),
-        (q.vertex(mi, mj + 2 * n), n, -1),
-        (q.vertex(mi + 2 * n, mj + 2 * n), 2 * n, 1),
+        (m, 0, 0, 1),
+        (q.vertex(mi + 2 * n, mj), n, n, -1),
+        (q.vertex(mi, mj + 2 * n), 0, n, -1),
+        (q.vertex(mi + 2 * n, mj + 2 * n), n, 2 * n, 1),
     )
     # Check every corner before knitting any, so a far corner fails at once.
     win = _Window(q, window, 0)
-    for corner, _, _ in corners:
+    for corner, *_ in corners:
         win.check_base(corner)
     # Rings grow with n so that every layer up to the deepest possible
     # factor (grade 2n-2) is covered completely, not just on the grid.
     rings = max(DIAMOND_MARGIN_RINGS, n - 2)
     complete_through = n + rings
-    reach = 2 * complete_through
-    sums: Counter[tuple[int, Vertex]] = Counter()
-    for corner, shift, sign in corners:
-        for k, row in knit_layers(q, corner, reach - shift, window).layers.items():
-            for v, mult in row.items():
-                i, j = v.coords
-                if i - mi <= reach and j - mj <= reach:
-                    sums[k + shift, v] += sign * mult
+    # Knitting is translation invariant, so every corner's rows are the same
+    # segments, moved along the rows of m.
+    lines = _knit_lines(2 * complete_through)
     layers: dict[int, dict[Vertex, int]] = {}
-    for (grade, v), mult in sorted(sums.items()):
-        if mult < 0:
-            raise InternalCheckError(
-                f"diamond cokernel at {m} has multiplicity {mult} at {v} (grade {grade})",
-                (grade, v),
-            )
-        if mult:
-            layers.setdefault(grade, {})[v] = mult
+    for grade in range(2 * complete_through + 1):
+        sums = [0] * (grade + 1)
+        for _, offset, shift, sign in corners:
+            if 0 <= grade - shift < len(lines):
+                for a, mult in enumerate(lines[grade - shift], offset):
+                    sums[a] += sign * mult
+        # the quadrant m + (2a, 2b) with a, b <= complete_through
+        for a in range(max(0, grade - complete_through), min(grade, complete_through) + 1):
+            mult = sums[a]
+            if mult:
+                v = new_vertex((c, (mi + 2 * a, mj + 2 * (grade - a))))
+                if mult < 0:
+                    raise InternalCheckError(
+                        f"diamond cokernel at {m} has multiplicity {mult} at {v} (grade {grade})",
+                        (grade, v),
+                    )
+                layers.setdefault(grade, {})[v] = mult
     return LayerTable(
         target=m, layers=layers, k_max=complete_through, valid_through=complete_through
     )

@@ -53,6 +53,8 @@ TUBE = "tube"
 DIHEDRAL_EVEN = "dihedral-even"
 DIHEDRAL_ODD = "dihedral-odd"
 ZA_INF = "za-inf"
+# the dihedral component of the coordinates (i, j), indexed by i % 2
+_PARITY = (DIHEDRAL_EVEN, DIHEDRAL_ODD)
 
 
 class Vertex(NamedTuple):
@@ -296,16 +298,12 @@ class DihedralFamily(TranslationQuiver):
         super().__init__()
         self.window_radius = window_radius
 
-    @staticmethod
-    def _component(i: int, j: int) -> str:
-        return DIHEDRAL_EVEN if i % 2 == 0 else DIHEDRAL_ODD
-
     def vertex(self, i: int, j: int) -> Vertex:
         if (i - j) % 2 != 0:
             raise InvalidVertexError(
                 f"coordinate parity violation: ({i},{j}) needs i = j (mod 2)"
             )
-        return Vertex(self._component(i, j), (i, j))
+        return new_vertex((_PARITY[i % 2], (i, j)))
 
     def validate(self, v: Vertex) -> Vertex:
         if v.component not in (DIHEDRAL_EVEN, DIHEDRAL_ODD) or len(v.coords) != 2:
@@ -313,17 +311,17 @@ class DihedralFamily(TranslationQuiver):
         i, j = v.coords
         if (i - j) % 2 != 0:
             raise InvalidVertexError(f"coordinate parity violation: {v}")
-        if self._component(i, j) != v.component:
+        if _PARITY[i % 2] != v.component:
             raise InvalidVertexError(f"component tag does not match parity: {v}")
         return v
 
     def _shift(self, v: Vertex, di: int, dj: int) -> Vertex:
         i, j = v.coords  # di = dj (mod 2)
-        return Vertex(self._component(i + di, j + dj), (i + di, j + dj))
+        return new_vertex((_PARITY[(i + di) % 2], (i + di, j + dj)))
 
     def _tau(self, v: Vertex, k: int) -> Vertex:
-        i, j = v.coords
-        return Vertex(v.component, (i + 2 * k, j + 2 * k))
+        c, (i, j) = v
+        return new_vertex((c, (i + 2 * k, j + 2 * k)))
 
     def parse(self, text: str) -> Vertex:
         text = text.strip()
@@ -367,15 +365,16 @@ class DihedralFamily(TranslationQuiver):
 
     def _arrows(self, v: Vertex) -> tuple[tuple[str, Vertex], ...]:
         c, (i, j) = v
-        return (("gamma", Vertex(c, (i, j - 2))), ("gamma_prime", Vertex(c, (i - 2, j))))
+        return (("gamma", new_vertex((c, (i, j - 2)))), ("gamma_prime", new_vertex((c, (i - 2, j)))))
 
     def window(self, radius: int) -> list[Vertex]:
-        bound = 2 * radius
-        return sorted(
-            Vertex(self._component(i, i), (i, j))
-            for i in range(-bound, bound + 1)
-            for j in range(-bound + i % 2, bound + 1, 2)
-        )
+        bound = 2 * radius  # even, so each component's coordinates start at its parity - bound
+        return [
+            new_vertex((c, (i, j)))
+            for p, c in enumerate(_PARITY)
+            for i in range(p - bound, bound + 1, 2)
+            for j in range(p - bound, bound + 1, 2)
+        ]
 
     def _in_window(self, v: Vertex, radius: int) -> bool:
         i, j = v.coords
@@ -467,12 +466,11 @@ class ZAInf(TranslationQuiver):
         return (("down", Vertex(ZA_INF, (level - 1, pos))), up) if level >= 2 else (up,)
 
     def window(self, radius: int) -> list[Vertex]:
-        out = []
-        for level in range(1, radius + 2):
-            for pos in range(-radius, radius + 1):
-                out.append(Vertex(ZA_INF, (level, pos)))
-        out.sort()
-        return out
+        return [
+            new_vertex((ZA_INF, (level, pos)))
+            for level in range(1, radius + 2)
+            for pos in range(-radius, radius + 1)
+        ]
 
     def _in_window(self, v: Vertex, radius: int) -> bool:
         level, pos = v.coords

@@ -17,6 +17,9 @@ from .quiver import TUBE, Vertex
 
 SCHEMA_VERSION = "meshknit/1"
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_NAMED = {None: "null", True: "true", False: "false"}
+# lists and dicts write these leaves themselves, with no call of _json per leaf
+_LEAF = {str: _quote, int: int.__repr__, bool: _NAMED.__getitem__, type(None): _NAMED.__getitem__}
 
 
 def canonical_json(payload: dict) -> str:
@@ -25,26 +28,28 @@ def canonical_json(payload: dict) -> str:
 
 def _json(x, indent: str) -> str:
     """x as JSON text whose nested lines start with indent (a newline and spaces)."""
-    if isinstance(x, str):
-        return _quote(x)
     inner = indent + "  "
     if isinstance(x, (list, tuple)):
-        items = [_json(item, inner) for item in x]
+        items = [_LEAF[type(v)](v) if type(v) in _LEAF else _json(v, inner) for v in x]
         return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
     if isinstance(x, dict):
-        # json sorts the keys as they are, then writes non-string keys as scalar text
+        # json sorts the keys as they are (keys are unique, so no value is
+        # compared), then writes non-string keys as scalar text
         items = [
             f"{_quote(k if isinstance(k, str) else _scalar(k))}: "
-            f"{v if type(v) is int else _json(v, inner)}"
-            for k, v in sorted(x.items())
+            f"{v if type(v) is int else _LEAF[type(v)](v) if type(v) in _LEAF else _json(v, inner)}"
+            for k in sorted(x)
+            for v in [x[k]]
         ]
         return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    if isinstance(x, str):
+        return _quote(x)
     return _scalar(x)
 
 
 def _scalar(x) -> str:
-    if x is None or x is True or x is False:
-        return "null" if x is None else "true" if x else "false"
+    if x is None or type(x) is bool:
+        return _NAMED[x]
     if isinstance(x, int):
         return int.__repr__(x)
     if isinstance(x, float):
@@ -88,20 +93,28 @@ def layer_table_tsv(table: LayerTable, config: dict) -> str:
         lines.append("# truncated: true")
     columns = table.valid_through + 1
     lines.append("\t".join(["vertex", *map(str, range(columns))]))
-    # per vertex: its line so far and the number of layers it holds; zeros go
-    # in as slices of one run, and a vertex met only past valid_through gets zeros
+    # per vertex its line, with zeros sliced from one run; past valid_through, zeros
     zeros = "\t0" * columns
-    text = _labels([v for row in table.layers.values() for v in row])
-    filled = dict.fromkeys(text, 0)
-    for k in range(columns):
-        for v, mult in table.layers.get(k, {}).items():
-            text[v] = f"{text[v]}{zeros[: 2 * (k - filled[v])]}\t{mult}"
-            filled[v] = k + 1
+    cells = [v for row in table.layers.values() for v in row]
+    text = _labels(cells)
+    if len(text) == len(cells):  # each vertex in one layer, as in every dihedral knit
+        for k, row in table.layers.items():
+            head, tail = zeros[: 2 * k], zeros[2 * k + 2 :]
+            for v, mult in row.items():
+                text[v] = f"{text[v]}{head}\t{mult}{tail}" if k < columns else text[v] + zeros
+    else:  # fill each line layer by layer, counting the layers it holds
+        filled = dict.fromkeys(text, 0)
+        for k in range(columns):
+            for v, mult in table.layers.get(k, {}).items():
+                text[v] = f"{text[v]}{zeros[: 2 * (k - filled[v])]}\t{mult}"
+                filled[v] = k + 1
+        for v, count in filled.items():
+            text[v] += zeros[2 * count :]
     # two stable sorts, by coordinates and then by component, give the vertex
     # order for a fraction of what comparing whole vertices costs
     order = sorted(text, key=itemgetter(1))
     order.sort(key=itemgetter(0))
-    lines += [text[v] + zeros[2 * filled[v] :] for v in order]
+    lines += map(text.__getitem__, order)
     lines.append("")
     return "\n".join(lines)
 

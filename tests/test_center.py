@@ -633,3 +633,60 @@ def test_support_checks_match_the_per_vertex_image_tables(n):
     for v in q.window(2):
         for arrow in q.arrows_out(v):
             assert center.naturality_on_arrow(orbit, arrow) == _reference_naturality(orbit, arrow)
+
+
+# -- every hypothesis is evaluated at every window vertex ---------------------------
+
+
+def _wrong_at(q, hook, at, wrong):
+    """q's hook, answering wrong(q, its answer, *args) at the vertex at."""
+    right = getattr(q, hook)
+    return lambda v, *args: wrong(q, right(v, *args), *args) if v == at else right(v, *args)
+
+
+# the hook, where it goes wrong (from a window vertex v), its wrong answer,
+# and the one hypothesis that must turn False; Diamond(1) has degree 1, so
+# the orbit hypothesis reads sigma^2 and the Calabi-Yau one sigma^-1
+FAULTS = [
+    ("_sigma_pow", lambda q, v: v, lambda q, w, r: q._tau(w, 1) if r == -1 else w, "calabi_yau"),
+    ("_tau", lambda q, v: v, lambda q, w, k: q._shift(w, 2, 0), "calabi_yau"),
+    (
+        "_sigma_pow",
+        lambda q, v: v,
+        lambda q, w, r: q._shift(w, 2, 0) if r == 2 else w,
+        "shift_preserves_tau_orbits",
+    ),
+    (
+        "_arrows",
+        lambda q, v: q._tau(v, 1),
+        lambda q, arrows: arrows + arrows[:1],
+        "meshes_at_most_two_middles",
+    ),
+]
+
+
+@pytest.mark.parametrize("hook, where, wrong, hypothesis", FAULTS, ids=[f[0] + "-" + f[3] for f in FAULTS])
+@pytest.mark.parametrize("window", (1, 2))
+def test_a_hook_wrong_at_one_window_vertex_fails_its_hypothesis(window, hook, where, wrong, hypothesis):
+    q = quiver.build_dihedral_family(window)
+    e = center.mu_element(q, 1)
+    want_support = center.support_report(e, window)
+    assert all(center.check_propagation(q, e, window).hypotheses.values())
+    for v in q.window(window):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(q, hook, _wrong_at(q, hook, where(q, v), wrong))
+            report = center.check_propagation(q, e, window)
+        assert [name for name, ok in report.hypotheses.items() if not ok] == [hypothesis], v
+        assert report.support == want_support
+
+
+def test_single_orbit_image_table_validates_once(dihedral, monkeypatch):
+    e = center.single_orbit_element(dihedral, dihedral.vertex(0, 0), degree=1)
+    validate, seen = dihedral.validate, []
+    monkeypatch.setattr(dihedral, "validate", lambda v: seen.append(v) or validate(v))
+    for v, size in ((dihedral.vertex(2, 2), 1), (dihedral.vertex(0, 2), 0)):
+        seen.clear()
+        assert len(e.image_table(v).multiplicities()) == size
+        assert seen == [v]
+    with pytest.raises(InvalidVertexError):
+        e.image_table(quiver.Vertex(quiver.DIHEDRAL_ODD, (0, 0)))

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshknit import center, cli
+from meshknit import center, cli, quiver
 from meshknit.errors import FieldMismatchError, InternalCheckError
 from meshknit.jordan import CheckReport
 
@@ -127,18 +127,26 @@ def test_center_without_report_has_no_hypotheses(run):
 
 
 def test_center_report_reads_the_support_once(run, monkeypatch):
-    calls = []
+    # one support report and one window per request, with or without --report
+    calls, windows = [], []
     support_report = center.support_report
+    window = quiver.DihedralFamily.window
 
     def counted(*args):
         calls.append(args)
         return support_report(*args)
 
+    def counted_window(q, radius):
+        windows.append(radius)
+        return window(q, radius)
+
     monkeypatch.setattr(center, "support_report", counted)
+    monkeypatch.setattr(quiver.DihedralFamily, "window", counted_window)
     for argv, want in (([], 1), (["--report"], 2)):
         code, out, _ = run(["center", "--mu", "1", "--window", "2", *argv])
         assert code == 0
         assert len(calls) == want
+        assert windows == [2] * want
         assert ("hypotheses" in json.loads(out)) == bool(argv)
 
 

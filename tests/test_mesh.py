@@ -1,6 +1,7 @@
 """Path calculus modulo mesh relations: Hom dims, knitting, signs."""
 
 import gc
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -1009,26 +1010,122 @@ def test_diamond_cokernel_matches_the_union_find_scan(n, i, k, window, field):
     assert _diamond_outcome(mesh.diamond_cokernel, DIHEDRAL, m, n, window) == expected
 
 
+def _inflated_knit_lines(k, a, by):
+    """mesh._knit_lines with by added to entry a of row k, when that row is there."""
+    knit_lines = mesh._knit_lines
+
+    def inflated(k_max):
+        lines = [list(line) for line in knit_lines(k_max)]
+        if k < len(lines) and a < len(lines[k]):
+            lines[k][a] += by
+        return lines
+
+    return inflated
+
+
 def test_negative_diamond_entry_is_an_internal_error(dihedral, monkeypatch, capsys):
-    # An inflated table at the corner T = m+(4,0) drives the signed sum
-    # negative at T; the CLI reports that as a bug, not as a result.
-    knit = mesh.knit_layers
-    top = dihedral.vertex(4, 0)
-
-    def inflated(q, corner, k_max, window):
-        table = knit(q, corner, k_max, window)
-        if corner == top:
-            table.layers[0][corner] += 1
-        return table
-
-    monkeypatch.setattr(mesh, "knit_layers", inflated)
+    # An inflated row 0 enters the signed sum once at m and once, negated, at
+    # each of the corners T = m+(4,0) and B = m+(0,4): the sum goes negative
+    # at both, and B comes first in vertex order.  The CLI reports that as a
+    # bug, not as a result.
+    monkeypatch.setattr(mesh, "_knit_lines", _inflated_knit_lines(0, 0, 1))
     with pytest.raises(InternalCheckError) as err:
         mesh.diamond_cokernel(dihedral, dihedral.vertex(0, 0), 2, window=6)
-    assert err.value.witness == (2, top)
+    assert err.value.witness == (2, dihedral.vertex(0, 4))
     assert cli.main(["diamond", "--n", "2", "--vertex", "0,0", "--window", "6"]) == 6
     out, errs = capsys.readouterr()
     assert out == ""
     assert errs.splitlines() == [f"meshknit: internal error: {err.value}"]
+
+
+def _counter_diamond_cokernel(q, m, n, window):
+    """diamond_cokernel as it summed the four corners' knit tables in a Counter
+    keyed by (grade, vertex), sorted."""
+    if not isinstance(q, quiver.DihedralFamily):
+        raise QuiverKindError(f"diamond_cokernel needs the dihedral family, got {q.kind}")
+    if n < 1:
+        raise UnsupportedParameterError(f"n must be >= 1, got {n}")
+    q.validate(m)
+    mi, mj = m.coords
+    corners = (
+        (m, 0, 1),
+        (q.vertex(mi + 2 * n, mj), n, -1),
+        (q.vertex(mi, mj + 2 * n), n, -1),
+        (q.vertex(mi + 2 * n, mj + 2 * n), 2 * n, 1),
+    )
+    win = mesh._Window(q, window, 0)
+    for corner, _, _ in corners:
+        win.check_base(corner)
+    complete_through = n + max(mesh.DIAMOND_MARGIN_RINGS, n - 2)
+    reach = 2 * complete_through
+    sums = Counter()
+    for corner, shift, sign in corners:
+        for k, row in mesh.knit_layers(q, corner, reach - shift, window).layers.items():
+            for v, mult in row.items():
+                i, j = v.coords
+                if i - mi <= reach and j - mj <= reach:
+                    sums[k + shift, v] += sign * mult
+    layers = {}
+    for (grade, v), mult in sorted(sums.items()):
+        if mult < 0:
+            raise InternalCheckError(
+                f"diamond cokernel at {m} has multiplicity {mult} at {v} (grade {grade})",
+                (grade, v),
+            )
+        if mult:
+            layers.setdefault(grade, {})[v] = mult
+    return mesh.LayerTable(
+        target=m, layers=layers, k_max=complete_through, valid_through=complete_through
+    )
+
+
+def _cokernel_outcome(cokernel, *args):
+    """The table's rows in insertion order, with vertex types and bounds, or the error."""
+    try:
+        table = cokernel(*args)
+    except (InternalCheckError, UnsupportedParameterError, WindowError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    rows = [(k, [(type(v), v, mult) for v, mult in row.items()]) for k, row in table.layers.items()]
+    return rows, table.target, table.k_max, table.valid_through
+
+
+@given(st.integers(1, 4), st.integers(-9, 9), st.integers(-5, 5), st.integers(1, 12))
+@example(4, -9, -5, 12)
+@example(1, 0, 0, 1)
+@example(2, -3, 1, 2)
+@settings(max_examples=120, deadline=None)
+def test_diamond_cokernel_matches_the_counter_sum(n, i, k, window):
+    # both components, negative anchors, and windows too small for a corner
+    q = quiver.build_dihedral_family(12)
+    m = q.vertex(i, i + 2 * k)
+    want = _cokernel_outcome(_counter_diamond_cokernel, q, m, n, window)
+    assert _cokernel_outcome(mesh.diamond_cokernel, q, m, n, window) == want
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(-5, 5),
+    st.integers(-3, 3),
+    st.integers(1, 12),
+    st.integers(0, 12),
+    st.integers(1, 3),
+)
+@example(2, 0, 0, 1, 0, 1)
+@example(1, -3, 1, 2, 1, 2)
+@settings(max_examples=120, deadline=None)
+def test_diamond_cokernel_mutations_match_the_counter_sum(n, i, k, row, a, by):
+    # An inflated knit row (row 0 of knit_layers is {m: 1} whatever the rows
+    # say) reaches both sums alike, the Counter sum through knit_layers: where
+    # it drives an entry negative, both raise the same InternalCheckError at
+    # the same witness.
+    q = quiver.build_dihedral_family(12)
+    m = q.vertex(i, i + 2 * k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mesh, "_knit_lines", _inflated_knit_lines(row, a, by))
+        want = _cokernel_outcome(_counter_diamond_cokernel, q, m, n, 12)
+        assert _cokernel_outcome(mesh.diamond_cokernel, q, m, n, 12) == want
+    if row == 1 and a == 0:  # B's row 1 enters, negated, at m + (0, 2n + 2), off the diamond
+        assert want[0] is InternalCheckError
 
 
 class _ToyQuiver(quiver.TranslationQuiver):

@@ -484,3 +484,63 @@ def test_knit_rows_and_shifted_supports_hold_named_tuples():
             assert all(type(w) is quiver.Vertex and w == quiver.Vertex(*w) for w in row)
         e = center.mu_element(q, 2)
         assert all(type(w) is quiver.Vertex and w == quiver.Vertex(*w) for w in e.image_support(v))
+
+
+def _all_named(vertices) -> bool:
+    # A plain tuple compares equal to a Vertex and is labelled the same, so
+    # only a type check catches a hook that builds one.
+    return all(type(w) is quiver.Vertex and w == quiver.Vertex(*w) for w in vertices)
+
+
+@given(valid_cases, st.integers(-3, 3), st.integers(1, 3))
+@settings(max_examples=300)
+def test_hooks_and_windows_build_named_tuples(case, k, radius):
+    q, v = case
+    built = [q._tau(v, k), *(t for _, t in q._arrows(v)), *q.window(radius), q.parse(str(v))]
+    built.append(q._sigma_pow(v, 2 * k if isinstance(q, quiver.ZAInf) else k))
+    if isinstance(q, quiver.DihedralFamily):
+        i, j = v.coords
+        built += [q._shift(v, k, k + 2), q.tensor_translate(v, (k, -k)), q.vertex(i + k, j - k)]
+    assert _all_named(built)
+
+
+@given(
+    dihedral_vertices,
+    st.integers(1, 3),
+    st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(lambda o: (o[0], o[0] + 2 * o[1])),
+)
+@settings(max_examples=100, deadline=None)
+def test_center_tables_and_supports_build_named_tuples(coords, n, offset):
+    q = quiver.build_dihedral_family(8)
+    v = q.vertex(*coords)
+    e = center.mu_element(q, n)
+    orbit = center.single_orbit_element(q, v, degree=1)
+    tables = [
+        e.image_table(v),
+        orbit.image_table(v),
+        orbit.image_table(q.tensor_translate(v, (0, 2))),
+        mesh.diamond_cokernel(q, v, n, 12),
+        center.translate_table(q, e.image_table(v), offset),
+    ]
+    for table in tables:
+        assert _all_named([table.target, *(w for row in table.layers.values() for w in row)])
+    assert _all_named(e.image_support(v)) and _all_named(e._image_support(v))
+    per_vertex = center.support_report(e, 2).per_vertex_hom_support
+    assert _all_named([*per_vertex, *(w for ws in per_vertex.values() for w in ws)])
+
+
+def test_windows_are_the_sorted_boxes():
+    # the dihedral and ZA-infinity windows are built in vertex order, with no sort
+    dihedral, za = quiver.build_dihedral_family(4), quiver.build_za_inf(4)
+    for radius in range(1, 6):
+        bound = 2 * radius
+        assert dihedral.window(radius) == sorted(
+            quiver.Vertex(quiver.DIHEDRAL_ODD if i % 2 else quiver.DIHEDRAL_EVEN, (i, j))
+            for i in range(-bound, bound + 1)
+            for j in range(-bound + i % 2, bound + 1, 2)
+        )
+        assert za.window(radius) == sorted(
+            quiver.Vertex(quiver.ZA_INF, (level, pos))
+            for level in range(1, radius + 2)
+            for pos in range(-radius, radius + 1)
+        )

@@ -66,12 +66,69 @@ def test_canonical_json_is_json_dumps(x):
     assert canonical_json(x) == reference_json(x)
 
 
+class _Own:
+    """A leaf whose own text is not its JSON text: json.dumps ignores these methods."""
+
+    def __repr__(self):
+        return "own"
+
+    __str__ = __repr__
+
+    def __format__(self, spec):
+        return "own"
+
+
+class _Text(_Own, str):
+    pass
+
+
+class _Count(_Own, int):
+    pass
+
+
+class _Ratio(_Own, float):
+    pass
+
+
+# leaves of every type a list or dict writes itself, and subclasses of them that it leaves to _json
+flat_leaves = st.one_of(
+    texts,
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    texts.map(_Text),
+    st.integers().map(_Count),
+    st.floats(allow_nan=False).map(_Ratio),
+)
+flat_containers = st.one_of(
+    st.lists(flat_leaves, max_size=8),
+    st.lists(flat_leaves, max_size=8).map(tuple),
+    st.dictionaries(texts, flat_leaves, max_size=8),
+    st.dictionaries(st.integers(-50, 50), flat_leaves, max_size=8),
+)
+
+
+@given(
+    st.one_of(
+        flat_containers,
+        st.lists(flat_containers, max_size=4),
+        st.dictionaries(texts, flat_containers, max_size=4),
+    )
+)
+@settings(max_examples=400, deadline=None)
+def test_canonical_json_writes_leaves_in_lists_and_dicts_as_json_dumps(x):
+    assert canonical_json(x) == reference_json(x)
+
+
 @pytest.mark.parametrize(
     "x",
     [
         {},
         [],
         (),
+        [True, False, None, 1, -1, 0, "1", 1.0, _Count(1), _Text("t"), _Ratio(2.5)],
+        {"t": True, "f": False, "n": None, "i": 0, "s": "", "x": 0.5, "c": _Count(-7)},
         {"a": {}, "b": [], "c": (), "d": [[]], "e": {"f": {}}},
         {"row": {"0,2": 1, "-2,0": 12, "J3": -4}},
         {"flag": True, "count": 1, "none": None, "ratio": 0.5},
@@ -181,13 +238,27 @@ def layer_tables(draw):
 CONFIG = {"window": 4, "command": "knit", "seed": 0, "format": "tsv", "quiver": "x", "k_max": 3}
 
 
-@given(layer_tables())
-@settings(max_examples=300, deadline=None)
+@st.composite
+def one_cell_tables(draw):
+    # every vertex in one layer, as in a dihedral knit: the writer's one-line-per-cell
+    # path; mixed components and shapes, negative coordinates, layers past valid_through
+    mixed = st.one_of(shape_vertices.flatmap(lambda vertices: vertices), any_vertex)
+    vertices = draw(st.lists(draw(st.one_of(shape_vertices, st.just(mixed))), unique=True, max_size=24))
+    layers = {}
+    for v in vertices:
+        layers.setdefault(draw(st.integers(0, 14)), {})[v] = draw(st.integers(1, 10**6))
+    valid_through = draw(st.integers(0, 14))
+    target = vertices[0] if vertices else DIHEDRAL.vertex(0, 0)
+    return LayerTable(target, layers, valid_through + draw(st.sampled_from([0, 1, 5])), valid_through)
+
+
+@given(st.one_of(layer_tables(), one_cell_tables()))
+@settings(max_examples=400, deadline=None)
 def test_layer_table_tsv_matches_the_old_writer(table):
     assert layer_table_tsv(table, CONFIG) == reference_tsv(table, CONFIG)
 
 
-@given(layer_tables())
+@given(st.one_of(layer_tables(), one_cell_tables()))
 @settings(max_examples=300, deadline=None)
 def test_layer_table_json_matches_the_old_writer(table):
     assert canonical_json(layer_table_payload(table, CONFIG)) == reference_json(
