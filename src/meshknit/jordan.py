@@ -227,10 +227,15 @@ class ARSequence:
         return all(self.checks.values())
 
 
-def _independent(field: Field, width: int, candidates, key) -> list:
+def _independent(p: int, candidates, key) -> list:
     """The candidates whose key is independent of the keys of those before them."""
-    seen = Subspace(field, width)
-    return [c for c in candidates if seen.insert(key(c))]
+    rows, kept = [], []
+    for c in candidates:
+        grown = _echelon(p, [key(c)], rows)
+        if len(grown) > len(rows):
+            rows = grown
+            kept.append(c)
+    return kept
 
 
 def _combination(field: Field, vectors: list, target) -> tuple | None:
@@ -423,7 +428,7 @@ class _Context:
     @_memo
     def stable_basis(self, x: JordanModule, y: JordanModule) -> list[StableMap]:
         candidates = (self.classify(x, y, b) for b in self.hom_basis(x, y))
-        return _independent(self.field, x.dim * y.dim, candidates, _key)
+        return _independent(self.field.char, candidates, _key)
 
     @_memo
     def stable_dim(self, x: JordanModule, y: JordanModule) -> int:
@@ -567,7 +572,7 @@ class _Context:
             return self.stable_basis(x, y)
         t = self.t_matrix(x)
         candidates = (self.classify(x, y, t.mul(b)) for b in self.hom_basis(x, y))
-        return _independent(self.field, x.dim * y.dim, candidates, _key)
+        return _independent(self.field.char, candidates, _key)
 
     def rad_module_basis(self, u: JordanModule, m: JordanModule) -> list[Matrix]:
         """Module-level spanning set of non-isomorphisms u -> m."""
@@ -575,7 +580,7 @@ class _Context:
             return self.hom_basis(u, m)
         t = self.t_matrix(m)
         candidates = (t.mul(b) for b in self.hom_basis(u, m))
-        return _independent(self.field, u.dim * m.dim, candidates, Matrix.flatten)
+        return _independent(self.field.char, candidates, Matrix.flatten)
 
     # -- syzygies --------------------------------------------------------
     @_memo
@@ -908,39 +913,38 @@ def radical_layers_bruteforce(m: JordanModule, k_max: int, field: Field = GF5) -
     Rad^k(X, m) is spanned by composites h . g with g a non-isomorphism
     X -> Z and h spanning Rad^{k-1}(Z, m).  The layer multiplicity at X
     is dim Rad^k(X, m) - dim Rad^{k+1}(X, m); no recurrence involved,
-    so valid_through = k_max always.
+    so valid_through = k_max always.  Rad^k(X, m) is held as echelon
+    rows of coordinates on ``stable_basis(X, m)``, and every composite
+    is read from the tables (``_Context._table``).
     """
     ctx = context(m.n, field)
     if m.block == ctx.n:
         raise PreconditionError(f"{m} is projective")
-    indecs = ctx.indecomposables()
-    spans: dict[int, list[StableMap]] = {
-        x.block: list(ctx.stable_basis(x, m)) for x in indecs
+    p, indecs = ctx.field.char, ctx.indecomposables()
+    # for each g in rad_stable_basis(x, z): the coordinates of b . g, b in stable_basis(z, m)
+    through = {
+        (x, z): [_composites(p, _pre(ctx._table(x, z, m)), g) for g in ctx._rad_coordinates(x, z)]
+        for x in indecs
+        for z in indecs
     }
-    dims_by_level = [{x.block: len(spans[x.block]) for x in indecs}]
+    spans = {x: Matrix.identity(ctx.field, ctx.stable_dim(x, m)).data for x in indecs}
+    dims_by_level = [{x: len(spans[x]) for x in indecs}]
     for _ in range(k_max + 1):
         spans = {
-            x.block: _independent(
-                ctx.field,
-                x.dim * m.dim,
-                (
-                    ctx.compose(h, g)
-                    for z in indecs
-                    for h in spans[z.block]
-                    for g in ctx.rad_stable_basis(x, z)
-                ),
-                _key,
+            x: _row_basis(
+                p,
+                (_mix(p, h, b_g) for z in indecs for b_g in through[x, z] for h in spans[z]),
             )
             for x in indecs
         }
-        dims_by_level.append({x.block: len(spans[x.block]) for x in indecs})
+        dims_by_level.append({x: len(spans[x]) for x in indecs})
     layers: dict[int, dict[Vertex, int]] = {}
     for k in range(k_max + 1):
         row = {}
         for x in indecs:
-            mult = dims_by_level[k][x.block] - dims_by_level[k + 1][x.block]
+            mult = dims_by_level[k][x] - dims_by_level[k + 1][x]
             if mult:
-                row[Vertex(TUBE, (x.block,))] = mult
+                row[x.vertex()] = mult
         layers[k] = row
     return LayerTable(target=m.vertex(), layers=layers, k_max=k_max, valid_through=k_max)
 
@@ -1043,9 +1047,7 @@ def single_object_support_solver(m: JordanModule, r: int, field: Field = GF5) ->
     spanned = False
     if len(solutions) == 1 and omega_rule:
         # both keys are nonzero, so this asks whether they span one line
-        av_line = Subspace(ctx.field, m.dim * codomain.dim)
-        av_line.insert(ctx.av_class(m).key)
-        spanned = av_line.contains(solutions[0].key)
+        spanned = _spans(ctx.field.char, [ctx.av_class(m).key], solutions[0].key)
     return SolverReport(
         module=m,
         degree=r,

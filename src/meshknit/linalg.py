@@ -5,21 +5,21 @@ prime-field entries are ints reduced mod p.  Floating point input is
 rejected outright rather than coerced, since a single rounded entry
 would poison every rank downstream.
 
-The workhorse for the rest of the package is :class:`Subspace`, an
-incrementally maintained reduced row echelon form.  It gives canonical
-residues, so two vectors are congruent modulo the subspace exactly when
-their residues are equal tuples.  The plain-row helpers at the end
-(``_apply``, ``_mix``, ``_echelon``, ``_kernel``) serve the matrix model's
-inner loops on short coordinate vectors, whose entries are already in the
-field and where a Subspace's coercion and bookkeeping would cost more than
-the arithmetic; they stay private, so the benchmark's span tracer leaves
-them unwrapped.
+The one row-reduction loop is ``_residue``: it reduces a vector by
+(pivot, row) pairs, each row 0 at the pivots before its own.
+``_echelon`` collects such pairs fraction-free, on plain rows already in
+the field (the matrix model's short coordinate vectors); ``_clear``
+scales one to 1 at its pivot and clears that pivot from the others,
+which keeps reduced row echelon form for ``_kernel`` and
+:class:`Subspace`.  A Subspace is the canonical-residue view of those
+rows: it coerces its input, and two vectors are congruent modulo it
+exactly when their residues are equal tuples.  The plain-row helpers
+stay private, so the benchmark's span tracer leaves them unwrapped.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
@@ -240,31 +240,19 @@ class Subspace:
     def __init__(self, field: Field, ambient_dim: int):
         self.field = field
         self.ambient_dim = ambient_dim
-        # pivot column -> normalized, fully reduced row; pivots kept sorted
+        # pivot column -> row, 1 at its pivot and 0 at the other pivots (see ``_clear``)
         self._rows: dict[int, tuple] = {}
-        self._pivots: list[int] = []
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
-
-    def _minus(self, v: Sequence, coeff, row: tuple) -> tuple:
-        """v - coeff * row, entrywise."""
-        p = self.field.char
-        if p:
-            return tuple([(a - coeff * b) % p for a, b in zip(v, row)])
-        return tuple([a - coeff * b if b else a for a, b in zip(v, row)])
+        return len(self._rows)
 
     def _reduce(self, vec: Sequence) -> tuple:
         v = self.field.coerce_row(vec)
         if len(v) != self.ambient_dim:
             raise DimensionError(f"vector length {len(v)} != ambient dim {self.ambient_dim}")
-        rows = self._rows
-        for c in self._pivots:
-            coeff = v[c]
-            if coeff:
-                v = self._minus(v, coeff, rows[c])
-        return v
+        # each row is 1 at its pivot, so this subtracts v[pivot] * row for every pivot
+        return tuple(_residue(self.field.char, self._rows.items(), v))
 
     def residue(self, vec: Sequence) -> tuple:
         return self._reduce(vec)
@@ -274,22 +262,11 @@ class Subspace:
 
     def insert(self, vec: Sequence) -> bool:
         """Add a vector to the spanning set; True if the rank grew."""
-        f = self.field
         v = self._reduce(vec)
         pivot = next((j for j, x in enumerate(v) if x), None)
         if pivot is None:
             return False
-        inv = f.inv(v[pivot])
-        p = f.char
-        v = tuple([inv * x % p for x in v] if p else [inv * x for x in v])
-        # keep existing rows reduced against the new pivot
-        rows = self._rows
-        for c, row in rows.items():
-            coeff = row[pivot]
-            if coeff:
-                rows[c] = self._minus(row, coeff, v)
-        rows[pivot] = v
-        insort(self._pivots, pivot)
+        _clear(self.field.char, self._rows, pivot, v)
         return True
 
     def extend(self, vecs: Iterable[Sequence]) -> int:
@@ -298,7 +275,7 @@ class Subspace:
 
     def basis(self) -> list[tuple]:
         """RREF basis rows ordered by pivot column."""
-        return [self._rows[c] for c in self._pivots]
+        return [self._rows[c] for c in sorted(self._rows)]
 
 
 def rank(m: Matrix) -> int:
@@ -311,7 +288,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot columns."""
     space = Subspace(m.field, m.cols)
     space.extend(m.data)
-    return Matrix._of(m.field, tuple(space.basis()), m.cols), tuple(space._pivots)
+    return Matrix._of(m.field, tuple(space.basis()), m.cols), tuple(sorted(space._rows))
 
 
 def kernel_basis(m: Matrix) -> list[tuple]:
@@ -382,8 +359,9 @@ def _echelon(p: int, vectors, rows=()) -> list[tuple[int, Sequence]]:
     return rows
 
 
-def _residue(p: int, rows: list[tuple[int, Sequence]], v: Sequence) -> Sequence:
-    """A nonzero multiple of v reduced by ``_echelon`` rows: zero exactly if v is in their span."""
+def _residue(p: int, rows: Iterable[tuple[int, Sequence]], v: Sequence) -> Sequence:
+    """A nonzero multiple of v reduced by (pivot, row) pairs, each row 0 at the pivots
+    before its own: zero exactly if v is in their span.  The only reduction loop here."""
     for pivot, row in rows:
         a = v[pivot]
         if a:
@@ -395,21 +373,27 @@ def _residue(p: int, rows: list[tuple[int, Sequence]], v: Sequence) -> Sequence:
     return v
 
 
+def _clear(p: int, reduced: dict, pivot: int, v: Sequence) -> None:
+    """Add v, nonzero at pivot and 0 at the pivots of ``reduced``, to those rows: scaled
+    to 1 at its pivot and cleared from the other rows, so each row stays 1 at its own
+    pivot and 0 at the others."""
+    inv = pow(v[pivot], p - 2, p) if p else 1 / Fraction(v[pivot])
+    v = tuple([inv * a % p for a in v] if p else [inv * a for a in v])
+    for q, row in reduced.items():
+        reduced[q] = tuple(_residue(p, [(pivot, v)], row))  # row - row[pivot] v
+    reduced[pivot] = v
+
+
 def _kernel(p: int, width: int, rows) -> list[tuple]:
     """``kernel_basis`` of the matrix with these rows and width columns; a full-rank
     system is told by its ``_echelon`` rows alone."""
     echelon = _echelon(p, rows)
     if len(echelon) == width:
         return []
-    # Each echelon row is 0 at the pivots before its own: scaled to 1 at its pivot and
-    # cleared from the rows before it, they are the reduced row echelon form.
-    reduced: dict[int, list] = {}
+    # Each echelon row is 0 at the pivots before its own, as ``_clear`` needs.
+    reduced: dict[int, tuple] = {}
     for pivot, v in echelon:
-        inv = pow(v[pivot], p - 2, p) if p else 1 / Fraction(v[pivot])
-        v = [inv * a % p for a in v] if p else [inv * a for a in v]
-        for q, row in reduced.items():
-            reduced[q] = _residue(p, [(pivot, v)], row)  # v is 1 at the pivot: row - row[pivot] v
-        reduced[pivot] = v
+        _clear(p, reduced, pivot, v)
     zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     basis = []
     for free in range(width):

@@ -501,14 +501,12 @@ def knit_layers(
     if not isinstance(q, DihedralFamily):
         return _knit_push(q, m, k_max, win)
 
+    # Every row lies in m + [0, 2 k_max]^2, inside the enlarged window since m is in the base one.
     c, (mi, mj) = m
     rows: dict[int, dict[Vertex, int]] = {0: {m: 1}}
     for k, line in enumerate(_knit_lines(k_max)[1:], 1):
         cells = zip(range(mi, mi + 2 * k + 1, 2), range(mj + 2 * k, mj - 1, -2), line)
-        rows[k] = row = {new_vertex((c, (i, j))): r for i, j, r in cells if r}
-        # The window is a coordinate box and the row a segment: its ends decide.
-        win.check(next(iter(row)))
-        win.check(next(reversed(row)))
+        rows[k] = {new_vertex((c, (i, j))): r for i, j, r in cells if r}
     return LayerTable(target=m, layers=rows, k_max=k_max, valid_through=len(rows) - 1)
 
 
@@ -586,7 +584,6 @@ def path_sign_check(
     window: int,
     grade: int | None = None,
     field: Field = QQ,
-    dense_limit: int = DENSE_SIGN_LIMIT,
 ) -> PathSignReport:
     """Verify parallel paths u -> m are congruent up to the predicted sign.
 
@@ -607,11 +604,11 @@ def path_sign_check(
     access only.  The n-entry ``signs`` list is allocated before any is
     filled, so an impossible path count fails at once.
 
-    ``method``, ``dense_limit`` and ``DENSE_SIGN_LIMIT`` stay only
-    because the benchmark checks them: reports on at most
-    ``dense_limit`` paths are "dense" and carry ``hom_dim`` and
-    per-pair counts; larger ones are "certificate", where a connected
-    flip graph certifies every pair by transitivity.
+    ``method`` and ``DENSE_SIGN_LIMIT`` stay only because the benchmark
+    checks them: reports on at most ``DENSE_SIGN_LIMIT`` paths are
+    "dense" and carry ``hom_dim`` and per-pair counts; larger ones are
+    "certificate", where a connected flip graph certifies every pair by
+    transitivity.
     """
     q.validate(u)
     q.validate(m)
@@ -628,7 +625,7 @@ def path_sign_check(
     if n == 0:
         return PathSignReport(u, m, grade, 0, "vacuous")
 
-    report = PathSignReport(u, m, grade, n, "dense" if n <= dense_limit else "certificate")
+    report = PathSignReport(u, m, grade, n, "dense" if n <= DENSE_SIGN_LIMIT else "certificate")
     codes = classes.codes()
     report.connected = classes.components == 1
     # One component: the codes are the signs.

@@ -343,6 +343,45 @@ def test_bruteforce_layers_match_knitting():
         assert table.row(k) == knit.row(k)
 
 
+def _radical_layers_by_composition(m, k_max, field):
+    """Layer rows of Hom(-, m) from composed matrices, the reference for the tables.
+
+    Rad^k(X, m) is the span of the keys of h . g, h in the kept classes of
+    Rad^{k-1}(Z, m) and g in ``rad_stable_basis(X, Z)``, each composed by ``compose``.
+    """
+    ctx = context(m.n, field)
+    indecs = ctx.indecomposables()
+    spans = {x: jordan.stable_basis(x, m, field) for x in indecs}
+    dims = [{x: len(spans[x]) for x in indecs}]
+    for _ in range(k_max + 1):
+        grown = {}
+        for x in indecs:
+            space = Subspace(field, x.dim * m.dim)
+            composites = (
+                jordan.compose(h, g)
+                for z in indecs
+                for h in spans[z]
+                for g in ctx.rad_stable_basis(x, z)
+            )
+            grown[x] = [hg for hg in composites if space.insert(hg.key)]
+        spans = grown
+        dims.append({x: len(spans[x]) for x in indecs})
+    return {
+        k: {x.vertex(): dims[k][x] - dims[k + 1][x] for x in indecs if dims[k][x] != dims[k + 1][x]}
+        for k in range(k_max + 1)
+    }
+
+
+@given(st.integers(3, 7), st.sampled_from([GF(2), GF(3), GF(32749), QQ]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_bruteforce_layers_match_the_matrix_composition_reference(n, field, data):
+    m = indec(n, data.draw(st.integers(1, n - 1)))
+    k_max = data.draw(st.integers(0, 2 * n))
+    table = mk.radical_layers_bruteforce(m, k_max, field)
+    assert table.layers == _radical_layers_by_composition(m, k_max, field)
+    assert (table.k_max, table.valid_through) == (k_max, k_max)
+
+
 # -- splitting and the solver -----------------------------------------------------------
 
 

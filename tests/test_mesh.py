@@ -613,6 +613,27 @@ def test_dihedral_rows_match_the_per_vertex_push(half_i, half_j, odd, k_max, win
     assert _knit_outcome(mesh.knit_layers, *case) == _knit_outcome(_knit_pushed, *case)
 
 
+@given(
+    st.integers(-10, 10),
+    st.integers(-10, 10),
+    st.booleans(),
+    st.integers(0, 40),
+    st.integers(1, 4),
+)
+@settings(max_examples=150, deadline=None)
+def test_dihedral_rows_stay_inside_the_enlarged_window(half_i, half_j, odd, k_max, window):
+    # The dihedral knit checks only its base: every row vertex lies in the enlarged
+    # window on its own, and a base outside the window still raises.
+    m = KNIT_DIHEDRAL.vertex(2 * half_i + odd, 2 * half_j + odd)
+    if not KNIT_DIHEDRAL.in_window(m, window):
+        with pytest.raises(WindowError):
+            mesh.knit_layers(KNIT_DIHEDRAL, m, k_max, window)
+        return
+    table = mesh.knit_layers(KNIT_DIHEDRAL, m, k_max, window)
+    for row in table.layers.values():
+        assert all(KNIT_DIHEDRAL.in_window(v, window + k_max + 2) for v in row)
+
+
 def test_dihedral_knit_builds_no_mesh():
     q = quiver.build_dihedral_family(4)
     table = mesh.knit_layers(q, q.vertex(1, -1), k_max=20, window=4)
@@ -649,14 +670,15 @@ def test_sign_check_vacuous_when_no_paths(dihedral):
 
 
 def test_sign_check_certificate_mode_agrees(dihedral):
-    u, m = dihedral.vertex(4, 4), dihedral.vertex(0, 0)
-    # 6 parallel paths; a tiny limit forces the certificate strategy.
-    dense = mesh.path_sign_check(dihedral, u, m, window=8)
-    cert = mesh.path_sign_check(dihedral, u, m, window=8, dense_limit=2)
-    assert dense.method == "dense"
-    assert cert.method == "certificate"
-    assert dense.all_ok and cert.all_ok
-    assert dense.signs == cert.signs
+    u, m = dihedral.vertex(10, 8), dihedral.vertex(0, 0)
+    # C(9, 4) = 126 parallel paths, past DENSE_SIGN_LIMIT
+    cert = mesh.path_sign_check(dihedral, u, m, window=8)
+    assert cert.method == "certificate" and cert.num_paths == 126 > mesh.DENSE_SIGN_LIMIT
+    assert cert.all_ok and cert.connected
+    assert cert.verified_pairs == 126 * 125 // 2
+    scan = _PathScanClasses(dihedral, u, m, cert.grade, mesh._Window(dihedral, 8, 0), QQ)
+    assert scan.components == 1
+    assert cert.signs == [(-1) ** scan.find(i)[1] for i in range(126)]
 
 
 def test_sign_check_on_tube_needs_grade(tube4):
