@@ -238,13 +238,6 @@ def _independent(p: int, candidates, key) -> list:
     return kept
 
 
-def _combination(field: Field, vectors: list, target) -> tuple | None:
-    """Coefficients c with sum(c_i vectors_i) = target, or None when there are none."""
-    if not vectors:
-        return None if any(target) else ()
-    return solve(Matrix(field, list(zip(*vectors))), target)
-
-
 def _post(table: list) -> list[list[tuple]]:
     """Matrices M_j, ``_apply(p, M_j, a)`` being the coordinates of c . b_j, c having
     coordinates a (see ``_Context._table``)."""
@@ -422,9 +415,6 @@ class _Context:
         key = self.proj_subspace(x, y).residue(matrix.flatten())
         return StableMap(x, y, matrix, key)
 
-    def residue(self, x: JordanModule, y: JordanModule, matrix: Matrix) -> tuple:
-        return self.proj_subspace(x, y).residue(matrix.flatten())
-
     @_memo
     def stable_basis(self, x: JordanModule, y: JordanModule) -> list[StableMap]:
         candidates = (self.classify(x, y, b) for b in self.hom_basis(x, y))
@@ -448,11 +438,15 @@ class _Context:
         return self.classify(f.source, g.target, g.matrix.mul(f.matrix))
 
     def combine(self, x: JordanModule, y: JordanModule, basis: list[StableMap], coeffs) -> StableMap:
-        acc = Matrix.zeros(self.field, y.dim, x.dim)
-        for c, b in zip(coeffs, basis):
-            if c:
-                acc = acc.add(b.matrix.scale(c))
-        return self.classify(x, y, acc)
+        """The class sum(coeffs_i basis_i) x -> y.  A key is linear in its map, so its key is
+        the same combination of the basis keys, and no residue is taken."""
+        if not basis:
+            zero = (self.field.zero,) * (x.dim * y.dim)
+            return StableMap(x, y, self._unflatten(zero, y.dim, x.dim), zero)
+        p, coeffs = self.field.char, self.field.coerce_row(coeffs)
+        flat = _mix(p, coeffs, [b.matrix.flatten() for b in basis])
+        key = _mix(p, coeffs, [b.key for b in basis])
+        return StableMap(x, y, self._unflatten(flat, y.dim, x.dim), key)
 
     @_memo
     def class_lines(self, x: JordanModule, y: JordanModule) -> list[StableMap]:
@@ -460,16 +454,10 @@ class _Context:
 
         Each is the line's class with first nonzero coefficient 1, in
         ``product`` order (``_lines``); every check here is unchanged by a
-        nonzero scalar.  A key is linear in its map, so it is the same
-        combination of the basis keys.
+        nonzero scalar.
         """
         lines = _lines(self.field, self.stable_dim(x, y))
-        basis, p = self.stable_basis(x, y), self.field.char
-        flats, keys = [b.matrix.flatten() for b in basis], [b.key for b in basis]
-        return [
-            StableMap(x, y, self._unflatten(_mix(p, a, flats), y.dim, x.dim), _mix(p, a, keys))
-            for a in lines
-        ]
+        return [self.combine(x, y, self.stable_basis(x, y), a) for a in lines]
 
     @_memo
     def _coordinate_rows(self, x: JordanModule, y: JordanModule) -> tuple[list, list]:
@@ -493,7 +481,7 @@ class _Context:
         ``stable_basis(u, y)[i] . stable_basis(x, u)[j]``."""
         return [
             [
-                self._coordinates(x, y, self.residue(x, y, b.matrix.mul(a.matrix)))
+                self._coordinates(x, y, self.classify(x, y, b.matrix.mul(a.matrix)).key)
                 for a in self.stable_basis(x, u)
             ]
             for b in self.stable_basis(u, y)
@@ -635,15 +623,12 @@ class _Context:
         pi_i = self.proj_matrix(self.n, i)
         pi_j = self.proj_matrix(self.n, j)
         lift_basis = self.hom_basis(p, p)
-        columns = [pi_j.mul(b).flatten() for b in lift_basis]
-        coeffs = _combination(self.field, columns, f.matrix.mul(pi_i).flatten())
+        lifts = Matrix(self.field, list(zip(*(pi_j.mul(b).flatten() for b in lift_basis))))
+        coeffs = solve(lifts, f.matrix.mul(pi_i).flatten())
         if coeffs is None:
             raise InternalCheckError("projective lift does not exist", witness=f)
-        lift = Matrix.zeros(self.field, self.n, self.n)
-        for c, b in zip(coeffs, lift_basis):
-            if c:
-                lift = lift.add(b.scale(c))
-        moved = lift.mul(self._kappa(i))
+        lift = _mix(self.field.char, coeffs, [b.flatten() for b in lift_basis])
+        moved = self._unflatten(lift, self.n, self.n).mul(self._kappa(i))
         # columns of the moved kernel must lie in the kernel of pi_j
         if any(moved.entry(r, c) for r in range(j) for c in range(self.n - i)):
             raise InternalCheckError("lift does not preserve cover kernels", witness=f)
@@ -653,9 +638,12 @@ class _Context:
         )
         return self.classify(src_omega, tgt_omega, restricted)
 
-    def omega_pow_map(self, f: StableMap, r: int) -> StableMap:
-        """r-th syzygy power of a class; omega is an involution stably."""
-        return f if r % 2 == 0 else self.omega_map(f)
+    @_memo
+    def _omega_coordinates(self, x: JordanModule, y: JordanModule) -> list[tuple]:
+        """Coordinates on ``stable_basis(Omega x, Omega y)`` of ``omega_map(g)`` for each g in
+        ``stable_basis(x, y)``."""
+        ox, oy = self.omega_object(x), self.omega_object(y)
+        return [self._coordinates(ox, oy, self.omega_map(g).key) for g in self.stable_basis(x, y)]
 
     # -- almost vanishing --------------------------------------------------
     @_memo
@@ -723,13 +711,13 @@ def context(n: int, field: Field = GF5) -> _Context:
 def hom_basis(x: JordanModule, y: JordanModule, field: Field = GF5) -> list[Matrix]:
     ctx = context(x.n, field)
     ctx.check_module(y)
-    return ctx.hom_basis(x, y)
+    return list(ctx.hom_basis(x, y))
 
 
 def stable_basis(x: JordanModule, y: JordanModule, field: Field = GF5) -> list[StableMap]:
     ctx = context(x.n, field)
     ctx.check_module(y)
-    return ctx.stable_basis(x, y)
+    return list(ctx.stable_basis(x, y))
 
 
 def stable_hom_dim(x: JordanModule, y: JordanModule, field: Field = GF5) -> int:
@@ -740,7 +728,7 @@ def stable_class_lines(x: JordanModule, y: JordanModule, field: Field = GF5) -> 
     """One class per line of nonzero stable classes x -> y; see ``_Context.class_lines``."""
     ctx = context(x.n, field)
     ctx.check_module(y)
-    return ctx.class_lines(x, y)
+    return list(ctx.class_lines(x, y))
 
 
 def compose(g: StableMap, f: StableMap) -> StableMap:
@@ -797,16 +785,17 @@ def ar_sequence(m: JordanModule, field: Field = GF5) -> ARSequence:
     checks["exact_at_middle"] = rank(left) + rank(right) == middle.dim
 
     def through_right(u_mod: JordanModule) -> list[tuple]:
-        return [right.mul(b).flatten() for b in ctx.hom_basis(u_mod, middle)]
+        """The maps right . b, b running over ``hom_basis(u_mod, middle)``, as columns."""
+        return Matrix(f, list(zip(*(right.mul(b).flatten() for b in ctx.hom_basis(u_mod, middle)))))
 
     # Non-split: no section s with right . s = identity.
     identity_flat = Matrix.identity(f, i).flatten()
-    checks["non_split"] = _combination(f, through_right(m), identity_flat) is None
+    checks["non_split"] = solve(through_right(m), identity_flat) is None
 
     # Lifting property: every non-isomorphism u: U -> m (U running over
     # all indecomposables, the projective included) lifts through right.
     checks["lifting"] = all(
-        _combination(f, columns, u.flatten()) is not None
+        solve(columns, u.flatten()) is not None
         for u_mod in ctx.indecomposables(include_projective=True)
         for columns in [through_right(u_mod)]
         for u in ctx.rad_module_basis(u_mod, m)
@@ -917,6 +906,8 @@ def radical_layers_bruteforce(m: JordanModule, k_max: int, field: Field = GF5) -
     rows of coordinates on ``stable_basis(X, m)``, and every composite
     is read from the tables (``_Context._table``).
     """
+    if k_max < 0:
+        raise UnsupportedParameterError(f"k_max must be >= 0, got {k_max}")
     ctx = context(m.n, field)
     if m.block == ctx.n:
         raise PreconditionError(f"{m} is projective")
@@ -1006,48 +997,45 @@ def single_object_support_solver(m: JordanModule, r: int, field: Field = GF5) ->
     solution space is returned with the codomain bookkeeping: nonzero
     solutions can exist only when F(m) is the syzygy of m, and then the
     space is the scalar line through the almost-vanishing class.
+
+    Each square is read in coordinates from the tables (``_Context._table``),
+    F(g) being g or its memoized ``_omega_coordinates``: O(d^2) work per unknown
+    and class g, d <= n/2 a stable dimension, where matrix squares took two
+    O(n^3) products, a residue of length X.dim * F(Y).dim and an ``omega_map``.
     """
     ctx = context(m.n, field)
     if m.block == ctx.n:
         raise PreconditionError(f"{m} is projective")
-
-    def f_obj(x: JordanModule) -> JordanModule:
-        return x if r % 2 == 0 else ctx.omega_object(x)
-
-    def f_map(g: StableMap) -> StableMap:
-        return ctx.omega_pow_map(g, r)
-
-    codomain = f_obj(m)
+    p, odd = ctx.field.char, r % 2
+    codomain = ctx.omega_object(m) if odd else m
     basis = ctx.stable_basis(m, codomain)
-
-    def square(x: JordanModule, y: JordanModule, g: StableMap) -> list[tuple]:
-        """F(g) . alpha_X - alpha_Y . g for each basis class alpha, as residues."""
-        fg = f_map(g).matrix if x == m else None
-
-        def side(b: Matrix) -> Matrix:
-            if y != m:
-                return fg.mul(b)
-            moved = b.mul(g.matrix).scale(-1)
-            return moved if x != m else fg.mul(b).add(moved)
-
-        return [ctx.residue(x, f_obj(y), side(b.matrix)) for b in basis]
-
     indecs = ctx.indecomposables()
-    squares = (
-        square(x, y, g)
-        for x in indecs
-        for y in indecs
-        if m in (x, y)
-        for g in ctx.stable_basis(x, y)
-    )
-    sols = _kernel(ctx.field.char, len(basis), _transposed(squares))
+    squares = []
+    for x in indecs:
+        for y in indecs:
+            if m not in (x, y):
+                continue
+            # per basis class g: x -> y, the coordinates of F(g) . alpha (x = m) and of
+            # alpha . g (y = m) for each alpha in basis, g having unit coordinates
+            units = Matrix.identity(ctx.field, ctx.stable_dim(x, y)).data
+            sides = []
+            if x == m:
+                post = _post(ctx._table(m, codomain, ctx.omega_object(y) if odd else y))
+                images = ctx._omega_coordinates(m, y) if odd else units
+                sides.append([_composites(p, post, fg) for fg in images])
+            if y == m:
+                pre = _pre(ctx._table(x, m, codomain))
+                sides.append([_composites(p, pre, g) for g in units])
+            # F(g) . alpha_x - alpha_y . g, a missing side being zero
+            squares += ([_mix(p, (1, -1), pair) for pair in zip(*square)] for square in zip(*sides))
+    sols = _kernel(p, len(basis), _transposed(squares))
     solutions = [ctx.combine(m, codomain, basis, c) for c in sols]
 
     omega_rule = codomain == ctx.omega_object(m)
     spanned = False
     if len(solutions) == 1 and omega_rule:
         # both keys are nonzero, so this asks whether they span one line
-        spanned = _spans(ctx.field.char, [ctx.av_class(m).key], solutions[0].key)
+        spanned = _spans(p, [ctx.av_class(m).key], solutions[0].key)
     return SolverReport(
         module=m,
         degree=r,

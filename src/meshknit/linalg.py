@@ -8,13 +8,15 @@ would poison every rank downstream.
 The one row-reduction loop is ``_residue``: it reduces a vector by
 (pivot, row) pairs, each row 0 at the pivots before its own.
 ``_echelon`` collects such pairs fraction-free, on plain rows already in
-the field (the matrix model's short coordinate vectors); ``_clear``
-scales one to 1 at its pivot and clears that pivot from the others,
-which keeps reduced row echelon form for ``_kernel`` and
+the field (the matrix model's short coordinate vectors), which is all
+``rank`` needs; ``_clear`` scales one to 1 at its pivot and clears that
+pivot from the others, which keeps reduced row echelon form for
+``_kernel`` (behind ``kernel_basis`` and ``solve``) and
 :class:`Subspace`.  A Subspace is the canonical-residue view of those
-rows: it coerces its input, and two vectors are congruent modulo it
-exactly when their residues are equal tuples.  The plain-row helpers
-stay private, so the benchmark's span tracer leaves them unwrapped.
+rows, behind ``rref``: it coerces its input, and two vectors are
+congruent modulo it exactly when their residues are equal tuples.  The
+plain-row helpers stay private, so the benchmark's span tracer leaves
+them unwrapped.
 """
 
 from __future__ import annotations
@@ -279,9 +281,7 @@ class Subspace:
 
 
 def rank(m: Matrix) -> int:
-    space = Subspace(m.field, m.cols)
-    space.extend(m.data)
-    return space.rank
+    return len(_echelon(m.field.char, m.data))
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -303,22 +303,18 @@ def kernel_basis(m: Matrix) -> list[tuple]:
 def solve(m: Matrix, b: Sequence):
     """One solution of m x = b, or None when inconsistent.
 
-    The particular solution is canonical: free coordinates are zero.
+    The particular solution is canonical: free coordinates are zero.  It is the
+    kernel vector of (m | -b) for its last column, when that column is free; the
+    kernel vectors, in free-column order, are all 0 there when it is a pivot.
     """
     if len(b) != m.rows:
         raise DimensionError(f"rhs length {len(b)} != row count {m.rows}")
     f = m.field
-    b = f.coerce_row(b)
-    if m.rows == 0:
-        return (f.zero,) * m.cols
-    aug = Matrix._of(f, tuple(row + (bi,) for row, bi in zip(m.data, b)), m.cols + 1)
-    reduced, pivots = rref(aug)
-    if m.cols in pivots:
+    aug = [row + (f.neg(bi),) for row, bi in zip(m.data, f.coerce_row(b))]
+    kernel = _kernel(f.char, m.cols + 1, aug)
+    if not (kernel and kernel[-1][-1]):
         return None
-    x = [f.zero] * m.cols
-    for r, pcol in zip(reduced.data, pivots):
-        x[pcol] = r[m.cols]
-    return tuple(x)
+    return kernel[-1][:-1]
 
 
 def _lines(field: Field, d: int):

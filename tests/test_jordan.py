@@ -3,6 +3,7 @@
 import gc
 import weakref
 from collections import Counter, OrderedDict
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -424,6 +425,94 @@ def test_solver_matches_rule_everywhere_n5():
             assert mk.single_object_support_solver(indec(5, i), r).matches_rule
 
 
+def _combine_by_matrices(ctx, x, y, basis, coeffs):
+    """Reference ``combine``: the sum of the scaled basis matrices, classified."""
+    acc = linalg.Matrix.zeros(ctx.field, y.dim, x.dim)
+    for c, b in zip(coeffs, basis):
+        if c:
+            acc = acc.add(b.matrix.scale(c))
+    return ctx.classify(x, y, acc)
+
+
+def _solver_by_matrix_squares(m, r, field):
+    """Reference solver: each square F(g) . alpha_X - alpha_Y . g composed as matrices, F(g)
+    being g or ``omega_map(g)``, and reduced to its residue modulo the projective maps."""
+    ctx = context(m.n, field)
+
+    def f_obj(x):
+        return x if r % 2 == 0 else ctx.omega_object(x)
+
+    def f_map(g):
+        return g if r % 2 == 0 else ctx.omega_map(g)
+
+    codomain = f_obj(m)
+    basis = ctx.stable_basis(m, codomain)
+
+    def square(x, y, g):
+        fg = f_map(g).matrix if x == m else None
+
+        def side(b):
+            if y != m:
+                return fg.mul(b)
+            moved = b.mul(g.matrix).scale(-1)
+            return moved if x != m else fg.mul(b).add(moved)
+
+        return [ctx.classify(x, f_obj(y), side(b.matrix)).key for b in basis]
+
+    indecs = ctx.indecomposables()
+    squares = (
+        square(x, y, g) for x in indecs for y in indecs if m in (x, y) for g in ctx.stable_basis(x, y)
+    )
+    sols = linalg._kernel(ctx.field.char, len(basis), jordan._transposed(squares))
+    solutions = [_combine_by_matrices(ctx, m, codomain, basis, c) for c in sols]
+    omega_rule = codomain == ctx.omega_object(m)
+    spanned = False
+    if len(solutions) == 1 and omega_rule:
+        # both keys are nonzero: they span one line exactly when only the first raises the rank
+        span = Subspace(ctx.field, m.dim * codomain.dim)
+        spanned = span.extend([ctx.av_class(m).key, solutions[0].key]) == 1
+    return jordan.SolverReport(m, r, codomain, len(solutions), solutions, omega_rule, spanned)
+
+
+@given(st.integers(3, 7), st.integers(-3, 3), st.sampled_from([GF(2), GF(3), GF(32749), QQ]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_solver_matches_the_matrix_square_reference(n, r, field, data):
+    m = indec(n, data.draw(st.integers(1, n - 1)))
+    got = mk.single_object_support_solver(m, r, field)
+    want = _solver_by_matrix_squares(m, r, field)
+    fields = ("module", "degree", "codomain", "dim", "omega_rule", "spanned_by_almost_vanishing")
+    assert [getattr(got, name) for name in fields] == [getattr(want, name) for name in fields]
+    assert [(b.source, b.target, b.key, b.matrix) for b in got.basis] == [
+        (b.source, b.target, b.key, b.matrix) for b in want.basis
+    ]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ])
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_combine_matches_the_matrix_sum_reference(n, field):
+    ctx = context(n, field)
+    proj = ctx.projective
+    for x in ctx.indecomposables(include_projective=True):
+        for y in ctx.indecomposables(include_projective=True):
+            basis = ctx.stable_basis(x, y)
+            # only pairs with the projective as an end have no stable class
+            assert (not basis) == (proj in (x, y))
+            coefficients = [(0,) * len(basis)]
+            if field == QQ:
+                coefficients.append(tuple(Fraction(k - 1, k + 2) for k in range(len(basis))))
+            else:
+                coefficients.append(tuple(range(1, len(basis) + 1)))
+            for coeffs in coefficients:
+                got = ctx.combine(x, y, basis, coeffs)
+                want = _combine_by_matrices(ctx, x, y, basis, coeffs)
+                assert (got, got.key, got.matrix) == (want, want.key, want.matrix)
+            if not basis:
+                zero = ctx.zero_map(x, y)
+                got = ctx.combine(x, y, basis, ())
+                assert (got.key, got.matrix) == (zero.key, zero.matrix)
+                assert (got.matrix.rows, got.matrix.cols) == (y.dim, x.dim)
+
+
 # -- cross-field sanity ---------------------------------------------------------------
 
 
@@ -461,7 +550,7 @@ def _conditions_by_loops(ctx, f):
         for u_class in ctx.class_lines(u, y):
             span = Subspace(ctx.field, x.dim * y.dim)
             for b in ctx.stable_basis(x, u):
-                span.insert(ctx.residue(x, y, u_class.matrix.mul(b.matrix)))
+                span.insert(ctx.classify(x, y, u_class.matrix.mul(b.matrix)).key)
             if not span.contains(f.key):
                 ok = False
                 break
@@ -473,7 +562,7 @@ def _conditions_by_loops(ctx, f):
         for v_class in ctx.class_lines(x, v):
             span = Subspace(ctx.field, x.dim * y.dim)
             for b in ctx.stable_basis(v, y):
-                span.insert(ctx.residue(x, y, b.matrix.mul(v_class.matrix)))
+                span.insert(ctx.classify(x, y, b.matrix.mul(v_class.matrix)).key)
             if not span.contains(f.key):
                 ok = False
                 break
@@ -483,7 +572,7 @@ def _conditions_by_loops(ctx, f):
     ok = True
     for u in ctx.indecomposables():
         for g in ctx.rad_stable_basis(u, x):
-            if any(ctx.residue(u, y, f.matrix.mul(g.matrix))):
+            if any(ctx.classify(u, y, f.matrix.mul(g.matrix)).key):
                 ok = False
                 break
         if not ok:
@@ -492,7 +581,7 @@ def _conditions_by_loops(ctx, f):
     ok = True
     for u in ctx.indecomposables():
         for h in ctx.rad_stable_basis(y, u):
-            if any(ctx.residue(x, u, h.matrix.mul(f.matrix))):
+            if any(ctx.classify(x, u, h.matrix.mul(f.matrix)).key):
                 ok = False
                 break
         if not ok:
@@ -505,7 +594,7 @@ def _conditions_by_loops(ctx, f):
 def _span(ctx, x, y, composites):
     """Subspace spanned by the residues of maps x -> y."""
     span = Subspace(ctx.field, x.dim * y.dim)
-    span.extend(ctx.residue(x, y, c) for c in composites)
+    span.extend(ctx.classify(x, y, c).key for c in composites)
     return span
 
 
@@ -547,12 +636,12 @@ def _av_report_by_class(f):
             for c in ctx.class_lines(x, v)
         ),
         "kills_non_split_epis": not any(
-            any(ctx.residue(u, y, f.matrix.mul(g.matrix)))
+            any(ctx.classify(u, y, f.matrix.mul(g.matrix)).key)
             for u in indecs
             for g in ctx.rad_stable_basis(u, x)
         ),
         "killed_by_non_split_monos": not any(
-            any(ctx.residue(x, u, h.matrix.mul(f.matrix)))
+            any(ctx.classify(x, u, h.matrix.mul(f.matrix)).key)
             for u in indecs
             for h in ctx.rad_stable_basis(y, u)
         ),
@@ -571,8 +660,9 @@ def _injective_by_class(ctx, theta, x):
 def _splits_by_class(ctx, theta):
     """Reference: some class b . theta is the identity, solved for per class."""
     u, v = theta.source, theta.target
-    columns = [ctx.residue(u, u, b.matrix.mul(theta.matrix)) for b in ctx.stable_basis(v, u)]
-    return jordan._combination(ctx.field, columns, ctx.identity_map(u).key) is not None
+    columns = [ctx.classify(u, u, b.matrix.mul(theta.matrix)).key for b in ctx.stable_basis(v, u)]
+    lifts = linalg.Matrix(ctx.field, list(zip(*columns)))
+    return linalg.solve(lifts, ctx.identity_map(u).key) is not None
 
 
 def _mono_split_by_class(n, field):
@@ -785,6 +875,39 @@ def test_class_lines_are_built_once_per_context():
     assert len(first) == (7**d - 1) // (7 - 1)
     assert [key for key in ctx._memo if key[0] == "class_lines"] == [("class_lines", x, y)]
     assert ctx._memo["class_lines", x, y] is first
+
+
+def test_public_lists_are_fresh_copies_of_the_memo(monkeypatch):
+    monkeypatch.setattr(jordan, "_contexts", OrderedDict())
+    x, y = indec(5, 2), indec(5, 3)
+
+    def answers():
+        return (
+            mk.hom_basis(x, y),
+            [b.key for b in mk.stable_basis(x, y)],
+            mk.stable_hom_dim(x, y),
+            [c.key for c in mk.stable_class_lines(x, y)],
+        )
+
+    before = answers()
+    assert before[2] == 2
+    for got in (mk.hom_basis(x, y), mk.stable_basis(x, y), mk.stable_class_lines(x, y)):
+        got.pop()
+        assert answers() == before
+        got.clear()
+        assert answers() == before
+
+
+@pytest.mark.parametrize("k_max", [-1, -3])
+def test_negative_k_max_is_refused_as_knitting_refuses_it(k_max):
+    from meshknit import mesh, quiver
+
+    q = quiver.build_tube(5)
+    with pytest.raises(UnsupportedParameterError) as knit:
+        mesh.knit_layers(q, q.vertex(1), k_max, window=4)
+    with pytest.raises(UnsupportedParameterError) as brute:
+        mk.radical_layers_bruteforce(indec(5, 1), k_max)
+    assert str(brute.value) == str(knit.value) == f"k_max must be >= 0, got {k_max}"
 
 
 def test_failed_calls_are_not_memoized():

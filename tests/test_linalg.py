@@ -333,8 +333,12 @@ def test_plain_int_kernels_match_the_field_method_references(field, data):
     assert la.solve(product, rhs) == ref_solve(product, [field.coerce(x) for x in rhs])
 
 
-@given(st.sampled_from(KERNEL_FIELDS), st.sampled_from(["drawn", "a zero row", "full rank"]), st.data())
-@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(KERNEL_FIELDS),
+    st.sampled_from(["drawn", "a zero row", "a zero column", "full rank"]),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
 def test_plain_row_kernels_match_the_reference(field, shape, data):
     width = data.draw(st.integers(min_value=0, max_value=5))
     entries = st.integers(min_value=-40000, max_value=40000) | st.fractions(max_denominator=5).filter(
@@ -343,15 +347,28 @@ def test_plain_row_kernels_match_the_reference(field, shape, data):
     rows = data.draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=5))
     if shape == "a zero row":
         rows.insert(data.draw(st.integers(min_value=0, max_value=len(rows))), [0] * width)
+    elif shape == "a zero column":
+        at = data.draw(st.integers(min_value=0, max_value=width))
+        rows = [row[:at] + [0] + row[at:] for row in rows]
+        width += 1
     elif shape == "full rank":
         rows += la.Matrix.identity(field, width).data
     # plain rows hold field elements
     rows = [field.coerce_row(row) for row in rows]
+    m = la.Matrix._of(field, tuple(rows), width)
     kernel = la._kernel(field.char, width, rows)
-    assert kernel == ref_kernel_basis(la.Matrix._of(field, tuple(rows), width))
+    assert kernel == ref_kernel_basis(m)
     assert all(_is_field_element(field, x) for v in kernel for x in v)
     if shape == "full rank":
         assert kernel == []
+    # a zero right-hand side, one drawn, and one nonzero
+    drawn = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    for rhs in ([0] * len(rows), drawn, [1] * len(rows)):
+        rhs = field.coerce_row(rhs)
+        solution = la.solve(m, rhs)
+        assert solution == ref_solve(m, rhs)
+        assert solution is None or all(_is_field_element(field, x) for x in solution)
+    assert la.rank(m) == width - len(kernel)
 
 
 NOT_EXACT = [0.5, 1.0, True, False, "1"]
