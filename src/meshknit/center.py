@@ -25,6 +25,8 @@ with :class:`~meshknit.errors.DegreeError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from itertools import compress, repeat
+from operator import eq
 
 from .errors import (
     DegreeError,
@@ -38,25 +40,7 @@ from .quiver import Arrow, DihedralFamily, TranslationQuiver, Vertex, ZAInf, new
 
 
 def _empty_table(v: Vertex) -> LayerTable:
-    return LayerTable(target=v, layers={}, k_max=0, valid_through=0)
-
-
-def translate_table(q: DihedralFamily, table: LayerTable, offset: tuple[int, int]) -> LayerTable:
-    """Relabel a layer table by coordinate translation (tensor rule).
-
-    The offset is checked once, with the target, whose component every entry shares.
-    """
-    return _translated(table, q.tensor_translate(table.target, offset), offset)
-
-
-def _translated(table: LayerTable, target: Vertex, offset: tuple[int, int]) -> LayerTable:
-    """The table moved by a parity-preserving offset onto its valid new target."""
-    s, t = offset
-    moved = {
-        k: {new_vertex((target.component, (i + s, j + t))): mult for (_, (i, j)), mult in row.items()}
-        for k, row in table.layers.items()
-    }
-    return LayerTable(target, moved, k_max=table.k_max, valid_through=table.valid_through)
+    return LayerTable(target=v, rows=[], k_max=0, valid_through=0)
 
 
 class GradedCenterElement:
@@ -74,14 +58,11 @@ class GradedCenterElement:
 
     def image_support(self, v: Vertex) -> list[Vertex]:
         """The vertices of the image table at v, sorted."""
-        return self._image_support(self.quiver.validate(v))
+        return self._image_supports([self.quiver.validate(v)])[0]
 
-    def _image_support(self, v: Vertex) -> list[Vertex]:
-        """:meth:`image_support` at the valid vertex v."""
-        return sorted(self.image_table(v).multiplicities())
-
-    def support_in(self, window: int) -> list[Vertex]:
-        return [v for v in self.quiver.window(window) if self.supports(v)]
+    def _image_supports(self, vertices: list[Vertex]) -> list[list[Vertex]]:
+        """:meth:`image_support` at each of the valid vertices."""
+        return [sorted(self.image_table(v).multiplicities()) for v in vertices]
 
 
 class SingleOrbitElement(GradedCenterElement):
@@ -120,19 +101,20 @@ class SingleOrbitElement(GradedCenterElement):
     def image_table(self, v: Vertex) -> LayerTable:
         q = self.quiver
         if q.shift_orbit(q.validate(v)) == q.shift_orbit(self.base):
-            return LayerTable(target=v, layers={0: {v: 1}}, k_max=0, valid_through=0)
+            return LayerTable(v, [(0, v, (0,) * len(v.coords), [1])], k_max=0, valid_through=0)
         return _empty_table(v)
 
 
 class DiamondElement(GradedCenterElement):
     """The mu-type element on the dihedral family: degree 2n-1 Diamond(n).
 
-    The image table at m is the diamond cokernel anchored at m.  Tables
-    are computed at the parity anchor on a local window sized to the
-    diamond and transported by coordinate translation; the equivariance
-    this relies on is itself covered by tests against direct
-    computation.  Supports are sorted once per anchor: a translation
-    inside one component keeps the order of its vertices.
+    The image table at m is the diamond cokernel anchored at m.  Its
+    entries depend on coordinates relative to m only, so every table is
+    the one at (0, 0), computed on a local window sized to the diamond and
+    moved to m by coordinate translation (across components too); the
+    equivariance this relies on is itself covered by tests against direct
+    computation.  The supports are one sorted list of offsets, read once:
+    a translation keeps the order of the vertices it moves.
     """
 
     kind = "diamond"
@@ -147,28 +129,27 @@ class DiamondElement(GradedCenterElement):
         self.quiver = quiver
         self.n = n
         self.degree = 2 * n - 1
-        self._anchor_supports: dict[str, list[tuple[int, int]]] = {}
+        self._support_offsets: list[tuple[int, int]] | None = None
 
     def supports(self, v: Vertex) -> bool:
         self.quiver.validate(v)
         return True
 
     def image_table(self, v: Vertex) -> LayerTable:
-        self.quiver.validate(v)
-        i, j = v.coords
-        anchor = new_vertex((v.component, (i % 2, j % 2)))
-        # Window n + 1 holds the anchor's corner anchor + (2n, 2n).
-        table = diamond_cokernel(self.quiver, anchor, self.n, self.n + 1)
-        return _translated(table, v, (i - anchor.coords[0], j - anchor.coords[1]))
+        c, (i, j) = self.quiver.validate(v)
+        # the cokernel at (0, 0), whose corner (2n, 2n) window n + 1 holds, moved to v
+        table = diamond_cokernel(self.quiver, self.quiver.vertex(0, 0), self.n, self.n + 1)
+        rows = [(k, new_vertex((c, (x + i, y + j))), *row) for k, (_, (x, y)), *row in table.rows]
+        return LayerTable(v, rows, table.k_max, table.valid_through)
 
-    def _image_support(self, v: Vertex) -> list[Vertex]:
-        c, (i, j) = v
-        support = self._anchor_supports.get(c)
-        if support is None:  # the anchor's support, sorted, as coordinates
-            anchor = super()._image_support(new_vertex((c, (i % 2, j % 2))))
-            support = self._anchor_supports[c] = [w.coords for w in anchor]
-        s, t = i - i % 2, j - j % 2
-        return [new_vertex((c, (x + s, y + t))) for x, y in support]
+    def _image_supports(self, vertices: list[Vertex]) -> list[list[Vertex]]:
+        offsets = self._support_offsets
+        if offsets is None:  # the sorted support at (0, 0); window n + 1 holds its corner (2n, 2n)
+            table = diamond_cokernel(self.quiver, self.quiver.vertex(0, 0), self.n, self.n + 1)
+            offsets = self._support_offsets = [w.coords for w in table.multiplicities()]
+        # every support in one list, cut per vertex
+        flat = [new_vertex((c, (i + di, j + dj))) for c, (i, j) in vertices for di, dj in offsets]
+        return [flat[at : at + len(offsets)] for at in range(0, len(flat), len(offsets))]
 
 
 class SumElement(GradedCenterElement):
@@ -307,19 +288,20 @@ def support_report(e: GradedCenterElement, window: int) -> SupportReport:
     """Read supports off the image tables over the window.
 
     A vertex is in the element support exactly when its image table is
-    nonempty; ``_image_support`` reads the table's vertices at a valid
-    vertex, and a diamond element answers without building it.  Tables
-    here are finite mappings by construction, so the finiteness flags
-    record a verified (if unexciting) hypothesis.
+    nonempty; ``_image_supports`` reads the window's in one call, and a
+    diamond element shifts one list of offsets.  Tables here are finite
+    mappings by construction, so the finiteness flags record a verified
+    (if unexciting) hypothesis.
     """
-    per_vertex = {v: e._image_support(v) for v in e.quiver.window(window)}
+    vertices = e.quiver.window(window)
+    supports = e._image_supports(vertices)
     return SupportReport(
         element_kind=e.kind,
         degree=e.degree,
         window=window,
-        element_support=[v for v, factors in per_vertex.items() if factors],
-        per_vertex_hom_support=per_vertex,
-        finite_flags=dict.fromkeys(per_vertex, True),
+        element_support=list(compress(vertices, supports)),
+        per_vertex_hom_support=dict(zip(vertices, supports)),
+        finite_flags=dict.fromkeys(vertices, True),
     )
 
 
@@ -373,23 +355,22 @@ def check_propagation(
     # the report's window, built once: valid vertices, so the hypotheses call the hooks
     vertices = rep.per_vertex_hom_support
 
+    taus = list(map(q._tau, vertices, repeat(1)))
     try:
-        hyp_cy = all(
-            q._sigma_pow(v, q.cy_degree) == q._sigma_pow(q._tau(v, 1), 1) for v in vertices
-        )
+        serre = map(q._sigma_pow, taus, repeat(1))
+        hyp_cy = all(map(eq, map(q._sigma_pow, vertices, repeat(q.cy_degree)), serre))
     except QuiverKindError:
         # Odd shift powers are not representable here; verify the squared
         # identity instead, which is what the component can express.
-        hyp_cy = all(q._sigma_pow(v, 2 * q.cy_degree) == q._tau(v, 1) for v in vertices)
+        hyp_cy = all(map(eq, map(q._sigma_pow, vertices, repeat(2 * q.cy_degree)), taus))
         notes.append(
             "calabi_yau checked at even shift powers only (odd powers leave the component)"
         )
 
     shift_exp = e.degree - q.cy_degree
     try:
-        hyp_orbit = all(
-            q.tau_orbit(v) == q.tau_orbit(q._sigma_pow(v, shift_exp)) for v in vertices
-        )
+        shifted = map(q._sigma_pow, vertices, repeat(shift_exp))
+        hyp_orbit = all(map(eq, map(q.tau_orbit, vertices), map(q.tau_orbit, shifted)))
     except QuiverKindError:
         hyp_orbit = False
         notes.append(
@@ -397,16 +378,16 @@ def check_propagation(
         )
 
     # the middles of the mesh ending at v are the targets of the arrows out of tau(v)
-    hyp_mesh = all(len(q._arrows(q._tau(v, 1))) <= 2 for v in vertices)
+    hyp_mesh = max(map(len, map(q._arrows, taus)), default=0) <= 2
 
-    sizes = {v: len(ws) for v, ws in rep.per_vertex_hom_support.items()}
+    sizes = dict(zip(vertices, map(len, vertices.values())))
     hyp_finite = all(rep.finite_flags.values())
-    min_two = any(size >= 2 for size in sizes.values())
+    min_two = max(sizes.values(), default=0) >= 2
 
     support_set = set(rep.element_support)
     touched = {v.component for v in support_set}
-    conclusion = bool(support_set) and all(
-        v in support_set for v in vertices if v.component in touched
+    conclusion = bool(support_set) and support_set.issuperset(
+        v for v in vertices if v.component in touched
     )
 
     hypotheses = {

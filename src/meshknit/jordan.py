@@ -424,9 +424,6 @@ class _Context:
     def stable_dim(self, x: JordanModule, y: JordanModule) -> int:
         return len(self.stable_basis(x, y))
 
-    def zero_map(self, x: JordanModule, y: JordanModule) -> StableMap:
-        return self.classify(x, y, Matrix.zeros(self.field, y.dim, x.dim))
-
     def identity_map(self, x: JordanModule) -> StableMap:
         return self.classify(x, x, Matrix.identity(self.field, x.dim))
 
@@ -929,15 +926,12 @@ def radical_layers_bruteforce(m: JordanModule, k_max: int, field: Field = GF5) -
             for x in indecs
         }
         dims_by_level.append({x: len(spans[x]) for x in indecs})
-    layers: dict[int, dict[Vertex, int]] = {}
-    for k in range(k_max + 1):
-        row = {}
-        for x in indecs:
-            mult = dims_by_level[k][x] - dims_by_level[k + 1][x]
-            if mult:
-                row[x.vertex()] = mult
-        layers[k] = row
-    return LayerTable(target=m.vertex(), layers=layers, k_max=k_max, valid_through=k_max)
+    # indecs are J_1..J_{n-1} in order: one row per layer from J_1, step 1
+    rows = [
+        (k, indecs[0].vertex(), (1,), [dims[x] - below[x] for x in indecs])
+        for k, (dims, below) in enumerate(zip(dims_by_level, dims_by_level[1:]))
+    ]
+    return LayerTable(target=m.vertex(), rows=rows, k_max=k_max, valid_through=k_max)
 
 
 def mono_representable_split_check(n: int, field: Field = GF5) -> CheckReport:

@@ -13,10 +13,9 @@ the field (the matrix model's short coordinate vectors), which is all
 pivot from the others, which keeps reduced row echelon form for
 ``_kernel`` (behind ``kernel_basis`` and ``solve``) and
 :class:`Subspace`.  A Subspace is the canonical-residue view of those
-rows, behind ``rref``: it coerces its input, and two vectors are
-congruent modulo it exactly when their residues are equal tuples.  The
-plain-row helpers stay private, so the benchmark's span tracer leaves
-them unwrapped.
+rows: it coerces its input, and two vectors are congruent modulo it
+exactly when their residues are equal tuples.  The plain-row helpers
+stay private, so the benchmark's span tracer leaves them unwrapped.
 """
 
 from __future__ import annotations
@@ -91,21 +90,11 @@ class Field:
     def add(self, a, b):
         return a + b if self.char == 0 else (a + b) % self.char
 
-    def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
-
     def mul(self, a, b):
         return a * b if self.char == 0 else (a * b) % self.char
 
     def neg(self, a):
         return -a if self.char == 0 else (-a) % self.char
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("division by zero field element")
-        if self.char == 0:
-            return Fraction(1) / a
-        return pow(a, self.char - 2, self.char)
 
     def __str__(self) -> str:
         return "Q" if self.char == 0 else f"GF({self.char})"
@@ -125,8 +114,8 @@ class Matrix:
 
     Rows are stored as tuples.  Matrices act on column vectors, so an
     ``m x n`` matrix maps length-n vectors to length-m vectors.  The
-    constructor coerces its entries; products, sums and scalings of
-    matrices are built from entries already in the field.
+    constructor coerces its entries; products and scalings of matrices
+    are built from entries already in the field.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
@@ -163,9 +152,6 @@ class Matrix:
     def entry(self, i: int, j: int):
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise FieldMismatchError(f"cannot multiply over {self.field} and {other.field}")
@@ -186,21 +172,6 @@ class Matrix:
                 for r in self.data
             )
         return Matrix._of(f, out, other.cols)
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise FieldMismatchError(f"cannot add over {self.field} and {other.field}")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError(
-                f"shape mismatch: ({self.rows}x{self.cols}) + ({other.rows}x{other.cols})"
-            )
-        p = self.field.char
-        pairs = zip(self.data, other.data)
-        if p:
-            out = tuple(tuple((a + b) % p for a, b in zip(r1, r2)) for r1, r2 in pairs)
-        else:
-            out = tuple(tuple(map(operator.add, r1, r2)) for r1, r2 in pairs)
-        return Matrix._of(self.field, out, self.cols)
 
     def scale(self, c) -> "Matrix":
         f = self.field
@@ -233,10 +204,11 @@ class Matrix:
 class Subspace:
     """A subspace of F^n maintained in reduced row echelon form.
 
-    ``insert`` adds a spanning vector, ``residue`` returns the canonical
-    representative of a vector modulo the subspace, and ``contains`` is
-    residue-is-zero.  Because the stored rows are mutually reduced, the
-    residue is a canonical form: congruent vectors reduce identically.
+    ``insert`` adds a spanning vector and ``residue`` returns the canonical
+    representative of a vector modulo the subspace; it lies in the
+    subspace when the residue is zero.  Because the stored rows are
+    mutually reduced, the residue is a canonical form: congruent vectors
+    reduce identically.
     """
 
     def __init__(self, field: Field, ambient_dim: int):
@@ -244,10 +216,6 @@ class Subspace:
         self.ambient_dim = ambient_dim
         # pivot column -> row, 1 at its pivot and 0 at the other pivots (see ``_clear``)
         self._rows: dict[int, tuple] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
 
     def _reduce(self, vec: Sequence) -> tuple:
         v = self.field.coerce_row(vec)
@@ -258,9 +226,6 @@ class Subspace:
 
     def residue(self, vec: Sequence) -> tuple:
         return self._reduce(vec)
-
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self._reduce(vec))
 
     def insert(self, vec: Sequence) -> bool:
         """Add a vector to the spanning set; True if the rank grew."""
@@ -282,13 +247,6 @@ class Subspace:
 
 def rank(m: Matrix) -> int:
     return len(_echelon(m.field.char, m.data))
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot columns."""
-    space = Subspace(m.field, m.cols)
-    space.extend(m.data)
-    return Matrix._of(m.field, tuple(space.basis()), m.cols), tuple(sorted(space._rows))
 
 
 def kernel_basis(m: Matrix) -> list[tuple]:

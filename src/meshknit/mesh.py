@@ -33,9 +33,10 @@ corrupt the relation span.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
+from itertools import count as _count, zip_longest
 
 from .errors import (
     InternalCheckError,
@@ -47,8 +48,10 @@ from .errors import (
 )
 from .linalg import QQ, Field
 from .quiver import (
+    TUBE,
     DihedralFamily,
     TranslationQuiver,
+    Tube,
     Vertex,
     ZAInf,
     new_vertex,
@@ -85,42 +88,50 @@ class HomSpace:
 class LayerTable:
     """Multiplicities of simple functors in radical layers of Hom(-, target).
 
-    ``layers[k]`` maps vertices to nonzero multiplicities; a missing key
-    means zero.  Rows are reported for k <= valid_through only.  For the
-    knitting recurrence valid_through < k_max flags the point where the
-    recurrence left its validity range (a reported entry would have gone
-    negative); exact computations set valid_through = k_max.
+    ``rows`` are integer rows (k, first, step, mults): ``mults[t]`` sits in
+    layer k at the vertex first + t * step (coordinates added).  Producers
+    make one row per layer; rows of one layer share no vertex.  ``layers[k]``
+    maps vertices to nonzero multiplicities, built on first read; a row of
+    zeros still records its layer.  Rows are reported for k <= valid_through
+    only; valid_through < k_max flags where the knitting recurrence left its
+    validity range (an entry would have gone negative).
     """
 
     target: Vertex
-    layers: dict[int, dict[Vertex, int]]
+    rows: list[tuple[int, Vertex, tuple[int, ...], list[int]]]
     k_max: int
     valid_through: int
 
+    def _cells(self, k: int | None = None):
+        """(layer, vertex, multiplicity) of each nonzero entry, row by row; of layer k if given."""
+        for layer, (c, coords), step, mults in self.rows:
+            if k is None or layer == k:
+                for at, mult in zip(zip(*map(_count, coords, step)), mults):
+                    if mult:
+                        yield layer, new_vertex((c, at)), mult
+
+    @cached_property
+    def layers(self) -> dict[int, dict[Vertex, int]]:
+        layers: dict[int, dict[Vertex, int]] = {k: {} for k, *_ in self.rows}
+        for k, v, mult in self._cells():
+            layers[k][v] = mult
+        return layers
+
     def entry(self, k: int, v: Vertex) -> int:
-        return self.layers.get(k, {}).get(v, 0)
+        return self.row(k).get(v, 0)
 
     def row(self, k: int) -> dict[Vertex, int]:
-        return dict(self.layers.get(k, {}))
-
-    @property
-    def max_layer(self) -> int:
-        nonzero = [k for k, row in self.layers.items() if row]
-        return max(nonzero) if nonzero else 0
+        return {v: mult for _, v, mult in self._cells(k)}
 
     @property
     def truncated(self) -> bool:
         return self.valid_through < self.k_max
 
-    def total_at(self, v: Vertex) -> int:
-        return sum(row.get(v, 0) for row in self.layers.values())
-
     def multiplicities(self) -> dict[Vertex, int]:
         """Total multiplicity per vertex across all reported layers."""
         out: dict[Vertex, int] = {}
-        for row in self.layers.values():
-            for v, mult in row.items():
-                out[v] = out.get(v, 0) + mult
+        for _, v, mult in self._cells():
+            out[v] = out.get(v, 0) + mult
         return {v: m for v, m in sorted(out.items()) if m}
 
 
@@ -480,63 +491,74 @@ def knit_layers(
     layer_{k-1} over the middles of v minus layer_{k-2}(tau(v)), and it
     is exact: with M summing over middles and T applying tau, both read
     the (m, x) entry of P_k = M P_{k-1} - T P_{k-2}, and M and T commute
-    because tau is an automorphism, mid(tau(v)) = tau(mid(v)).  On the
-    dihedral family the mesh ending at (i, j) has middles (i+2, j) and
-    (i, j+2), so layer k lives on m + (2a, 2(k-a)), a = 0..k, and the push
-    is R_k[a] = R_{k-1}[a-1] + R_{k-1}[a] - R_{k-2}[a-1] on integer lists
-    (terms out of range 0); the tube and ZA-infinity push mesh by mesh.
-    The cost is the total row size: O(k_max^2) on the dihedral family and
-    ZA-infinity, O(k_max n) on the tube of rank n.
+    because tau is an automorphism, mid(tau(v)) = tau(mid(v)).  Each shape
+    pushes one integer row per layer (terms out of range are 0):
 
-    The recurrence is exact on shapes where the mesh sequences stay
-    exact; elsewhere it eventually drives an entry negative.  Reporting
-    stops just before that: rows are recorded for k <= valid_through,
-    and valid_through < k_max marks the truncation.
+    * dihedral: the mesh ending at (i, j) has middles (i+2, j), (i, j+2), so
+      layer k lives on m + (2a, 2(k-a)), a = 0..k, and
+      R_k[a] = R_{k-1}[a-1] + R_{k-1}[a] - R_{k-2}[a-1].  O(k_max^2).
+    * ZA-infinity, target (L, p): the same on (L + k - 2a, p + a), cut at the
+      rim; a row starts at the rim end, steps (+2 levels, -1 position) and
+      ends at its last nonzero entry (at most L).  O(k_max min(k_max, L)).
+    * tube of rank n: tau is the identity on J_1..J_{n-1}, so
+      R_k[i] = R_{k-1}[i-1] + R_{k-1}[i+1] - R_{k-2}[i].  O(k_max n).
+
+    Every row lies in the window enlarged by k_max + 2 when m lies in the
+    window.  The recurrence is exact where the mesh sequences stay exact;
+    elsewhere it eventually drives an entry negative, and reporting stops
+    just before: valid_through < k_max marks the truncation.
     """
     if k_max < 0:
         raise UnsupportedParameterError(f"k_max must be >= 0, got {k_max}")
     q.validate(m)
-    win = _Window(q, window, k_max + 2)
-    win.check_base(m)
-    if not isinstance(q, DihedralFamily):
-        return _knit_push(q, m, k_max, win)
+    _Window(q, window, k_max + 2).check_base(m)
+    c, coords = m
+    if isinstance(q, DihedralFamily):
+        mi, mj = coords
+        rows = [
+            (k, new_vertex((c, (mi, mj + 2 * k))), (2, -2), line)
+            for k, line in enumerate(_knit_lines(k_max))
+        ]
+    elif isinstance(q, ZAInf):
+        level, pos = coords
+        rows = [
+            (k, new_vertex((c, (level + k - 2 * top, pos + top))), (2, -1), line[::-1])
+            for k, line in enumerate(_knit_lines(k_max, rim=level))
+            for top in [len(line) - 1]
+        ]
+    elif isinstance(q, Tube):
+        first = new_vertex((TUBE, (1,)))
+        last, older = [0] * (q.n - 1), [0] * (q.n - 1)
+        last[coords[0] - 1] = 1
+        rows = [(0, first, (1,), last)]
+        for k in range(1, k_max + 1):
+            line = [x + y - z for x, y, z in zip([0, *last], [*last[1:], 0], older)]
+            if min(line) < 0:
+                break
+            rows.append((k, first, (1,), line))
+            older, last = last, line
+    else:
+        raise QuiverKindError(f"knit_layers knits the three modeled shapes, got {q.kind}")
+    return LayerTable(target=m, rows=rows, k_max=k_max, valid_through=len(rows) - 1)
 
-    # Every row lies in m + [0, 2 k_max]^2, inside the enlarged window since m is in the base one.
-    c, (mi, mj) = m
-    rows: dict[int, dict[Vertex, int]] = {0: {m: 1}}
-    for k, line in enumerate(_knit_lines(k_max)[1:], 1):
-        cells = zip(range(mi, mi + 2 * k + 1, 2), range(mj + 2 * k, mj - 1, -2), line)
-        rows[k] = {new_vertex((c, (i, j))): r for i, j, r in cells if r}
-    return LayerTable(target=m, layers=rows, k_max=k_max, valid_through=len(rows) - 1)
 
+def _knit_lines(k_max: int, rim: int = 0) -> list[list[int]]:
+    """The integer rows R_0..R_k_max of a dihedral knit, up to one with a negative entry.
 
-def _knit_lines(k_max: int) -> list[list[int]]:
-    """The integer rows R_0..R_k_max of a dihedral knit, up to one with a negative entry."""
+    Rows drop their trailing zeros.  With ``rim``, a ZA-infinity target's level,
+    entry a of row k sits at level rim + k - 2a, so a row is cut below level 1."""
     lines = [[1]]
-    for k in range(k_max):
-        last, older = lines[-1], lines[-2] if k else []
-        line = [x + y - z for x, y, z in zip([0, *last], [*last, 0], [0, *older, 0])]
+    for k in range(1, k_max + 1):
+        last, older = lines[-1], lines[-2] if k > 1 else []
+        line = [x + y - z for x, y, z in zip_longest([0, *last], last, [0, *older], fillvalue=0)]
+        if rim:
+            del line[(rim + k + 1) // 2 :]
         if min(line) < 0:
             break
+        while len(line) > 1 and not line[-1]:
+            line.pop()
         lines.append(line)
     return lines
-
-
-def _knit_push(q: TranslationQuiver, m: Vertex, k_max: int, win: _Window) -> LayerTable:
-    """The forward push of :func:`knit_layers`, one mesh per vertex, on any shape."""
-    rows: dict[int, dict[Vertex, int]] = {0: {m: 1}}
-    for k in range(1, k_max + 1):
-        acc: Counter[Vertex] = Counter()
-        for v, mult in rows[k - 1].items():
-            for w in q._mesh(v).middles:
-                acc[w] += mult
-        for v, mult in rows.get(k - 2, {}).items():
-            acc[q._mesh(v).start] -= mult
-        row = {win.check(x): mult for x, mult in acc.items() if mult}
-        if any(mult < 0 for mult in row.values()):
-            return LayerTable(target=m, layers=rows, k_max=k_max, valid_through=k - 1)
-        rows[k] = row
-    return LayerTable(target=m, layers=rows, k_max=k_max, valid_through=k_max)
 
 
 @dataclass
@@ -703,7 +725,7 @@ def diamond_cokernel(q: TranslationQuiver, m: Vertex, n: int, window: int) -> La
     # Knitting is translation invariant, so every corner's rows are the same
     # segments, moved along the rows of m.
     lines = _knit_lines(2 * complete_through)
-    layers: dict[int, dict[Vertex, int]] = {}
+    rows = []
     for grade in range(2 * complete_through + 1):
         sums = [0] * (grade + 1)
         for _, offset, shift, sign in corners:
@@ -711,19 +733,19 @@ def diamond_cokernel(q: TranslationQuiver, m: Vertex, n: int, window: int) -> La
                 for a, mult in enumerate(lines[grade - shift], offset):
                     sums[a] += sign * mult
         # the quadrant m + (2a, 2b) with a, b <= complete_through
-        for a in range(max(0, grade - complete_through), min(grade, complete_through) + 1):
-            mult = sums[a]
-            if mult:
-                v = new_vertex((c, (mi + 2 * a, mj + 2 * (grade - a))))
-                if mult < 0:
-                    raise InternalCheckError(
-                        f"diamond cokernel at {m} has multiplicity {mult} at {v} (grade {grade})",
-                        (grade, v),
-                    )
-                layers.setdefault(grade, {})[v] = mult
-    return LayerTable(
-        target=m, layers=layers, k_max=complete_through, valid_through=complete_through
-    )
+        lo = max(0, grade - complete_through)
+        mults = sums[lo : min(grade, complete_through) + 1]
+        if min(mults) < 0:
+            a = lo + next(a for a, mult in enumerate(mults) if mult < 0)
+            v = new_vertex((c, (mi + 2 * a, mj + 2 * (grade - a))))
+            raise InternalCheckError(
+                f"diamond cokernel at {m} has multiplicity {sums[a]} at {v} (grade {grade})",
+                (grade, v),
+            )
+        if any(mults):
+            first = new_vertex((c, (mi + 2 * lo, mj + 2 * (grade - lo))))
+            rows.append((grade, first, (2, -2), mults))
+    return LayerTable(target=m, rows=rows, k_max=complete_through, valid_through=complete_through)
 
 
 def rim_obstruction_check(q: TranslationQuiver, rim_vertex: Vertex, window: int) -> bool:

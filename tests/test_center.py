@@ -1,5 +1,6 @@
 """Graded-center elements: orbits, diamonds, sums, propagation."""
 
+import dataclasses
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from meshknit.errors import (
     QuiverKindError,
     UnsupportedParameterError,
 )
+import references
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +34,7 @@ def test_tube_orbit_element_spans_the_shift_orbit():
     q = quiver.build_tube(4)
     e = center.single_orbit_element(q, q.vertex(1), degree=1)
     assert e.degree == 1
-    assert sorted(str(v) for v in e.support_in(4)) == ["J1", "J3"]
+    assert sorted(str(v) for v in q.window(4) if e.supports(v)) == ["J1", "J3"]
     table = e.image_table(q.vertex(1))
     assert table.multiplicities() == {q.vertex(1): 1}
     assert e.image_table(q.vertex(2)).multiplicities() == {}
@@ -43,7 +45,7 @@ def test_tube_fixed_point_accepts_any_degree():
     q = quiver.build_tube(4)
     for degree in (1, 2, 3):
         e = center.single_orbit_element(q, q.vertex(2), degree=degree)
-        assert e.support_in(4) == [q.vertex(2)]
+        assert [v for v in q.window(4) if e.supports(v)] == [q.vertex(2)]
 
 
 def test_tube_even_degree_misses_the_serre_image():
@@ -252,42 +254,6 @@ def test_image_support_is_the_sorted_image_table(n, odd, a, b, fresh):
     got = e.image_support(v)
     assert got == sorted(e.image_table(v).multiplicities())
     assert all(type(w) is quiver.Vertex and w.component == v.component for w in got)
-
-
-@st.composite
-def _tables_and_offsets(draw):
-    """A random dihedral layer table on its target's component, and an offset."""
-    q = quiver.build_dihedral_family(4)
-    odd = draw(st.booleans())
-    vertex = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(
-        lambda c: q.vertex(2 * c[0] + odd, 2 * c[1] + odd)
-    )
-    layers = draw(
-        st.dictionaries(
-            st.integers(0, 5), st.dictionaries(vertex, st.integers(1, 4), max_size=6), max_size=4
-        )
-    )
-    table = mesh.LayerTable(draw(vertex), layers, k_max=5, valid_through=draw(st.integers(0, 5)))
-    return q, table, draw(st.tuples(st.integers(-7, 7), st.integers(-7, 7)))
-
-
-@given(_tables_and_offsets())
-@settings(max_examples=150, deadline=None)
-def test_translate_table_matches_the_per_vertex_translation(case):
-    q, table, offset = case
-    try:
-        moved = center.translate_table(q, table, offset)
-    except InvalidVertexError as exc:
-        with pytest.raises(InvalidVertexError) as want:
-            q.tensor_translate(table.target, offset)
-        assert str(exc) == str(want.value)
-        return
-    assert moved.target == q.tensor_translate(table.target, offset)
-    assert moved.layers == {
-        k: {q.tensor_translate(v, offset): mult for v, mult in row.items()}
-        for k, row in table.layers.items()
-    }
-    assert (moved.k_max, moved.valid_through) == (table.k_max, table.valid_through)
 
 
 def test_factor_distance_bound(dihedral):
@@ -547,38 +513,56 @@ def _report_elements():
 REPORT_ELEMENTS = list(_report_elements())
 
 
+# Two references for the report and its payload: supports read off per-vertex
+# image tables and labelled by str, and the request path as it was before the
+# report read the window through map and the payload labelled from coordinates.
+REPORT_REFERENCES = {
+    "image-tables": (_reference_support_report, _reference_support_payload),
+    "previous": (references.support_report, references.support_payload),
+}
+
+
+@pytest.mark.parametrize("refs", REPORT_REFERENCES)
 @pytest.mark.parametrize("window", range(1, 6))
 @pytest.mark.parametrize(
     "e", REPORT_ELEMENTS, ids=[f"{e.kind}-{e.quiver.kind}-{i}" for i, e in enumerate(REPORT_ELEMENTS)]
 )
-def test_reports_match_the_per_vertex_image_tables(e, window, monkeypatch):
+def test_reports_match_the_references(e, window, refs, monkeypatch):
+    reference_report, reference_payload = REPORT_REFERENCES[refs]
     q = e.quiver
     support = center.support_report(e, window)
-    want = _reference_support_report(e, window)
+    want = reference_report(e, window)
     assert support == want
+    for field in dataclasses.fields(want):  # equal values of equal types, field by field
+        got_value, want_value = getattr(support, field.name), getattr(want, field.name)
+        assert type(got_value) is type(want_value) and got_value == want_value, field.name
+    assert list(support.per_vertex_hom_support) == list(want.per_vertex_hom_support)
     propagation = center.check_propagation(q, e, window)
     assert propagation.hypotheses["meshes_at_most_two_middles"] == all(
         len(q.mesh(v).middles) <= 2 for v in q.window(window)
     )
     with monkeypatch.context() as m:
-        m.setattr(center, "support_report", _reference_support_report)
+        m.setattr(center, "support_report", reference_report)
         want_propagation = center.check_propagation(q, e, window)
     assert propagation == want_propagation
     config = {"command": "center", "window": window, "format": "json"}
     for got, want_payload in (
-        (serialize.support_payload(support, None, config), _reference_support_payload(want, None, config)),
+        (serialize.support_payload(support, None, config), reference_payload(want, None, config)),
         (
             serialize.support_payload(support, propagation, config),
-            _reference_support_payload(want, want_propagation, config),
+            reference_payload(want, want_propagation, config),
         ),
     ):
+        assert got == want_payload
         assert serialize.canonical_json(got) == serialize.canonical_json(want_payload)
 
 
+@pytest.mark.parametrize("refs", REPORT_REFERENCES)
 @pytest.mark.parametrize("report", [(), ("--report",)])
 @pytest.mark.parametrize("window", range(1, 6))
 @pytest.mark.parametrize("mu", (1, 2, 3))
-def test_center_artifact_matches_the_per_vertex_reference(mu, window, report, tmp_path, monkeypatch):
+def test_center_artifact_matches_the_references(mu, window, report, refs, tmp_path, monkeypatch):
+    reference_report, reference_payload = REPORT_REFERENCES[refs]
     monkeypatch.delenv("MESHKNIT_WINDOW", raising=False)
     out = tmp_path / "artifact"
     assert cli.main(["center", "--mu", str(mu), "--window", str(window), *report, "--out", str(out)]) == 0
@@ -586,12 +570,12 @@ def test_center_artifact_matches_the_per_vertex_reference(mu, window, report, tm
     q = quiver.build_dihedral_family(window)
     e = center.mu_element(q, mu)
     with monkeypatch.context() as m:
-        m.setattr(center, "support_report", _reference_support_report)
+        m.setattr(center, "support_report", reference_report)
         propagation = center.check_propagation(q, e, window) if report else None
-    support = propagation.support if report else _reference_support_report(e, window)
+    support = propagation.support if report else reference_report(e, window)
     config = json.loads(got)["config"]
     assert config["mu"] == mu and config["window"] == window
-    want = serialize.canonical_json(_reference_support_payload(support, propagation, config))
+    want = serialize.canonical_json(reference_payload(support, propagation, config))
     assert got == want.encode()
 
 

@@ -14,6 +14,7 @@ from meshknit import cli, jordan, linalg
 from meshknit.jordan import context, indec
 from meshknit.linalg import GF, GF5, QQ, Subspace
 from meshknit.errors import FieldMismatchError, PreconditionError, UnsupportedParameterError
+from references import matrix_sum, span_contains, span_dim, zero_map
 
 
 # -- modules ----------------------------------------------------------------
@@ -243,7 +244,7 @@ def test_av_report_on_spanning_class_to_the_syzygy():
 
 
 def test_av_report_flags_the_zero_class():
-    zero = context(4).zero_map(indec(4, 2), indec(4, 2))
+    zero = zero_map(context(4), indec(4, 2), indec(4, 2))
     report = mk.is_almost_vanishing(zero)
     assert not report.verdict
     assert report.note == "stably zero class"
@@ -279,7 +280,7 @@ def test_image_comp_factors_of_av_class_is_one_simple():
 
 
 def test_image_comp_factors_of_zero_class_is_empty():
-    zero = context(4).zero_map(indec(4, 1), indec(4, 2))
+    zero = zero_map(context(4), indec(4, 1), indec(4, 2))
     assert mk.image_comp_factors(zero) == {}
 
 
@@ -331,7 +332,7 @@ def test_bruteforce_layer_totals_recover_stable_dims():
     table = mk.radical_layers_bruteforce(m, k_max=6)
     for i in (1, 2, 3, 4):
         x = indec(5, i)
-        assert table.total_at(x.vertex()) == mk.stable_hom_dim(x, m)
+        assert table.multiplicities().get(x.vertex(), 0) == mk.stable_hom_dim(x, m)
 
 
 def test_bruteforce_layers_match_knitting():
@@ -430,7 +431,7 @@ def _combine_by_matrices(ctx, x, y, basis, coeffs):
     acc = linalg.Matrix.zeros(ctx.field, y.dim, x.dim)
     for c, b in zip(coeffs, basis):
         if c:
-            acc = acc.add(b.matrix.scale(c))
+            acc = matrix_sum(acc, b.matrix.scale(c))
     return ctx.classify(x, y, acc)
 
 
@@ -455,7 +456,7 @@ def _solver_by_matrix_squares(m, r, field):
             if y != m:
                 return fg.mul(b)
             moved = b.mul(g.matrix).scale(-1)
-            return moved if x != m else fg.mul(b).add(moved)
+            return moved if x != m else matrix_sum(fg.mul(b), moved)
 
         return [ctx.classify(x, f_obj(y), side(b.matrix)).key for b in basis]
 
@@ -507,7 +508,7 @@ def test_combine_matches_the_matrix_sum_reference(n, field):
                 want = _combine_by_matrices(ctx, x, y, basis, coeffs)
                 assert (got, got.key, got.matrix) == (want, want.key, want.matrix)
             if not basis:
-                zero = ctx.zero_map(x, y)
+                zero = zero_map(ctx, x, y)
                 got = ctx.combine(x, y, basis, ())
                 assert (got.key, got.matrix) == (zero.key, zero.matrix)
                 assert (got.matrix.rows, got.matrix.cols) == (y.dim, x.dim)
@@ -551,7 +552,7 @@ def _conditions_by_loops(ctx, f):
             span = Subspace(ctx.field, x.dim * y.dim)
             for b in ctx.stable_basis(x, u):
                 span.insert(ctx.classify(x, y, u_class.matrix.mul(b.matrix)).key)
-            if not span.contains(f.key):
+            if not span_contains(span, f.key):
                 ok = False
                 break
         if not ok:
@@ -563,7 +564,7 @@ def _conditions_by_loops(ctx, f):
             span = Subspace(ctx.field, x.dim * y.dim)
             for b in ctx.stable_basis(v, y):
                 span.insert(ctx.classify(x, y, b.matrix.mul(v_class.matrix)).key)
-            if not span.contains(f.key):
+            if not span_contains(span, f.key):
                 ok = False
                 break
         if not ok:
@@ -607,7 +608,7 @@ def _image_comp_factors_by_class(ctx, f):
     out = {}
     for v in ctx.indecomposables():
         composites = (f.matrix.mul(b.matrix) for b in ctx.stable_basis(v, f.source))
-        mult = _span(ctx, v, f.target, composites).rank
+        mult = span_dim(_span(ctx, v, f.target, composites))
         if mult:
             out[v] = mult
     return out
@@ -622,7 +623,7 @@ def _av_report_by_class(f):
     indecs = ctx.indecomposables()
 
     def spans_f(composites):
-        return _span(ctx, x, y, composites).contains(f.key)
+        return span_contains(_span(ctx, x, y, composites), f.key)
 
     conditions = {
         "factors_through_incoming": all(
@@ -654,7 +655,7 @@ def _injective_by_class(ctx, theta, x):
     """Reference: composing with theta is injective on the classes x -> theta.source."""
     basis = ctx.stable_basis(x, theta.source)
     composites = (theta.matrix.mul(b.matrix) for b in basis)
-    return _span(ctx, x, theta.target, composites).rank == len(basis)
+    return span_dim(_span(ctx, x, theta.target, composites)) == len(basis)
 
 
 def _splits_by_class(ctx, theta):
@@ -975,7 +976,7 @@ def test_scalar_multiples_share_their_line_images(p, monkeypatch):
     lines = ctx.class_lines(x, x)
     assert len(lines) == p + 1
     factors = [mk.image_comp_factors(f) for f in lines]
-    zero = ctx.zero_map(x, x)
+    zero = zero_map(ctx, x, x)
     assert mk.image_comp_factors(zero) == {}
     size = len(ctx._memo)
     # a nonzero map x -> x that factors through the projective
@@ -990,7 +991,7 @@ def test_scalar_multiples_share_their_line_images(p, monkeypatch):
     for f, expected in zip(lines, factors):
         phi = ctx._coordinates(x, x, f.key)
         for c in range(1, p):
-            g = ctx.classify(x, x, f.matrix.scale(c).add(through))
+            g = ctx.classify(x, x, matrix_sum(f.matrix.scale(c), through))
             assert g.matrix != f.matrix
             assert ctx._coordinates(x, x, g.key) == tuple(c * a % p for a in phi)
             assert mk.image_comp_factors(g) == expected

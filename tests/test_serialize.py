@@ -2,29 +2,34 @@
 
 ``canonical_json`` writes JSON directly; its reference is
 ``json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True)``.
-``layer_table_tsv`` and ``layer_table_payload`` label and sort each
-vertex once; their references are the writers they replaced, kept here.
-The labeller formats a table's coordinates without calling ``str`` per
-vertex; its reference is ``str(v)``.
+``layer_table_tsv`` and ``layer_table_payload`` read a table's integer
+rows; their references are the writers that read its ``layers`` mapping
+(``tests/references.py``) and, before those, the ones kept here.  The
+labels are formatted from the coordinates; their reference is ``str(v)``.
 """
 
 import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from meshknit import quiver
+import references
+from meshknit import center, jordan, quiver
 from meshknit.jordan import CheckReport
+from meshknit.linalg import GF
 from meshknit.mesh import LayerTable, diamond_cokernel, knit_layers
 from meshknit.serialize import (
     SCHEMA_VERSION,
-    _labels,
+    _grid_offsets,
+    _labelled,
+    _names,
     canonical_json,
     layer_table_payload,
     layer_table_tsv,
     oracle_payload,
 )
+from references import table_from_layers
 
 
 def reference_json(payload) -> str:
@@ -232,7 +237,7 @@ def layer_tables(draw):
     )
     valid_through = draw(st.integers(0, 14))
     k_max = valid_through + draw(st.sampled_from([0, 0, 1, 5]))
-    return LayerTable(draw(vertices), layers, k_max, valid_through)
+    return table_from_layers(draw(vertices), layers, k_max, valid_through)
 
 
 CONFIG = {"window": 4, "command": "knit", "seed": 0, "format": "tsv", "quiver": "x", "k_max": 3}
@@ -249,7 +254,7 @@ def one_cell_tables(draw):
         layers.setdefault(draw(st.integers(0, 14)), {})[v] = draw(st.integers(1, 10**6))
     valid_through = draw(st.integers(0, 14))
     target = vertices[0] if vertices else DIHEDRAL.vertex(0, 0)
-    return LayerTable(target, layers, valid_through + draw(st.sampled_from([0, 1, 5])), valid_through)
+    return table_from_layers(target, layers, valid_through + draw(st.sampled_from([0, 1, 5])), valid_through)
 
 
 @given(st.one_of(layer_tables(), one_cell_tables()))
@@ -268,7 +273,7 @@ def test_layer_table_json_matches_the_old_writer(table):
 
 def test_odd_dihedral_table_past_valid_through():
     odd = [DIHEDRAL.vertex(i, j) for i, j in [(1, -1), (-3, 1), (1, 3), (-1, -1)]]
-    table = LayerTable(odd[0], {3: {odd[3]: 2}, 0: {odd[0]: 1}, 1: {}, 2: {odd[1]: 1, odd[2]: 1}}, 5, 1)
+    table = table_from_layers(odd[0], {3: {odd[3]: 2}, 0: {odd[0]: 1}, 1: {}, 2: {odd[1]: 1, odd[2]: 1}}, 5, 1)
     assert table.truncated
     tsv = layer_table_tsv(table, CONFIG)
     assert tsv == reference_tsv(table, CONFIG)
@@ -281,12 +286,9 @@ def test_odd_dihedral_table_past_valid_through():
 # -- labels against str(v) ---------------------------------------------------------
 
 
-def _table_labels(table: LayerTable) -> dict:
-    return _labels([v for row in table.layers.values() for v in row])
-
-
-def _str_labels(table: LayerTable) -> dict:
-    return {v: str(v) for row in table.layers.values() for v in row}
+def _str_cells(row):
+    """(str(v), multiplicity) of a row's nonzero entries, through the table's own cells."""
+    return [(str(v), mult) for _, v, mult in LayerTable(row[1], [row], 0, 0)._cells()]
 
 
 @pytest.mark.parametrize(
@@ -300,9 +302,11 @@ def _str_labels(table: LayerTable) -> dict:
     ids=lambda t: f"{t.target.component}:{t.target}:{t.k_max}",
 )
 def test_labels_of_knit_and_diamond_tables_are_str(table):
-    labels = _table_labels(table)
-    assert labels == _str_labels(table)
-    assert list(labels) == list(dict.fromkeys(v for row in table.layers.values() for v in row))
+    for row in table.rows:
+        assert _labelled(row) == _str_cells(row)
+    # the dihedral tables list their vertices column by column; the tube and ZA-infinity ones do not
+    on_grid = table.target.component not in (quiver.TUBE, quiver.ZA_INF)
+    assert (_grid_offsets(table.rows, table.valid_through + 1) is not None) == on_grid
 
 
 # Any component, the three shapes' and one unknown, with one to three coordinates
@@ -322,13 +326,14 @@ def hand_made_tables(draw):
     layers = draw(
         st.dictionaries(st.integers(0, 4), st.dictionaries(vertices, st.integers(1, 9), max_size=5), max_size=4)
     )
-    return LayerTable(draw(vertices), layers, 4, draw(st.integers(0, 4)))
+    return table_from_layers(draw(vertices), layers, 4, draw(st.integers(0, 4)))
 
 
 @given(hand_made_tables())
 @settings(max_examples=300, deadline=None)
 def test_labels_of_hand_made_tables_are_str(table):
-    assert _table_labels(table) == _str_labels(table)
+    for row in table.rows:
+        assert _labelled(row) == _str_cells(row)
     assert layer_table_tsv(table, CONFIG) == reference_tsv(table, CONFIG)
 
 
@@ -344,4 +349,112 @@ def test_labels_of_hand_made_tables_are_str(table):
     ],
 )
 def test_labels_of_mixed_vertex_lists_are_str(vertices):
-    assert _labels(vertices) == {v: str(v) for v in vertices}
+    assert _names(vertices) == [str(v) for v in vertices]
+
+
+@given(st.lists(any_vertex, max_size=8))
+def test_names_of_any_vertices_are_str(vertices):
+    assert _names(vertices) == [str(v) for v in vertices]
+
+
+# -- every shape's tables against the per-vertex push and the writers that read layers ----
+
+KNIT_TUBES = {n: quiver.build_tube(n) for n in range(3, 10)}
+KNIT_ZA = quiver.build_za_inf(12)
+KNIT_DIHEDRAL = quiver.build_dihedral_family(8)
+NEW_WRITERS = (layer_table_tsv, layer_table_payload)
+PREVIOUS_WRITERS = (references.layer_table_tsv, references.layer_table_payload)
+
+
+def _written(table, writers):
+    tsv, payload = writers
+    return tsv(table, CONFIG), canonical_json(payload(table, CONFIG))
+
+
+@st.composite
+def knit_cases(draw):
+    """(quiver, target, k_max, window): every tube J_i, ZA-infinity levels 1..6, dihedral of both parities."""
+    shape = draw(st.sampled_from(["tube", "za-inf", "dihedral"]))
+    if shape == "tube":
+        q = KNIT_TUBES[draw(st.integers(3, 9))]
+        return q, q.vertex(draw(st.integers(1, q.n - 1))), draw(st.integers(0, 40)), 4
+    if shape == "za-inf":
+        v = KNIT_ZA.vertex(draw(st.integers(1, 6)), draw(st.integers(-4, 4)))
+        return KNIT_ZA, v, draw(st.integers(0, 12)), 12
+    odd = draw(st.booleans())
+    v = KNIT_DIHEDRAL.vertex(2 * draw(st.integers(-3, 3)) + odd, 2 * draw(st.integers(-3, 3)) + odd)
+    return KNIT_DIHEDRAL, v, draw(st.integers(0, 40)), 8
+
+
+@given(knit_cases())
+@example((KNIT_TUBES[4], KNIT_TUBES[4].vertex(2), 40, 4))  # truncated after an empty layer
+@example((KNIT_TUBES[9], KNIT_TUBES[9].vertex(1), 40, 4))
+@example((KNIT_ZA, KNIT_ZA.vertex(6, 4), 12, 12))
+@example((KNIT_DIHEDRAL, KNIT_DIHEDRAL.vertex(1, -1), 40, 8))
+@settings(max_examples=150, deadline=None)
+def test_knit_tables_write_as_the_per_vertex_push_did(case):
+    table, pushed = knit_layers(*case), references.knit_push(*case)
+    assert (table.layers, table.k_max, table.valid_through) == (pushed.layers, pushed.k_max, pushed.valid_through)
+    assert _written(table, NEW_WRITERS) == _written(pushed, PREVIOUS_WRITERS)
+
+
+DIAMOND_QUIVER = quiver.build_dihedral_family(12)
+
+
+@st.composite
+def grid_tables(draw):
+    """Rows on one dihedral-like grid, as a knit or a diamond has them: zeros, gaps and layers past valid_through."""
+    component = draw(st.sampled_from([quiver.DIHEDRAL_EVEN, quiver.DIHEDRAL_ODD, quiver.ZA_INF, "x"]))
+    i, j = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    rows = []
+    for r in range(draw(st.integers(1, 8))):
+        offset = draw(st.integers(0, 3))
+        mults = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+        rows.append((draw(st.integers(0, 9)), quiver.Vertex(component, (i + 2 * offset, j + 2 * r - 2 * offset)), (2, -2), mults))
+    valid_through = draw(st.integers(0, 9))
+    return LayerTable(rows[0][1], rows, valid_through + draw(st.sampled_from([0, 1, 4])), valid_through)
+
+
+@st.composite
+def row_tables(draw):
+    """Arbitrary rows, any step, no vertex twice in one layer."""
+    component = draw(st.sampled_from([quiver.DIHEDRAL_EVEN, quiver.ZA_INF, quiver.TUBE, "x"]))
+    length = draw(st.sampled_from([1, 2, 2, 2, 3]))
+    steps = st.tuples(*[st.integers(-3, 3)] * length)
+    step = draw(steps)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        first = quiver.Vertex(component, tuple(draw(st.integers(-6, 6)) for _ in range(length)))
+        row_step = draw(st.one_of(st.just(step), steps))
+        rows.append((draw(st.integers(0, 6)), first, row_step, draw(st.lists(st.integers(0, 3), max_size=6))))
+    table = LayerTable(quiver.Vertex(component, (0,) * length), rows, 6, draw(st.integers(0, 6)))
+    cells = [(k, v) for k, v, _ in table._cells()]
+    assume(len(cells) == len(set(cells)))
+    return table
+
+
+@st.composite
+def other_tables(draw):
+    """Diamonds, translated center tables, brute-force tables, and dict-built and arbitrary row tables."""
+    kind = draw(st.sampled_from(["diamond", "translated", "brute-force", "dict", "rows"]))
+    if kind in ("diamond", "translated"):
+        odd = draw(st.booleans())
+        v = DIAMOND_QUIVER.vertex(2 * draw(st.integers(-3, 3)) + odd, 2 * draw(st.integers(-3, 3)) + odd)
+        n = draw(st.integers(1, 4))
+        if kind == "diamond":
+            return diamond_cokernel(DIAMOND_QUIVER, v, n, 12)
+        return center.mu_element(DIAMOND_QUIVER, n).image_table(v)
+    if kind == "brute-force":
+        n = draw(st.integers(3, 6))
+        m = jordan.indec(n, draw(st.integers(1, n - 1)))
+        return jordan.radical_layers_bruteforce(m, draw(st.integers(0, 2 * n)), draw(st.sampled_from([GF(2), GF(3)])))
+    if kind == "dict":
+        return draw(st.one_of(layer_tables(), one_cell_tables(), hand_made_tables()))
+    return draw(st.one_of(grid_tables(), row_tables()))
+
+
+@given(other_tables())
+@settings(max_examples=300, deadline=None)
+def test_tables_write_as_the_writers_that_read_layers(table):
+    assert _written(table, NEW_WRITERS) == _written(table, PREVIOUS_WRITERS)
+    assert layer_table_tsv(table, CONFIG) == reference_tsv(table, CONFIG)
