@@ -25,8 +25,7 @@ with :class:`~meshknit.errors.DegreeError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import compress, repeat
-from operator import eq
+from itertools import compress
 
 from .errors import (
     DegreeError,
@@ -41,6 +40,22 @@ from .quiver import Arrow, DihedralFamily, TranslationQuiver, Vertex, ZAInf, new
 
 def _empty_table(v: Vertex) -> LayerTable:
     return LayerTable(target=v, rows=[], k_max=0, valid_through=0)
+
+
+def translate_table(q: DihedralFamily, table: LayerTable, offset: tuple[int, int]) -> LayerTable:
+    """Relabel a layer table by coordinate translation (tensor rule).
+
+    The offset is checked once, with the target, whose component every entry shares.
+    """
+    return _translated(table, q.tensor_translate(table.target, offset), offset)
+
+
+def _translated(table: LayerTable, target: Vertex, offset: tuple[int, int]) -> LayerTable:
+    """The table moved by an offset onto its valid new target, row by row."""
+    s, t = offset
+    c = target.component
+    rows = [(k, new_vertex((c, (i + s, j + t))), *row) for k, (_, (i, j)), *row in table.rows]
+    return LayerTable(target, rows, k_max=table.k_max, valid_through=table.valid_through)
 
 
 class GradedCenterElement:
@@ -63,6 +78,9 @@ class GradedCenterElement:
     def _image_supports(self, vertices: list[Vertex]) -> list[list[Vertex]]:
         """:meth:`image_support` at each of the valid vertices."""
         return [sorted(self.image_table(v).multiplicities()) for v in vertices]
+
+    def support_in(self, window: int) -> list[Vertex]:
+        return [v for v in self.quiver.window(window) if self.supports(v)]
 
 
 class SingleOrbitElement(GradedCenterElement):
@@ -136,11 +154,10 @@ class DiamondElement(GradedCenterElement):
         return True
 
     def image_table(self, v: Vertex) -> LayerTable:
-        c, (i, j) = self.quiver.validate(v)
+        v = self.quiver.validate(v)
         # the cokernel at (0, 0), whose corner (2n, 2n) window n + 1 holds, moved to v
         table = diamond_cokernel(self.quiver, self.quiver.vertex(0, 0), self.n, self.n + 1)
-        rows = [(k, new_vertex((c, (x + i, y + j))), *row) for k, (_, (x, y)), *row in table.rows]
-        return LayerTable(v, rows, table.k_max, table.valid_through)
+        return _translated(table, v, v.coords)
 
     def _image_supports(self, vertices: list[Vertex]) -> list[list[Vertex]]:
         offsets = self._support_offsets
@@ -355,22 +372,24 @@ def check_propagation(
     # the report's window, built once: valid vertices, so the hypotheses call the hooks
     vertices = rep.per_vertex_hom_support
 
-    taus = list(map(q._tau, vertices, repeat(1)))
+    taus = [q._tau(v, 1) for v in vertices]
     try:
-        serre = map(q._sigma_pow, taus, repeat(1))
-        hyp_cy = all(map(eq, map(q._sigma_pow, vertices, repeat(q.cy_degree)), serre))
+        hyp_cy = all(
+            q._sigma_pow(v, q.cy_degree) == q._sigma_pow(tv, 1) for v, tv in zip(vertices, taus)
+        )
     except QuiverKindError:
         # Odd shift powers are not representable here; verify the squared
         # identity instead, which is what the component can express.
-        hyp_cy = all(map(eq, map(q._sigma_pow, vertices, repeat(2 * q.cy_degree)), taus))
+        hyp_cy = all(q._sigma_pow(v, 2 * q.cy_degree) == tv for v, tv in zip(vertices, taus))
         notes.append(
             "calabi_yau checked at even shift powers only (odd powers leave the component)"
         )
 
     shift_exp = e.degree - q.cy_degree
     try:
-        shifted = map(q._sigma_pow, vertices, repeat(shift_exp))
-        hyp_orbit = all(map(eq, map(q.tau_orbit, vertices), map(q.tau_orbit, shifted)))
+        hyp_orbit = all(
+            q.tau_orbit(v) == q.tau_orbit(q._sigma_pow(v, shift_exp)) for v in vertices
+        )
     except QuiverKindError:
         hyp_orbit = False
         notes.append(
@@ -378,16 +397,16 @@ def check_propagation(
         )
 
     # the middles of the mesh ending at v are the targets of the arrows out of tau(v)
-    hyp_mesh = max(map(len, map(q._arrows, taus)), default=0) <= 2
+    hyp_mesh = all(len(q._arrows(tv)) <= 2 for tv in taus)
 
-    sizes = dict(zip(vertices, map(len, vertices.values())))
+    sizes = {v: len(ws) for v, ws in rep.per_vertex_hom_support.items()}
     hyp_finite = all(rep.finite_flags.values())
-    min_two = max(sizes.values(), default=0) >= 2
+    min_two = any(size >= 2 for size in sizes.values())
 
     support_set = set(rep.element_support)
     touched = {v.component for v in support_set}
-    conclusion = bool(support_set) and support_set.issuperset(
-        v for v in vertices if v.component in touched
+    conclusion = bool(support_set) and all(
+        v in support_set for v in vertices if v.component in touched
     )
 
     hypotheses = {

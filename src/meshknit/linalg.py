@@ -90,11 +90,21 @@ class Field:
     def add(self, a, b):
         return a + b if self.char == 0 else (a + b) % self.char
 
+    def sub(self, a, b):
+        return a - b if self.char == 0 else (a - b) % self.char
+
     def mul(self, a, b):
         return a * b if self.char == 0 else (a * b) % self.char
 
     def neg(self, a):
         return -a if self.char == 0 else (-a) % self.char
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("division by zero field element")
+        if self.char == 0:
+            return Fraction(1) / a
+        return pow(a, self.char - 2, self.char)
 
     def __str__(self) -> str:
         return "Q" if self.char == 0 else f"GF({self.char})"
@@ -151,6 +161,9 @@ class Matrix:
 
     def entry(self, i: int, j: int):
         return self.data[i][j]
+
+    def row(self, i: int) -> tuple:
+        return self.data[i]
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:

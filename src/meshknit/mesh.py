@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
 from itertools import count as _count, zip_longest
 
 from .errors import (
@@ -84,15 +83,17 @@ class HomSpace:
         return self.basis_dim - self.relation_rank
 
 
-@dataclass
+@dataclass(eq=False)
 class LayerTable:
     """Multiplicities of simple functors in radical layers of Hom(-, target).
 
     ``rows`` are integer rows (k, first, step, mults): ``mults[t]`` sits in
     layer k at the vertex first + t * step (coordinates added).  Producers
     make one row per layer; rows of one layer share no vertex.  ``layers[k]``
-    maps vertices to nonzero multiplicities, built on first read; a row of
-    zeros still records its layer.  Rows are reported for k <= valid_through
+    maps vertices to nonzero multiplicities, built from the rows on each read;
+    a row of zeros still records its layer.  Two tables are equal when their
+    targets, ``layers``, k_max and valid_through are: the rows are only an
+    encoding of the table.  Rows are reported for k <= valid_through
     only; valid_through < k_max flags where the knitting recurrence left its
     validity range (an entry would have gone negative).
     """
@@ -110,12 +111,18 @@ class LayerTable:
                     if mult:
                         yield layer, new_vertex((c, at)), mult
 
-    @cached_property
+    @property
     def layers(self) -> dict[int, dict[Vertex, int]]:
         layers: dict[int, dict[Vertex, int]] = {k: {} for k, *_ in self.rows}
         for k, v, mult in self._cells():
             layers[k][v] = mult
         return layers
+
+    def __eq__(self, other):  # what the rows encode, not how
+        if not isinstance(other, LayerTable):
+            return NotImplemented
+        fields = [(t.target, t.layers, t.k_max, t.valid_through) for t in (self, other)]
+        return fields[0] == fields[1]
 
     def entry(self, k: int, v: Vertex) -> int:
         return self.row(k).get(v, 0)

@@ -34,7 +34,7 @@ def test_tube_orbit_element_spans_the_shift_orbit():
     q = quiver.build_tube(4)
     e = center.single_orbit_element(q, q.vertex(1), degree=1)
     assert e.degree == 1
-    assert sorted(str(v) for v in q.window(4) if e.supports(v)) == ["J1", "J3"]
+    assert sorted(str(v) for v in e.support_in(4)) == ["J1", "J3"]
     table = e.image_table(q.vertex(1))
     assert table.multiplicities() == {q.vertex(1): 1}
     assert e.image_table(q.vertex(2)).multiplicities() == {}
@@ -45,7 +45,7 @@ def test_tube_fixed_point_accepts_any_degree():
     q = quiver.build_tube(4)
     for degree in (1, 2, 3):
         e = center.single_orbit_element(q, q.vertex(2), degree=degree)
-        assert [v for v in q.window(4) if e.supports(v)] == [q.vertex(2)]
+        assert e.support_in(4) == [q.vertex(2)]
 
 
 def test_tube_even_degree_misses_the_serre_image():
@@ -254,6 +254,43 @@ def test_image_support_is_the_sorted_image_table(n, odd, a, b, fresh):
     got = e.image_support(v)
     assert got == sorted(e.image_table(v).multiplicities())
     assert all(type(w) is quiver.Vertex and w.component == v.component for w in got)
+
+
+@st.composite
+def _tables_and_offsets(draw):
+    """A random dihedral layer table on its target's component, and an offset."""
+    q = quiver.build_dihedral_family(4)
+    odd = draw(st.booleans())
+    vertex = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(
+        lambda c: q.vertex(2 * c[0] + odd, 2 * c[1] + odd)
+    )
+    layers = draw(
+        st.dictionaries(
+            st.integers(0, 5), st.dictionaries(vertex, st.integers(1, 4), max_size=6), max_size=4
+        )
+    )
+    valid_through = draw(st.integers(0, 5))
+    table = references.table_from_layers(draw(vertex), layers, 5, valid_through)
+    return q, table, draw(st.tuples(st.integers(-7, 7), st.integers(-7, 7)))
+
+
+@given(_tables_and_offsets())
+@settings(max_examples=150, deadline=None)
+def test_translate_table_matches_the_per_vertex_translation(case):
+    q, table, offset = case
+    try:
+        moved = center.translate_table(q, table, offset)
+    except InvalidVertexError as exc:
+        with pytest.raises(InvalidVertexError) as want:
+            q.tensor_translate(table.target, offset)
+        assert str(exc) == str(want.value)
+        return
+    assert moved.target == q.tensor_translate(table.target, offset)
+    assert moved.layers == {
+        k: {q.tensor_translate(v, offset): mult for v, mult in row.items()}
+        for k, row in table.layers.items()
+    }
+    assert (moved.k_max, moved.valid_through) == (table.k_max, table.valid_through)
 
 
 def test_factor_distance_bound(dihedral):

@@ -28,16 +28,6 @@ def quotient_dim(field, space, subspace, ambient_dim):
     return span_dim(sub) - sub_rank
 
 
-def field_sub(f, a, b):
-    return a - b if f.char == 0 else (a - b) % f.char
-
-
-def field_inv(f, a):
-    if a == 0:
-        raise ZeroDivisionError("division by zero field element")
-    return Fraction(1) / a if f.char == 0 else pow(a, f.char - 2, f.char)
-
-
 def apply(m, vec):
     """Matrix times column vector."""
     column = la.Matrix(m.field, [[x] for x in vec])
@@ -88,7 +78,7 @@ def test_span_rank_ignores_duplicates():
 
 def test_prime_field_arithmetic():
     f = la.GF5
-    assert field_inv(f, 2) == 3
+    assert f.inv(2) == 3
     assert f.mul(3, 4) == 2
     assert f.add(4, 4) == 3
     assert f.coerce(-1) == 4
@@ -248,7 +238,7 @@ class RefSubspace:
         for c in sorted(self.rows):
             coeff = v[c]
             for j, x in enumerate(self.rows[c]):
-                v[j] = field_sub(f, v[j], f.mul(coeff, x))
+                v[j] = f.sub(v[j], f.mul(coeff, x))
         return tuple(v)
 
     def insert(self, vec):
@@ -257,11 +247,11 @@ class RefSubspace:
         pivot = next((j for j, x in enumerate(v) if x), None)
         if pivot is None:
             return False
-        inv = field_inv(f, v[pivot])
+        inv = f.inv(v[pivot])
         v = tuple(f.mul(inv, x) for x in v)
         for c, row in self.rows.items():
             coeff = row[pivot]
-            self.rows[c] = tuple(field_sub(f, a, f.mul(coeff, b)) for a, b in zip(row, v))
+            self.rows[c] = tuple(f.sub(a, f.mul(coeff, b)) for a, b in zip(row, v))
         self.rows[pivot] = v
         return True
 

@@ -490,6 +490,18 @@ def test_knit_table_bookkeeping(tube4):
     assert max(k for k, row in table.layers.items() if row) == 2
 
 
+def test_layer_tables_compare_by_layers_not_rows(tube4):
+    table = mesh.knit_layers(tube4, tube4.vertex(2), k_max=6, window=4)
+    assert any(0 in mults for *_, mults in table.rows)  # the tube's rows carry zeros
+    same = table_from_layers(table.target, table.layers, table.k_max, table.valid_through)
+    assert same.rows != table.rows and same == table
+    assert same != table_from_layers(table.target, table.layers, table.k_max, 5)
+    # layers follow the rows: there is no cached copy to go stale
+    table.rows.append((6, tube4.vertex(1), (1,), [7]))
+    assert table.layers[6] == {tube4.vertex(1): 7} and table.entry(6, tube4.vertex(1)) == 7
+    assert table != same
+
+
 dihedral_coords = st.tuples(
     st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3)
 ).filter(lambda c: (c[0] - c[1]) % 2 == 0)

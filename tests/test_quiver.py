@@ -504,9 +504,13 @@ def test_hooks_and_windows_build_named_tuples(case, k, radius):
     assert _all_named(built)
 
 
-@given(dihedral_vertices, st.integers(1, 3))
+@given(
+    dihedral_vertices,
+    st.integers(1, 3),
+    st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(lambda o: (o[0], o[0] + 2 * o[1])),
+)
 @settings(max_examples=100, deadline=None)
-def test_center_tables_and_supports_build_named_tuples(coords, n):
+def test_center_tables_and_supports_build_named_tuples(coords, n, offset):
     q = quiver.build_dihedral_family(8)
     v = q.vertex(*coords)
     e = center.mu_element(q, n)
@@ -516,6 +520,7 @@ def test_center_tables_and_supports_build_named_tuples(coords, n):
         orbit.image_table(v),
         orbit.image_table(q.tensor_translate(v, (0, 2))),
         mesh.diamond_cokernel(q, v, n, 12),
+        center.translate_table(q, e.image_table(v), offset),
     ]
     for table in tables:
         assert _all_named([table.target, *(w for row in table.layers.values() for w in row)])

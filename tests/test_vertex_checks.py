@@ -254,6 +254,8 @@ ENTRY_POINTS = [
     ("rim_obstruction_check", ("za-inf",), lambda q, v, g: mesh.rim_obstruction_check(q, v, 4)),
     ("single_orbit_element", None, lambda q, v, g: center.single_orbit_element(q, v, 1)),
     ("tensor_translate", ("dihedral",), lambda q, v, g: q.tensor_translate(v, (2, 0))),
+    ("translate_table", ("dihedral",),
+     lambda q, v, g: center.translate_table(q, center._empty_table(v), (2, 0))),
     ("image_table", ("dihedral",), lambda q, v, g: center.mu_element(q, 1).image_table(v)),
     ("supports", ("dihedral",), lambda q, v, g: center.mu_element(q, 1).supports(v)),
     ("factor_distance_ok", ("dihedral",),
