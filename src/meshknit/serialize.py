@@ -137,9 +137,9 @@ def _grid_offsets(rows: list, columns: int) -> list[int] | None:
     layers 0..columns - 1, two coordinates on one component but the tube, one step (s, u), s > 0,
     first vertices (i, j) on one grid of columns i, s j - u i growing from row to row (so no two
     rows share a vertex).  None otherwise, or when the grid would hold over four slots per entry:
-    the writer pads every row to the grid's width, a knit's triangle of rows in its square takes
-    under two slots per entry and a diamond's fewer, and past four (a hand-built table's scattered
-    rows) the padding would cost more than sorting the cells."""
+    the writer pads every row to the grid's width.  A knit's triangle of rows in its square takes
+    under two slots per entry, and a diamond fewer; four is twice that.  A hand-built table's
+    scattered rows would pad with the spread of the rows, not their entries, so they are sorted."""
     c, step = (rows[0][1].component, rows[0][2]) if rows else (TUBE, ())
     if c == TUBE or len(step) != 2 or step[0] <= 0:
         return None
