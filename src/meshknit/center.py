@@ -79,9 +79,6 @@ class GradedCenterElement:
         """:meth:`image_support` at each of the valid vertices."""
         return [sorted(self.image_table(v).multiplicities()) for v in vertices]
 
-    def support_in(self, window: int) -> list[Vertex]:
-        return [v for v in self.quiver.window(window) if self.supports(v)]
-
 
 class SingleOrbitElement(GradedCenterElement):
     """Almost-vanishing classes along one shift orbit, zero elsewhere.

@@ -114,6 +114,8 @@ QQ = Field(0)
 
 
 def GF(p: int) -> Field:
+    if p == 0:  # Field(0) is the rationals
+        raise ValueError("field characteristic must be prime, got 0")
     return Field(p)
 
 
@@ -161,9 +163,6 @@ class Matrix:
 
     def entry(self, i: int, j: int):
         return self.data[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.data[i]
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -230,19 +229,16 @@ class Subspace:
         # pivot column -> row, 1 at its pivot and 0 at the other pivots (see ``_clear``)
         self._rows: dict[int, tuple] = {}
 
-    def _reduce(self, vec: Sequence) -> tuple:
+    def residue(self, vec: Sequence) -> tuple:
         v = self.field.coerce_row(vec)
         if len(v) != self.ambient_dim:
             raise DimensionError(f"vector length {len(v)} != ambient dim {self.ambient_dim}")
         # each row is 1 at its pivot, so this subtracts v[pivot] * row for every pivot
         return tuple(_residue(self.field.char, self._rows.items(), v))
 
-    def residue(self, vec: Sequence) -> tuple:
-        return self._reduce(vec)
-
     def insert(self, vec: Sequence) -> bool:
         """Add a vector to the spanning set; True if the rank grew."""
-        v = self._reduce(vec)
+        v = self.residue(vec)
         pivot = next((j for j, x in enumerate(v) if x), None)
         if pivot is None:
             return False

@@ -47,7 +47,6 @@ from .errors import (
 )
 from .linalg import QQ, Field
 from .quiver import (
-    TUBE,
     DihedralFamily,
     TranslationQuiver,
     Tube,
@@ -498,17 +497,19 @@ def knit_layers(
     layer_{k-1} over the middles of v minus layer_{k-2}(tau(v)), and it
     is exact: with M summing over middles and T applying tau, both read
     the (m, x) entry of P_k = M P_{k-1} - T P_{k-2}, and M and T commute
-    because tau is an automorphism, mid(tau(v)) = tau(mid(v)).  Each shape
-    pushes one integer row per layer (terms out of range are 0):
+    because tau is an automorphism, mid(tau(v)) = tau(mid(v)).
 
-    * dihedral: the mesh ending at (i, j) has middles (i+2, j), (i, j+2), so
-      layer k lives on m + (2a, 2(k-a)), a = 0..k, and
-      R_k[a] = R_{k-1}[a-1] + R_{k-1}[a] - R_{k-2}[a-1].  O(k_max^2).
-    * ZA-infinity, target (L, p): the same on (L + k - 2a, p + a), cut at the
-      rim; a row starts at the rim end, steps (+2 levels, -1 position) and
-      ends at its last nonzero entry (at most L).  O(k_max min(k_max, L)).
-    * tube of rank n: tau is the identity on J_1..J_{n-1}, so
-      R_k[i] = R_{k-1}[i-1] + R_{k-1}[i+1] - R_{k-2}[i].  O(k_max n).
+    One recurrence, three embeddings: layer k is one integer row with
+    R_k[a] = R_{k-1}[a-1] + R_{k-1}[a] - R_{k-2}[a-1] (terms out of range are
+    0), pushed with no mesh or vertex built.  On the dihedral family, where
+    the mesh ending at (i, j) has middles (i+2, j) and (i, j+2), entry a sits
+    at m + (2a, 2(k-a)).  On ZA-infinity, target (L, p), it sits at level
+    L + k - 2a, position p + a, and the rim cuts the levels below 1.  The
+    tube of rank n is ZA_{n-1} with tau = id: the positions are identified
+    and a second rim cuts the levels from n up, so a row there is a segment
+    from a valid J_i, two levels up per entry, to J_{n-1} at most.  The cost
+    is the rows' total size: O(k_max^2), O(k_max min(k_max, L)) and
+    O(k_max min(k_max, n)).
 
     Every row lies in the window enlarged by k_max + 2 when m lies in the
     window.  The recurrence is exact where the mesh sequences stay exact;
@@ -526,40 +527,45 @@ def knit_layers(
             (k, new_vertex((c, (mi, mj + 2 * k))), (2, -2), line)
             for k, line in enumerate(_knit_lines(k_max))
         ]
-    elif isinstance(q, ZAInf):
-        level, pos = coords
-        rows = [
-            (k, new_vertex((c, (level + k - 2 * top, pos + top))), (2, -1), line[::-1])
-            for k, line in enumerate(_knit_lines(k_max, rim=level))
-            for top in [len(line) - 1]
-        ]
-    elif isinstance(q, Tube):
-        first = new_vertex((TUBE, (1,)))
-        last, older = [0] * (q.n - 1), [0] * (q.n - 1)
-        last[coords[0] - 1] = 1
-        rows = [(0, first, (1,), last)]
-        for k in range(1, k_max + 1):
-            line = [x + y - z for x, y, z in zip([0, *last], [*last[1:], 0], older)]
-            if min(line) < 0:
-                break
-            rows.append((k, first, (1,), line))
-            older, last = last, line
+    elif isinstance(q, (ZAInf, Tube)):
+        # ZA-infinity's second rim lies out of reach; a tube vertex is its
+        # level alone, so the slices drop the position
+        level, pos, width = coords[0], coords[-1], len(coords)
+        top = q.n - 1 if isinstance(q, Tube) else level + k_max
+        step, rows = (2, -1)[:width], []
+        for k, line in enumerate(_knit_lines(k_max, level, top)):
+            high = level + k  # the level of line[0], as _knit_lines cuts it
+            if high > top:
+                high = top - (high - top) % 2
+            low = high - 2 * (len(line) - 1)
+            at = (low, pos + (level + k - low) // 2)[:width]
+            rows.append((k, new_vertex((c, at)), step, line[::-1]))
     else:
         raise QuiverKindError(f"knit_layers knits the three modeled shapes, got {q.kind}")
     return LayerTable(target=m, rows=rows, k_max=k_max, valid_through=len(rows) - 1)
 
 
-def _knit_lines(k_max: int, rim: int = 0) -> list[list[int]]:
-    """The integer rows R_0..R_k_max of a dihedral knit, up to one with a negative entry.
+def _knit_lines(k_max: int, rim: int = 0, top: int = 0) -> list[list[int]]:
+    """The integer rows R_0..R_k_max of a knit, up to one with a negative entry.
 
-    Rows drop their trailing zeros.  With ``rim``, a ZA-infinity target's level,
-    entry a of row k sits at level rim + k - 2a, so a row is cut below level 1."""
+    Rows drop their trailing zeros.  With ``rim``, a ZA-infinity or tube
+    target's level, entry a of row k sits at level rim + k - 2a, and a row is
+    cut below level 1 and above level ``top``: it is stored from its first
+    entry at or below top."""
     lines = [[1]]
     for k in range(1, k_max + 1):
         last, older = lines[-1], lines[-2] if k > 1 else []
-        line = [x + y - z for x, y, z in zip_longest([0, *last], last, [0, *older], fillvalue=0)]
+        ahead, behind = [0, *last], [0, *older]
         if rim:
-            del line[(rim + k + 1) // 2 :]
+            high = rim + k  # the level of line[0]
+            if high > top:  # it starts at top or top - 1, an entry later than the row two before
+                high = top - (high - top) % 2
+                behind = older
+                if high < top:  # and an entry later than the row before
+                    ahead, last = last, last[1:]
+        line = [x + y - z for x, y, z in zip_longest(ahead, last, behind, fillvalue=0)]
+        if rim:
+            del line[(high + 1) // 2 :]
         if min(line) < 0:
             break
         while len(line) > 1 and not line[-1]:

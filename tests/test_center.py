@@ -34,7 +34,7 @@ def test_tube_orbit_element_spans_the_shift_orbit():
     q = quiver.build_tube(4)
     e = center.single_orbit_element(q, q.vertex(1), degree=1)
     assert e.degree == 1
-    assert sorted(str(v) for v in e.support_in(4)) == ["J1", "J3"]
+    assert [str(v) for v in q.window(4) if e.supports(v)] == ["J1", "J3"]
     table = e.image_table(q.vertex(1))
     assert table.multiplicities() == {q.vertex(1): 1}
     assert e.image_table(q.vertex(2)).multiplicities() == {}
@@ -45,7 +45,7 @@ def test_tube_fixed_point_accepts_any_degree():
     q = quiver.build_tube(4)
     for degree in (1, 2, 3):
         e = center.single_orbit_element(q, q.vertex(2), degree=degree)
-        assert e.support_in(4) == [q.vertex(2)]
+        assert [v for v in q.window(4) if e.supports(v)] == [q.vertex(2)]
 
 
 def test_tube_even_degree_misses_the_serre_image():

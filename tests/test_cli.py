@@ -77,6 +77,20 @@ def test_knit_writes_artifact_file(run, tmp_path):
     assert "J3\t0\t0\t1\t0" in target.read_text().splitlines()
 
 
+def test_knit_cost_does_not_grow_with_the_tube_rank():
+    # A tube row holds only the levels the knit reaches, so a rank of 10^9
+    # costs what a rank of 20 does; a row over J_1..J_{n-1} would not finish.
+    argv = ["knit", "--quiver", "tube:1000000000", "--vertex", "J2", "--kmax", "12"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("MESHKNIT_WINDOW", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "meshknit.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "J14\t" + "\t".join(["0"] * 12 + ["1"])
+
+
 # -- diamond ------------------------------------------------------------------
 
 
@@ -302,6 +316,11 @@ def test_bad_quiver_and_field_specs(run):
     code, _, _ = run(["knit", "--quiver", "cube:4", "--vertex", "J1", "--kmax", "1"])
     assert code == 4
     code, _, _ = run(["diamond", "--n", "1", "--vertex", "0,0", "--field", "p:4"])
+    assert code == 4
+    # p:0 is not the rationals (that is q)
+    code, out, err = run(["diamond", "--n", "1", "--vertex", "0,0", "--field", "p:0"])
+    assert (code, out) == (4, "") and "bad field spec 'p:0'" in err
+    code, _, _ = run(["oracle", "--n", "3", "--check", "serre", "--field", "p:0"])
     assert code == 4
     code, _, _ = run(["oracle", "--n", "4", "--check", "everything"])
     assert code == 4
@@ -649,7 +668,7 @@ _QUIVERS = _mostly(
 )
 _FIELDS = _mostly(
     st.sampled_from(["q", "Q", "p:2", "p:3", "p:5", "p:7", "p:11", "p:13", "p:17", "p:19"]),
-    st.sampled_from(["p:4", "p:1", "p:-5", "p:", "p:x", "r"]),
+    st.sampled_from(["p:4", "p:1", "p:0", "p:-5", "p:", "p:x", "r"]),
 )
 
 

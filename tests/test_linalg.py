@@ -89,6 +89,8 @@ def test_nonprime_characteristic_rejected():
         la.Field(4)
     with pytest.raises(ValueError):
         la.GF(1)
+    with pytest.raises(ValueError):
+        la.GF(0)  # Field(0) is the rationals, la.QQ
 
 
 def test_floats_and_bools_are_not_exact_scalars():

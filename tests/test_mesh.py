@@ -646,6 +646,49 @@ def test_dihedral_knit_builds_no_mesh():
     assert q._meshes == {} and q._arrows_out == {}
 
 
+PUSH_TUBES = {n: quiver.build_tube(n) for n in range(3, 31)}
+KNIT_ZA_WIDE = quiver.build_za_inf(12)
+tube_targets = st.integers(3, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1)))
+
+
+@given(tube_targets, st.integers(0, 44))
+@example((3, 1), 2)  # an all-zero layer before the truncation
+@example((4, 2), 44)  # truncated after an empty layer
+@example((30, 29), 44)  # the second rim reached at once
+@example((30, 1), 44)
+@settings(max_examples=150, deadline=None)
+def test_tube_rows_match_the_per_vertex_push(target, k_max):
+    # Every row lies on J_1..J_{n-1}: it starts at a valid J_i with a nonzero
+    # entry (or is one zero) and ends at or below J_{n-1}.
+    n, i = target
+    case = (PUSH_TUBES[n], PUSH_TUBES[n].vertex(i), k_max, 4)
+    assert _knit_outcome(mesh.knit_layers, *case) == _knit_outcome(knit_push, *case)
+    for _, first, step, mults in mesh.knit_layers(*case).rows:
+        low = first.coords[0]
+        assert step == (2,) and mults and (mults[0] or mults == [0])
+        assert 1 <= low and low + 2 * (len(mults) - 1) <= n - 1
+
+
+@given(st.integers(1, 10), st.integers(0, 20), st.integers(2, 12))
+@example(1, 0, 2)
+@example(10, 20, 2)
+@settings(max_examples=80, deadline=None)
+def test_tube_below_its_second_rim_knits_as_za_infinity(level, k_max, above):
+    # With n - 1 > L + k_max the tube's second rim is never reached: its knit is
+    # ZA-infinity's at (L, 0), row for row, with the positions dropped.
+    tube = quiver.build_tube(level + k_max + above)
+    table = mesh.knit_layers(tube, tube.vertex(level), k_max, 4)
+    za = mesh.knit_layers(KNIT_ZA_WIDE, KNIT_ZA_WIDE.vertex(level, 0), k_max, 12)
+    assert [(k, v.coords[0], m) for k, v, _, m in table.rows] == [
+        (k, v.coords[0], m) for k, v, _, m in za.rows
+    ]
+    dropped = {
+        k: {tube.vertex(v.coords[0]): mult for v, mult in row.items()}
+        for k, row in za.layers.items()
+    }
+    assert (table.layers, table.valid_through) == (dropped, za.valid_through)
+
+
 def test_knit_rejects_negative_k_max(tube4):
     with pytest.raises(UnsupportedParameterError):
         mesh.knit_layers(tube4, tube4.vertex(1), k_max=-1, window=4)

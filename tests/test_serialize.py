@@ -359,7 +359,7 @@ def test_names_of_any_vertices_are_str(vertices):
 
 # -- every shape's tables against the per-vertex push and the writers that read layers ----
 
-KNIT_TUBES = {n: quiver.build_tube(n) for n in range(3, 10)}
+KNIT_TUBES = {n: quiver.build_tube(n) for n in range(3, 31)}
 KNIT_ZA = quiver.build_za_inf(12)
 KNIT_DIHEDRAL = quiver.build_dihedral_family(8)
 NEW_WRITERS = (layer_table_tsv, layer_table_payload)
@@ -376,7 +376,7 @@ def knit_cases(draw):
     """(quiver, target, k_max, window): every tube J_i, ZA-infinity levels 1..6, dihedral of both parities."""
     shape = draw(st.sampled_from(["tube", "za-inf", "dihedral"]))
     if shape == "tube":
-        q = KNIT_TUBES[draw(st.integers(3, 9))]
+        q = KNIT_TUBES[draw(st.integers(3, 30))]
         return q, q.vertex(draw(st.integers(1, q.n - 1))), draw(st.integers(0, 40)), 4
     if shape == "za-inf":
         v = KNIT_ZA.vertex(draw(st.integers(1, 6)), draw(st.integers(-4, 4)))
