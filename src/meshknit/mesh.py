@@ -555,14 +555,15 @@ def _knit_lines(k_max: int, rim: int = 0, top: int = 0) -> list[list[int]]:
     lines = [[1]]
     for k in range(1, k_max + 1):
         last, older = lines[-1], lines[-2] if k > 1 else []
-        ahead, behind = [0, *last], [0, *older]
-        if rim:
+        if rim and rim + k > top:
+            # line[0] sits at top or top - 1, an entry later than the row two
+            # before and, at top - 1, than the row before
+            high = top - (rim + k - top) % 2
+            ahead, last = (last, last[1:]) if high < top else ([0, *last], last)
+            behind = older
+        else:
             high = rim + k  # the level of line[0]
-            if high > top:  # it starts at top or top - 1, an entry later than the row two before
-                high = top - (high - top) % 2
-                behind = older
-                if high < top:  # and an entry later than the row before
-                    ahead, last = last, last[1:]
+            ahead, behind = [0, *last], [0, *older]
         line = [x + y - z for x, y, z in zip_longest(ahead, last, behind, fillvalue=0)]
         if rim:
             del line[(high + 1) // 2 :]
