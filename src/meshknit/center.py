@@ -42,22 +42,6 @@ def _empty_table(v: Vertex) -> LayerTable:
     return LayerTable(target=v, rows=[], k_max=0, valid_through=0)
 
 
-def translate_table(q: DihedralFamily, table: LayerTable, offset: tuple[int, int]) -> LayerTable:
-    """Relabel a layer table by coordinate translation (tensor rule).
-
-    The offset is checked once, with the target, whose component every entry shares.
-    """
-    return _translated(table, q.tensor_translate(table.target, offset), offset)
-
-
-def _translated(table: LayerTable, target: Vertex, offset: tuple[int, int]) -> LayerTable:
-    """The table moved by an offset onto its valid new target, row by row."""
-    s, t = offset
-    c = target.component
-    rows = [(k, new_vertex((c, (i + s, j + t))), *row) for k, (_, (i, j)), *row in table.rows]
-    return LayerTable(target, rows, k_max=table.k_max, valid_through=table.valid_through)
-
-
 class GradedCenterElement:
     """Base: a degree, a quiver, and image tables per vertex."""
 
@@ -123,13 +107,12 @@ class SingleOrbitElement(GradedCenterElement):
 class DiamondElement(GradedCenterElement):
     """The mu-type element on the dihedral family: degree 2n-1 Diamond(n).
 
-    The image table at m is the diamond cokernel anchored at m.  Its
-    entries depend on coordinates relative to m only, so every table is
-    the one at (0, 0), computed on a local window sized to the diamond and
-    moved to m by coordinate translation (across components too); the
-    equivariance this relies on is itself covered by tests against direct
-    computation.  The supports are one sorted list of offsets, read once:
-    a translation keeps the order of the vertices it moves.
+    The image table at m is the diamond cokernel anchored at m, built at m
+    on a window that just holds the far corner m + (2n, 2n); the cokernel's
+    cost does not depend on the window.  Its entries depend on coordinates
+    relative to m only (across components too), so the supports are one
+    sorted list of offsets, read once at (0, 0) and added to each vertex: a
+    translation keeps the order of the vertices it moves.
     """
 
     kind = "diamond"
@@ -151,10 +134,9 @@ class DiamondElement(GradedCenterElement):
         return True
 
     def image_table(self, v: Vertex) -> LayerTable:
-        v = self.quiver.validate(v)
-        # the cokernel at (0, 0), whose corner (2n, 2n) window n + 1 holds, moved to v
-        table = diamond_cokernel(self.quiver, self.quiver.vertex(0, 0), self.n, self.n + 1)
-        return _translated(table, v, v.coords)
+        i, j = self.quiver.validate(v).coords
+        # the window holds the far corner (i + 2n, j + 2n)
+        return diamond_cokernel(self.quiver, v, self.n, max(abs(i), abs(j)) // 2 + self.n + 1)
 
     def _image_supports(self, vertices: list[Vertex]) -> list[list[Vertex]]:
         offsets = self._support_offsets

@@ -5,7 +5,7 @@ run configuration.  Exit codes: 0 success, 1 verification counterexample
 (the artifact contains the witness), 2 window error, 3 validity-range
 truncation, 4 bad arguments, 5 the artifact could not be written,
 6 an internal consistency check failed, 7 the input exhausted the
-recursion or memory limit.
+recursion or memory limit or a size Python can index.
 """
 
 from __future__ import annotations
@@ -350,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         # InternalCheckError and the like: a bug, not a counterexample
         print(f"meshknit: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError, OverflowError) as exc:
         reason = str(exc) or type(exc).__name__
         print(f"meshknit: error: input too large: {reason}", file=sys.stderr)
         return EXIT_LIMIT

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
-from itertools import count as _count, zip_longest
+from itertools import count as _count, repeat, zip_longest
+from operator import add, mul
 
 from .errors import (
     InternalCheckError,
@@ -55,10 +56,11 @@ from .quiver import (
     new_vertex,
 )
 
-# path_sign_check labels reports on up to this many paths "dense" and
-# gives them hom_dim and per-pair counts; larger ones are "certificate".
-# Both come from the same union-find: the label is kept because the
-# benchmark checks it.
+# path_sign_check reports on up to this many paths are "dense", larger ones
+# "certificate".  Both come from the same union-find, but the split decides
+# what a report holds: only a dense one has hom_dim, and a disconnected dense
+# report lists every failing pair (O(n^2) of them) where a certificate gives
+# one disconnected_flip_graph record.
 DENSE_SIGN_LIMIT = 120
 
 
@@ -88,7 +90,9 @@ class LayerTable:
 
     ``rows`` are integer rows (k, first, step, mults): ``mults[t]`` sits in
     layer k at the vertex first + t * step (coordinates added).  Producers
-    make one row per layer; rows of one layer share no vertex.  ``layers[k]``
+    make one row per layer, built where it sits (a knit's row k starts at
+    m + k * up + a * step, see :func:`knit_layers`); rows of one layer
+    share no vertex.  ``layers[k]``
     maps vertices to nonzero multiplicities, built from the rows on each read;
     a row of zeros still records its layer.  Two tables are equal when their
     targets, ``layers``, k_max and valid_through are: the rows are only an
@@ -499,17 +503,19 @@ def knit_layers(
     the (m, x) entry of P_k = M P_{k-1} - T P_{k-2}, and M and T commute
     because tau is an automorphism, mid(tau(v)) = tau(mid(v)).
 
-    One recurrence, three embeddings: layer k is one integer row with
+    One recurrence, one placement rule: layer k is one integer row with
     R_k[a] = R_{k-1}[a-1] + R_{k-1}[a] - R_{k-2}[a-1] (terms out of range are
-    0), pushed with no mesh or vertex built.  On the dihedral family, where
-    the mesh ending at (i, j) has middles (i+2, j) and (i, j+2), entry a sits
-    at m + (2a, 2(k-a)).  On ZA-infinity, target (L, p), it sits at level
-    L + k - 2a, position p + a, and the rim cuts the levels below 1.  The
-    tube of rank n is ZA_{n-1} with tau = id: the positions are identified
-    and a second rim cuts the levels from n up, so a row there is a segment
-    from a valid J_i, two levels up per entry, to J_{n-1} at most.  The cost
-    is the rows' total size: O(k_max^2), O(k_max min(k_max, L)) and
-    O(k_max min(k_max, n)).
+    0), pushed with no mesh or vertex built, and entry a of row k sits at
+    m + k * up + a * step.  Each shape gives only its (up, step) and its
+    rims.  On the dihedral family, where the mesh ending at (i, j) has
+    middles (i+2, j) and (i, j+2), up is (0, 2) and step (2, -2), with no
+    rim.  On ZA-infinity, target (L, p), up is (1, 0) and step (-2, 1): a
+    row runs from level L + k down, one position on per entry, and the rim
+    cuts the levels below 1.  The tube of rank n is ZA_{n-1} with tau = id:
+    the positions are identified, so up is (1,) and step (-2,), and a second
+    rim cuts the levels from n up, so a row starts at the highest level it
+    keeps, at or below J_{n-1}.  The cost is the rows' total size:
+    O(k_max^2), O(k_max min(k_max, L)) and O(k_max min(k_max, n)).
 
     Every row lies in the window enlarged by k_max + 2 when m lies in the
     window.  The recurrence is exact where the mesh sequences stay exact;
@@ -522,43 +528,41 @@ def knit_layers(
     _Window(q, window, k_max + 2).check_base(m)
     c, coords = m
     if isinstance(q, DihedralFamily):
-        mi, mj = coords
-        rows = [
-            (k, new_vertex((c, (mi, mj + 2 * k))), (2, -2), line)
-            for k, line in enumerate(_knit_lines(k_max))
-        ]
-    elif isinstance(q, (ZAInf, Tube)):
-        # ZA-infinity's second rim lies out of reach; a tube vertex is its
-        # level alone, so the slices drop the position
-        level, pos, width = coords[0], coords[-1], len(coords)
-        top = q.n - 1 if isinstance(q, Tube) else level + k_max
-        step, rows = (2, -1)[:width], []
-        for k, line in enumerate(_knit_lines(k_max, level, top)):
-            high = level + k  # the level of line[0], as _knit_lines cuts it
-            if high > top:
-                high = top - (high - top) % 2
-            low = high - 2 * (len(line) - 1)
-            at = (low, pos + (level + k - low) // 2)[:width]
-            rows.append((k, new_vertex((c, at)), step, line[::-1]))
+        up, step, rim, top = (0, 2), (2, -2), 0, 0
+    elif isinstance(q, ZAInf):  # the second rim lies out of reach
+        up, step, rim, top = (1, 0), (-2, 1), coords[0], coords[0] + k_max
+    elif isinstance(q, Tube):
+        up, step, rim, top = (1,), (-2,), coords[0], q.n - 1
     else:
         raise QuiverKindError(f"knit_layers knits the three modeled shapes, got {q.kind}")
+    starts, lines = _knit_lines(k_max, rim, top)
+    # row k is stored from its entry a = starts[k], at m + k * up + a * step:
+    # coordinate by coordinate, with no product where no row was cut
+    coordinates = [
+        map(add, _count(x, u), map(mul, repeat(s), starts)) if any(starts) else _count(x, u)
+        for x, u, s in zip(coords, up, step)
+    ]
+    firsts = map(new_vertex, zip(repeat(c), zip(*coordinates)))
+    rows = list(zip(_count(), firsts, repeat(step), lines))
     return LayerTable(target=m, rows=rows, k_max=k_max, valid_through=len(rows) - 1)
 
 
-def _knit_lines(k_max: int, rim: int = 0, top: int = 0) -> list[list[int]]:
-    """The integer rows R_0..R_k_max of a knit, up to one with a negative entry.
+def _knit_lines(k_max: int, rim: int = 0, top: int = 0) -> tuple[list[int], list[list[int]]]:
+    """The integer rows R_0..R_k_max of a knit, up to one with a negative entry,
+    as (starts, lines): lines[k][0] is entry starts[k] of row k.
 
     Rows drop their trailing zeros.  With ``rim``, a ZA-infinity or tube
     target's level, entry a of row k sits at level rim + k - 2a, and a row is
     cut below level 1 and above level ``top``: it is stored from its first
     entry at or below top."""
-    lines = [[1]]
+    starts, lines = [0] * (k_max + 1), [[1]]
     for k in range(1, k_max + 1):
         last, older = lines[-1], lines[-2] if k > 1 else []
         if rim and rim + k > top:
             # line[0] sits at top or top - 1, an entry later than the row two
             # before and, at top - 1, than the row before
             high = top - (rim + k - top) % 2
+            starts[k] = (rim + k - high) // 2
             ahead, last = (last, last[1:]) if high < top else ([0, *last], last)
             behind = older
         else:
@@ -572,7 +576,7 @@ def _knit_lines(k_max: int, rim: int = 0, top: int = 0) -> list[list[int]]:
         while len(line) > 1 and not line[-1]:
             line.pop()
         lines.append(line)
-    return lines
+    return starts[: len(lines)], lines
 
 
 @dataclass
@@ -640,11 +644,15 @@ def path_sign_check(
     access only.  The n-entry ``signs`` list is allocated before any is
     filled, so an impossible path count fails at once.
 
-    ``method`` and ``DENSE_SIGN_LIMIT`` stay only because the benchmark
-    checks them: reports on at most ``DENSE_SIGN_LIMIT`` paths are
-    "dense" and carry ``hom_dim`` and per-pair counts; larger ones are
-    "certificate", where a connected flip graph certifies every pair by
-    transitivity.
+    ``method`` and ``DENSE_SIGN_LIMIT`` decide what the report holds.
+    Reports on at most ``DENSE_SIGN_LIMIT`` paths are "dense": they carry
+    ``hom_dim``, count the pairs each component verifies, and, when the
+    flip graph is disconnected, list every failing pair.  Larger ones are
+    "certificate": ``hom_dim`` is None, a connected flip graph certifies
+    every pair by transitivity, and a disconnected one gives a single
+    ``disconnected_flip_graph`` record, since the pair list is O(n^2).  So
+    tube:4 J1 -> J1 reports hom_dim 0 at grade 14 (64 paths) and None at
+    grade 16 (128 paths).
     """
     q.validate(u)
     q.validate(m)
@@ -738,13 +746,13 @@ def diamond_cokernel(q: TranslationQuiver, m: Vertex, n: int, window: int) -> La
     complete_through = n + rings
     # Knitting is translation invariant, so every corner's rows are the same
     # segments, moved along the rows of m.
-    lines = _knit_lines(2 * complete_through)
+    starts, lines = _knit_lines(2 * complete_through)
     rows = []
     for grade in range(2 * complete_through + 1):
         sums = [0] * (grade + 1)
         for _, offset, shift, sign in corners:
             if 0 <= grade - shift < len(lines):
-                for a, mult in enumerate(lines[grade - shift], offset):
+                for a, mult in enumerate(lines[grade - shift], offset + starts[grade - shift]):
                     sums[a] += sign * mult
         # the quadrant m + (2a, 2b) with a, b <= complete_through
         lo = max(0, grade - complete_through)

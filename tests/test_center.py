@@ -4,7 +4,7 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from meshknit import center, cli, mesh, quiver, serialize
 from meshknit.errors import (
@@ -197,14 +197,31 @@ def test_mu2_image_is_the_two_by_two_grid(dihedral):
     assert mu2.image_table(v).multiplicities() == expected
 
 
-def test_diamond_tables_translate(dihedral):
-    # The anchored table transported to an off-anchor vertex agrees with
-    # a direct cokernel computation there.
-    mu2 = center.mu_element(dihedral, 2)
-    for coords in ((4, 2), (3, 1)):
-        v = dihedral.vertex(*coords)
-        direct = mesh.diamond_cokernel(dihedral, v, 2, window=8)
-        assert mu2.image_table(v).multiplicities() == direct.multiplicities()
+DIAMOND_FAMILY = quiver.build_dihedral_family(4)
+
+
+@st.composite
+def _diamond_vertices_and_windows(draw):
+    """n, a vertex of either component with |i|, |j| <= 80, and a window holding its corners."""
+    n, odd = draw(st.integers(1, 4)), draw(st.booleans())
+    i, j = (2 * draw(st.integers(-40, 39)) + odd for _ in range(2))
+    need = -(-max(abs(i), abs(j), abs(i + 2 * n), abs(j + 2 * n)) // 2)
+    return n, DIAMOND_FAMILY.vertex(i, j), draw(st.integers(need, need + 6))
+
+
+@given(_diamond_vertices_and_windows())
+@example((1, DIAMOND_FAMILY.vertex(0, 0), 1))
+@example((4, DIAMOND_FAMILY.vertex(-79, 79), 44))
+@example((4, DIAMOND_FAMILY.vertex(78, -80), 43))
+@settings(max_examples=150, deadline=None)
+def test_diamond_image_tables_are_the_cokernels_at_their_vertex(case):
+    # image_table builds the cokernel at v on its own window; any window that
+    # holds v's corners gives the same table, row for row.
+    n, v, window = case
+    table = center.mu_element(DIAMOND_FAMILY, n).image_table(v)
+    direct = mesh.diamond_cokernel(DIAMOND_FAMILY, v, n, window)
+    fields = [(t.target, t.rows, t.k_max, t.valid_through) for t in (table, direct)]
+    assert fields[0] == fields[1]
 
 
 def test_image_tables_do_not_share_the_anchor_table():
@@ -254,43 +271,6 @@ def test_image_support_is_the_sorted_image_table(n, odd, a, b, fresh):
     got = e.image_support(v)
     assert got == sorted(e.image_table(v).multiplicities())
     assert all(type(w) is quiver.Vertex and w.component == v.component for w in got)
-
-
-@st.composite
-def _tables_and_offsets(draw):
-    """A random dihedral layer table on its target's component, and an offset."""
-    q = quiver.build_dihedral_family(4)
-    odd = draw(st.booleans())
-    vertex = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(
-        lambda c: q.vertex(2 * c[0] + odd, 2 * c[1] + odd)
-    )
-    layers = draw(
-        st.dictionaries(
-            st.integers(0, 5), st.dictionaries(vertex, st.integers(1, 4), max_size=6), max_size=4
-        )
-    )
-    valid_through = draw(st.integers(0, 5))
-    table = references.table_from_layers(draw(vertex), layers, 5, valid_through)
-    return q, table, draw(st.tuples(st.integers(-7, 7), st.integers(-7, 7)))
-
-
-@given(_tables_and_offsets())
-@settings(max_examples=150, deadline=None)
-def test_translate_table_matches_the_per_vertex_translation(case):
-    q, table, offset = case
-    try:
-        moved = center.translate_table(q, table, offset)
-    except InvalidVertexError as exc:
-        with pytest.raises(InvalidVertexError) as want:
-            q.tensor_translate(table.target, offset)
-        assert str(exc) == str(want.value)
-        return
-    assert moved.target == q.tensor_translate(table.target, offset)
-    assert moved.layers == {
-        k: {q.tensor_translate(v, offset): mult for v, mult in row.items()}
-        for k, row in table.layers.items()
-    }
-    assert (moved.k_max, moved.valid_through) == (table.k_max, table.valid_through)
 
 
 def test_factor_distance_bound(dihedral):

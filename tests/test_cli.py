@@ -571,6 +571,18 @@ def test_impossible_path_count_fails_fast(run):
     assert time.perf_counter() - t0 < 5
 
 
+def test_path_count_past_the_index_size_exits_7(run):
+    # tube:4 J1 -> J1 has 2^99 paths of length 200: more signs than a list can
+    # index, which Python reports as OverflowError, not MemoryError.
+    argv = ["signcheck", "--quiver", "tube:4", "--source", "J1", "--target", "J1", "--grade"]
+    assert run([*argv, "40"])[0] == cli.EXIT_OK
+    code, out, err = run([*argv, "200"])
+    assert code == 7
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("meshknit: error: input too large: ")
+
+
 def test_out_of_memory_exits_7(run, monkeypatch):
     def broken(*args, **kwargs):
         raise MemoryError

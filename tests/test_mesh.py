@@ -616,6 +616,11 @@ def test_dihedral_rows_match_the_per_vertex_push(half_i, half_j, odd, k_max, win
     m = KNIT_DIHEDRAL.vertex(2 * half_i + odd, 2 * half_j + odd)
     case = (KNIT_DIHEDRAL, m, k_max, window)
     assert _knit_outcome(mesh.knit_layers, *case) == _knit_outcome(knit_push, *case)
+    if KNIT_DIHEDRAL.in_window(m, window):  # row k: k + 1 entries from m + (0, 2k)
+        (i, j), rows = m.coords, mesh.knit_layers(*case).rows
+        assert [(k, KNIT_DIHEDRAL.validate(first), step) for k, first, step, _ in rows] == [
+            (k, KNIT_DIHEDRAL.vertex(i, j + 2 * k), (2, -2)) for k in range(len(rows))
+        ]
 
 
 @given(
@@ -658,15 +663,32 @@ tube_targets = st.integers(3, 30).flatmap(lambda n: st.tuples(st.just(n), st.int
 @example((30, 1), 44)
 @settings(max_examples=150, deadline=None)
 def test_tube_rows_match_the_per_vertex_push(target, k_max):
-    # Every row lies on J_1..J_{n-1}: it starts at a valid J_i with a nonzero
-    # entry (or is one zero) and ends at or below J_{n-1}.
+    # Every row lies on J_1..J_{n-1}: it starts at a valid J_i, at or below
+    # J_{n-1}, runs two levels down per entry and ends with a nonzero entry
+    # (or is one zero) at J_1 or above.
     n, i = target
     case = (PUSH_TUBES[n], PUSH_TUBES[n].vertex(i), k_max, 4)
     assert _knit_outcome(mesh.knit_layers, *case) == _knit_outcome(knit_push, *case)
-    for _, first, step, mults in mesh.knit_layers(*case).rows:
-        low = first.coords[0]
-        assert step == (2,) and mults and (mults[0] or mults == [0])
-        assert 1 <= low and low + 2 * (len(mults) - 1) <= n - 1
+    for k, first, step, mults in mesh.knit_layers(*case).rows:
+        high = PUSH_TUBES[n].validate(first).coords[0]
+        assert step == (-2,) and mults and (mults[-1] or mults == [0])
+        assert high <= min(i + k, n - 1) and (i + k - high) % 2 == 0
+        assert high - 2 * (len(mults) - 1) >= 1
+
+
+@given(st.integers(1, 11), st.integers(-3, 3), st.integers(0, 44))
+@example(1, 0, 44)
+@example(11, -3, 44)
+@settings(max_examples=100, deadline=None)
+def test_za_rows_match_the_per_vertex_push(level, pos, k_max):
+    # Row k starts at (L + k, p), runs two levels down and one position on per
+    # entry, and ends with a nonzero entry (or is one zero) at the rim or above.
+    case = (KNIT_ZA_WIDE, KNIT_ZA_WIDE.vertex(level, pos), k_max, 12)
+    assert _knit_outcome(mesh.knit_layers, *case) == _knit_outcome(knit_push, *case)
+    for k, first, step, mults in mesh.knit_layers(*case).rows:
+        assert KNIT_ZA_WIDE.validate(first) == KNIT_ZA_WIDE.vertex(level + k, pos)
+        assert step == (-2, 1) and mults and (mults[-1] or mults == [0])
+        assert level + k - 2 * (len(mults) - 1) >= 1
 
 
 @given(st.integers(1, 10), st.integers(0, 20), st.integers(2, 12))
@@ -1081,14 +1103,15 @@ def test_diamond_cokernel_matches_the_union_find_scan(n, i, k, window, field):
 
 
 def _inflated_knit_lines(k, a, by):
-    """mesh._knit_lines with by added to entry a of row k, when that row is there."""
+    """mesh._knit_lines with by added to entry a of row k, when that row stores it."""
     knit_lines = mesh._knit_lines
 
-    def inflated(k_max):
-        lines = [list(line) for line in knit_lines(k_max)]
-        if k < len(lines) and a < len(lines[k]):
-            lines[k][a] += by
-        return lines
+    def inflated(k_max, *rims):
+        starts, lines = knit_lines(k_max, *rims)
+        lines = [list(line) for line in lines]
+        if k < len(lines) and 0 <= a - starts[k] < len(lines[k]):
+            lines[k][a - starts[k]] += by
+        return starts, lines
 
     return inflated
 

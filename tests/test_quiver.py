@@ -520,7 +520,7 @@ def test_center_tables_and_supports_build_named_tuples(coords, n, offset):
         orbit.image_table(v),
         orbit.image_table(q.tensor_translate(v, (0, 2))),
         mesh.diamond_cokernel(q, v, n, 12),
-        center.translate_table(q, e.image_table(v), offset),
+        e.image_table(q.tensor_translate(v, offset)),
     ]
     for table in tables:
         assert _all_named([table.target, *(w for row in table.layers.values() for w in row)])
