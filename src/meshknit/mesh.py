@@ -536,20 +536,18 @@ def knit_layers(
     else:
         raise QuiverKindError(f"knit_layers knits the three modeled shapes, got {q.kind}")
     starts, lines = _knit_lines(k_max, rim, top)
-    # row k is stored from its entry a = starts[k], at m + k * up + a * step:
-    # coordinate by coordinate, with no product where no row was cut
-    coordinates = [
-        map(add, _count(x, u), map(mul, repeat(s), starts)) if any(starts) else _count(x, u)
-        for x, u, s in zip(coords, up, step)
-    ]
-    firsts = map(new_vertex, zip(repeat(c), zip(*coordinates)))
+    bases = map(_count, coords, up)  # coordinate by coordinate, m + k * up for k = 0, 1, ...
+    if any(starts):  # row k is stored from its entry a = starts[k]: a * step further on
+        bases = [map(add, xs, map(mul, repeat(s), starts)) for xs, s in zip(bases, step)]
+    firsts = map(new_vertex, zip(repeat(c), zip(*bases)))
     rows = list(zip(_count(), firsts, repeat(step), lines))
     return LayerTable(target=m, rows=rows, k_max=k_max, valid_through=len(rows) - 1)
 
 
 def _knit_lines(k_max: int, rim: int = 0, top: int = 0) -> tuple[list[int], list[list[int]]]:
     """The integer rows R_0..R_k_max of a knit, up to one with a negative entry,
-    as (starts, lines): lines[k][0] is entry starts[k] of row k.
+    as (starts, lines): lines[k][0] is entry starts[k] of row k (starts has
+    k_max + 1 entries, 0 past the last row).
 
     Rows drop their trailing zeros.  With ``rim``, a ZA-infinity or tube
     target's level, entry a of row k sits at level rim + k - 2a, and a row is
@@ -576,7 +574,7 @@ def _knit_lines(k_max: int, rim: int = 0, top: int = 0) -> tuple[list[int], list
         while len(line) > 1 and not line[-1]:
             line.pop()
         lines.append(line)
-    return starts[: len(lines)], lines
+    return starts, lines
 
 
 @dataclass
