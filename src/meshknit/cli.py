@@ -5,7 +5,7 @@ run configuration.  Exit codes: 0 success, 1 verification counterexample
 (the artifact contains the witness), 2 window error, 3 validity-range
 truncation, 4 bad arguments, 5 the artifact could not be written,
 6 an internal consistency check failed, 7 the input exhausted the
-recursion or memory limit or a size Python can index.
+recursion or memory limit, or the sizes Python can index.
 """
 
 from __future__ import annotations

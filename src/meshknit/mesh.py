@@ -92,9 +92,9 @@ class LayerTable:
     layer k at the vertex first + t * step (coordinates added).  Producers
     make one row per layer, built where it sits (a knit's row k starts at
     m + k * up + a * step, see :func:`knit_layers`); rows of one layer
-    share no vertex.  ``layers[k]``
-    maps vertices to nonzero multiplicities, built from the rows on each read;
-    a row of zeros still records its layer.  Two tables are equal when their
+    share no vertex.  ``layers[k]`` maps vertices to nonzero
+    multiplicities, built from the rows on each read; a row of zeros still
+    records its layer.  Two tables are equal when their
     targets, ``layers``, k_max and valid_through are: the rows are only an
     encoding of the table.  Rows are reported for k <= valid_through
     only; valid_through < k_max flags where the knitting recurrence left its

@@ -616,7 +616,7 @@ def test_dihedral_rows_match_the_per_vertex_push(half_i, half_j, odd, k_max, win
     m = KNIT_DIHEDRAL.vertex(2 * half_i + odd, 2 * half_j + odd)
     case = (KNIT_DIHEDRAL, m, k_max, window)
     assert _knit_outcome(mesh.knit_layers, *case) == _knit_outcome(knit_push, *case)
-    if KNIT_DIHEDRAL.in_window(m, window):  # row k: k + 1 entries from m + (0, 2k)
+    if KNIT_DIHEDRAL.in_window(m, window):  # row k starts at m + (0, 2k)
         (i, j), rows = m.coords, mesh.knit_layers(*case).rows
         assert [(k, KNIT_DIHEDRAL.validate(first), step) for k, first, step, _ in rows] == [
             (k, KNIT_DIHEDRAL.vertex(i, j + 2 * k), (2, -2)) for k in range(len(rows))
