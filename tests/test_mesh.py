@@ -758,6 +758,19 @@ def test_sign_check_on_tube_needs_grade(tube4):
     assert report.all_ok
 
 
+@pytest.mark.parametrize(
+    "grade, num_paths, method, hom_dim", [(14, 64, "dense", 0), (16, 128, "certificate", None)]
+)
+def test_dense_sign_limit_decides_whether_a_report_has_hom_dim(tube4, grade, num_paths, method,
+                                                                hom_dim):
+    # The same pair on either side of DENSE_SIGN_LIMIT: only the dense
+    # report carries hom_dim.
+    report = mesh.path_sign_check(tube4, tube4.vertex(1), tube4.vertex(1), window=4, grade=grade)
+    assert (report.num_paths, report.method, report.hom_dim) == (num_paths, method, hom_dim)
+    assert report.connected and report.all_ok
+    assert report.verified_pairs == num_paths * (num_paths - 1) // 2
+
+
 def test_sign_check_records_zero_paths_through_rim():
     q = quiver.build_za_inf(8)
     # tau(v) -> v at the rim: the unique double-step path is itself a relation.
@@ -1282,6 +1295,31 @@ def test_disconnected_flip_graph_matches_the_rref_oracle(field):
     expected = _oracle_sign_fields(report, paths, ideal, field)
     assert (report.hom_dim, report.verified_pairs, report.counterexamples) == expected
     assert [c["pair"] for c in report.counterexamples] == [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("stages, method", [(3, "dense"), (7, "certificate")])
+def test_a_disconnected_report_lists_pairs_only_when_dense(stages, method):
+    # A chain of `stages` squares with no meshes: 2^stages paths, each its
+    # own component.  A dense report lists every pair; a certificate gives
+    # one disconnected_flip_graph record in place of the O(n^2) list.
+    arrows = []
+    for s in range(stages):
+        start, end = 3 * s, 3 * s + 3
+        arrows += [(start, start + 1, "x"), (start, start + 2, "y"),
+                   (start + 1, end, "x"), (start + 2, end, "x")]
+    q = _ToyQuiver(arrows, {})
+    report = mesh.path_sign_check(q, q.v(0), q.v(3 * stages), window=1)
+    n = 2**stages
+    assert (report.num_paths, report.method) == (n, method)
+    assert not report.connected and not report.all_ok
+    if method == "dense":
+        assert report.hom_dim == n and report.verified_pairs == 0
+        assert [c["pair"] for c in report.counterexamples] == [
+            (i, j) for i in range(n) for j in range(i + 1, n)
+        ]
+    else:
+        assert report.hom_dim is None
+        assert report.counterexamples == [{"disconnected_flip_graph": True, "components": n}]
 
 
 @st.composite
