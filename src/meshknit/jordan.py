@@ -2,9 +2,10 @@
 
 Indecomposable modules are Jordan blocks J_1..J_n for the nilpotent
 action of t, with J_n projective (and injective).  Morphisms are
-matrices commuting with the t-actions; morphism classes are cosets
-modulo maps factoring through projectives, canonicalized eagerly so
-class equality is representative independent.  Everything is computed
+matrices commuting with the t-actions; a morphism class, a coset
+modulo maps factoring through projectives, is keyed by its coordinates
+on a fixed stable basis, so class equality is representative
+independent.  Everything is computed
 by explicit enumeration and exact linear algebra.  That is the point:
 this module is the ground truth the mesh-category calculators on the
 tube quiver are validated against.
@@ -99,9 +100,10 @@ def indec(n: int, i: int) -> JordanModule:
 class StableMap:
     """A morphism class in the stable category.
 
-    ``matrix`` is an equivariant representative; ``key`` is the canonical
-    residue of its flattening modulo the projectively-factoring subspace,
-    so two StableMaps are equal exactly when they are stably equal.
+    ``matrix`` is an equivariant representative; ``key`` is the class's
+    coordinates on ``stable_basis(source, target)``: ``matrix`` minus
+    ``sum(key_i * basis_i.matrix)`` factors through the projective.  So two
+    StableMaps are equal exactly when they are stably equal.
     """
 
     __slots__ = ("source", "target", "matrix", "key")
@@ -402,23 +404,44 @@ class _Context:
         return basis
 
     @_memo
-    def proj_subspace(self, x: JordanModule, y: JordanModule) -> Subspace:
-        """Flattened span of maps x -> y factoring through the projective."""
-        space = Subspace(self.field, x.dim * y.dim)
-        p = self.projective
-        for f in self.hom_basis(x, p):
-            for g in self.hom_basis(p, y):
-                space.insert(g.mul(f).flatten())
-        return space
+    def _reduced(self, x: JordanModule, y: JordanModule) -> tuple[Subspace, list[Matrix]]:
+        """(span, maps): ``maps``, the stable basis, are the ``hom_basis`` maps independent of
+        the maps through the projective and of those before them; ``span`` is the reduced span
+        of the flattened maps through the projective, with zero tails, and of the k-th of
+        ``maps`` with minus the k-th unit tail (tails ``len(hom_basis)`` long, the last ones
+        unused).  A map x -> y with coordinates a on ``maps`` reduces to (0, a, 0)."""
+        p, basis = self.projective, self.hom_basis(x, y)
+        width, units = x.dim * y.dim, Matrix.identity(self.field, len(basis)).scale(-1).data
+        zero = (self.field.zero,) * len(basis)
+        space = Subspace(self.field, width + len(basis))
+        products = (g.mul(f) for f in self.hom_basis(x, p) for g in self.hom_basis(p, y))
+        space.extend(g.flatten() + zero for g in products)
+        maps = []
+        for b in basis:
+            v = space.residue(b.flatten() + units[len(maps)])
+            if any(v[:width]):  # else b is stably a combination of the maps before it
+                space.insert(v)
+                maps.append(b)
+        return space, maps
 
     def classify(self, x: JordanModule, y: JordanModule, matrix: Matrix) -> StableMap:
-        key = self.proj_subspace(x, y).residue(matrix.flatten())
-        return StableMap(x, y, matrix, key)
+        """The class x -> y of an equivariant matrix, keyed by its coordinates."""
+        rows, cols = y.dim, x.dim
+        if (matrix.rows, matrix.cols) != (rows, cols):
+            shape = f"{matrix.rows}x{matrix.cols}"
+            raise DimensionError(f"a map {x} -> {y} is {rows}x{cols}, got {shape}")
+        space, maps = self._reduced(x, y)
+        width = rows * cols
+        v = space.residue(matrix.flatten() + (self.field.zero,) * (space.ambient_dim - width))
+        if any(v[:width]):
+            raise PreconditionError(f"matrix does not commute with t: not a map {x} -> {y}")
+        return StableMap(x, y, matrix, v[width : width + len(maps)])
 
     @_memo
     def stable_basis(self, x: JordanModule, y: JordanModule) -> list[StableMap]:
-        candidates = (self.classify(x, y, b) for b in self.hom_basis(x, y))
-        return _independent(self.field.char, candidates, _key)
+        maps = self._reduced(x, y)[1]
+        units = Matrix.identity(self.field, len(maps)).data
+        return [StableMap(x, y, b, e) for b, e in zip(maps, units)]
 
     @_memo
     def stable_dim(self, x: JordanModule, y: JordanModule) -> int:
@@ -434,16 +457,17 @@ class _Context:
             )
         return self.classify(f.source, g.target, g.matrix.mul(f.matrix))
 
-    def combine(self, x: JordanModule, y: JordanModule, basis: list[StableMap], coeffs) -> StableMap:
-        """The class sum(coeffs_i basis_i) x -> y.  A key is linear in its map, so its key is
-        the same combination of the basis keys, and no residue is taken."""
-        if not basis:
-            zero = (self.field.zero,) * (x.dim * y.dim)
-            return StableMap(x, y, self._unflatten(zero, y.dim, x.dim), zero)
-        p, coeffs = self.field.char, self.field.coerce_row(coeffs)
-        flat = _mix(p, coeffs, [b.matrix.flatten() for b in basis])
-        key = _mix(p, coeffs, [b.key for b in basis])
-        return StableMap(x, y, self._unflatten(flat, y.dim, x.dim), key)
+    def combine(self, x: JordanModule, y: JordanModule, coeffs) -> StableMap:
+        """The class x -> y with coordinates coeffs on ``stable_basis(x, y)``: its key is
+        coeffs, and no residue is taken."""
+        basis, coeffs = self.stable_basis(x, y), self.field.coerce_row(coeffs)
+        if len(coeffs) != len(basis):
+            raise DimensionError(
+                f"{len(coeffs)} coefficients for the {len(basis)} stable classes {x} -> {y}"
+            )
+        zero = (self.field.zero,) * (x.dim * y.dim)
+        flat = _mix(self.field.char, coeffs, [b.matrix.flatten() for b in basis]) if basis else zero
+        return StableMap(x, y, self._unflatten(flat, y.dim, x.dim), coeffs)
 
     @_memo
     def class_lines(self, x: JordanModule, y: JordanModule) -> list[StableMap]:
@@ -454,23 +478,7 @@ class _Context:
         nonzero scalar.
         """
         lines = _lines(self.field, self.stable_dim(x, y))
-        return [self.combine(x, y, self.stable_basis(x, y), a) for a in lines]
-
-    @_memo
-    def _coordinate_rows(self, x: JordanModule, y: JordanModule) -> tuple[list, list]:
-        """(pivots, tails): a class x -> y has coefficients sum(key[i] * tail) on the stable
-        basis; pivot and unit part of the reduced span of the keys with unit vectors appended."""
-        basis = self.stable_basis(x, y)
-        width, units = x.dim * y.dim, Matrix.identity(self.field, len(basis)).data
-        space = Subspace(self.field, width + len(basis))
-        space.extend(b.key + e for b, e in zip(basis, units))
-        rows = space.basis()
-        return [next(i for i, a in enumerate(r) if a) for r in rows], [r[width:] for r in rows]
-
-    def _coordinates(self, x: JordanModule, y: JordanModule, key: tuple) -> tuple:
-        """Coefficients on ``stable_basis(x, y)`` of the class x -> y with this key."""
-        pivots, tails = self._coordinate_rows(x, y)
-        return _mix(self.field.char, [key[i] for i in pivots], tails)
+        return [self.combine(x, y, a) for a in lines]
 
     @_memo
     def _table(self, x: JordanModule, u: JordanModule, y: JordanModule) -> list[list[tuple]]:
@@ -478,7 +486,7 @@ class _Context:
         ``stable_basis(u, y)[i] . stable_basis(x, u)[j]``."""
         return [
             [
-                self._coordinates(x, y, self.classify(x, y, b.matrix.mul(a.matrix)).key)
+                self.classify(x, y, b.matrix.mul(a.matrix)).key
                 for a in self.stable_basis(x, u)
             ]
             for b in self.stable_basis(u, y)
@@ -523,7 +531,7 @@ class _Context:
                 _composites(p, post, h)
                 for u in indecs
                 for post in [_post(self._table(x, y, u))]
-                for h in self._rad_coordinates(y, u)
+                for h in map(_key, self.rad_stable_basis(y, u))
             ),
         )
         # x first: f . id_x = f is nonzero, so most lines settle on its rank alone
@@ -636,10 +644,9 @@ class _Context:
 
     @_memo
     def _omega_coordinates(self, x: JordanModule, y: JordanModule) -> list[tuple]:
-        """Coordinates on ``stable_basis(Omega x, Omega y)`` of ``omega_map(g)`` for each g in
-        ``stable_basis(x, y)``."""
-        ox, oy = self.omega_object(x), self.omega_object(y)
-        return [self._coordinates(ox, oy, self.omega_map(g).key) for g in self.stable_basis(x, y)]
+        """The keys, coordinates on ``stable_basis(Omega x, Omega y)``, of ``omega_map(g)`` for
+        each g in ``stable_basis(x, y)``."""
+        return [self.omega_map(g).key for g in self.stable_basis(x, y)]
 
     # -- almost vanishing --------------------------------------------------
     @_memo
@@ -656,7 +663,7 @@ class _Context:
             raise InternalCheckError(
                 f"almost-vanishing space of {m} has dimension {len(sols)}", witness=m
             )
-        return self.combine(m, target, self.stable_basis(m, target), sols[0])
+        return self.combine(m, target, sols[0])
 
     def killed_by_radical(self, x: JordanModule, y: JordanModule) -> list[tuple]:
         """Classes x -> y killed by every non-isomorphism into x.
@@ -674,13 +681,8 @@ class _Context:
             _composites(p, pre, g)
             for u in self.indecomposables()
             for pre in [_pre(self._table(u, x, y))]
-            for g in self._rad_coordinates(u, x)
+            for g in map(_key, self.rad_stable_basis(u, x))
         )
-
-    @_memo
-    def _rad_coordinates(self, x: JordanModule, y: JordanModule) -> list[tuple]:
-        """Coordinates on ``stable_basis(x, y)`` of each class of ``rad_stable_basis(x, y)``."""
-        return [self._coordinates(x, y, g.key) for g in self.rad_stable_basis(x, y)]
 
 
 # Contexts are cached per (n, p); beyond this many the least recently
@@ -818,7 +820,7 @@ def image_comp_factors(f: StableMap) -> dict[JordanModule, int]:
     ctx = context(f.source.n, f.matrix.field)
     x, y, indecs = f.source, f.target, ctx.indecomposables()
     posts = [_post(ctx._table(v, x, y)) for v in indecs]
-    ranks = _image_ranks(ctx.field.char, posts, ctx._coordinates(x, y, f.key))
+    ranks = _image_ranks(ctx.field.char, posts, f.key)
     return {v: rank for v, rank in zip(indecs, ranks) if rank}
 
 
@@ -852,9 +854,8 @@ def is_almost_vanishing(f: StableMap) -> AlmostVanishingReport:
     if f.is_zero:
         return AlmostVanishingReport(x, y, False, {}, note="stably zero class")
 
-    # Classes are read in coordinates on the stable bases: a class c is a
-    # line's coefficient tuple (``_lines``), composites come from the tables.
-    conditions = ctx._av_conditions(x, y)(ctx._coordinates(x, y, f.key))
+    # A key is the class's coordinates on the stable basis; composites come from the tables.
+    conditions = ctx._av_conditions(x, y)(f.key)
     verdict = all(conditions.values())
     return AlmostVanishingReport(x, y, verdict, conditions)
 
@@ -910,9 +911,10 @@ def radical_layers_bruteforce(m: JordanModule, k_max: int, field: Field = GF5) -
     p, indecs = ctx.field.char, ctx.indecomposables()
     # for each g in rad_stable_basis(x, z): the coordinates of b . g, b in stable_basis(z, m)
     through = {
-        (x, z): [_composites(p, _pre(ctx._table(x, z, m)), g) for g in ctx._rad_coordinates(x, z)]
+        (x, z): [_composites(p, pre, g.key) for g in ctx.rad_stable_basis(x, z)]
         for x in indecs
         for z in indecs
+        for pre in [_pre(ctx._table(x, z, m))]
     }
     spans = {x: Matrix.identity(ctx.field, ctx.stable_dim(x, m)).data for x in indecs}
     dims_by_level = [{x: len(spans[x]) for x in indecs}]
@@ -948,7 +950,7 @@ def mono_representable_split_check(n: int, field: Field = GF5) -> CheckReport:
     # every pair's lines first, so that Q is refused before anything is composed
     lines = {(u, v): _lines(field, ctx.stable_dim(u, v)) for u in indecs for v in indecs}
     for u in indecs:
-        identity = ctx._coordinates(u, u, ctx.identity_map(u).key)
+        identity = ctx.identity_map(u).key
         sources = [x for x in indecs if ctx.stable_dim(x, u)]
         dims = [ctx.stable_dim(x, u) for x in sources]
         for v in indecs:
@@ -962,9 +964,8 @@ def mono_representable_split_check(n: int, field: Field = GF5) -> CheckReport:
                 monos += 1
                 # Split: some class b . a is the identity of u.
                 if not _spans(p, _composites(p, sections, a), identity):
-                    # the key of the line's class, keys being linear in their maps
-                    keys = [b.key for b in ctx.stable_basis(u, v)]
-                    failures.append({"source": str(u), "target": str(v), "class": _mix(p, a, keys)})
+                    # the line's class, by its key: its coefficient tuple
+                    failures.append({"source": str(u), "target": str(v), "class": a})
     return CheckReport(
         "mono-representable-split",
         not failures,
@@ -1001,7 +1002,6 @@ def single_object_support_solver(m: JordanModule, r: int, field: Field = GF5) ->
         raise PreconditionError(f"{m} is projective")
     p, odd = ctx.field.char, r % 2
     codomain = ctx.omega_object(m) if odd else m
-    basis = ctx.stable_basis(m, codomain)
     indecs = ctx.indecomposables()
     squares = []
     for x in indecs:
@@ -1009,7 +1009,7 @@ def single_object_support_solver(m: JordanModule, r: int, field: Field = GF5) ->
             if m not in (x, y):
                 continue
             # per basis class g: x -> y, the coordinates of F(g) . alpha (x = m) and of
-            # alpha . g (y = m) for each alpha in basis, g having unit coordinates
+            # alpha . g (y = m) for each alpha in the stable basis, g having unit coordinates
             units = Matrix.identity(ctx.field, ctx.stable_dim(x, y)).data
             sides = []
             if x == m:
@@ -1021,8 +1021,8 @@ def single_object_support_solver(m: JordanModule, r: int, field: Field = GF5) ->
                 sides.append([_composites(p, pre, g) for g in units])
             # F(g) . alpha_x - alpha_y . g, a missing side being zero
             squares += ([_mix(p, (1, -1), pair) for pair in zip(*square)] for square in zip(*sides))
-    sols = _kernel(p, len(basis), _transposed(squares))
-    solutions = [ctx.combine(m, codomain, basis, c) for c in sols]
+    sols = _kernel(p, ctx.stable_dim(m, codomain), _transposed(squares))
+    solutions = [ctx.combine(m, codomain, c) for c in sols]
 
     omega_rule = codomain == ctx.omega_object(m)
     spanned = False

@@ -249,10 +249,6 @@ class Subspace:
         """Insert each vector; the number that raised the rank."""
         return sum(map(self.insert, vecs))
 
-    def basis(self) -> list[tuple]:
-        """RREF basis rows ordered by pivot column."""
-        return [self._rows[c] for c in sorted(self._rows)]
-
 
 def rank(m: Matrix) -> int:
     return len(_echelon(m.field.char, m.data))

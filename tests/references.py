@@ -1,8 +1,10 @@
 """Code the package no longer carries, kept as the tests' references.
 
-* linear algebra: ``rref``, the matrix sum and the subspace membership
-  and dimension that only the tests read;
-* the matrix model's zero class;
+* linear algebra: ``rref``, the matrix sum and the subspace basis,
+  membership and dimension that only the tests read;
+* the matrix model's zero class, and its classes as it keyed them: the
+  residue modulo the maps through the projective, with the stable basis
+  that residue chose;
 * layer tables: a table built from a ``{k: {vertex: multiplicity}}``
   mapping, the per-vertex knitting push on any shape, and the TSV and
   JSON writers that read a table's ``layers`` mapping;
@@ -28,7 +30,7 @@ def rref(m):
     """Reduced row echelon form and the pivot columns."""
     space = Subspace(m.field, m.cols)
     space.extend(m.data)
-    return Matrix._of(m.field, tuple(space.basis()), m.cols), tuple(sorted(space._rows))
+    return Matrix._of(m.field, tuple(subspace_basis(space)), m.cols), tuple(sorted(space._rows))
 
 
 def matrix_sum(a, b):
@@ -46,17 +48,47 @@ def matrix_sum(a, b):
     return Matrix._of(a.field, out, a.cols)
 
 
+def subspace_basis(space) -> list[tuple]:
+    """The reduced rows of a Subspace, ordered by pivot column."""
+    return [space._rows[c] for c in sorted(space._rows)]
+
+
 def span_contains(space, vec) -> bool:
     return not any(space.residue(vec))
 
 
 def span_dim(space) -> int:
-    return len(space.basis())
+    return len(space._rows)
 
 
 def zero_map(ctx, x, y):
     """The zero class x -> y of the matrix model's context."""
     return ctx.classify(x, y, Matrix.zeros(ctx.field, y.dim, x.dim))
+
+
+_proj_spans = {}
+
+
+def proj_span(ctx, x, y):
+    """Flattened span of the maps x -> y that factor through the projective."""
+    key = (ctx.field, x, y)
+    if key not in _proj_spans:
+        space = _proj_spans[key] = Subspace(ctx.field, x.dim * y.dim)
+        p = ctx.projective
+        space.extend(g.mul(f).flatten() for f in ctx.hom_basis(x, p) for g in ctx.hom_basis(p, y))
+    return _proj_spans[key]
+
+
+def stable_residue(ctx, x, y, matrix):
+    """The canonical residue of a map x -> y modulo ``proj_span``: two maps are stably
+    equal exactly when their residues are equal tuples."""
+    return proj_span(ctx, x, y).residue(matrix.flatten())
+
+
+def stable_maps(ctx, x, y):
+    """The ``hom_basis`` maps whose residues are independent of the residues before them."""
+    span = Subspace(ctx.field, x.dim * y.dim)
+    return [b for b in ctx.hom_basis(x, y) if span.insert(stable_residue(ctx, x, y, b))]
 
 
 # -- layer tables -----------------------------------------------------------------

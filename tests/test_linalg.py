@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from meshknit import linalg as la
 from meshknit.errors import DimensionError, FieldMismatchError
-from references import matrix_sum, rref, span_contains, span_dim
+from references import matrix_sum, rref, span_contains, span_dim, subspace_basis
 
 
 # -- helpers only the tests use ---------------------------------------------------
@@ -325,7 +325,7 @@ def test_plain_int_kernels_match_the_field_method_references(field, data):
     space, ref = la.Subspace(field, cols), RefSubspace(field, cols)
     for vec in list(b.data) + list(product.data):
         assert space.insert(vec) == ref.insert(vec)
-        assert space.basis() == ref.basis()
+        assert subspace_basis(space) == ref.basis()
     for vec in data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), max_size=4)):
         assert space.residue(vec) == ref.residue(vec)
         assert all(_is_field_element(field, x) for x in space.residue(vec))
