@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedParameterError,
     WindowError,
 )
-from .linalg import GF, GF5, QQ, Field, Matrix, Subspace
+from .linalg import GF, GF5, QQ, Field, Matrix
 from .quiver import (
     Arrow,
     DihedralFamily,

@@ -2,13 +2,18 @@
 
 Indecomposable modules are Jordan blocks J_1..J_n for the nilpotent
 action of t, with J_n projective (and injective).  Morphisms are
-matrices commuting with the t-actions; a morphism class, a coset
-modulo maps factoring through projectives, is keyed by its coordinates
-on a fixed stable basis, so class equality is representative
-independent.  Everything is computed
-by explicit enumeration and exact linear algebra.  That is the point:
-this module is the ground truth the mesh-category calculators on the
-tube quiver are validated against.
+matrices commuting with the t-actions, with a monomial basis: each basis
+map is the 0/1 indicator of a chain of entries, a partial injection.
+Every product of two basis maps is composed and looked up among the
+basis maps of its pair (one that is neither zero nor a basis map raises
+InternalCheckError), so the stable basis is the basis maps that no
+product through the projective hits.  A morphism class, a coset modulo
+maps factoring through projectives, is keyed by its coordinates on that
+basis, read off the chains of a representative, so class equality is
+representative independent.  Everything is computed by explicit
+enumeration and exact arithmetic.  That is the point: this module is the
+ground truth the mesh-category calculators on the tube quiver are
+validated against.
 
 Quantifiers "for all objects" are evaluated over indecomposables only.
 That suffices because every object is a finite direct sum of
@@ -27,7 +32,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
 from functools import wraps
-from operator import attrgetter, mul
+from operator import attrgetter
 
 from .errors import (
     DimensionError,
@@ -36,7 +41,7 @@ from .errors import (
     PreconditionError,
     UnsupportedParameterError,
 )
-from .linalg import GF5, Field, Matrix, Subspace, kernel_basis, rank, solve
+from .linalg import GF5, Field, Matrix, kernel_basis, rank, solve
 from .linalg import _apply, _echelon, _kernel, _lines, _mix, _spans
 from .mesh import LayerTable
 from .quiver import TUBE, Vertex
@@ -69,10 +74,6 @@ class JordanModule:
     @property
     def is_indecomposable(self) -> bool:
         return len(self.blocks) == 1
-
-    @property
-    def is_projective(self) -> bool:
-        return bool(self.blocks) and all(b == self.n for b in self.blocks)
 
     @property
     def block(self) -> int:
@@ -240,24 +241,24 @@ def _independent(p: int, candidates, key) -> list:
     return kept
 
 
-def _post(table: list) -> list[list[tuple]]:
-    """Matrices M_j, ``_apply(p, M_j, a)`` being the coordinates of c . b_j, c having
-    coordinates a (see ``_Context._table``)."""
-    return [list(zip(*column)) for column in zip(*table)]
+def _selections(columns, width: int) -> list[tuple]:
+    """Per column of ``_Context._table`` positions: the tuple s of length width with s[k]
+    the row whose entry is k, -1 where none is (see ``_composites``)."""
+    forms = []
+    for column in columns:
+        rows = {k: i for i, k in enumerate(column) if k is not None}
+        if len(rows) < len(column) - column.count(None):
+            raise InternalCheckError("two products give one stable class", witness=column)
+        forms.append(tuple(rows.get(k, -1) for k in range(width)))
+    return forms
 
 
-def _pre(table: list) -> list[list[tuple]]:
-    """Matrices M_i, ``_apply(p, M_i, a)`` being the coordinates of b_i . f, f having
-    coordinates a (see ``_Context._table``)."""
-    return [list(zip(*row)) for row in table]
-
-
-def _composites(p: int, matrices, a) -> list[list]:
-    """``_apply(p, m, a)`` for each matrix m of ``_post`` or ``_pre``, inlined: this is
-    the inner loop of every line sweep."""
-    if p:
-        return [[sum(map(mul, a, row)) % p for row in m] for m in matrices]
-    return [[sum(map(mul, a, row)) for row in m] for m in matrices]
+def _composites(zero, selections, a) -> list[list]:
+    """The composites of ``_Context._post`` or ``_pre`` selections with the coordinates a:
+    each picks a's coordinates, zero where it holds -1.  This is the inner loop of every
+    line sweep."""
+    a = (*a, zero)
+    return [[a[s] for s in selection] for selection in selections]
 
 
 def _transposed(blocks) -> list[tuple]:
@@ -285,9 +286,9 @@ def _killing_rows(p: int, width: int, images) -> list:
     return [row for _, row in rows]
 
 
-def _image_ranks(p: int, posts, phi: tuple):
+def _image_ranks(p: int, zero, posts, phi: tuple):
     """Rank of the composites c . b_j per ``_post`` of a table, c having coordinates phi."""
-    return (len(_echelon(p, _composites(p, m, phi))) for m in posts)
+    return (len(_echelon(p, _composites(zero, m, phi))) for m in posts)
 
 
 _key = attrgetter("key")
@@ -361,16 +362,24 @@ class _Context:
         data = tuple(vec[r * cols : (r + 1) * cols] for r in range(rows))
         return Matrix._of(self.field, data, cols)
 
-    @_memo
-    def hom_basis(self, x: JordanModule, y: JordanModule) -> list[Matrix]:
-        """Basis of equivariant maps x -> y: solutions of X T_x = T_y X, as ``kernel_basis``
-        gives them.
+    def _matrix(self, x: JordanModule, y: JordanModule, injection: dict) -> Matrix:
+        """The 0/1 matrix x -> y of a partial injection {column: row}."""
+        v = [self.field.zero] * (x.dim * y.dim)
+        for c, r in injection.items():
+            v[r * x.dim + c] = self.field.one
+        return self._unflatten(tuple(v), y.dim, x.dim)
 
-        Equation (r, c) reads X[r-1][c] = X[r][c+1], a side dropping out where r starts
-        a block of y or c ends a block of x.  Each entry is on each side of at most one
-        equation, so the two-term equations chain entries and the one-term ones zero
-        them: the basis is the indicators of the chains free of zeros, ordered by their
-        last entry, which is the chain's free column.
+    @_memo
+    def _injections(self, x: JordanModule, y: JordanModule) -> list[dict]:
+        """``hom_basis(x, y)`` as partial injections {column: row}, in column order.
+
+        The maps are the solutions of X T_x = T_y X.  Equation (r, c) reads
+        X[r-1][c] = X[r][c+1], a side dropping out where r starts a block of y or c ends a
+        block of x.  Each entry is on each side of at most one equation, so the two-term
+        equations chain entries and the one-term ones zero them: the basis is the
+        indicators of the chains free of zeros, ordered by their last entry, which is the
+        chain's free column.  A chain steps one row and one column at a time, so it is a
+        partial injection.
         """
         self.check_module(x)
         self.check_module(y)
@@ -394,58 +403,70 @@ class _Context:
                 chain.append(following[chain[-1]])
             if zeros.isdisjoint(chain):
                 chains.append(chain)
-        field = self.field
-        basis = []
-        for chain in sorted(chains, key=lambda chain: chain[-1]):
-            v = [field.zero] * (dx * dy)
-            for e in chain:
-                v[e] = field.one
-            basis.append(self._unflatten(tuple(v), dy, dx))
-        return basis
+        chains.sort(key=lambda chain: chain[-1])
+        return [{e % dx: e // dx for e in chain} for chain in chains]
 
     @_memo
-    def _reduced(self, x: JordanModule, y: JordanModule) -> tuple[Subspace, list[Matrix]]:
-        """(span, maps): ``maps``, the stable basis, are the ``hom_basis`` maps independent of
-        the maps through the projective and of those before them; ``span`` is the reduced span
-        of the flattened maps through the projective, with zero tails, and of the k-th of
-        ``maps`` with minus the k-th unit tail (tails ``len(hom_basis)`` long, the last ones
-        unused).  A map x -> y with coordinates a on ``maps`` reduces to (0, a, 0)."""
-        p, basis = self.projective, self.hom_basis(x, y)
-        width, units = x.dim * y.dim, Matrix.identity(self.field, len(basis)).scale(-1).data
-        zero = (self.field.zero,) * len(basis)
-        space = Subspace(self.field, width + len(basis))
-        products = (g.mul(f) for f in self.hom_basis(x, p) for g in self.hom_basis(p, y))
-        space.extend(g.flatten() + zero for g in products)
-        maps = []
-        for b in basis:
-            v = space.residue(b.flatten() + units[len(maps)])
-            if any(v[:width]):  # else b is stably a combination of the maps before it
-                space.insert(v)
-                maps.append(b)
-        return space, maps
+    def hom_basis(self, x: JordanModule, y: JordanModule) -> list[Matrix]:
+        """Basis of equivariant maps x -> y, as ``kernel_basis`` gives them."""
+        return [self._matrix(x, y, b) for b in self._injections(x, y)]
+
+    @_memo
+    def _products(self, x: JordanModule, u: JordanModule, y: JordanModule) -> list[list]:
+        """Structure constants: entry [i][j] is the index among the basis maps x -> y of
+        ``hom_basis(u, y)[i] . hom_basis(x, u)[j]``, or None when that product is zero.
+
+        Every pair is composed, as partial injections, and looked up; a product that is
+        neither zero nor a basis map raises InternalCheckError.
+        """
+        inner = self._injections(x, u)
+        products = [
+            [tuple([(c, b[r]) for c, r in a.items() if r in b]) for a in inner]
+            for b in self._injections(u, y)
+        ]
+        index = {tuple(b.items()): k for k, b in enumerate(self._injections(x, y))}
+        index[()] = None
+        unknown = {ba for row in products for ba in row}.difference(index)
+        if unknown:
+            message = f"a product of basis maps {x} -> {u} -> {y} is not a basis map"
+            raise InternalCheckError(message, witness=unknown.pop())
+        return [[index[ba] for ba in row] for row in products]
+
+    @_memo
+    def _stable(self, x: JordanModule, y: JordanModule) -> list[int]:
+        """Indices of the stable basis among ``hom_basis(x, y)``: the basis maps that no
+        product through the projective hits.  Each such product is zero or a basis map
+        (``_products``), so the hit ones span the maps through the projective."""
+        hit = {k for row in self._products(x, self.projective, y) for k in row}
+        return [k for k in range(len(self._injections(x, y))) if k not in hit]
 
     def classify(self, x: JordanModule, y: JordanModule, matrix: Matrix) -> StableMap:
-        """The class x -> y of an equivariant matrix, keyed by its coordinates."""
+        """The class x -> y of an equivariant matrix, keyed by its coordinates: its
+        coefficients on the stable basis maps, read off their chains."""
+        if matrix.field != self.field:
+            raise FieldMismatchError(f"matrix over {matrix.field} used in a {self.field} context")
         rows, cols = y.dim, x.dim
         if (matrix.rows, matrix.cols) != (rows, cols):
             shape = f"{matrix.rows}x{matrix.cols}"
             raise DimensionError(f"a map {x} -> {y} is {rows}x{cols}, got {shape}")
-        space, maps = self._reduced(x, y)
-        width = rows * cols
-        v = space.residue(matrix.flatten() + (self.field.zero,) * (space.ambient_dim - width))
-        if any(v[:width]):
-            raise PreconditionError(f"matrix does not commute with t: not a map {x} -> {y}")
-        return StableMap(x, y, matrix, v[width : width + len(maps)])
+        injections, data = self._injections(x, y), matrix.data
+        values = [{data[r][c] for c, r in b.items()} for b in injections]
+        support = sum(len(b) for b, v in zip(injections, values) if any(v))
+        # the equivariant matrices are those constant along each chain and zero off them
+        if all(len(v) == 1 for v in values) and support == sum(map(bool, matrix.flatten())):
+            coefficients = [v.pop() for v in values]
+            return StableMap(x, y, matrix, tuple(coefficients[k] for k in self._stable(x, y)))
+        raise PreconditionError(f"matrix does not commute with t: not a map {x} -> {y}")
 
     @_memo
     def stable_basis(self, x: JordanModule, y: JordanModule) -> list[StableMap]:
-        maps = self._reduced(x, y)[1]
-        units = Matrix.identity(self.field, len(maps)).data
-        return [StableMap(x, y, b, e) for b, e in zip(maps, units)]
+        basis, stable = self.hom_basis(x, y), self._stable(x, y)
+        units = Matrix.identity(self.field, len(stable)).data
+        return [StableMap(x, y, basis[k], e) for k, e in zip(stable, units)]
 
     @_memo
     def stable_dim(self, x: JordanModule, y: JordanModule) -> int:
-        return len(self.stable_basis(x, y))
+        return len(self._stable(x, y))
 
     def identity_map(self, x: JordanModule) -> StableMap:
         return self.classify(x, x, Matrix.identity(self.field, x.dim))
@@ -481,23 +502,32 @@ class _Context:
         return [self.combine(x, y, a) for a in lines]
 
     @_memo
-    def _table(self, x: JordanModule, u: JordanModule, y: JordanModule) -> list[list[tuple]]:
-        """Entry [i][j]: coordinates on ``stable_basis(x, y)`` of the class
-        ``stable_basis(u, y)[i] . stable_basis(x, u)[j]``."""
-        return [
-            [
-                self.classify(x, y, b.matrix.mul(a.matrix)).key
-                for a in self.stable_basis(x, u)
-            ]
-            for b in self.stable_basis(u, y)
-        ]
+    def _table(self, x: JordanModule, u: JordanModule, y: JordanModule) -> list[list]:
+        """Entry [i][j]: the position on ``stable_basis(x, y)`` of the class
+        ``stable_basis(u, y)[i] . stable_basis(x, u)[j]``, whose key is that unit vector, or
+        None when the class is zero: the product is zero or hit through the projective."""
+        position = {k: s for s, k in enumerate(self._stable(x, y))}
+        products, inner = self._products(x, u, y), self._stable(x, u)
+        return [[position.get(products[i][j]) for j in inner] for i in self._stable(u, y)]
+
+    @_memo
+    def _post(self, x: JordanModule, u: JordanModule, y: JordanModule) -> list[tuple]:
+        """Per class a of ``stable_basis(x, u)``: the selection whose ``_composites`` with the
+        coordinates of a class c: u -> y are the coordinates of c . a."""
+        return _selections(zip(*self._table(x, u, y)), self.stable_dim(x, y))
+
+    @_memo
+    def _pre(self, x: JordanModule, u: JordanModule, y: JordanModule) -> list[tuple]:
+        """Per class b of ``stable_basis(u, y)``: the selection whose ``_composites`` with the
+        coordinates of a class f: x -> u are the coordinates of b . f."""
+        return _selections(self._table(x, u, y), self.stable_dim(x, y))
 
     @_memo
     def _av_conditions(self, x: JordanModule, y: JordanModule):
         """``is_almost_vanishing``'s five conditions as a function of the coordinates of a
         nonzero class f: x -> y, on the tables of the pair, fetched once."""
         field, p, indecs = self.field, self.field.char, self.indecomposables()
-        d = self.stable_dim(x, y)
+        d, zero = self.stable_dim(x, y), field.zero
         # f factors through every line c: u -> y (c: x -> v) exactly when it is killed by
         # the annihilators of all the images c . - (- . c): one sweep of the lines per pair.
         # The sum does not depend on the order; the spaces with the fewest lines go
@@ -506,9 +536,9 @@ class _Context:
             p,
             d,
             (
-                _composites(p, m, c)
+                _composites(zero, post, c)
                 for u in sorted(indecs, key=lambda u: self.stable_dim(u, y))
-                for m in [_post(self._table(x, u, y))]
+                for post in [self._post(x, u, y)]
                 for c in _lines(field, self.stable_dim(u, y))
             ),
         )
@@ -516,9 +546,9 @@ class _Context:
             p,
             d,
             (
-                _composites(p, m, c)
+                _composites(zero, pre, c)
                 for v in sorted(indecs, key=lambda v: self.stable_dim(x, v))
-                for m in [_pre(self._table(x, v, y))]
+                for pre in [self._pre(x, v, y)]
                 for c in _lines(field, self.stable_dim(x, v))
             ),
         )
@@ -528,18 +558,18 @@ class _Context:
         monos = _row_basis(
             p,
             _transposed(
-                _composites(p, post, h)
+                _composites(zero, post, h)
                 for u in indecs
-                for post in [_post(self._table(x, y, u))]
+                for post in [self._post(x, y, u)]
                 for h in map(_key, self.rad_stable_basis(y, u))
             ),
         )
         # x first: f . id_x = f is nonzero, so most lines settle on its rank alone
         sources = [x] + [v for v in indecs if v != x and self.stable_dim(v, x)]
-        images = [_post(self._table(v, x, y)) for v in sources]
+        images = [self._post(v, x, y) for v in sources]
 
         def conditions(phi: tuple) -> dict[str, bool]:
-            nonzero = filter(None, _image_ranks(p, images, phi))
+            nonzero = filter(None, _image_ranks(p, zero, images, phi))
             return {
                 "factors_through_incoming": not any(_apply(p, incoming, phi)),
                 "factors_through_outgoing": not any(_apply(p, outgoing, phi)),
@@ -570,8 +600,12 @@ class _Context:
         """Module-level spanning set of non-isomorphisms u -> m."""
         if u.blocks != m.blocks:
             return self.hom_basis(u, m)
-        t = self.t_matrix(m)
-        candidates = (t.mul(b) for b in self.hom_basis(u, m))
+        # t . b moves each row of b one down, and off m where that leaves a block of m
+        starts = {sum(m.blocks[:k]) for k in range(len(m.blocks) + 1)}
+        candidates = (
+            self._matrix(u, m, {c: r + 1 for c, r in b.items() if r + 1 not in starts})
+            for b in self._injections(u, m)
+        )
         return _independent(self.field.char, candidates, Matrix.flatten)
 
     # -- syzygies --------------------------------------------------------
@@ -676,11 +710,11 @@ class _Context:
     def _radical_composites(self, x: JordanModule, y: JordanModule):
         """For each g in ``rad_stable_basis(u, x)``, u running over the indecomposables:
         the coordinates of b . g for every b in ``stable_basis(x, y)``."""
-        p = self.field.char
+        zero = self.field.zero
         return (
-            _composites(p, pre, g)
+            _composites(zero, pre, g)
             for u in self.indecomposables()
-            for pre in [_pre(self._table(u, x, y))]
+            for pre in [self._pre(u, x, y)]
             for g in map(_key, self.rad_stable_basis(u, x))
         )
 
@@ -819,8 +853,8 @@ def image_comp_factors(f: StableMap) -> dict[JordanModule, int]:
     """
     ctx = context(f.source.n, f.matrix.field)
     x, y, indecs = f.source, f.target, ctx.indecomposables()
-    posts = [_post(ctx._table(v, x, y)) for v in indecs]
-    ranks = _image_ranks(ctx.field.char, posts, f.key)
+    posts = [ctx._post(v, x, y) for v in indecs]
+    ranks = _image_ranks(ctx.field.char, ctx.field.zero, posts, f.key)
     return {v: rank for v, rank in zip(indecs, ranks) if rank}
 
 
@@ -908,13 +942,13 @@ def radical_layers_bruteforce(m: JordanModule, k_max: int, field: Field = GF5) -
     ctx = context(m.n, field)
     if m.block == ctx.n:
         raise PreconditionError(f"{m} is projective")
-    p, indecs = ctx.field.char, ctx.indecomposables()
+    p, zero, indecs = ctx.field.char, ctx.field.zero, ctx.indecomposables()
     # for each g in rad_stable_basis(x, z): the coordinates of b . g, b in stable_basis(z, m)
     through = {
-        (x, z): [_composites(p, pre, g.key) for g in ctx.rad_stable_basis(x, z)]
+        (x, z): [_composites(zero, pre, g.key) for g in ctx.rad_stable_basis(x, z)]
         for x in indecs
         for z in indecs
-        for pre in [_pre(ctx._table(x, z, m))]
+        for pre in [ctx._pre(x, z, m)]
     }
     spans = {x: Matrix.identity(ctx.field, ctx.stable_dim(x, m)).data for x in indecs}
     dims_by_level = [{x: len(spans[x]) for x in indecs}]
@@ -954,16 +988,20 @@ def mono_representable_split_check(n: int, field: Field = GF5) -> CheckReport:
         sources = [x for x in indecs if ctx.stable_dim(x, u)]
         dims = [ctx.stable_dim(x, u) for x in sources]
         for v in indecs:
-            posts = [_post(ctx._table(x, u, v)) for x in sources]
-            sections = _pre(ctx._table(u, v, u))
+            posts = [ctx._post(x, u, v) for x in sources]
+            if any(max(s, default=-1) < 0 for post in posts for s in post):
+                # every class u -> v kills some class x -> u: no line is a functor mono
+                checked += sum(1 for _ in lines[u, v])
+                continue
+            sections = ctx._pre(u, v, u)
             for a in lines[u, v]:
                 checked += 1
                 # Composing with the line a must be injective on the classes x -> u.
-                if not all(r == d for r, d in zip(_image_ranks(p, posts, a), dims)):
+                if not all(r == d for r, d in zip(_image_ranks(p, 0, posts, a), dims)):
                     continue
                 monos += 1
                 # Split: some class b . a is the identity of u.
-                if not _spans(p, _composites(p, sections, a), identity):
+                if not _spans(p, _composites(0, sections, a), identity):
                     # the line's class, by its key: its coefficient tuple
                     failures.append({"source": str(u), "target": str(v), "class": a})
     return CheckReport(
@@ -1000,7 +1038,7 @@ def single_object_support_solver(m: JordanModule, r: int, field: Field = GF5) ->
     ctx = context(m.n, field)
     if m.block == ctx.n:
         raise PreconditionError(f"{m} is projective")
-    p, odd = ctx.field.char, r % 2
+    p, zero, odd = ctx.field.char, ctx.field.zero, r % 2
     codomain = ctx.omega_object(m) if odd else m
     indecs = ctx.indecomposables()
     squares = []
@@ -1013,12 +1051,12 @@ def single_object_support_solver(m: JordanModule, r: int, field: Field = GF5) ->
             units = Matrix.identity(ctx.field, ctx.stable_dim(x, y)).data
             sides = []
             if x == m:
-                post = _post(ctx._table(m, codomain, ctx.omega_object(y) if odd else y))
+                post = ctx._post(m, codomain, ctx.omega_object(y) if odd else y)
                 images = ctx._omega_coordinates(m, y) if odd else units
-                sides.append([_composites(p, post, fg) for fg in images])
+                sides.append([_composites(zero, post, fg) for fg in images])
             if y == m:
-                pre = _pre(ctx._table(x, m, codomain))
-                sides.append([_composites(p, pre, g) for g in units])
+                pre = ctx._pre(x, m, codomain)
+                sides.append([_composites(zero, pre, g) for g in units])
             # F(g) . alpha_x - alpha_y . g, a missing side being zero
             squares += ([_mix(p, (1, -1), pair) for pair in zip(*square)] for square in zip(*sides))
     sols = _kernel(p, ctx.stable_dim(m, codomain), _transposed(squares))

@@ -11,11 +11,9 @@ The one row-reduction loop is ``_residue``: it reduces a vector by
 the field (the matrix model's short coordinate vectors), which is all
 ``rank`` needs; ``_clear`` scales one to 1 at its pivot and clears that
 pivot from the others, which keeps reduced row echelon form for
-``_kernel`` (behind ``kernel_basis`` and ``solve``) and
-:class:`Subspace`.  A Subspace is the canonical-residue view of those
-rows: it coerces its input, and two vectors are congruent modulo it
-exactly when their residues are equal tuples.  The plain-row helpers
-stay private, so the benchmark's span tracer leaves them unwrapped.
+``_kernel`` (behind ``kernel_basis`` and ``solve``).  The plain-row
+helpers stay private, so the benchmark's span tracer leaves them
+unwrapped.
 """
 
 from __future__ import annotations
@@ -211,43 +209,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.field}, {[list(r) for r in self.data]!r})"
-
-
-class Subspace:
-    """A subspace of F^n maintained in reduced row echelon form.
-
-    ``insert`` adds a spanning vector and ``residue`` returns the canonical
-    representative of a vector modulo the subspace; it lies in the
-    subspace when the residue is zero.  Because the stored rows are
-    mutually reduced, the residue is a canonical form: congruent vectors
-    reduce identically.
-    """
-
-    def __init__(self, field: Field, ambient_dim: int):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        # pivot column -> row, 1 at its pivot and 0 at the other pivots (see ``_clear``)
-        self._rows: dict[int, tuple] = {}
-
-    def residue(self, vec: Sequence) -> tuple:
-        v = self.field.coerce_row(vec)
-        if len(v) != self.ambient_dim:
-            raise DimensionError(f"vector length {len(v)} != ambient dim {self.ambient_dim}")
-        # each row is 1 at its pivot, so this subtracts v[pivot] * row for every pivot
-        return tuple(_residue(self.field.char, self._rows.items(), v))
-
-    def insert(self, vec: Sequence) -> bool:
-        """Add a vector to the spanning set; True if the rank grew."""
-        v = self.residue(vec)
-        pivot = next((j for j, x in enumerate(v) if x), None)
-        if pivot is None:
-            return False
-        _clear(self.field.char, self._rows, pivot, v)
-        return True
-
-    def extend(self, vecs: Iterable[Sequence]) -> int:
-        """Insert each vector; the number that raised the rank."""
-        return sum(map(self.insert, vecs))
 
 
 def rank(m: Matrix) -> int:

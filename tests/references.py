@@ -1,10 +1,14 @@
 """Code the package no longer carries, kept as the tests' references.
 
-* linear algebra: ``rref``, the matrix sum and the subspace basis,
-  membership and dimension that only the tests read;
+* linear algebra: ``Subspace``, the canonical-residue view of reduced
+  rows, with ``rref``, the matrix sum and the subspace basis, membership
+  and dimension that only the tests read;
 * the matrix model's zero class, and its classes as it keyed them: the
   residue modulo the maps through the projective, with the stable basis
   that residue chose;
+* the matrix model's dense route: one reduced span per pair, whose
+  residues gave a class's coordinates, the tables of keys built from
+  matrix products, and the matrices ``_post`` and ``_pre`` of a table;
 * layer tables: a table built from a ``{k: {vertex: multiplicity}}``
   mapping, the per-vertex knitting push on any shape, and the TSV and
   JSON writers that read a table's ``layers`` mapping;
@@ -18,12 +22,54 @@ from collections import Counter
 from operator import itemgetter
 
 from meshknit import center, mesh
-from meshknit.errors import DimensionError, FieldMismatchError, UnsupportedParameterError
-from meshknit.linalg import Matrix, Subspace
+from meshknit.errors import (
+    DimensionError,
+    FieldMismatchError,
+    PreconditionError,
+    UnsupportedParameterError,
+)
+from meshknit.linalg import Matrix, _clear, _residue
 from meshknit.quiver import TUBE
 from meshknit.serialize import SCHEMA_VERSION, config_line
 
 # -- linear algebra ---------------------------------------------------------------
+
+
+class Subspace:
+    """A subspace of F^n maintained in reduced row echelon form.
+
+    ``insert`` adds a spanning vector and ``residue`` returns the canonical
+    representative of a vector modulo the subspace; it lies in the
+    subspace when the residue is zero.  Because the stored rows are
+    mutually reduced, the residue is a canonical form: congruent vectors
+    reduce identically.
+    """
+
+    def __init__(self, field, ambient_dim):
+        self.field = field
+        self.ambient_dim = ambient_dim
+        # pivot column -> row, 1 at its pivot and 0 at the other pivots (see ``_clear``)
+        self._rows = {}
+
+    def residue(self, vec):
+        v = self.field.coerce_row(vec)
+        if len(v) != self.ambient_dim:
+            raise DimensionError(f"vector length {len(v)} != ambient dim {self.ambient_dim}")
+        # each row is 1 at its pivot, so this subtracts v[pivot] * row for every pivot
+        return tuple(_residue(self.field.char, self._rows.items(), v))
+
+    def insert(self, vec) -> bool:
+        """Add a vector to the spanning set; True if the rank grew."""
+        v = self.residue(vec)
+        pivot = next((j for j, x in enumerate(v) if x), None)
+        if pivot is None:
+            return False
+        _clear(self.field.char, self._rows, pivot, v)
+        return True
+
+    def extend(self, vecs) -> int:
+        """Insert each vector; the number that raised the rank."""
+        return sum(map(self.insert, vecs))
 
 
 def rref(m):
@@ -89,6 +135,59 @@ def stable_maps(ctx, x, y):
     """The ``hom_basis`` maps whose residues are independent of the residues before them."""
     span = Subspace(ctx.field, x.dim * y.dim)
     return [b for b in ctx.hom_basis(x, y) if span.insert(stable_residue(ctx, x, y, b))]
+
+
+_reduced_spans = {}
+
+
+def reduced(ctx, x, y):
+    """(span, maps) as the matrix model built them: ``maps``, the stable basis, are the
+    ``hom_basis`` maps independent of the maps through the projective and of those before
+    them; ``span`` is the reduced span of the flattened maps through the projective, with
+    zero tails, and of the k-th of ``maps`` with minus the k-th unit tail (tails
+    ``len(hom_basis)`` long).  A map x -> y with coordinates a on ``maps`` reduces to
+    (0, a, 0)."""
+    key = (ctx.field, x, y)
+    if key not in _reduced_spans:
+        p, basis = ctx.projective, ctx.hom_basis(x, y)
+        width, units = x.dim * y.dim, Matrix.identity(ctx.field, len(basis)).scale(-1).data
+        zero = (ctx.field.zero,) * len(basis)
+        space = Subspace(ctx.field, width + len(basis))
+        products = (g.mul(f) for f in ctx.hom_basis(x, p) for g in ctx.hom_basis(p, y))
+        space.extend(g.flatten() + zero for g in products)
+        maps = []
+        for b in basis:
+            v = space.residue(b.flatten() + units[len(maps)])
+            if any(v[:width]):  # else b is stably a combination of the maps before it
+                space.insert(v)
+                maps.append(b)
+        _reduced_spans[key] = space, maps
+    return _reduced_spans[key]
+
+
+def dense_key(ctx, x, y, matrix):
+    """A matrix's coordinates on the dense stable basis, read off its residue."""
+    space, maps = reduced(ctx, x, y)
+    width = x.dim * y.dim
+    v = space.residue(matrix.flatten() + (ctx.field.zero,) * (space.ambient_dim - width))
+    if any(v[:width]):
+        raise PreconditionError(f"matrix does not commute with t: not a map {x} -> {y}")
+    return v[width : width + len(maps)]
+
+
+def dense_table(ctx, x, u, y):
+    """Entry [i][j]: the key of the i-th dense stable map u -> y after the j-th x -> u."""
+    return [[dense_key(ctx, x, y, b.mul(a)) for a in reduced(ctx, x, u)[1]] for b in reduced(ctx, u, y)[1]]
+
+
+def dense_post(table):
+    """Matrices M_j: M_j times the coordinates of c are those of c . b_j."""
+    return [list(zip(*column)) for column in zip(*table)]
+
+
+def dense_pre(table):
+    """Matrices M_i: M_i times the coordinates of f are those of b_i . f."""
+    return [list(zip(*row)) for row in table]
 
 
 # -- layer tables -----------------------------------------------------------------

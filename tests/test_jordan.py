@@ -13,14 +13,28 @@ from hypothesis import given, settings, strategies as st
 import meshknit as mk
 from meshknit import cli, jordan, linalg
 from meshknit.jordan import context, indec
-from meshknit.linalg import GF, GF5, QQ, Subspace
+from meshknit.linalg import GF, GF5, QQ
 from meshknit.errors import (
     DimensionError,
     FieldMismatchError,
+    InternalCheckError,
     PreconditionError,
     UnsupportedParameterError,
 )
-from references import matrix_sum, span_contains, span_dim, stable_maps, stable_residue, zero_map
+from references import (
+    Subspace,
+    dense_key,
+    dense_post,
+    dense_pre,
+    dense_table,
+    matrix_sum,
+    reduced,
+    span_contains,
+    span_dim,
+    stable_maps,
+    stable_residue,
+    zero_map,
+)
 
 
 # -- modules ----------------------------------------------------------------
@@ -40,10 +54,8 @@ def test_blocks_are_sorted_and_validated():
 def test_indecomposables_and_projectives():
     m = indec(4, 2)
     assert m.is_indecomposable
-    assert not m.is_projective
     assert str(m.vertex()) == "J2"
     p = indec(4, 4)
-    assert p.is_projective
     with pytest.raises(PreconditionError):
         p.vertex()
     zero = jordan.JordanModule((), 4)
@@ -131,6 +143,24 @@ def test_classify_refuses_a_matrix_that_does_not_commute_with_t():
         ctx.classify(x, y, linalg.Matrix(GF5, [[1], [0], [0]]))
 
 
+def test_classify_refuses_a_matrix_not_constant_along_its_chains():
+    ctx = context(4, GF5)
+    x = indec(4, 2)
+    with pytest.raises(PreconditionError):
+        ctx.classify(x, x, linalg.Matrix(GF5, [[1, 0], [0, 2]]))
+    # the top of J2 to the top of J2 lies on no chain of a basis map
+    with pytest.raises(PreconditionError):
+        ctx.classify(x, x, linalg.Matrix(GF5, [[1, 1], [0, 1]]))
+
+
+def test_classify_refuses_a_matrix_over_another_field():
+    ctx = context(4, GF5)
+    x = indec(4, 2)
+    # 6 * id over GF(7) is no map over GF(5), whatever its entries read as there
+    with pytest.raises(FieldMismatchError):
+        ctx.classify(x, x, linalg.Matrix.identity(GF(7), 2).scale(6))
+
+
 def test_combine_refuses_too_few_coefficients():
     ctx = context(6, GF5)
     x, y = indec(6, 2), indec(6, 3)
@@ -199,6 +229,58 @@ def test_keys_are_the_coordinates_of_the_residue_classes(field, n, data):
             # m minus the key's combination of the basis factors through the projective
             spanned = _combination(field, key, [b.matrix for b in basis], shape)
             assert not any(stable_residue(ctx, x, y, matrix_sum(m, spanned.scale(-1))))
+
+
+def _selection_matrix(field, selection, width):
+    """The 0/1 matrix with row k the unit vector at selection[k], zero where that is -1."""
+    units = linalg.Matrix.identity(field, width).data
+    return [units[s] if s >= 0 else (field.zero,) * width for s in selection]
+
+
+@pytest.mark.parametrize("field", KEY_FIELDS, ids=str)
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_the_structure_constants_match_the_dense_reference(n, field, data):
+    ctx = jordan._Context(n, field)
+    for x, y in product(ctx.indecomposables(include_projective=True), repeat=2):
+        assert [b.matrix for b in ctx.stable_basis(x, y)] == reduced(ctx, x, y)[1]
+        homs = ctx.hom_basis(x, y)
+        f = _combination(field, data.draw(_coefficients(field, len(homs))), homs, (y.dim, x.dim))
+        assert ctx.classify(x, y, f).key == dense_key(ctx, x, y, f)
+    for x, u, y in product(ctx.indecomposables(), repeat=3):
+        table = dense_table(ctx, x, u, y)
+        assert [[_unit_key(ctx, x, y, k) for k in row] for row in ctx._table(x, u, y)] == table
+        for selections, matrices, width in (
+            (ctx._post(x, u, y), dense_post(table), ctx.stable_dim(u, y)),
+            (ctx._pre(x, u, y), dense_pre(table), ctx.stable_dim(x, u)),
+        ):
+            assert [_selection_matrix(field, s, width) for s in selections] == matrices
+
+
+def test_a_product_that_is_not_a_basis_map_is_refused(monkeypatch):
+    build = jordan._Context._injections.__wrapped__
+    x = indec(4, 3)
+
+    def cut(self, u, v):
+        maps = build(self, u, v)
+        if (u, v) == (x, x):  # drop the last entry of the identity's chain
+            maps[-1] = dict(list(maps[-1].items())[:-1])
+        return maps
+
+    cut.__name__ = "_injections"
+    monkeypatch.setattr(jordan._Context, "_injections", jordan._memo(cut))
+    ctx = jordan._Context(4, GF(7))
+    # t after the cut identity keeps one entry of t: neither zero nor a basis map
+    with pytest.raises(InternalCheckError) as refused:
+        ctx._products(x, x, x)
+    assert str(refused.value) == "a product of basis maps J3 -> J3 -> J3 is not a basis map"
+
+
+def test_two_products_on_one_stable_class_are_no_selection():
+    assert jordan._selections([[1, None, 0]], 2) == [(2, 0)]
+    with pytest.raises(InternalCheckError):
+        jordan._selections([[0, None, 0]], 2)
 
 
 small_n = st.integers(min_value=3, max_value=6)
@@ -804,10 +886,10 @@ def _check_sweeps_against_the_per_class_references(n, p):
                 assert mk.is_almost_vanishing(f).conditions == _av_report_by_class(f).conditions
                 assert mk.image_comp_factors(f) == _image_comp_factors_by_class(ctx, f)
                 for u in ctx.indecomposables():
-                    composites = jordan._composites(p, jordan._post(ctx._table(u, x, y)), phi)
+                    composites = jordan._composites(0, ctx._post(u, x, y), phi)
                     image = linalg._echelon(p, composites)
                     assert (len(image) == ctx.stable_dim(u, x)) == _injective_by_class(ctx, f, u)
-                composites = jordan._composites(p, jordan._pre(ctx._table(x, y, x)), phi)
+                composites = jordan._composites(0, ctx._pre(x, y, x), phi)
                 sections = linalg._echelon(p, composites)
                 splits = not any(linalg._residue(p, sections, identity))
                 assert splits == _splits_by_class(ctx, f)
@@ -861,6 +943,12 @@ def test_coordinate_sweeps_match_the_per_class_references_at_many_lines():
     _check_sweeps_against_the_per_class_references(5, 101)
 
 
+def _unit_key(ctx, x, y, position):
+    """The key of a ``_table`` entry: the unit vector at its position, or zero for None."""
+    units = linalg.Matrix.identity(ctx.field, ctx.stable_dim(x, y)).data
+    return (ctx.field.zero,) * ctx.stable_dim(x, y) if position is None else units[position]
+
+
 @pytest.mark.parametrize("p", [2, 3, 7])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_composition_tables_hold_the_composites(n, p):
@@ -872,8 +960,8 @@ def test_composition_tables_hold_the_composites(n, p):
         for b, row in zip(ctx.stable_basis(u, y), table):
             assert len(row) == ctx.stable_dim(x, u)
             for a, entry in zip(ctx.stable_basis(x, u), row):
-                # the entry's combination of the basis and b . a, compared as residues
-                got = stable_residue(ctx, x, y, ctx.combine(x, y, entry).matrix)
+                # the entry's class and b . a, compared as residues
+                got = stable_residue(ctx, x, y, ctx.combine(x, y, _unit_key(ctx, x, y, entry)).matrix)
                 assert got == stable_residue(ctx, x, y, b.matrix.mul(a.matrix))
 
 
@@ -1085,7 +1173,6 @@ def test_scalar_multiples_share_their_line_images(p, monkeypatch):
     factors = [mk.image_comp_factors(f) for f in lines]
     zero = zero_map(ctx, x, x)
     assert mk.image_comp_factors(zero) == {}
-    size = len(ctx._memo)
     # a nonzero map x -> x that factors through the projective
     proj = ctx.projective
     through = next(
@@ -1094,6 +1181,7 @@ def test_scalar_multiples_share_their_line_images(p, monkeypatch):
         for g in ctx.hom_basis(proj, x)
         if g.mul(h) != zero.matrix
     )
+    size = len(ctx._memo)
     assert ctx.classify(x, x, through) == zero
     for f, expected in zip(lines, factors):
         phi = ctx.classify(x, x, f.matrix).key
@@ -1114,29 +1202,30 @@ class _Tracked(list):
 
 
 def test_an_evicted_context_frees_its_memo(monkeypatch):
-    build = jordan._Context._table.__wrapped__
+    for name in ("_products", "_table"):
+        build = getattr(jordan._Context, name).__wrapped__
 
-    def tracked(self, *args):
-        return _Tracked(build(self, *args))
+        def tracked(self, *args, _build=build):
+            return _Tracked(_build(self, *args))
 
-    tracked.__name__ = "_table"
-    monkeypatch.setattr(jordan._Context, "_table", jordan._memo(tracked))
+        tracked.__name__ = name
+        monkeypatch.setattr(jordan._Context, name, jordan._memo(tracked))
     ctx = context(3, GF(83))
     ctx.av_class(indec(3, 1))
     assert ctx._memo
     gone = weakref.ref(ctx)
-    subspace = weakref.ref(ctx._reduced(indec(3, 1), indec(3, 2))[0])
     line = ctx.class_lines(indec(3, 1), indec(3, 2))[0]
     assert mk.is_almost_vanishing(line).verdict
-    tables = [weakref.ref(ctx._table(*args)) for key, *args in ctx._memo if key == "_table"]
-    assert tables
+    tracked = [got for (name, *_), got in ctx._memo.items() if name in ("_products", "_table")]
+    assert {type(got) for got in tracked} == {_Tracked}
+    tables = list(map(weakref.ref, tracked))
+    del tracked
     del ctx, line
     for p in (89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167):
         context(3, GF(p))
     assert (3, 83) not in jordan._contexts
     gc.collect()
     assert gone() is None
-    assert subspace() is None
     assert [table() for table in tables] == [None] * len(tables)
 
 

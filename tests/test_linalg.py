@@ -7,21 +7,21 @@ from hypothesis import given, settings, strategies as st
 
 from meshknit import linalg as la
 from meshknit.errors import DimensionError, FieldMismatchError
-from references import matrix_sum, rref, span_contains, span_dim, subspace_basis
+from references import Subspace, matrix_sum, rref, span_contains, span_dim, subspace_basis
 
 
 # -- helpers only the tests use ---------------------------------------------------
 
 
 def span_rank(field, vectors, ambient_dim):
-    space = la.Subspace(field, ambient_dim)
+    space = Subspace(field, ambient_dim)
     space.extend(vectors)
     return span_dim(space)
 
 
 def quotient_dim(field, space, subspace, ambient_dim):
     """dim(span(space) / (span(space) ∩ span(subspace))), by the modular law."""
-    sub = la.Subspace(field, ambient_dim)
+    sub = Subspace(field, ambient_dim)
     sub.extend(subspace)
     sub_rank = span_dim(sub)
     sub.extend(space)
@@ -114,7 +114,7 @@ def test_shape_mismatch_is_loud():
 
 
 def test_subspace_insert_and_residue():
-    s = la.Subspace(la.QQ, 3)
+    s = Subspace(la.QQ, 3)
     assert s.insert([1, 1, 0])
     assert not s.insert([2, 2, 0])
     assert s.insert([0, 0, 1])
@@ -322,7 +322,7 @@ def test_plain_int_kernels_match_the_field_method_references(field, data):
     for m in (product, matrix_sum(a, a2), a.scale(c)):
         assert all(_is_field_element(field, x) for x in m.flatten())
 
-    space, ref = la.Subspace(field, cols), RefSubspace(field, cols)
+    space, ref = Subspace(field, cols), RefSubspace(field, cols)
     for vec in list(b.data) + list(product.data):
         assert space.insert(vec) == ref.insert(vec)
         assert subspace_basis(space) == ref.basis()
@@ -382,7 +382,7 @@ NOT_EXACT = [0.5, 1.0, True, False, "1"]
 def test_inexact_entries_raise_at_every_boundary(field, bad):
     with pytest.raises(TypeError):
         la.Matrix(field, [[1, bad]])
-    space = la.Subspace(field, 2)
+    space = Subspace(field, 2)
     space.insert([1, 1])
     for method in (space.insert, space.residue):
         with pytest.raises(TypeError):

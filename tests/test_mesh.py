@@ -16,8 +16,8 @@ from meshknit.errors import (
     UnsupportedParameterError,
     WindowError,
 )
-from meshknit.linalg import GF, GF5, QQ, Subspace
-from references import knit_push, span_contains, span_dim, table_from_layers
+from meshknit.linalg import GF, GF5, QQ
+from references import Subspace, knit_push, span_contains, span_dim, table_from_layers
 
 
 @pytest.fixture(scope="module")

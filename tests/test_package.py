@@ -9,7 +9,7 @@ EXPORTS = (
     "InvalidVertexError", "JordanModule", "LayerTable", "Matrix", "Mesh", "MeshknitError",
     "MixedPathLengthError", "ObstructionReport", "PathSignReport", "PreconditionError",
     "PropagationReport", "QQ", "QuiverKindError", "SingleOrbitElement", "SocleReport",
-    "SolverReport", "StableMap", "Subspace", "SumElement", "SupportReport",
+    "SolverReport", "StableMap", "SumElement", "SupportReport",
     "TranslationQuiver", "Tube", "UnsupportedParameterError", "Vertex", "WindowError",
     "ZAInf", "a_inf_obstruction", "almost_vanishing_agreement_suite",
     "almost_vanishing_class", "ar_sequence", "build_dihedral_family", "build_tube",
