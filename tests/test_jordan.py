@@ -141,16 +141,9 @@ def test_classify_refuses_a_matrix_that_does_not_commute_with_t():
     # e_1 sends the top of J1 to the top of J3, which t does not kill
     with pytest.raises(PreconditionError):
         ctx.classify(x, y, linalg.Matrix(GF5, [[1], [0], [0]]))
-
-
-def test_classify_refuses_a_matrix_not_constant_along_its_chains():
-    ctx = context(4, GF5)
-    x = indec(4, 2)
+    # not constant along the identity's chain
     with pytest.raises(PreconditionError):
-        ctx.classify(x, x, linalg.Matrix(GF5, [[1, 0], [0, 2]]))
-    # the top of J2 to the top of J2 lies on no chain of a basis map
-    with pytest.raises(PreconditionError):
-        ctx.classify(x, x, linalg.Matrix(GF5, [[1, 1], [0, 1]]))
+        ctx.classify(y, y, linalg.Matrix(GF5, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
 
 
 def test_classify_refuses_a_matrix_over_another_field():
@@ -278,9 +271,34 @@ def test_a_product_that_is_not_a_basis_map_is_refused(monkeypatch):
 
 
 def test_two_products_on_one_stable_class_are_no_selection():
-    assert jordan._selections([[1, None, 0]], 2) == [(2, 0)]
+    assert jordan._selections([[1, None, 0]], 2) == ((2, 0),)
     with pytest.raises(InternalCheckError):
         jordan._selections([[0, None, 0]], 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_a_line_index_is_its_position_in_the_enumeration(p):
+    for d in (1, 2, 3):
+        lines = list(linalg._lines(GF(p), d))
+        for position, phi in enumerate(lines):
+            for c in range(1, p):
+                assert jordan._line_index(p, tuple(c * a % p for a in phi)) == position
+
+
+@pytest.mark.parametrize("n, p", [(4, 3), (5, 2), (5, 7), (6, 2)])
+def test_line_ranks_are_the_ranks_of_the_dense_composites(n, p):
+    ctx = jordan._Context(n, GF(p))
+    for x, u, y in product(ctx.indecomposables(), repeat=3):
+        table = dense_table(ctx, x, u, y)
+        for selections, matrices, d in (
+            (ctx._post(x, u, y), dense_post(table), ctx.stable_dim(u, y)),
+            (ctx._pre(x, u, y), dense_pre(table), ctx.stable_dim(x, u)),
+        ):
+            ranks = [
+                len(linalg._echelon(p, [linalg._apply(p, m, c) for m in matrices]))
+                for c in linalg._lines(GF(p), d)
+            ]
+            assert list(ctx._line_ranks(d, selections)) == ranks
 
 
 small_n = st.integers(min_value=3, max_value=6)
