@@ -271,16 +271,6 @@ def _row_basis(p: int, rows) -> tuple:
     return tuple(row for _, row in _echelon(p, rows))
 
 
-def _line_index(p: int, phi: tuple) -> int:
-    """The position in ``_lines(GF(p), len(phi))`` of the line through phi (nonzero): the
-    lines led by a later coordinate, then phi's scaled tail as base-p digits."""
-    k = next(i for i, a in enumerate(phi) if a)
-    scale, tail = pow(phi[k], p - 2, p), 0
-    for a in phi[k + 1 :]:
-        tail = tail * p + a * scale % p
-    return (p ** (len(phi) - 1 - k) - 1) // (p - 1) + tail
-
-
 _key = attrgetter("key")
 _MISSING = object()
 
@@ -562,8 +552,9 @@ class _Context:
                 for h in map(_key, self.rad_stable_basis(y, u))
             ),
         )
-        # the rank of f . - on the classes v -> x, per source v
-        ranks = [self._line_ranks(d, self._post(v, x, y)) for v in indecs if self.stable_dim(v, x)]
+        # x first: f . id_x = f is nonzero, so most lines settle on its rank alone
+        sources = [x] + [v for v in indecs if v != x and self.stable_dim(v, x)]
+        images = [self._post(v, x, y) for v in sources]
 
         # Four conditions ask whether rows kill f: rows spanning F^d kill no nonzero f, and
         # each distinct set of rows short of F^d is applied once.
@@ -578,8 +569,10 @@ class _Context:
         def conditions(phi: tuple) -> dict[str, bool]:
             killed = {rows: not any(_apply(p, rows, phi)) for rows in short}
             checks = {name: killed.get(rows, False) for name, rows in linear.items()}
-            line = _line_index(p, phi)
-            checks["image_is_simple"] = sum([r[line] for r in ranks]) == 1
+            ranks = (len(_echelon(p, _composites(zero, post, phi))) for post in images)
+            nonzero = filter(None, ranks)
+            # the ranks sum to 1: the first nonzero one is 1 and no other follows
+            checks["image_is_simple"] = next(nonzero, 0) == 1 and next(nonzero, 0) == 0
             return checks
 
         return conditions

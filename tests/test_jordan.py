@@ -276,15 +276,6 @@ def test_two_products_on_one_stable_class_are_no_selection():
         jordan._selections([[0, None, 0]], 2)
 
 
-@pytest.mark.parametrize("p", [2, 3, 7])
-def test_a_line_index_is_its_position_in_the_enumeration(p):
-    for d in (1, 2, 3):
-        lines = list(linalg._lines(GF(p), d))
-        for position, phi in enumerate(lines):
-            for c in range(1, p):
-                assert jordan._line_index(p, tuple(c * a % p for a in phi)) == position
-
-
 @pytest.mark.parametrize("n, p", [(4, 3), (5, 2), (5, 7), (6, 2)])
 def test_line_ranks_are_the_ranks_of_the_dense_composites(n, p):
     ctx = jordan._Context(n, GF(p))
