@@ -229,13 +229,47 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _read_plain(command: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """argv read off the subcommand's option table, or None where argparse must decide:
+    read when each option is spelled in full, given once, and valued inline (--x=v) or by
+    the next argument, which must not start with '-'."""
+    namespace, tokens = argparse.Namespace(command=argv[0]), iter(argv[1:])
+    for token in tokens:
+        flag, inline, value = token.partition("=")
+        action = command._option_string_actions.get(flag)
+        if action is None or action.dest in namespace or action.default is argparse.SUPPRESS:
+            return None  # not an option, abbreviated, repeated, or help
+        if action.nargs == 0 and not inline:  # --report
+            value = action.const
+        else:
+            value = value if inline else next(tokens, "-")
+            if action.nargs == 0 or not inline and value[:1] == "-" or value == "--":
+                return None  # --report=v; a missing or dash-led value; "--", which argparse drops
+            try:
+                value = (action.type or str)(value)
+            except ValueError:
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        setattr(namespace, action.dest, value)
+    for action in command._actions:
+        if action.dest not in namespace and action.default is not argparse.SUPPRESS:
+            if action.required:
+                return None
+            setattr(namespace, action.dest, action.default)
+    return namespace
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """What the full parser returns, from the subcommand's parser alone."""
+    """What the full parser returns, from the subcommand's parser alone: read directly
+    (_read_plain) if plain, else by its parse_args, which alone gives help and usage errors."""
     argv = _glue_vertex_values(argv)
     command = _parser().commands.get(argv[0]) if argv else None
     if command is None:  # no arguments, -h or an unknown command: help or a usage error
         return _parser().parse_args(argv)
-    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return _read_plain(command, argv) or command.parse_args(
+        argv[1:], argparse.Namespace(command=argv[0])
+    )
 
 
 def _emit_table(table, args, config: dict) -> None:

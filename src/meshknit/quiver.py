@@ -294,7 +294,7 @@ class DihedralFamily(TranslationQuiver):
 
     def __init__(self, window_radius: int):
         if window_radius < 1:
-            raise UnsupportedParameterError("window_radius must be >= 1")
+            raise UnsupportedParameterError(f"window must be >= 1, got {window_radius}")
         super().__init__()
         self.window_radius = window_radius
 
@@ -412,7 +412,7 @@ class ZAInf(TranslationQuiver):
 
     def __init__(self, window_radius: int):
         if window_radius < 1:
-            raise UnsupportedParameterError("window_radius must be >= 1")
+            raise UnsupportedParameterError(f"window must be >= 1, got {window_radius}")
         super().__init__()
         self.window_radius = window_radius
 

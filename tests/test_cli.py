@@ -344,6 +344,23 @@ def test_window_error_exit_code(run):
     assert "window" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["knit", "--quiver", "dihedral", "--vertex", "0,0", "--kmax", "1"],
+        ["knit", "--quiver", "za-inf", "--vertex", "1,0", "--kmax", "1"],
+        ["knit", "--quiver", "tube:4", "--vertex", "J1", "--kmax", "1"],
+        ["diamond", "--n", "1", "--vertex", "0,0"],
+        ["center", "--mu", "1"],
+        ["signcheck", "--quiver", "dihedral", "--source", "2,2", "--target", "0,0"],
+    ],
+)
+@pytest.mark.parametrize("by_env", [False, True])
+def test_window_below_one_is_refused_in_one_line(run, argv, by_env):
+    code, out, err = run(argv, env_window="0") if by_env else run(argv + ["--window", "0"])
+    assert (code, out, err) == (4, "", "meshknit: error: window must be >= 1, got 0\n")
+
+
 def test_window_env_variable(run):
     code, _, _ = run(
         ["knit", "--quiver", "dihedral", "--vertex", "8,8", "--kmax", "2"],
@@ -492,6 +509,17 @@ UNUSUAL_ARGVS = [
     ["kni", "--quiver", "tube:4"],
     ["oracle", "--n", "3", "--check", "nope"],
     ["center", "--mu", "1", "--format", "tsv"],
+    # each one step off a plain request
+    ["center", "--mu", "1", "--report=1"],
+    ["center", "--mu", "1", "--report", "--help"],
+    ["knit", "--quiver", "tube:4", "--vertex", "J1", "--kmax", "1", "--out=--"],
+    ["knit", "--quiver", "tube:4", "--vertex", "J1", "--kmax", "1", "--out=a=b"],
+    ["knit", "--quiver", "tube:4", "--vertex", "J1", "--kmax", "1", "--out", "-h"],
+    ["knit", "--quiver", "tube:4", "--vertex", "J1", "--kmax", "1", "--out"],
+    ["knit", "--quiver", "tube:4", "--vertex", "J1", "--kmax", "-3"],
+    ["knit", "--quiver", "tube:4", "--vertex", "J1", "--kmax="],
+    ["knit", "--quiver", "tube:4", "--vertex", "J1", "--kmax", "1", "--kmax", "2"],
+    ["oracle", "--n", "3", "--check=Serre"],
 ]
 
 
@@ -503,6 +531,86 @@ def test_the_subcommand_parser_agrees_with_the_full_parser():
         assert _outcome(lambda: cli._parse(argv)) == want, argv
     assert _full_parse(["knit", "--quiver", "d"])[0] == "usage"
     assert _full_parse(["knit", "-h"])[:2] == ("exit", 0)
+
+
+def test_the_benchmark_requests_are_read_without_argparse(tmp_path):
+    # cli-knit sends each reference request with --out appended; none may need parse_args.
+    commands = cli._parser().commands.values()
+    with contextlib.ExitStack() as stack:
+        for command in commands:
+            stack.enter_context(mock.patch.object(command, "parse_args", side_effect=AssertionError))
+        for argv in _reference_argvs():
+            args = cli._parse(argv + ["--out", str(tmp_path / "artifact")])
+            assert (args.command, args.out) == (argv[0], str(tmp_path / "artifact"))
+
+
+_INT_VALUES = (["0", "3", "12"], ["-3", "x", "", "1.5"])
+_VERTEX_VALUES = (["0,0", "J1", "2,2:even"], ["-2,0", "", "-", "-x"])
+# flag -> (values argparse takes however they are spelled, values at its corners)
+_FLAG_VALUES = {
+    "--quiver": (["dihedral", "tube:4"], ["-", "--", ""]),
+    "--vertex": _VERTEX_VALUES,
+    "--source": _VERTEX_VALUES,
+    "--target": _VERTEX_VALUES,
+    "--kmax": _INT_VALUES,
+    "--n": _INT_VALUES,
+    "--mu": _INT_VALUES,
+    "--grade": _INT_VALUES,
+    "--window": _INT_VALUES,
+    "--field": (["q", "p:5"], ["-", "--"]),
+    "--check": (["all", "serre"], ["nope", "Serre"]),
+    "--format": (["tsv", "json"], ["xml", ""]),
+    "--out": (["artifact", "a=b"], ["", "--", "-", "-h", "--format"]),
+}
+_COMMAND_FLAGS = {
+    "knit": ["--quiver", "--vertex", "--kmax"],
+    "diamond": ["--n", "--vertex", "--field"],
+    "center": ["--mu", "--report"],
+    "oracle": ["--n", "--check", "--field"],
+    "signcheck": ["--quiver", "--source", "--target", "--grade", "--field"],
+}
+_ODD_TOKENS = [
+    "-2,0", "-3", "-", "--", "-h", "--help", "--out=a=b", "--kmax=", "--report=1",
+    "--bogus=1", "extra", "", "--=x", "--window 3",
+]
+
+
+@st.composite
+def _option(draw, flag, bent):
+    """flag with one of its values, separate or inline; --report alone unless bent."""
+    if flag == "--report":
+        return draw(st.sampled_from([["--report=1"], ["--report="]])) if bent else [flag]
+    value = draw(st.sampled_from(_FLAG_VALUES[flag][bent]))
+    return draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+
+
+@st.composite
+def _request_tokens(draw):
+    """A subcommand's options in any order, one of them (mostly) bent: given an odd
+    value, left out, or preceded by a stray token (odd, abbreviated or repeated)."""
+    name = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = draw(st.permutations(_COMMAND_FLAGS[name] + ["--window", "--format", "--out"]))
+    bent = draw(st.integers(0, len(flags)))  # len(flags): none is
+    how = draw(st.sampled_from(["value", "left out", "stray"]))
+    abbreviated = [flag[:k] for flag in flags for k in range(3, len(flag))]
+    stray = st.one_of(
+        st.sampled_from(_ODD_TOKENS).map(lambda token: [token]),
+        st.sampled_from(abbreviated + flags).map(lambda token: [token]),
+        st.sampled_from(flags).flatmap(lambda flag: _option(flag, False)),
+    )
+    argv = [name]
+    for i, flag in enumerate(flags):
+        if (i, how) == (bent, "stray"):
+            argv += draw(stray)
+        if (i, how) != (bent, "left out"):
+            argv += draw(_option(flag, (i, how) == (bent, "value")))
+    return argv
+
+
+@given(_request_tokens())
+@settings(max_examples=600, deadline=None)
+def test_the_direct_read_agrees_with_the_full_parser(argv):
+    assert _outcome(lambda: cli._parse(argv)) == _full_parse(argv)
 
 
 def _old_glue(argv):
