@@ -262,14 +262,20 @@ def _read_plain(command: argparse.ArgumentParser, argv: list[str]) -> argparse.N
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """What the full parser returns, from the subcommand's parser alone: read directly
-    (_read_plain) if plain, else by its parse_args, which alone gives help and usage errors."""
+    (_read_plain) if plain, else by its parse_args, which alone gives help and usage errors.
+    An option whose value argparse dropped is a usage error."""
     argv = _glue_vertex_values(argv)
     command = _parser().commands.get(argv[0]) if argv else None
     if command is None:  # no arguments, -h or an unknown command: help or a usage error
         return _parser().parse_args(argv)
-    return _read_plain(command, argv) or command.parse_args(
+    args = _read_plain(command, argv) or command.parse_args(
         argv[1:], argparse.Namespace(command=argv[0])
     )
+    # argparse removes "--" from an option's values, so --out=-- stores [] as the value
+    for action in command._actions:
+        if action.nargs is None and getattr(args, action.dest) == []:
+            raise _UsageError(f"argument {'/'.join(action.option_strings)}: expected one argument")
+    return args
 
 
 def _emit_table(table, args, config: dict) -> None:

@@ -41,7 +41,7 @@ from .errors import (
     PreconditionError,
     UnsupportedParameterError,
 )
-from .linalg import GF5, Field, Matrix, kernel_basis, rank, solve
+from .linalg import GF5, Field, Matrix, kernel_basis, rank
 from .linalg import _apply, _echelon, _kernel, _lines, _mix, _spans
 from .mesh import LayerTable
 from .quiver import TUBE, Vertex
@@ -260,6 +260,11 @@ def _composites(zero, selections, a) -> list[list]:
     return [[a[s] for s in selection] for selection in selections]
 
 
+def _units(field: Field, d: int) -> dict:
+    """The unit vectors of F^d by position, and the zero vector at None."""
+    return {**dict(enumerate(Matrix.identity(field, d).data)), None: (field.zero,) * d}
+
+
 def _transposed(blocks) -> list[tuple]:
     """The rows of each block's transpose, in turn: each block's vectors mix to zero under
     a exactly when every row r has r . a = 0."""
@@ -418,9 +423,8 @@ class _Context:
         hit = {k for row in self._products(x, self.projective, y) for k in row}
         return [k for k in range(len(self._injections(x, y))) if k not in hit]
 
-    def classify(self, x: JordanModule, y: JordanModule, matrix: Matrix) -> StableMap:
-        """The class x -> y of an equivariant matrix, keyed by its coordinates: its
-        coefficients on the stable basis maps, read off their chains."""
+    def _coefficients(self, x: JordanModule, y: JordanModule, matrix: Matrix) -> list:
+        """An equivariant matrix's coefficients on ``hom_basis(x, y)``, read off their chains."""
         if matrix.field != self.field:
             raise FieldMismatchError(f"matrix over {matrix.field} used in a {self.field} context")
         rows, cols = y.dim, x.dim
@@ -432,9 +436,27 @@ class _Context:
         support = sum(len(b) for b, v in zip(injections, values) if any(v))
         # the equivariant matrices are those constant along each chain and zero off them
         if all(len(v) == 1 for v in values) and support == sum(map(bool, matrix.flatten())):
-            coefficients = [v.pop() for v in values]
-            return StableMap(x, y, matrix, tuple(coefficients[k] for k in self._stable(x, y)))
+            return [v.pop() for v in values]
         raise PreconditionError(f"matrix does not commute with t: not a map {x} -> {y}")
+
+    def classify(self, x: JordanModule, y: JordanModule, matrix: Matrix) -> StableMap:
+        """The class x -> y of an equivariant matrix, keyed by its coordinates: its
+        coefficients on the stable basis maps."""
+        coefficients = self._coefficients(x, y, matrix)
+        return StableMap(x, y, matrix, tuple(coefficients[k] for k in self._stable(x, y)))
+
+    def _position(self, x: JordanModule, y: JordanModule, matrix: Matrix) -> int:
+        """The index in ``hom_basis(x, y)`` of a 0/1 matrix that is one of the basis maps."""
+        injection = {c: r for r, row in enumerate(matrix.data) for c, a in enumerate(row) if a}
+        if injection not in (injections := self._injections(x, y)):
+            raise InternalCheckError(f"a canonical map {x} -> {y} is not a basis map", witness=matrix)
+        return injections.index(injection)
+
+    def _after(self, x: JordanModule, u: JordanModule, y: JordanModule, a) -> list[tuple]:
+        """Per basis map b: x -> u, the coefficients of a . b on ``hom_basis(x, y)``, a given
+        by its coefficients on ``hom_basis(u, y)``; a zero product adds the zero vector."""
+        units, products = _units(self.field, len(self._injections(x, y))), self._products(x, u, y)
+        return [_mix(self.field.char, a, [units[k] for k in column]) for column in zip(*products)]
 
     @_memo
     def stable_basis(self, x: JordanModule, y: JordanModule) -> list[StableMap]:
@@ -619,7 +641,7 @@ class _Context:
             )
         # The canonical kernel basis is e_i..e_{n-1}; the t-action on it
         # must be the shift of a single block of size n-i.
-        kappa = self._kappa(i)
+        kappa = self.incl_matrix(self.n - i, self.n)
         for vec, col in zip(kernel, range(self.n - i)):
             expected = tuple(kappa.entry(r, col) for r in range(self.n))
             if tuple(vec) != expected:
@@ -636,47 +658,42 @@ class _Context:
             )
         return omega
 
-    def _kappa(self, i: int) -> Matrix:
-        """Inclusion of the cover kernel: J_{n-i} -> J_n spanning e_i..e_{n-1}."""
-        return self.incl_matrix(self.n - i, self.n)
-
     def omega_map(self, f: StableMap) -> StableMap:
-        """Syzygy of a morphism class between indecomposables.
-
-        Lift f through the projective covers, then restrict the lift to
-        the cover kernels.  The restriction depends on the chosen lift
-        only up to maps factoring through projectives, so the stable
-        class is well defined; the solver's canonical particular
-        solution keeps the output deterministic.
-        """
-        i = f.source.block
-        j = f.target.block
-        src_omega = self.omega_object(f.source)
-        tgt_omega = self.omega_object(f.target)
-        p = self.projective
-        pi_i = self.proj_matrix(self.n, i)
-        pi_j = self.proj_matrix(self.n, j)
-        lift_basis = self.hom_basis(p, p)
-        lifts = Matrix(self.field, list(zip(*(pi_j.mul(b).flatten() for b in lift_basis))))
-        coeffs = solve(lifts, f.matrix.mul(pi_i).flatten())
-        if coeffs is None:
-            raise InternalCheckError("projective lift does not exist", witness=f)
-        lift = _mix(self.field.char, coeffs, [b.flatten() for b in lift_basis])
-        moved = self._unflatten(lift, self.n, self.n).mul(self._kappa(i))
-        # columns of the moved kernel must lie in the kernel of pi_j
-        if any(moved.entry(r, c) for r in range(j) for c in range(self.n - i)):
-            raise InternalCheckError("lift does not preserve cover kernels", witness=f)
-        restricted = Matrix(
-            self.field,
-            [[moved.entry(r, c) for c in range(self.n - i)] for r in range(j, self.n)],
-        )
-        return self.classify(src_omega, tgt_omega, restricted)
+        """Syzygy of a morphism class between indecomposables: the combination, with f's
+        key as coefficients, of the ``_omega_coordinates`` of its pair."""
+        coordinates = self._omega_coordinates(f.source, f.target)
+        key = _mix(self.field.char, f.key, coordinates)
+        return self.combine(self.omega_object(f.source), self.omega_object(f.target), key)
 
     @_memo
     def _omega_coordinates(self, x: JordanModule, y: JordanModule) -> list[tuple]:
         """The keys, coordinates on ``stable_basis(Omega x, Omega y)``, of ``omega_map(g)`` for
-        each g in ``stable_basis(x, y)``."""
-        return [self.omega_map(g).key for g in self.stable_basis(x, y)]
+        each g in ``stable_basis(x, y)``, read off the structure constants: with pi the
+        projective covers and kappa their kernels, g . pi_x = pi_y . L for a basis map L of
+        End(J_n), and L . kappa_x = kappa_y . h for a basis map h whose class is Omega g (lifts
+        differ by maps into the kernel of pi_y, which move h by a map through J_n)."""
+        n, proj, i, j = self.n, self.projective, x.block, y.block
+        sx, sy = self.omega_object(x), self.omega_object(y)
+        pi_x = self._position(proj, x, self.proj_matrix(n, i))
+        pi_y = self._position(proj, y, self.proj_matrix(n, j))
+        kappa_x = self._position(sx, proj, self.incl_matrix(n - i, n))
+        kappa_y = self._position(sy, proj, self.incl_matrix(n - j, n))
+        # L by the index of the nonzero product pi_y . L, and h by that of kappa_y . h
+        lifts = {a: k for k, a in enumerate(self._products(proj, proj, y)[pi_y]) if a is not None}
+        kernel = {b: k for k, b in enumerate(self._products(sx, sy, proj)[kappa_y]) if b is not None}
+        position = {k: s for s, k in enumerate(self._stable(sx, sy))}
+        units = _units(self.field, len(position))
+        lowered, moved, keys = self._products(proj, x, y), self._products(sx, proj, proj), []
+        for g in self._stable(x, y):
+            lift = lifts.get(lowered[g][pi_x])
+            if lift is None:
+                raise InternalCheckError("projective lift does not exist", witness=(x, y, g))
+            h = kernel.get(moved[lift][kappa_x])
+            if h is None and moved[lift][kappa_x] is not None:
+                raise InternalCheckError("lift does not preserve cover kernels", witness=(x, y, g))
+            # zero when L . kappa_x is zero or h is hit through the projective
+            keys.append(units[position.get(h)])
+        return keys
 
     # -- almost vanishing --------------------------------------------------
     @_memo
@@ -812,20 +829,19 @@ def ar_sequence(m: JordanModule, field: Field = GF5) -> ARSequence:
     checks["right_surjective"] = rank(right) == i
     checks["exact_at_middle"] = rank(left) + rank(right) == middle.dim
 
-    def through_right(u_mod: JordanModule) -> list[tuple]:
-        """The maps right . b, b running over ``hom_basis(u_mod, middle)``, as columns."""
-        return Matrix(f, list(zip(*(right.mul(b).flatten() for b in ctx.hom_basis(u_mod, middle)))))
-
+    # In coefficients on the basis maps: right . b, b running over hom_basis(U, middle),
+    # spans the maps U -> m that lift through right.
+    coefficients = ctx._coefficients(middle, m, right)
     # Non-split: no section s with right . s = identity.
-    identity_flat = Matrix.identity(f, i).flatten()
-    checks["non_split"] = solve(through_right(m), identity_flat) is None
+    identity = ctx._coefficients(m, m, Matrix.identity(f, i))
+    checks["non_split"] = not _spans(f.char, ctx._after(m, middle, m, coefficients), identity)
 
     # Lifting property: every non-isomorphism u: U -> m (U running over
     # all indecomposables, the projective included) lifts through right.
     checks["lifting"] = all(
-        solve(columns, u.flatten()) is not None
+        _spans(f.char, through, ctx._coefficients(u_mod, m, u))
         for u_mod in ctx.indecomposables(include_projective=True)
-        for columns in [through_right(u_mod)]
+        for through in [ctx._after(u_mod, middle, m, coefficients)]
         for u in ctx.rad_module_basis(u_mod, m)
     )
 
@@ -1025,8 +1041,7 @@ def single_object_support_solver(m: JordanModule, r: int, field: Field = GF5) ->
 
     Each square is read in coordinates from the tables (``_Context._table``),
     F(g) being g or its memoized ``_omega_coordinates``: O(d^2) work per unknown
-    and class g, d <= n/2 a stable dimension, where matrix squares took two
-    O(n^3) products, a residue of length X.dim * F(Y).dim and an ``omega_map``.
+    and class g, d <= n/2 a stable dimension.
     """
     ctx = context(m.n, field)
     if m.block == ctx.n:

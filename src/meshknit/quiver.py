@@ -353,16 +353,6 @@ class DihedralFamily(TranslationQuiver):
     def _sigma_pow(self, v: Vertex, r: int) -> Vertex:
         return self._shift(v, -r, -r)
 
-    def tensor_translate(self, v: Vertex, offset: tuple[int, int]) -> Vertex:
-        """Relabel v by coordinate addition (the tensor rule for labels)."""
-        self.validate(v)
-        s, t = offset
-        if (s - t) % 2 != 0:
-            raise InvalidVertexError(
-                f"translation offset must preserve parity, got {offset}"
-            )
-        return self._shift(v, s, t)
-
     def _arrows(self, v: Vertex) -> tuple[tuple[str, Vertex], ...]:
         c, (i, j) = v
         return (("gamma", new_vertex((c, (i, j - 2)))), ("gamma_prime", new_vertex((c, (i - 2, j)))))

@@ -9,6 +9,8 @@
 * the matrix model's dense route: one reduced span per pair, whose
   residues gave a class's coordinates, the tables of keys built from
   matrix products, and the matrices ``_post`` and ``_pre`` of a table;
+  the syzygy of a class lifted through the projective covers by a dense
+  solve, and the almost split sequences checked by dense solves;
 * layer tables: a table built from a ``{k: {vertex: multiplicity}}``
   mapping, the per-vertex knitting push on any shape, and the TSV and
   JSON writers that read a table's ``layers`` mapping;
@@ -21,14 +23,15 @@ import operator
 from collections import Counter
 from operator import itemgetter
 
-from meshknit import center, mesh
+from meshknit import center, jordan, mesh
 from meshknit.errors import (
     DimensionError,
     FieldMismatchError,
+    InternalCheckError,
     PreconditionError,
     UnsupportedParameterError,
 )
-from meshknit.linalg import Matrix, _clear, _residue
+from meshknit.linalg import Matrix, _clear, _mix, _residue, rank, solve
 from meshknit.quiver import TUBE
 from meshknit.serialize import SCHEMA_VERSION, config_line
 
@@ -188,6 +191,69 @@ def dense_post(table):
 def dense_pre(table):
     """Matrices M_i: M_i times the coordinates of f are those of b_i . f."""
     return [list(zip(*row)) for row in table]
+
+
+def dense_omega_map(ctx, f):
+    """``omega_map`` as the matrix model lifted it: solve for the lift of f through the
+    projective covers on ``hom_basis(J_n, J_n)`` (the solver's canonical particular
+    solution), move the source's cover kernel along it, check that it lands in the
+    target's cover kernel, and classify the restriction."""
+    n, i, j = ctx.n, f.source.block, f.target.block
+    src_omega, tgt_omega = ctx.omega_object(f.source), ctx.omega_object(f.target)
+    pi_i, pi_j = ctx.proj_matrix(n, i), ctx.proj_matrix(n, j)
+    lift_basis = ctx.hom_basis(ctx.projective, ctx.projective)
+    lifts = Matrix(ctx.field, list(zip(*(pi_j.mul(b).flatten() for b in lift_basis))))
+    coeffs = solve(lifts, f.matrix.mul(pi_i).flatten())
+    if coeffs is None:
+        raise InternalCheckError("projective lift does not exist", witness=f)
+    lift = _mix(ctx.field.char, coeffs, [b.flatten() for b in lift_basis])
+    lift = Matrix._of(ctx.field, tuple(lift[r * n : (r + 1) * n] for r in range(n)), n)
+    moved = lift.mul(ctx.incl_matrix(n - i, n))
+    if any(moved.entry(r, c) for r in range(j) for c in range(n - i)):
+        raise InternalCheckError("lift does not preserve cover kernels", witness=f)
+    restricted = Matrix(
+        ctx.field, [[moved.entry(r, c) for c in range(n - i)] for r in range(j, n)]
+    )
+    return ctx.classify(src_omega, tgt_omega, restricted)
+
+
+def dense_ar_sequence(m, field):
+    """``ar_sequence`` as the matrix model checked it: non-splitness and the lifting
+    property solved as dense systems on the products ``right . b``."""
+    ctx = jordan.context(m.n, field)
+    i, n, f = m.block, ctx.n, ctx.field
+    if i == n:
+        raise PreconditionError(f"{m} is projective; no almost split sequence")
+    middle = jordan.JordanModule(tuple(b for b in (i + 1, i - 1) if 1 <= b <= n), n)
+    left_parts, right_parts = [], []
+    for b in middle.blocks:
+        if b == i + 1:
+            left_parts.append(ctx.incl_matrix(i, b))
+            right_parts.append(ctx.proj_matrix(b, i).scale(-1))
+        else:
+            left_parts.append(ctx.proj_matrix(i, b))
+            right_parts.append(ctx.incl_matrix(b, i))
+    left = Matrix(f, [row for part in left_parts for row in part.data])
+    right = Matrix(f, [sum(rows, ()) for rows in zip(*(part.data for part in right_parts))])
+    checks = {
+        "composite_zero": right.mul(left) == Matrix.zeros(f, i, i),
+        "left_injective": rank(left) == i,
+        "right_surjective": rank(right) == i,
+        "exact_at_middle": rank(left) + rank(right) == middle.dim,
+    }
+
+    def through_right(u_mod):
+        return Matrix(f, list(zip(*(right.mul(b).flatten() for b in ctx.hom_basis(u_mod, middle)))))
+
+    checks["non_split"] = solve(through_right(m), Matrix.identity(f, i).flatten()) is None
+    checks["lifting"] = all(
+        solve(columns, u.flatten()) is not None
+        for u_mod in ctx.indecomposables(include_projective=True)
+        for columns in [through_right(u_mod)]
+        for u in ctx.rad_module_basis(u_mod, m)
+    )
+    stable = jordan.JordanModule(tuple(b for b in middle.blocks if b != n), n)
+    return jordan.ARSequence(m, middle, stable, i + 1 == n, left, right, ctx.av_class(m), checks)
 
 
 # -- layer tables -----------------------------------------------------------------

@@ -468,8 +468,17 @@ def test_broken_stdout_without_a_descriptor_exits_5(capsys):
 
 
 def _full_parse(argv):
-    """The namespace from the full parser, or its usage error, or its exit and output."""
-    return _outcome(lambda: cli._parser().parse_args(cli._glue_vertex_values(argv)))
+    """The namespace from the full parser, or its usage error, or its exit and output; a
+    value argparse dropped (it stores [] for --out=--) is a usage error."""
+
+    def parse():
+        args = cli._parser().parse_args(cli._glue_vertex_values(argv))
+        dropped = [name for name, value in vars(args).items() if value == []]
+        if dropped:
+            raise cli._UsageError(f"argument --{dropped[0]}: expected one argument")
+        return args
+
+    return _outcome(parse)
 
 
 def _outcome(parse):
@@ -531,6 +540,33 @@ def test_the_subcommand_parser_agrees_with_the_full_parser():
         assert _outcome(lambda: cli._parse(argv)) == want, argv
     assert _full_parse(["knit", "--quiver", "d"])[0] == "usage"
     assert _full_parse(["knit", "-h"])[:2] == ("exit", 0)
+
+
+_PLAIN_REQUESTS = {
+    "knit": ["--quiver", "tube:4", "--vertex", "J1", "--kmax", "1"],
+    "diamond": ["--n", "1", "--vertex", "0,0"],
+    "center": ["--mu", "1"],
+    "oracle": ["--n", "3", "--check", "serre"],
+    "signcheck": ["--quiver", "tube:4", "--source", "J1", "--target", "J1"],
+}
+_VALUED_OPTIONS = [
+    (name, action.option_strings[0])
+    for name, command in cli.build_parser().commands.items()
+    for action in command._actions
+    if action.option_strings and action.nargs is None
+]
+
+
+@pytest.mark.parametrize("name, flag", _VALUED_OPTIONS, ids=[" ".join(c) for c in _VALUED_OPTIONS])
+@pytest.mark.parametrize("spelling", ["inline", "separate"])
+def test_a_dashdash_value_is_a_usage_error(run, name, flag, spelling):
+    # argparse drops an inline "--" value and stores [] in its place
+    request = _PLAIN_REQUESTS[name]
+    kept = [t for pair in zip(request[::2], request[1::2]) if pair[0] != flag for t in pair]
+    dashdash = [f"{flag}=--"] if spelling == "inline" else [flag, "--"]
+    code, out, err = run([name, *kept, *dashdash])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.splitlines() == [f"meshknit: error: argument {flag}: expected one argument"]
 
 
 def test_the_benchmark_requests_are_read_without_argparse(tmp_path):
@@ -752,11 +788,14 @@ def _int_text(lo, hi, *out_of_range):
 def _spelling(flag, k, value):
     if k == 3:
         return []
+    if k >= 18:  # "--", which argparse drops from an option's values
+        value = "--"
     return [flag, value] if k % 2 else [f"{flag}={value}"]
 
 
 def _opt(flag, values):
-    """--flag=value or --flag value, or (one time in twenty) nothing at all."""
+    """--flag=value or --flag value, or (one time in twenty) nothing at all, or (one time in
+    ten) "--" for the value."""
     return st.tuples(st.integers(0, 19), values).map(lambda t: _spelling(flag, *t))
 
 

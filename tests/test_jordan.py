@@ -23,7 +23,9 @@ from meshknit.errors import (
 )
 from references import (
     Subspace,
+    dense_ar_sequence,
     dense_key,
+    dense_omega_map,
     dense_post,
     dense_pre,
     dense_table,
@@ -331,6 +333,152 @@ def test_omega_map_preserves_composition():
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("n, field", [(4, GF(2)), (5, GF(3)), (5, QQ), (6, GF(7))])
+def test_omega_map_preserves_every_composite_of_basis_classes(n, field):
+    # omega_map reads the structure constants; compose multiplies matrices and classifies
+    ctx = context(n, field)
+    for x, u, y in product(ctx.indecomposables(), repeat=3):
+        for f, g in product(ctx.stable_basis(x, u), ctx.stable_basis(u, y)):
+            assert ctx.omega_map(ctx.compose(g, f)) == ctx.compose(ctx.omega_map(g), ctx.omega_map(f))
+
+
+_ORACLE_FIELDS = [GF(2), GF(3), GF(32749), QQ]
+
+
+def _random_map(ctx, x, y, data):
+    """A random combination of ``hom_basis(x, y)``: a class with a part through J_n."""
+    coefficients = data.draw(st.lists(st.integers(-3, 3), min_size=len(ctx.hom_basis(x, y)),
+                                      max_size=len(ctx.hom_basis(x, y))))
+    acc = linalg.Matrix.zeros(ctx.field, y.dim, x.dim)
+    for c, b in zip(coefficients, ctx.hom_basis(x, y)):
+        acc = matrix_sum(acc, b.scale(c))
+    return ctx.classify(x, y, acc)
+
+
+def _ar_fields(seq):
+    return (seq.module, seq.middle, seq.middle_stable, seq.has_projective_summand, seq.left,
+            seq.right, seq.connecting, seq.checks)
+
+
+def _check_syzygies_against_the_dense_references(ctx, pairs, modules):
+    for x, y in pairs:
+        want = [dense_omega_map(ctx, g).key for g in ctx.stable_basis(x, y)]
+        assert ctx._omega_coordinates(x, y) == want, (x, y)
+        for g in ctx.stable_basis(x, y):
+            assert ctx.omega_map(g).key == dense_omega_map(ctx, g).key
+    for m in modules:
+        got = mk.ar_sequence(m, ctx.field)
+        assert _ar_fields(got) == _ar_fields(dense_ar_sequence(m, ctx.field))
+        assert got.verified, got.checks
+
+
+@given(st.integers(3, 7), st.sampled_from(_ORACLE_FIELDS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_syzygies_and_ar_sequences_match_the_dense_references(n, field, data):
+    ctx = context(n, field)
+    i = data.draw(st.integers(1, n - 1))
+    j = data.draw(st.integers(1, n - 1))
+    x, y = indec(n, i), indec(n, j)
+    _check_syzygies_against_the_dense_references(ctx, [(x, y)], [x])
+    f = _random_map(ctx, x, y, data)
+    assert ctx.omega_map(f).key == dense_omega_map(ctx, f).key
+
+
+@pytest.mark.parametrize("field", _ORACLE_FIELDS)
+@pytest.mark.parametrize("n", [8, 9])
+def test_syzygies_and_ar_sequences_match_the_dense_references_at_n_8_and_9(n, field):
+    ctx = context(n, field)
+    indecs = ctx.indecomposables()
+    _check_syzygies_against_the_dense_references(ctx, product(indecs, repeat=2), indecs)
+
+
+@pytest.mark.parametrize("emptied, message", [
+    ("covers", "projective lift does not exist"),  # no L with pi_y . L = g . pi_x
+    ("kernels", "lift does not preserve cover kernels"),  # no h with kappa_y . h = L . kappa_x
+])
+def test_an_emptied_structure_constant_table_is_an_internal_error(emptied, message):
+    ctx = jordan._Context(5, GF(7))
+    x, y, proj = indec(5, 2), indec(5, 3), ctx.projective
+    table = {"covers": ctx._products(proj, proj, y),
+             "kernels": ctx._products(ctx.omega_object(x), ctx.omega_object(y), proj)}[emptied]
+    table[:] = [[] for _ in table]
+    with pytest.raises(InternalCheckError) as refused:
+        ctx._omega_coordinates(x, y)
+    assert str(refused.value) == message
+    # the refusal stores nothing, and the other pairs still lift
+    assert ("_omega_coordinates", x, y) not in ctx._memo
+    assert ctx._omega_coordinates(y, x) == [dense_omega_map(ctx, g).key for g in ctx.stable_basis(y, x)]
+
+
+def test_a_zero_product_after_the_cover_kernel_is_a_zero_key():
+    ctx = jordan._Context(5, GF(7))
+    x, y, proj = indec(5, 2), indec(5, 3), ctx.projective
+    moved = ctx._products(ctx.omega_object(x), proj, proj)
+    moved[:] = [[None] * len(row) for row in moved]
+    assert ctx._omega_coordinates(x, y) == [(0, 0)] * 2
+
+
+def test_the_syzygies_and_ar_checks_multiply_no_matrices(monkeypatch):
+    ctx = jordan._Context(6, GF(11))
+    monkeypatch.setitem(jordan._contexts, (6, 11), ctx)
+    indecs = ctx.indecomposables()
+    for m in indecs:  # the t-action checks of omega_object multiply; they are memoized
+        ctx.omega_object(m)
+    products = []
+    real_mul, real_hom_basis = linalg.Matrix.mul, jordan._Context.hom_basis
+
+    def mul(a, b):
+        products.append((a.rows, a.cols, b.cols))
+        return real_mul(a, b)
+
+    def hom_basis(self, x, y):
+        assert (x, y) != (self.projective, self.projective)
+        return real_hom_basis(self, x, y)
+
+    monkeypatch.setattr(linalg.Matrix, "mul", mul)
+    monkeypatch.setattr(jordan._Context, "hom_basis", hom_basis)
+    assert not hasattr(jordan, "solve")
+    for x, y in product(indecs, repeat=2):
+        for g in ctx.stable_basis(x, y):
+            ctx.omega_map(g)
+    assert products == []
+    for m in indecs:
+        assert mk.ar_sequence(m, ctx.field).verified
+    # one product per sequence: right . left, its composite_zero check
+    assert products == [(m.block, m.block * 2, m.block) for m in indecs]
+
+
+# the parent's messages: a decomposable end is refused before a projective one
+_SYZYGY_REFUSALS = [
+    ((4,), (2,), "J4 is projective; omega is undefined"),
+    ((2,), (4,), "J4 is projective; omega is undefined"),
+    ((2, 1), (2,), "J2+J1 is not indecomposable"),
+    ((2,), (2, 1), "J2+J1 is not indecomposable"),
+    ((4,), (2, 1), "J2+J1 is not indecomposable"),
+    ((2, 1), (4,), "J2+J1 is not indecomposable"),
+]
+
+
+@pytest.mark.parametrize("source, target, message", _SYZYGY_REFUSALS)
+def test_omega_map_refuses_projective_and_decomposable_ends(source, target, message):
+    ctx = context(4)
+    x, y = jordan.JordanModule(source, 4), jordan.JordanModule(target, 4)
+    with pytest.raises(PreconditionError) as refused:
+        mk.omega_map(zero_map(ctx, x, y))
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ((4,), "J4 is projective; no almost split sequence"),
+    ((2, 1), "J2+J1 is not indecomposable"),
+    ((), "0 is not indecomposable"),
+])
+def test_ar_sequence_refuses_projective_and_decomposable_modules(blocks, message):
+    with pytest.raises(PreconditionError) as refused:
+        mk.ar_sequence(jordan.JordanModule(blocks, 4))
+    assert str(refused.value) == message
+
+
 @given(small_n, st.data())
 @settings(max_examples=30, deadline=None)
 def test_omega_preserves_stable_dims(n, data):
@@ -620,14 +768,15 @@ def _combine_by_matrices(ctx, x, y, basis, coeffs):
 
 def _solver_by_matrix_squares(m, r, field):
     """Reference solver: each square F(g) . alpha_X - alpha_Y . g composed as matrices, F(g)
-    being g or ``omega_map(g)``, and reduced to its residue modulo the projective maps."""
+    being g or its dense lift ``dense_omega_map``, and reduced to its residue modulo the
+    projective maps."""
     ctx = context(m.n, field)
 
     def f_obj(x):
         return x if r % 2 == 0 else ctx.omega_object(x)
 
     def f_map(g):
-        return g if r % 2 == 0 else ctx.omega_map(g)
+        return g if r % 2 == 0 else dense_omega_map(ctx, g)
 
     codomain = f_obj(m)
     basis = ctx.stable_basis(m, codomain)

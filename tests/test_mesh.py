@@ -1064,7 +1064,7 @@ def _diamond_scan(q, m, n, window, field):
     rings = max(mesh.DIAMOND_MARGIN_RINGS, n - 2)
     win = mesh._Window(q, window, n + rings + 2)
     win.check_base(m)
-    for corner in (chains[0][0], chains[1][0], q.tensor_translate(m, (2 * n, 2 * n))):
+    for corner in (chains[0][0], chains[1][0], q.vertex(mi + 2 * n, mj + 2 * n)):
         win.check_base(corner)
     reach = 2 * n + 2 * rings
     layers = {}

@@ -500,7 +500,7 @@ def test_hooks_and_windows_build_named_tuples(case, k, radius):
     built.append(q._sigma_pow(v, 2 * k if isinstance(q, quiver.ZAInf) else k))
     if isinstance(q, quiver.DihedralFamily):
         i, j = v.coords
-        built += [q._shift(v, k, k + 2), q.tensor_translate(v, (k, -k)), q.vertex(i + k, j - k)]
+        built += [q._shift(v, k, k + 2), q.vertex(i + k, j - k)]
     assert _all_named(built)
 
 
@@ -518,9 +518,9 @@ def test_center_tables_and_supports_build_named_tuples(coords, n, offset):
     tables = [
         e.image_table(v),
         orbit.image_table(v),
-        orbit.image_table(q.tensor_translate(v, (0, 2))),
+        orbit.image_table(q.vertex(coords[0], coords[1] + 2)),
         mesh.diamond_cokernel(q, v, n, 12),
-        e.image_table(q.tensor_translate(v, offset)),
+        e.image_table(q.vertex(coords[0] + offset[0], coords[1] + offset[1])),
     ]
     for table in tables:
         assert _all_named([table.target, *(w for row in table.layers.values() for w in row)])
