@@ -33,7 +33,7 @@ from .mesh import diamond_cokernel, knit_layers, path_sign_check
 from .quiver import build_dihedral_family, build_tube, build_za_inf
 from .serialize import (
     canonical_json,
-    layer_table_payload,
+    layer_table_json,
     layer_table_tsv,
     oracle_payload,
     sign_report_payload,
@@ -118,8 +118,8 @@ def _resolve_window(args) -> int:
 def _emit(text: str, out_path: str | None) -> None:
     """Write the artifact to stdout, or atomically to out_path.
 
-    The bytes go to a temporary file in the target directory first and
-    are renamed over out_path, so a failure never leaves a partial file.
+    The bytes go through one descriptor to a temporary file in the target directory
+    and are renamed over out_path, so a failure never leaves a partial file.
     """
     if out_path is None:
         try:
@@ -137,9 +137,14 @@ def _emit(text: str, out_path: str | None) -> None:
         return
     head, tail = os.path.split(out_path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    data = memoryview(text.encode())
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(text.encode())
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)  # less the umask, as open()
+        try:
+            while data:  # os.write may write fewer bytes than it is given
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, out_path)
     except OSError as exc:
         with contextlib.suppress(OSError):
@@ -280,7 +285,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 def _emit_table(table, args, config: dict) -> None:
     if args.format == "json":
-        _emit(canonical_json(layer_table_payload(table, config)), args.out)
+        _emit(layer_table_json(table, config), args.out)
     else:
         _emit(layer_table_tsv(table, config), args.out)
 

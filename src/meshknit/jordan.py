@@ -42,7 +42,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .linalg import GF5, Field, Matrix, kernel_basis, rank
-from .linalg import _apply, _echelon, _kernel, _lines, _mix, _spans
+from .linalg import _apply, _echelon, _kernel, _lines, _mix, _residue, _spans
 from .mesh import LayerTable
 from .quiver import TUBE, Vertex
 
@@ -837,11 +837,12 @@ def ar_sequence(m: JordanModule, field: Field = GF5) -> ARSequence:
     checks["non_split"] = not _spans(f.char, ctx._after(m, middle, m, coefficients), identity)
 
     # Lifting property: every non-isomorphism u: U -> m (U running over
-    # all indecomposables, the projective included) lifts through right.
+    # all indecomposables, the projective included) lifts through right;
+    # the maps through right are echeloned once per U.
     checks["lifting"] = all(
-        _spans(f.char, through, ctx._coefficients(u_mod, m, u))
+        not any(_residue(f.char, through, ctx._coefficients(u_mod, m, u)))
         for u_mod in ctx.indecomposables(include_projective=True)
-        for through in [ctx._after(u_mod, middle, m, coefficients)]
+        for through in [_echelon(f.char, ctx._after(u_mod, middle, m, coefficients))]
         for u in ctx.rad_module_basis(u_mod, m)
     )
 

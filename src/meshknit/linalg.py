@@ -11,7 +11,7 @@ The one row-reduction loop is ``_residue``: it reduces a vector by
 the field (the matrix model's short coordinate vectors), which is all
 ``rank`` needs; ``_clear`` scales one to 1 at its pivot and clears that
 pivot from the others, which keeps reduced row echelon form for
-``_kernel`` (behind ``kernel_basis`` and ``solve``).  The plain-row
+``_kernel`` (behind ``kernel_basis``).  The plain-row
 helpers stay private, so the benchmark's span tracer leaves them
 unwrapped.
 """
@@ -93,9 +93,6 @@ class Field:
 
     def mul(self, a, b):
         return a * b if self.char == 0 else (a * b) % self.char
-
-    def neg(self, a):
-        return -a if self.char == 0 else (-a) % self.char
 
     def inv(self, a):
         if a == 0:
@@ -222,23 +219,6 @@ def kernel_basis(m: Matrix) -> list[tuple]:
     each has a 1 in its free column and 0 in the others.
     """
     return _kernel(m.field.char, m.cols, m.data)
-
-
-def solve(m: Matrix, b: Sequence):
-    """One solution of m x = b, or None when inconsistent.
-
-    The particular solution is canonical: free coordinates are zero.  It is the
-    kernel vector of (m | -b) for its last column, when that column is free; the
-    kernel vectors, in free-column order, are all 0 there when it is a pivot.
-    """
-    if len(b) != m.rows:
-        raise DimensionError(f"rhs length {len(b)} != row count {m.rows}")
-    f = m.field
-    aug = [row + (f.neg(bi),) for row, bi in zip(m.data, f.coerce_row(b))]
-    kernel = _kernel(f.char, m.cols + 1, aug)
-    if not (kernel and kernel[-1][-1]):
-        return None
-    return kernel[-1][:-1]
 
 
 def _lines(field: Field, d: int):

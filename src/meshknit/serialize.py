@@ -4,16 +4,16 @@ Both formats are deterministic byte for byte: JSON is emitted with
 sorted keys and fixed indentation, exactly as ``json.dumps(payload,
 sort_keys=True, indent=2, ensure_ascii=True)`` writes it, TSV rows are
 in vertex order, and every artifact embeds the run configuration
-together with the schema tag ``meshknit/1``.  Layer tables are written
-from their integer rows, labelled from the coordinates; rows that list
-their vertices column by column (each dihedral knit and diamond) need no sort.
+together with the schema tag ``meshknit/1``.  Layer tables go straight
+from their integer rows to text, labelled from the coordinates, with no
+payload or vertex built; rows that list their vertices column by column
+(each dihedral knit and diamond) need no sort, other rows sort their distinct vertices.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, compress, count, groupby, pairwise, zip_longest
+from itertools import accumulate, chain, compress, count, pairwise, zip_longest
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 
 from .mesh import LayerTable, PathSignReport
 from .quiver import TUBE
@@ -74,22 +74,32 @@ def config_line(config: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in sorted(config.items()))
 
 
-def layer_table_payload(table: LayerTable, config: dict) -> dict:
-    # each layer's labels from its rows' coordinates; canonical_json sorts them
-    rows: dict[int, dict[str, int]] = {k: {} for k in range(table.valid_through + 1)}
+def layer_table_json(table: LayerTable, config: dict) -> str:
+    """``canonical_json`` of the table's payload, written from its rows: each nonzero entry is
+    one item '"<label>": <mult>', and each layer sorts its items once ('"' sorts below every
+    label character, so the items fall in label order)."""
+    layers: list[list[str]] = [[] for _ in range(table.valid_through + 1)]
+    shared = set()  # layers whose labels may repeat: fed by several rows, or tube rows of longer coordinates
     for row in table.rows:
-        if row[0] in rows:
-            rows[row[0]].update(_labelled(row))
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "layer-table",
-        "config": dict(config),
-        "target": str(table.target),
-        "k_max": table.k_max,
-        "valid_through": table.valid_through,
-        "truncated": table.truncated,
-        "layers": [{"k": k, "row": row} for k, row in rows.items()],
-    }
+        k, (c, coords), _, _ = row
+        if 0 <= k < len(layers):
+            if layers[k] or c == TUBE and len(coords) > 1:
+                shared.add(k)
+            layers[k] += _items(row)
+    for k in shared:  # a label's last entry wins, as in a dict
+        layers[k] = list({item.rpartition(": ")[0]: item for item in layers[k]}.values())
+    texts = []  # each layer's text at the payload's depth: items at 8 spaces, layers at 4
+    for k, items in enumerate(layers):
+        items.sort()
+        row = "{\n        " + ",\n        ".join(items) + "\n      }" if items else "{}"
+        texts.append(f'{{\n      "k": {k},\n      "row": {row}\n    }}')
+    listed = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
+    header = _json(config, "\n  ")
+    return (
+        f'{{\n  "config": {header},\n  "k_max": {table.k_max},\n  "kind": "layer-table",\n'
+        f'  "layers": {listed},\n  "schema": "{SCHEMA_VERSION}",\n  "target": {_quote(str(table.target))},\n'
+        f'  "truncated": {_NAMED[table.truncated]},\n  "valid_through": {table.valid_through}\n}}\n'
+    )
 
 
 def layer_table_tsv(table: LayerTable, config: dict) -> str:
@@ -104,13 +114,13 @@ def layer_table_tsv(table: LayerTable, config: dict) -> str:
         lines.append("# truncated: true")
     columns = table.valid_through + 1
     lines.append("\t".join(["vertex", *map(str, range(columns))]))
-    # per vertex its line: its multiplicity in each layer, zeros sliced from one
-    # run; a vertex met only past valid_through gets a line of zeros
-    zeros = "\t0" * columns
+    # per vertex its line: its multiplicity in each layer; a vertex met only past
+    # valid_through gets a line of zeros
     offsets = _grid_offsets(table.rows, columns)
     if offsets is not None:
         # column by column, each column's cells in row order, is vertex order; each vertex
-        # is in one row, and padding and zero entries get no line
+        # is in one row, and padding and zero entries get no line; zeros are sliced from one run
+        zeros = "\t0" * columns
         texts, mults = [], []
         for (k, (_, (i, j)), (s, u), row), offset in zip(table.rows, offsets):
             head, tail = zeros[: 2 * k] + "\t", zeros[2 * k + 2 :]
@@ -119,15 +129,16 @@ def layer_table_tsv(table: LayerTable, config: dict) -> str:
             mults.append([0] * offset + row)
         by_column = chain.from_iterable(zip_longest(*texts))
         lines += compress(by_column, chain.from_iterable(zip_longest(*mults, fillvalue=0)))
-    else:  # fill each vertex's line layer by layer, vertices in order
-        cells = sorted((v, k, mult) for k, v, mult in table._cells())
-        for v, line in groupby(cells, itemgetter(0)):
-            text, filled = str(v), 0
-            for _, k, mult in line:
-                if 0 <= k < columns:
-                    text += f"{zeros[: 2 * (k - filled)]}\t{mult}"
-                    filled = k + 1
-            lines.append(text + zeros[2 * filled :])
+    else:  # per vertex its cells, filled from the rows; only the distinct vertices are sorted
+        cells: dict[tuple, list[str]] = {}
+        for k, (c, coords), step, mults in table.rows:
+            for at, r in zip(zip(*map(count, coords, step)), mults):
+                if r:
+                    line = cells.get((c, at)) or cells.setdefault((c, at), ["\t0"] * columns)
+                    if 0 <= k < columns:
+                        line[k] = f"\t{r}"
+        vertices = sorted(cells)
+        lines += map(str.__add__, _names(vertices), map("".join, map(cells.__getitem__, vertices)))
     lines.append("")
     return "\n".join(lines)
 
@@ -156,16 +167,16 @@ def _grid_offsets(rows: list, columns: int) -> list[int] | None:
     return offsets if width * len(rows) <= 4 * sum(len(row[3]) for row in rows) else None
 
 
-def _labelled(row) -> list[tuple[str, int]]:
-    """(``str`` of the vertex, multiplicity) of a row's nonzero entries, from the coordinates."""
+def _items(row) -> list[str]:
+    """'"<label>": <mult>' of a row's nonzero entries, each label ``str(v)`` from the coordinates."""
     _, (c, coords), step, mults = row
     if c == TUBE:
-        return [(f"J{i}", r) for i, r in zip(count(coords[0], step[0]), mults) if r]
+        return [f'"J{i}": {r}' for i, r in zip(count(coords[0], step[0]), mults) if r]
     if len(coords) == 2:
         (i, j), (s, u) = coords, step
-        return [(f"{a},{b}", r) for a, b, r in zip(count(i, s), count(j, u), mults) if r]
+        return [f'"{a},{b}": {r}' for a, b, r in zip(count(i, s), count(j, u), mults) if r]
     cells = zip(zip(*map(count, coords, step)), mults)
-    return [(",".join(map(str, at)), r) for at, r in cells if r]
+    return [f"{_quote(','.join(map(str, at)))}: {r}" for at, r in cells if r]
 
 
 def _names(vertices) -> list[str]:

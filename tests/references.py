@@ -2,7 +2,8 @@
 
 * linear algebra: ``Subspace``, the canonical-residue view of reduced
   rows, with ``rref``, the matrix sum and the subspace basis, membership
-  and dimension that only the tests read;
+  and dimension that only the tests read, and ``solve``, one solution of
+  a linear system;
 * the matrix model's zero class, and its classes as it keyed them: the
   residue modulo the maps through the projective, with the stable basis
   that residue chose;
@@ -31,7 +32,7 @@ from meshknit.errors import (
     PreconditionError,
     UnsupportedParameterError,
 )
-from meshknit.linalg import Matrix, _clear, _mix, _residue, rank, solve
+from meshknit.linalg import Matrix, _clear, _kernel, _mix, _residue, rank
 from meshknit.quiver import TUBE
 from meshknit.serialize import SCHEMA_VERSION, config_line
 
@@ -108,6 +109,23 @@ def span_contains(space, vec) -> bool:
 
 def span_dim(space) -> int:
     return len(space._rows)
+
+
+def solve(m, b):
+    """One solution of m x = b, or None when inconsistent.
+
+    The particular solution is canonical: free coordinates are zero.  It is the
+    kernel vector of (m | -b) for its last column, when that column is free; the
+    kernel vectors, in free-column order, are all 0 there when it is a pivot.
+    """
+    if len(b) != m.rows:
+        raise DimensionError(f"rhs length {len(b)} != row count {m.rows}")
+    f = m.field
+    aug = [row + (f.sub(f.zero, bi),) for row, bi in zip(m.data, f.coerce_row(b))]
+    kernel = _kernel(f.char, m.cols + 1, aug)
+    if not (kernel and kernel[-1][-1]):
+        return None
+    return kernel[-1][:-1]
 
 
 def zero_map(ctx, x, y):

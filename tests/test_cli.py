@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -416,6 +417,53 @@ def test_failed_rename_leaves_no_temporary_file(run, tmp_path):
     assert err.startswith(f"meshknit: error: cannot write {tmp_path}: ")
     assert list(tmp_path.iterdir()) == []
     assert list(tmp_path.parent.glob(f".{tmp_path.name}.*")) == []
+
+
+def test_a_full_disk_exits_5_and_leaves_no_temporary_file(run, tmp_path, monkeypatch):
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    target = tmp_path / "table.json"
+    monkeypatch.setattr(os, "write", full)
+    code, out, err = run(
+        ["knit", "--quiver", "tube:4", "--vertex", "J2", "--kmax", "3", "--format", "json", "--out", str(target)]
+    )
+    monkeypatch.undo()
+    assert code == cli.EXIT_IO == 5
+    assert out == ""
+    assert err.splitlines() == [f"meshknit: error: cannot write {target}: {os.strerror(errno.ENOSPC)}"]
+    assert list(tmp_path.iterdir()) == []  # neither the artifact nor .table.json.<pid>.tmp
+
+
+def test_short_writes_still_write_the_whole_artifact(run, tmp_path, monkeypatch):
+    argv = ["knit", "--quiver", "dihedral", "--vertex", "1,1", "--kmax", "6", "--format", "json"]
+    code, want, _ = run(argv)
+    assert code == 0
+    real, calls = os.write, []
+
+    def one_byte(fd, data):
+        calls.append(fd)
+        return real(fd, bytes(data[:1]))
+
+    target = tmp_path / "table.json"
+    monkeypatch.setattr(os, "write", one_byte)
+    code, out, err = run([*argv, "--out", str(target)])
+    monkeypatch.undo()
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text() == want
+    assert len(calls) == len(want.encode())
+    assert [p.name for p in tmp_path.iterdir()] == ["table.json"]
+
+
+def test_the_artifact_mode_is_0o666_less_the_umask(run, tmp_path):
+    target = tmp_path / "table.tsv"
+    old = os.umask(0o027)
+    try:
+        code, _, _ = run(["knit", "--quiver", "tube:4", "--vertex", "J2", "--kmax", "3", "--out", str(target)])
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert target.stat().st_mode & 0o777 == 0o640
 
 
 @pytest.mark.parametrize(

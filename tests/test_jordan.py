@@ -31,6 +31,7 @@ from references import (
     dense_table,
     matrix_sum,
     reduced,
+    solve,
     span_contains,
     span_dim,
     stable_maps,
@@ -995,7 +996,7 @@ def _splits_by_class(ctx, theta):
     sections = (b.matrix.mul(theta.matrix) for b in ctx.stable_basis(v, u))
     columns = [stable_residue(ctx, u, u, s) for s in sections]
     lifts = linalg.Matrix(ctx.field, list(zip(*columns)))
-    return linalg.solve(lifts, stable_residue(ctx, u, u, ctx.identity_map(u).matrix)) is not None
+    return solve(lifts, stable_residue(ctx, u, u, ctx.identity_map(u).matrix)) is not None
 
 
 def _mono_split_by_class(n, field):

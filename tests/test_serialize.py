@@ -2,10 +2,11 @@
 
 ``canonical_json`` writes JSON directly; its reference is
 ``json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True)``.
-``layer_table_tsv`` and ``layer_table_payload`` read a table's integer
-rows; their references are the writers that read its ``layers`` mapping
-(``tests/references.py``) and, before those, the ones kept here.  The
-labels are formatted from the coordinates; their reference is ``str(v)``.
+``layer_table_tsv`` and ``layer_table_json`` write a table's integer
+rows straight to text; their references are the writers that read its
+``layers`` mapping (``tests/references.py``, the JSON one a payload for
+``canonical_json``) and, before those, the ones kept here.  The labels
+are formatted from the coordinates; their reference is ``str(v)``.
 """
 
 import json
@@ -22,10 +23,10 @@ from meshknit.mesh import LayerTable, diamond_cokernel, knit_layers
 from meshknit.serialize import (
     SCHEMA_VERSION,
     _grid_offsets,
-    _labelled,
+    _items,
     _names,
     canonical_json,
-    layer_table_payload,
+    layer_table_json,
     layer_table_tsv,
     oracle_payload,
 )
@@ -266,9 +267,7 @@ def test_layer_table_tsv_matches_the_old_writer(table):
 @given(st.one_of(layer_tables(), one_cell_tables()))
 @settings(max_examples=300, deadline=None)
 def test_layer_table_json_matches_the_old_writer(table):
-    assert canonical_json(layer_table_payload(table, CONFIG)) == reference_json(
-        reference_payload(table, CONFIG)
-    )
+    assert layer_table_json(table, CONFIG) == reference_json(reference_payload(table, CONFIG))
 
 
 def test_odd_dihedral_table_past_valid_through():
@@ -279,16 +278,15 @@ def test_odd_dihedral_table_past_valid_through():
     assert tsv == reference_tsv(table, CONFIG)
     # vertices met only past valid_through keep a line of zeros
     assert tsv.splitlines()[-4:] == ["-3,1\t0\t0", "-1,-1\t0\t0", "1,-1\t1\t0", "1,3\t0\t0"]
-    payload = layer_table_payload(table, CONFIG)
-    assert canonical_json(payload) == reference_json(reference_payload(table, CONFIG))
+    assert layer_table_json(table, CONFIG) == reference_json(reference_payload(table, CONFIG))
 
 
 # -- labels against str(v) ---------------------------------------------------------
 
 
 def _str_cells(row):
-    """(str(v), multiplicity) of a row's nonzero entries, through the table's own cells."""
-    return [(str(v), mult) for _, v, mult in LayerTable(row[1], [row], 0, 0)._cells()]
+    """'"str(v)": multiplicity' of a row's nonzero entries, through the table's own cells."""
+    return [f"{json.dumps(str(v))}: {mult}" for _, v, mult in LayerTable(row[1], [row], 0, 0)._cells()]
 
 
 @pytest.mark.parametrize(
@@ -303,7 +301,7 @@ def _str_cells(row):
 )
 def test_labels_of_knit_and_diamond_tables_are_str(table):
     for row in table.rows:
-        assert _labelled(row) == _str_cells(row)
+        assert _items(row) == _str_cells(row)
     # the dihedral tables list their vertices column by column; the tube and ZA-infinity ones do not
     on_grid = table.target.component not in (quiver.TUBE, quiver.ZA_INF)
     assert (_grid_offsets(table.rows, table.valid_through + 1) is not None) == on_grid
@@ -333,7 +331,7 @@ def hand_made_tables(draw):
 @settings(max_examples=300, deadline=None)
 def test_labels_of_hand_made_tables_are_str(table):
     for row in table.rows:
-        assert _labelled(row) == _str_cells(row)
+        assert _items(row) == _str_cells(row)
     assert layer_table_tsv(table, CONFIG) == reference_tsv(table, CONFIG)
 
 
@@ -362,13 +360,18 @@ def test_names_of_any_vertices_are_str(vertices):
 KNIT_TUBES = {n: quiver.build_tube(n) for n in range(3, 31)}
 KNIT_ZA = quiver.build_za_inf(12)
 KNIT_DIHEDRAL = quiver.build_dihedral_family(8)
-NEW_WRITERS = (layer_table_tsv, layer_table_payload)
-PREVIOUS_WRITERS = (references.layer_table_tsv, references.layer_table_payload)
+NEW_WRITERS = (layer_table_tsv, layer_table_json)
+
+
+def _previous_json(table, config):
+    return canonical_json(references.layer_table_payload(table, config))
+
+
+PREVIOUS_WRITERS = (references.layer_table_tsv, _previous_json)
 
 
 def _written(table, writers):
-    tsv, payload = writers
-    return tsv(table, CONFIG), canonical_json(payload(table, CONFIG))
+    return tuple(write(table, CONFIG) for write in writers)
 
 
 @st.composite
@@ -399,6 +402,14 @@ def test_knit_tables_write_as_the_per_vertex_push_did(case):
 
 
 DIAMOND_QUIVER = quiver.build_dihedral_family(12)
+
+
+@st.composite
+def diamond_cases(draw):
+    """(anchor, n) of a diamond on either component."""
+    odd = draw(st.booleans())
+    v = DIAMOND_QUIVER.vertex(2 * draw(st.integers(-3, 3)) + odd, 2 * draw(st.integers(-3, 3)) + odd)
+    return v, draw(st.integers(1, 4))
 
 
 @st.composite
@@ -438,9 +449,7 @@ def other_tables(draw):
     """Diamonds, translated center tables, brute-force tables, and dict-built and arbitrary row tables."""
     kind = draw(st.sampled_from(["diamond", "translated", "brute-force", "dict", "rows"]))
     if kind in ("diamond", "translated"):
-        odd = draw(st.booleans())
-        v = DIAMOND_QUIVER.vertex(2 * draw(st.integers(-3, 3)) + odd, 2 * draw(st.integers(-3, 3)) + odd)
-        n = draw(st.integers(1, 4))
+        v, n = draw(diamond_cases())
         if kind == "diamond":
             return diamond_cokernel(DIAMOND_QUIVER, v, n, 12)
         return center.mu_element(DIAMOND_QUIVER, n).image_table(v)
@@ -458,3 +467,61 @@ def other_tables(draw):
 def test_tables_write_as_the_writers_that_read_layers(table):
     assert _written(table, NEW_WRITERS) == _written(table, PREVIOUS_WRITERS)
     assert layer_table_tsv(table, CONFIG) == reference_tsv(table, CONFIG)
+
+
+# -- the writers against the references, on every kind of table -----------------------
+
+V = quiver.Vertex
+
+
+@st.composite
+def hand_built_rows(draw):
+    """Rows only a hand-built table has: several rows in one layer, of any component and one to three
+    coordinates (so two vertices of one layer may share a label), rows of zeros, rows past valid_through."""
+    valid_through = draw(st.integers(0, 5))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        length = draw(st.integers(1, 3))
+        component = draw(st.sampled_from([quiver.TUBE, quiver.DIHEDRAL_ODD, quiver.ZA_INF, "x"]))
+        first = V(component, tuple(draw(st.lists(st.integers(-4, 4), min_size=length, max_size=length))))
+        step = tuple(draw(st.lists(st.integers(-2, 2), min_size=length, max_size=length)))
+        mults = draw(st.one_of(st.lists(st.just(0), max_size=3), st.lists(st.integers(0, 12), max_size=5)))
+        rows.append((draw(st.integers(0, valid_through + 2)), first, step, mults))
+    table = LayerTable(V(quiver.ZA_INF, (1, 0)), rows, valid_through + draw(st.sampled_from([0, 2])), valid_through)
+    cells = [(k, v) for k, v, _ in table._cells()]
+    assume(len(cells) == len(set(cells)))  # no vertex twice in one layer
+    return table
+
+
+HAND_BUILT = [
+    # a row of zeros, two rows in layer 1 (a tube label of two coordinates repeats J2), a row past valid_through
+    LayerTable(V(quiver.TUBE, (2,)), [(0, V(quiver.TUBE, (2,)), (1,), [1]), (1, V(quiver.TUBE, (1,)), (1,), [0, 0]),
+                                       (1, V(quiver.TUBE, (2, 0)), (0, 1), [3, 4]), (1, V(quiver.TUBE, (5,)), (1,), [7]),
+                                       (3, V(quiver.TUBE, (9,)), (1,), [2])], 3, 1),
+    # three-coordinate vertices beside two-coordinate ones sharing their prefix, two components in one layer
+    LayerTable(V("x", (0, 0, 0)), [(0, V("x", (0, 0, 0)), (1, 0, 2), [1, 0, 5]), (0, V(quiver.ZA_INF, (1, 0)), (0, 1), [2, 3]),
+                                   (0, V(quiver.DIHEDRAL_ODD, (1, 0)), (1, 1), [6]), (2, V("x", (1, 0)), (1, 1), [0])], 2, 2),
+]
+
+
+@given(
+    st.one_of(
+        knit_cases().map(lambda case: knit_layers(*case)),
+        diamond_cases().map(lambda case: diamond_cokernel(DIAMOND_QUIVER, *case, 12)),
+        hand_built_rows(),
+    )
+)
+@example(HAND_BUILT[0])
+@example(HAND_BUILT[1])
+@settings(max_examples=300, deadline=None)
+def test_layer_table_writers_match_the_references(table):
+    assert layer_table_json(table, CONFIG) == canonical_json(references.layer_table_payload(table, CONFIG))
+    assert layer_table_tsv(table, CONFIG) == references.layer_table_tsv(table, CONFIG)
+
+
+def test_a_row_below_layer_zero_is_not_written():
+    # its vertex still gets a line of zeros, as a vertex met only past valid_through does
+    table = LayerTable(V(quiver.TUBE, (2,)), [(0, V(quiver.TUBE, (2,)), (1,), [1]), (-1, V(quiver.TUBE, (1,)), (2,), [3, 4])], 1, 1)
+    assert layer_table_tsv(table, CONFIG).splitlines()[-3:] == ["J1\t0\t0", "J2\t1\t0", "J3\t0\t0"]
+    assert layer_table_tsv(table, CONFIG) == reference_tsv(table, CONFIG)
+    assert layer_table_json(table, CONFIG) == reference_json(reference_payload(table, CONFIG))
