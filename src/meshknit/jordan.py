@@ -230,17 +230,6 @@ class ARSequence:
         return all(self.checks.values())
 
 
-def _independent(p: int, candidates, key) -> list:
-    """The candidates whose key is independent of the keys of those before them."""
-    rows, kept = [], []
-    for c in candidates:
-        grown = _echelon(p, [key(c)], rows)
-        if len(grown) > len(rows):
-            rows = grown
-            kept.append(c)
-    return kept
-
-
 def _selections(columns, width: int) -> tuple:
     """Per column of ``_Context._table`` positions: the tuple s of length width with s[k]
     the row whose entry is k, -1 where none is (see ``_composites``)."""
@@ -445,12 +434,23 @@ class _Context:
         coefficients = self._coefficients(x, y, matrix)
         return StableMap(x, y, matrix, tuple(coefficients[k] for k in self._stable(x, y)))
 
-    def _position(self, x: JordanModule, y: JordanModule, matrix: Matrix) -> int:
-        """The index in ``hom_basis(x, y)`` of a 0/1 matrix that is one of the basis maps."""
-        injection = {c: r for r, row in enumerate(matrix.data) for c, a in enumerate(row) if a}
+    def _position(self, x: JordanModule, y: JordanModule, injection: dict) -> int:
+        """The index in ``hom_basis(x, y)`` of a partial injection {column: row} that is one
+        of the basis maps."""
         if injection not in (injections := self._injections(x, y)):
-            raise InternalCheckError(f"a canonical map {x} -> {y} is not a basis map", witness=matrix)
+            raise InternalCheckError(f"a canonical map {x} -> {y} is not a basis map", witness=injection)
         return injections.index(injection)
+
+    @_memo
+    def _radical(self, x: JordanModule, y: JordanModule) -> list[int]:
+        """Indices of the basis maps x -> y that span the non-isomorphisms (x, y
+        indecomposable): End(J_i) is spanned by the powers of t, so these are all the basis
+        maps but the identity."""
+        indices = range(len(self._injections(x, y)))
+        if x != y:
+            return list(indices)
+        identity = self._position(x, x, {c: c for c in range(x.dim)})
+        return [k for k in indices if k != identity]
 
     def _after(self, x: JordanModule, u: JordanModule, y: JordanModule, a) -> list[tuple]:
         """Per basis map b: x -> u, the coefficients of a . b on ``hom_basis(x, y)``, a given
@@ -603,28 +603,15 @@ class _Context:
     def rad_stable_basis(self, x: JordanModule, y: JordanModule) -> list[StableMap]:
         """Spanning classes of the non-isomorphisms x -> y (x, y indecomposable).
 
-        For non-isomorphic endpoints every class qualifies; for x = y the
-        non-isomorphisms are the radical of the local endomorphism ring,
-        spanned by the classes of :meth:`rad_module_basis`.
+        These are the ``stable_basis(x, y)`` classes of the basis maps in
+        ``_radical(x, y)``: every class for non-isomorphic endpoints, and for
+        x = y, where the non-isomorphisms are the radical of the local
+        endomorphism ring, every class but the identity's.
         """
         if not (x.is_indecomposable and y.is_indecomposable):
             raise PreconditionError("radical basis is defined here for indecomposables")
-        if x.blocks != y.blocks:
-            return self.stable_basis(x, y)
-        candidates = (self.classify(x, y, b) for b in self.rad_module_basis(x, y))
-        return _independent(self.field.char, candidates, _key)
-
-    def rad_module_basis(self, u: JordanModule, m: JordanModule) -> list[Matrix]:
-        """Module-level spanning set of non-isomorphisms u -> m."""
-        if u.blocks != m.blocks:
-            return self.hom_basis(u, m)
-        # t . b moves each row of b one down, and off m where that leaves a block of m
-        starts = {sum(m.blocks[:k]) for k in range(len(m.blocks) + 1)}
-        candidates = (
-            self._matrix(u, m, {c: r + 1 for c, r in b.items() if r + 1 not in starts})
-            for b in self._injections(u, m)
-        )
-        return _independent(self.field.char, candidates, Matrix.flatten)
+        radical = set(self._radical(x, y))
+        return [b for k, b in zip(self._stable(x, y), self.stable_basis(x, y)) if k in radical]
 
     # -- syzygies --------------------------------------------------------
     @_memo
@@ -674,10 +661,10 @@ class _Context:
         differ by maps into the kernel of pi_y, which move h by a map through J_n)."""
         n, proj, i, j = self.n, self.projective, x.block, y.block
         sx, sy = self.omega_object(x), self.omega_object(y)
-        pi_x = self._position(proj, x, self.proj_matrix(n, i))
-        pi_y = self._position(proj, y, self.proj_matrix(n, j))
-        kappa_x = self._position(sx, proj, self.incl_matrix(n - i, n))
-        kappa_y = self._position(sy, proj, self.incl_matrix(n - j, n))
+        pi_x = self._position(proj, x, {a: a for a in range(i)})
+        pi_y = self._position(proj, y, {a: a for a in range(j)})
+        kappa_x = self._position(sx, proj, {c: c + i for c in range(n - i)})
+        kappa_y = self._position(sy, proj, {c: c + j for c in range(n - j)})
         # L by the index of the nonzero product pi_y . L, and h by that of kappa_y . h
         lifts = {a: k for k, a in enumerate(self._products(proj, proj, y)[pi_y]) if a is not None}
         kernel = {b: k for k, b in enumerate(self._products(sx, sy, proj)[kappa_y]) if b is not None}
@@ -833,17 +820,19 @@ def ar_sequence(m: JordanModule, field: Field = GF5) -> ARSequence:
     # spans the maps U -> m that lift through right.
     coefficients = ctx._coefficients(middle, m, right)
     # Non-split: no section s with right . s = identity.
-    identity = ctx._coefficients(m, m, Matrix.identity(f, i))
+    identity = _units(f, len(ctx._injections(m, m)))[ctx._position(m, m, {c: c for c in range(i)})]
     checks["non_split"] = not _spans(f.char, ctx._after(m, middle, m, coefficients), identity)
 
-    # Lifting property: every non-isomorphism u: U -> m (U running over
-    # all indecomposables, the projective included) lifts through right;
-    # the maps through right are echeloned once per U.
+    # Lifting property: every non-isomorphism U -> m (U running over all
+    # indecomposables, the projective included) lifts through right.  They are
+    # spanned by the basis maps of ``_radical(U, m)``, whose coefficients are unit
+    # vectors; the maps through right are echeloned once per U.
     checks["lifting"] = all(
-        not any(_residue(f.char, through, ctx._coefficients(u_mod, m, u)))
+        not any(_residue(f.char, through, units[k]))
         for u_mod in ctx.indecomposables(include_projective=True)
         for through in [_echelon(f.char, ctx._after(u_mod, middle, m, coefficients))]
-        for u in ctx.rad_module_basis(u_mod, m)
+        for units in [_units(f, len(ctx._injections(u_mod, m)))]
+        for k in ctx._radical(u_mod, m)
     )
 
     return ARSequence(

@@ -11,7 +11,8 @@
   residues gave a class's coordinates, the tables of keys built from
   matrix products, and the matrices ``_post`` and ``_pre`` of a table;
   the syzygy of a class lifted through the projective covers by a dense
-  solve, and the almost split sequences checked by dense solves;
+  solve, and the almost split sequences checked by dense solves on the
+  radical maps built by definition (t . End(m) on the endomorphisms);
 * layer tables: a table built from a ``{k: {vertex: multiplicity}}``
   mapping, the per-vertex knitting push on any shape, and the TSV and
   JSON writers that read a table's ``layers`` mapping;
@@ -235,6 +236,15 @@ def dense_omega_map(ctx, f):
     return ctx.classify(src_omega, tgt_omega, restricted)
 
 
+def rad_module_basis(ctx, u, m):
+    """Maps spanning the non-isomorphisms u -> m of indecomposables, by definition: every
+    map when u and m differ, and t . End(m), the radical of the local ring End(m), when they
+    are equal."""
+    if u != m:
+        return ctx.hom_basis(u, m)
+    return [ctx.t_matrix(m).mul(b) for b in ctx.hom_basis(m, m)]
+
+
 def dense_ar_sequence(m, field):
     """``ar_sequence`` as the matrix model checked it: non-splitness and the lifting
     property solved as dense systems on the products ``right . b``."""
@@ -268,7 +278,7 @@ def dense_ar_sequence(m, field):
         solve(columns, u.flatten()) is not None
         for u_mod in ctx.indecomposables(include_projective=True)
         for columns in [through_right(u_mod)]
-        for u in ctx.rad_module_basis(u_mod, m)
+        for u in rad_module_basis(ctx, u_mod, m)
     )
     stable = jordan.JordanModule(tuple(b for b in middle.blocks if b != n), n)
     return jordan.ARSequence(m, middle, stable, i + 1 == n, left, right, ctx.av_class(m), checks)
@@ -363,7 +373,7 @@ def layer_table_tsv(table, config):
         for k, row in table.layers.items():
             head, tail = zeros[: 2 * k], zeros[2 * k + 2 :]
             for v, mult in row.items():
-                text[v] = f"{text[v]}{head}\t{mult}{tail}" if k < columns else text[v] + zeros
+                text[v] = f"{text[v]}{head}\t{mult}{tail}" if 0 <= k < columns else text[v] + zeros
     else:  # fill each line layer by layer, counting the layers it holds
         filled = dict.fromkeys(text, 0)
         for k in range(columns):

@@ -30,6 +30,7 @@ from references import (
     dense_pre,
     dense_table,
     matrix_sum,
+    rad_module_basis,
     reduced,
     solve,
     span_contains,
@@ -393,6 +394,17 @@ def test_syzygies_and_ar_sequences_match_the_dense_references_at_n_8_and_9(n, fi
     _check_syzygies_against_the_dense_references(ctx, product(indecs, repeat=2), indecs)
 
 
+@given(st.integers(3, 9), st.sampled_from(_ORACLE_FIELDS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_radical_classes_are_the_nonzero_classes_of_the_dense_radical(n, field, data):
+    # the dense radical is built by definition, t . End(x) for x = y, and keyed by residues
+    ctx = context(n, field)
+    x = indec(n, data.draw(st.integers(1, n)))
+    for y in (x, indec(n, data.draw(st.integers(1, n)))):
+        keys = [dense_key(ctx, x, y, u) for u in rad_module_basis(ctx, x, y)]
+        assert [g.key for g in ctx.rad_stable_basis(x, y)] == [key for key in keys if any(key)]
+
+
 @pytest.mark.parametrize("emptied, message", [
     ("covers", "projective lift does not exist"),  # no L with pi_y . L = g . pi_x
     ("kernels", "lift does not preserve cover kernels"),  # no h with kappa_y . h = L . kappa_x
@@ -409,6 +421,24 @@ def test_an_emptied_structure_constant_table_is_an_internal_error(emptied, messa
     # the refusal stores nothing, and the other pairs still lift
     assert ("_omega_coordinates", x, y) not in ctx._memo
     assert ctx._omega_coordinates(y, x) == [dense_omega_map(ctx, g).key for g in ctx.stable_basis(y, x)]
+
+
+@pytest.mark.parametrize("dropped, memo, message", [
+    ("identity", ("_radical", indec(5, 2), indec(5, 2)), "a canonical map J2 -> J2 is not a basis map"),
+    ("cover", ("_omega_coordinates", indec(5, 2), indec(5, 3)), "a canonical map J5 -> J2 is not a basis map"),
+    ("kernel", ("_omega_coordinates", indec(5, 2), indec(5, 3)), "a canonical map J3 -> J5 is not a basis map"),
+])
+def test_a_canonical_map_that_is_no_basis_map_is_an_internal_error(dropped, memo, message):
+    ctx = jordan._Context(5, GF(7))
+    x, proj = indec(5, 2), ctx.projective
+    # the identity of J2, the cover J5 ->> J2 and its kernel J3 -> J5, as partial injections
+    pair, injection = {"identity": ((x, x), {0: 0, 1: 1}), "cover": ((proj, x), {0: 0, 1: 1}),
+                       "kernel": ((ctx.omega_object(x), proj), {0: 2, 1: 3, 2: 4})}[dropped]
+    ctx._injections(*pair).remove(injection)
+    with pytest.raises(InternalCheckError) as refused:
+        getattr(ctx, memo[0])(*memo[1:])
+    assert str(refused.value) == message
+    assert memo not in ctx._memo
 
 
 def test_a_zero_product_after_the_cover_kernel_is_a_zero_key():
@@ -447,6 +477,27 @@ def test_the_syzygies_and_ar_checks_multiply_no_matrices(monkeypatch):
         assert mk.ar_sequence(m, ctx.field).verified
     # one product per sequence: right . left, its composite_zero check
     assert products == [(m.block, m.block * 2, m.block) for m in indecs]
+    # warm, a sequence reads right's coefficients once and reads the radical maps by index:
+    # it builds, classifies and reads back no matrix per radical map
+    calls = Counter()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    for owner, name in [(jordan._Context, "_coefficients"), (jordan._Context, "classify"),
+                        (jordan._Context, "_matrix"), (linalg.Matrix, "__init__")]:
+        counted(owner, name)
+    for m in indecs:
+        calls.clear()
+        seq = mk.ar_sequence(m, ctx.field)
+        # built: the middle's canonical maps, left and right
+        assert calls == {"_coefficients": 1, "__init__": 2 * len(seq.middle.blocks) + 2}
 
 
 # the parent's messages: a decomposable end is refused before a projective one

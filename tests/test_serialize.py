@@ -477,7 +477,8 @@ V = quiver.Vertex
 @st.composite
 def hand_built_rows(draw):
     """Rows only a hand-built table has: several rows in one layer, of any component and one to three
-    coordinates (so two vertices of one layer may share a label), rows of zeros, rows past valid_through."""
+    coordinates (so two vertices of one layer may share a label), rows of zeros, rows below layer 0 and past
+    valid_through."""
     valid_through = draw(st.integers(0, 5))
     rows = []
     for _ in range(draw(st.integers(0, 8))):
@@ -486,7 +487,7 @@ def hand_built_rows(draw):
         first = V(component, tuple(draw(st.lists(st.integers(-4, 4), min_size=length, max_size=length))))
         step = tuple(draw(st.lists(st.integers(-2, 2), min_size=length, max_size=length)))
         mults = draw(st.one_of(st.lists(st.just(0), max_size=3), st.lists(st.integers(0, 12), max_size=5)))
-        rows.append((draw(st.integers(0, valid_through + 2)), first, step, mults))
+        rows.append((draw(st.integers(-1, valid_through + 2)), first, step, mults))
     table = LayerTable(V(quiver.ZA_INF, (1, 0)), rows, valid_through + draw(st.sampled_from([0, 2])), valid_through)
     cells = [(k, v) for k, v, _ in table._cells()]
     assume(len(cells) == len(set(cells)))  # no vertex twice in one layer
