@@ -65,7 +65,6 @@ from .jordan import (
     omega_map,
     radical_layers_bruteforce,
     serre_duality_check,
-    simple_fp_check,
     simple_fp_suite,
     single_object_support_solver,
     socle_of_representable,

@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
 from functools import wraps
-from operator import attrgetter
 
 from .errors import (
     DimensionError,
@@ -249,9 +248,18 @@ def _composites(zero, selections, a) -> list[list]:
     return [[a[s] for s in selection] for selection in selections]
 
 
-def _units(field: Field, d: int) -> dict:
-    """The unit vectors of F^d by position, and the zero vector at None."""
-    return {**dict(enumerate(Matrix.identity(field, d).data)), None: (field.zero,) * d}
+def _units(field: Field, d: int, positions) -> list[tuple]:
+    """The unit vectors of F^d at the positions, the zero vector at None."""
+    zero = (field.zero,) * d
+    return [zero if k is None else (*zero[:k], field.one, *zero[k + 1 :]) for k in positions]
+
+
+def _picked(reads) -> set:
+    """The positions some ``_pre`` or ``_post`` selection picks, reads giving per table the
+    selections and the positions of the fixed factors: every composite with those factors
+    is zero exactly when the other factor's key is zero at these positions, since a fixed
+    factor sends distinct classes to distinct classes or to zero (``_selections``)."""
+    return {s for selections, factors in reads for k in factors for s in selections[k] if s >= 0}
 
 
 def _transposed(blocks) -> list[tuple]:
@@ -260,12 +268,6 @@ def _transposed(blocks) -> list[tuple]:
     return [row for block in blocks for row in zip(*block)]
 
 
-def _row_basis(p: int, rows) -> tuple:
-    """Echelon rows spanning the rows: a vector is killed by these exactly when by those."""
-    return tuple(row for _, row in _echelon(p, rows))
-
-
-_key = attrgetter("key")
 _MISSING = object()
 
 
@@ -455,8 +457,8 @@ class _Context:
     def _after(self, x: JordanModule, u: JordanModule, y: JordanModule, a) -> list[tuple]:
         """Per basis map b: x -> u, the coefficients of a . b on ``hom_basis(x, y)``, a given
         by its coefficients on ``hom_basis(u, y)``; a zero product adds the zero vector."""
-        units, products = _units(self.field, len(self._injections(x, y))), self._products(x, u, y)
-        return [_mix(self.field.char, a, [units[k] for k in column]) for column in zip(*products)]
+        d, products = len(self._injections(x, y)), self._products(x, u, y)
+        return [_mix(self.field.char, a, _units(self.field, d, column)) for column in zip(*products)]
 
     @_memo
     def stable_basis(self, x: JordanModule, y: JordanModule) -> list[StableMap]:
@@ -562,18 +564,11 @@ class _Context:
             ((self._pre(x, v, y), self.stable_dim(x, v))
              for v in sorted(indecs, key=lambda v: self.stable_dim(x, v))),
         )
-        # f . g (h . f) for g in a radical basis into x (h out of y): f's coordinates
-        # mixing the composites with the basis of the pair, whose rows these span.
-        epis = _row_basis(p, _transposed(self._radical_composites(x, y)))
-        monos = _row_basis(
-            p,
-            _transposed(
-                _composites(zero, post, h)
-                for u in indecs
-                for post in [self._post(x, y, u)]
-                for h in map(_key, self.rad_stable_basis(y, u))
-            ),
-        )
+        # f . g (h . f) is zero for every radical class g into x (h out of y) exactly when
+        # f's key is zero at the positions some g (h) sends to a nonzero class, which the
+        # unit rows at those positions test.
+        epis = tuple(_units(field, d, sorted(self._reached_by_radical_into(x, y))))
+        monos = tuple(_units(field, d, sorted(self._reached_by_radical_out_of(x, y))))
         # x first: f . id_x = f is nonzero, so most lines settle on its rank alone
         sources = [x] + [v for v in indecs if v != x and self.stable_dim(v, x)]
         images = [self._post(v, x, y) for v in sources]
@@ -610,8 +605,26 @@ class _Context:
         """
         if not (x.is_indecomposable and y.is_indecomposable):
             raise PreconditionError("radical basis is defined here for indecomposables")
+        radical = self._radical_positions(x, y)
+        return [b for s, b in enumerate(self.stable_basis(x, y)) if s in radical]
+
+    @_memo
+    def _radical_positions(self, x: JordanModule, y: JordanModule) -> frozenset:
+        """The positions on ``stable_basis(x, y)`` of the classes of ``_radical(x, y)``."""
         radical = set(self._radical(x, y))
-        return [b for k, b in zip(self._stable(x, y), self.stable_basis(x, y)) if k in radical]
+        return frozenset(s for s, k in enumerate(self._stable(x, y)) if k in radical)
+
+    def _reached_by_radical_into(self, x: JordanModule, y: JordanModule) -> set:
+        """The positions on ``stable_basis(x, y)`` of the classes f with f . g nonzero for some
+        radical class g into x, read off the ``_post`` selections of each g."""
+        reads = ((self._post(u, x, y), self._radical_positions(u, x)) for u in self.indecomposables())
+        return _picked(reads)
+
+    def _reached_by_radical_out_of(self, x: JordanModule, y: JordanModule) -> set:
+        """The positions on ``stable_basis(x, y)`` of the classes f with h . f nonzero for some
+        radical class h out of y, read off the ``_pre`` selections of each h."""
+        reads = ((self._pre(x, y, u), self._radical_positions(y, u)) for u in self.indecomposables())
+        return _picked(reads)
 
     # -- syzygies --------------------------------------------------------
     @_memo
@@ -669,8 +682,7 @@ class _Context:
         lifts = {a: k for k, a in enumerate(self._products(proj, proj, y)[pi_y]) if a is not None}
         kernel = {b: k for k, b in enumerate(self._products(sx, sy, proj)[kappa_y]) if b is not None}
         position = {k: s for s, k in enumerate(self._stable(sx, sy))}
-        units = _units(self.field, len(position))
-        lowered, moved, keys = self._products(proj, x, y), self._products(sx, proj, proj), []
+        lowered, moved, positions = self._products(proj, x, y), self._products(sx, proj, proj), []
         for g in self._stable(x, y):
             lift = lifts.get(lowered[g][pi_x])
             if lift is None:
@@ -679,8 +691,8 @@ class _Context:
             if h is None and moved[lift][kappa_x] is not None:
                 raise InternalCheckError("lift does not preserve cover kernels", witness=(x, y, g))
             # zero when L . kappa_x is zero or h is hit through the projective
-            keys.append(units[position.get(h)])
-        return keys
+            positions.append(position.get(h))
+        return _units(self.field, len(position), positions)
 
     # -- almost vanishing --------------------------------------------------
     @_memo
@@ -702,21 +714,15 @@ class _Context:
     def killed_by_radical(self, x: JordanModule, y: JordanModule) -> list[tuple]:
         """Classes x -> y killed by every non-isomorphism into x.
 
-        They are returned as coefficient vectors on ``stable_basis(x, y)``.
+        They are returned as coefficient vectors on ``stable_basis(x, y)``: the unit
+        vectors, in ascending order, at the positions that every radical class g into x
+        sends to zero (``_reached_by_radical_into``).  That costs one read of each ``_post``
+        selection of each g, and no elimination.
         """
-        rows = _transposed(self._radical_composites(x, y))
-        return _kernel(self.field.char, self.stable_dim(x, y), rows)
-
-    def _radical_composites(self, x: JordanModule, y: JordanModule):
-        """For each g in ``rad_stable_basis(u, x)``, u running over the indecomposables:
-        the coordinates of b . g for every b in ``stable_basis(x, y)``."""
-        zero = self.field.zero
-        return (
-            _composites(zero, pre, g)
-            for u in self.indecomposables()
-            for pre in [self._pre(u, x, y)]
-            for g in map(_key, self.rad_stable_basis(u, x))
-        )
+        d = self.stable_dim(x, y)
+        # with no class x -> y the ``_post`` tables hold no selections to read
+        reached = self._reached_by_radical_into(x, y) if d else ()
+        return _units(self.field, d, [s for s in range(d) if s not in reached])
 
 
 # Contexts are cached per (n, p); beyond this many the least recently
@@ -820,7 +826,7 @@ def ar_sequence(m: JordanModule, field: Field = GF5) -> ARSequence:
     # spans the maps U -> m that lift through right.
     coefficients = ctx._coefficients(middle, m, right)
     # Non-split: no section s with right . s = identity.
-    identity = _units(f, len(ctx._injections(m, m)))[ctx._position(m, m, {c: c for c in range(i)})]
+    (identity,) = _units(f, len(ctx._injections(m, m)), [ctx._position(m, m, {c: c for c in range(i)})])
     checks["non_split"] = not _spans(f.char, ctx._after(m, middle, m, coefficients), identity)
 
     # Lifting property: every non-isomorphism U -> m (U running over all
@@ -828,11 +834,10 @@ def ar_sequence(m: JordanModule, field: Field = GF5) -> ARSequence:
     # spanned by the basis maps of ``_radical(U, m)``, whose coefficients are unit
     # vectors; the maps through right are echeloned once per U.
     checks["lifting"] = all(
-        not any(_residue(f.char, through, units[k]))
+        not any(_residue(f.char, through, unit))
         for u_mod in ctx.indecomposables(include_projective=True)
         for through in [_echelon(f.char, ctx._after(u_mod, middle, m, coefficients))]
-        for units in [_units(f, len(ctx._injections(u_mod, m)))]
-        for k in ctx._radical(u_mod, m)
+        for unit in _units(f, len(ctx._injections(u_mod, m)), ctx._radical(u_mod, m))
     )
 
     return ARSequence(
@@ -875,9 +880,11 @@ def is_almost_vanishing(f: StableMap) -> AlmostVanishingReport:
     * factors_through_outgoing: f factors through every nonzero class
       out of its source (dual sweep, over the images - . c).
     * kills_non_split_epis: f . g = 0 for every non-split-epimorphism g
-      into the source; linear, checked on radical spanning sets.
+      into the source: f's key is zero at the positions that some radical
+      class g sends to a nonzero class, read once per pair off the
+      ``_post`` selections of each g, O(table entries read).
     * killed_by_non_split_monos: h . f = 0 for every non-split-mono h
-      out of the target; dual.
+      out of the target; dual, on the ``_pre`` selections of each h.
     * image_is_simple: the image functor of Hom(-, f) has composition
       length one.
 
@@ -936,33 +943,31 @@ def radical_layers_bruteforce(m: JordanModule, k_max: int, field: Field = GF5) -
     Rad^k(X, m) is spanned by composites h . g with g a non-isomorphism
     X -> Z and h spanning Rad^{k-1}(Z, m).  The layer multiplicity at X
     is dim Rad^k(X, m) - dim Rad^{k+1}(X, m); no recurrence involved,
-    so valid_through = k_max always.  Rad^k(X, m) is held as echelon
-    rows of coordinates on ``stable_basis(X, m)``, and every composite
-    is read from the tables (``_Context._table``).
+    so valid_through = k_max always.  Every composite of stable basis
+    classes is a basis class or zero, read from the tables
+    (``_Context._table``) through the ``_pre`` selections of each h, so
+    Rad^k(X, m) is held as a set of positions on ``stable_basis(X, m)``,
+    the union of the positions of the composites, and its dimension is
+    the set's size: a level costs one set union per table entry read,
+    and no elimination.
     """
     if k_max < 0:
         raise UnsupportedParameterError(f"k_max must be >= 0, got {k_max}")
     ctx = context(m.n, field)
     if m.block == ctx.n:
         raise PreconditionError(f"{m} is projective")
-    p, zero, indecs = ctx.field.char, ctx.field.zero, ctx.indecomposables()
-    # for each g in rad_stable_basis(x, z): the coordinates of b . g, b in stable_basis(z, m)
+    indecs = ctx.indecomposables()
+    # per class h of stable_basis(z, m): the positions of h . g, g in rad_stable_basis(x, z)
     through = {
-        (x, z): [_composites(zero, pre, g.key) for g in ctx.rad_stable_basis(x, z)]
+        (x, z): [{k for k, g in enumerate(selection) if g in radical} for selection in ctx._pre(x, z, m)]
         for x in indecs
         for z in indecs
-        for pre in [ctx._pre(x, z, m)]
+        for radical in [ctx._radical_positions(x, z)]
     }
-    spans = {x: Matrix.identity(ctx.field, ctx.stable_dim(x, m)).data for x in indecs}
+    spans = {x: range(ctx.stable_dim(x, m)) for x in indecs}
     dims_by_level = [{x: len(spans[x]) for x in indecs}]
     for _ in range(k_max + 1):
-        spans = {
-            x: _row_basis(
-                p,
-                (_mix(p, h, b_g) for z in indecs for b_g in through[x, z] for h in spans[z]),
-            )
-            for x in indecs
-        }
+        spans = {x: set().union(*(through[x, z][h] for z in indecs for h in spans[z])) for x in indecs}
         dims_by_level.append({x: len(spans[x]) for x in indecs})
     # indecs are J_1..J_{n-1} in order: one row per layer from J_1, step 1
     rows = [
@@ -1009,14 +1014,6 @@ def mono_representable_split_check(n: int, field: Field = GF5) -> CheckReport:
         failures,
         {"classes_checked": checked, "functor_monos": monos},
     )
-
-
-def simple_fp_check(m: JordanModule, field: Field = GF5) -> bool:
-    """Image of the connecting class of the almost split sequence is s^m."""
-    ctx = context(m.n, field)
-    connecting = ctx.av_class(m)
-    factors = image_comp_factors(connecting)
-    return factors == {m: 1}
 
 
 def single_object_support_solver(m: JordanModule, r: int, field: Field = GF5) -> SolverReport:

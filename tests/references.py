@@ -13,6 +13,10 @@
   the syzygy of a class lifted through the projective covers by a dense
   solve, and the almost split sequences checked by dense solves on the
   radical maps built by definition (t . End(m) on the endomorphisms);
+* the matrix model's echelon route for the radical: Rad^k(X, m) as
+  echelon rows eliminated per module and level, and the classes killed
+  by every radical class into their source, or by every radical class
+  out of their target, as the kernels of the composites' rows;
 * layer tables: a table built from a ``{k: {vertex: multiplicity}}``
   mapping, the per-vertex knitting push on any shape, and the TSV and
   JSON writers that read a table's ``layers`` mapping;
@@ -33,7 +37,7 @@ from meshknit.errors import (
     PreconditionError,
     UnsupportedParameterError,
 )
-from meshknit.linalg import Matrix, _clear, _kernel, _mix, _residue, rank
+from meshknit.linalg import Matrix, _clear, _echelon, _kernel, _mix, _residue, rank
 from meshknit.quiver import TUBE
 from meshknit.serialize import SCHEMA_VERSION, config_line
 
@@ -282,6 +286,64 @@ def dense_ar_sequence(m, field):
     )
     stable = jordan.JordanModule(tuple(b for b in middle.blocks if b != n), n)
     return jordan.ARSequence(m, middle, stable, i + 1 == n, left, right, ctx.av_class(m), checks)
+
+
+def row_basis(p, rows):
+    """Echelon rows spanning the rows: a vector is killed by these exactly when by those."""
+    return tuple(row for _, row in _echelon(p, rows))
+
+
+def echelon_radical_layers(m, k_max, field):
+    """``radical_layers_bruteforce`` as it held Rad^k(X, m): echelon rows of coordinates on
+    ``stable_basis(X, m)``, each level eliminated per module from the combinations of the
+    composites b . g, b in ``stable_basis(Z, m)`` and g in ``rad_stable_basis(X, Z)``, with
+    the rows of Rad^(k-1)(Z, m)."""
+    ctx = jordan.context(m.n, field)
+    p, zero, indecs = ctx.field.char, ctx.field.zero, ctx.indecomposables()
+    through = {
+        (x, z): [jordan._composites(zero, pre, g.key) for g in ctx.rad_stable_basis(x, z)]
+        for x in indecs
+        for z in indecs
+        for pre in [ctx._pre(x, z, m)]
+    }
+    spans = {x: Matrix.identity(ctx.field, ctx.stable_dim(x, m)).data for x in indecs}
+    dims = [{x: len(spans[x]) for x in indecs}]
+    for _ in range(k_max + 1):
+        spans = {
+            x: row_basis(p, (_mix(p, h, b_g) for z in indecs for b_g in through[x, z] for h in spans[z]))
+            for x in indecs
+        }
+        dims.append({x: len(spans[x]) for x in indecs})
+    rows = [
+        (k, indecs[0].vertex(), (1,), [level[x] - below[x] for x in indecs])
+        for k, (level, below) in enumerate(zip(dims, dims[1:]))
+    ]
+    return mesh.LayerTable(m.vertex(), rows, k_max, k_max)
+
+
+def radical_rows(ctx, x, y):
+    """Rows that kill the key of a class f: x -> y exactly when f . g = 0 for every g in
+    ``rad_stable_basis(u, x)``, u running over the indecomposables ("epis"), and exactly when
+    h . f = 0 for every h in ``rad_stable_basis(y, u)`` ("monos"), in echelon form."""
+    p, zero, indecs = ctx.field.char, ctx.field.zero, ctx.indecomposables()
+    epis = (
+        jordan._composites(zero, pre, g.key)
+        for u in indecs
+        for pre in [ctx._pre(u, x, y)]
+        for g in ctx.rad_stable_basis(u, x)
+    )
+    monos = (
+        jordan._composites(zero, post, h.key)
+        for u in indecs
+        for post in [ctx._post(x, y, u)]
+        for h in ctx.rad_stable_basis(y, u)
+    )
+    return {name: row_basis(p, jordan._transposed(blocks)) for name, blocks in (("epis", epis), ("monos", monos))}
+
+
+def echelon_killed_by_radical(ctx, x, y):
+    """``killed_by_radical`` as the kernel of the "epis" ``radical_rows``."""
+    return _kernel(ctx.field.char, ctx.stable_dim(x, y), radical_rows(ctx, x, y)["epis"])
 
 
 # -- layer tables -----------------------------------------------------------------

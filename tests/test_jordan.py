@@ -29,8 +29,11 @@ from references import (
     dense_post,
     dense_pre,
     dense_table,
+    echelon_killed_by_radical,
+    echelon_radical_layers,
     matrix_sum,
     rad_module_basis,
+    radical_rows,
     reduced,
     solve,
     span_contains,
@@ -498,6 +501,19 @@ def test_the_syzygies_and_ar_checks_multiply_no_matrices(monkeypatch):
         seq = mk.ar_sequence(m, ctx.field)
         # built: the middle's canonical maps, left and right
         assert calls == {"_coefficients": 1, "__init__": 2 * len(seq.middle.blocks) + 2}
+    # the unit vectors a sequence reads are built alone, with no identity matrix: a warm
+    # sequence of J1 builds only its own matrices, a part of right scaled by -1, right . left
+    # and the zero i x i matrix
+    built = []
+    real_of = linalg.Matrix._of.__func__
+
+    def of(cls, field, data, cols):
+        built.append((len(data), cols))
+        return real_of(cls, field, data, cols)
+
+    monkeypatch.setattr(linalg.Matrix, "_of", classmethod(of))
+    assert mk.ar_sequence(indec(6, 1), ctx.field).verified
+    assert built == [(1, 2), (1, 1), (1, 1)]
 
 
 # the parent's messages: a decomposable end is refused before a projective one
@@ -669,7 +685,8 @@ def test_image_comp_factors_of_zero_class_is_empty():
 
 def test_simple_fp_holds_for_every_indecomposable():
     for i in (1, 2, 3):
-        assert mk.simple_fp_check(indec(4, i))
+        m = indec(4, i)
+        assert mk.image_comp_factors(mk.almost_vanishing_class(m)) == {m: 1}
     assert mk.simple_fp_suite(5).ok
 
 
@@ -718,16 +735,6 @@ def test_bruteforce_layer_totals_recover_stable_dims():
         assert table.multiplicities().get(x.vertex(), 0) == mk.stable_hom_dim(x, m)
 
 
-def test_bruteforce_layers_match_knitting():
-    from meshknit import mesh, quiver
-
-    q = quiver.build_tube(4)
-    table = mk.radical_layers_bruteforce(indec(4, 1), k_max=3)
-    knit = mesh.knit_layers(q, q.vertex(1), k_max=3, window=4)
-    for k in range(4):
-        assert table.row(k) == knit.row(k)
-
-
 def _radical_layers_by_composition(m, k_max, field):
     """Layer rows of Hom(-, m) from composed matrices, the reference for the tables.
 
@@ -765,6 +772,98 @@ def test_bruteforce_layers_match_the_matrix_composition_reference(n, field, data
     table = mk.radical_layers_bruteforce(m, k_max, field)
     assert table.layers == _radical_layers_by_composition(m, k_max, field)
     assert (table.k_max, table.valid_through) == (k_max, k_max)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(32749)], ids=str)
+@pytest.mark.parametrize("n", [4, 10, 11, 12])
+def test_bruteforce_layers_match_knitting(n, field):
+    from meshknit import mesh, quiver
+
+    tube = quiver.build_tube(n)
+    for i in range(1, n):
+        brute = mk.radical_layers_bruteforce(indec(n, i), 2 * n, field)
+        knit = mesh.knit_layers(tube, tube.vertex(i), k_max=2 * n, window=4)
+        assert [knit.row(k) for k in range(knit.valid_through + 1)] == [
+            brute.row(k) for k in range(knit.valid_through + 1)
+        ]
+        # nothing survives past the recurrence's validity range
+        assert not any(brute.row(k) for k in range(knit.valid_through + 1, 2 * n + 1))
+
+
+def _check_positions_against_the_echelon_references(ctx, x, y, m, k_max, phis):
+    """The position-set routes against ``tests/references.py``'s echelon routes: the radical
+    layers of m, ``killed_by_radical(x, y)``, and the epis and monos conditions on each phi."""
+    assert mk.radical_layers_bruteforce(m, k_max, ctx.field) == echelon_radical_layers(m, k_max, ctx.field)
+    assert ctx.killed_by_radical(x, y) == echelon_killed_by_radical(ctx, x, y)
+    if not ctx.stable_dim(x, y):
+        return
+    p, rows = ctx.field.char, radical_rows(ctx, x, y)
+    reached = {"epis": ctx._reached_by_radical_into(x, y), "monos": ctx._reached_by_radical_out_of(x, y)}
+    # the conditions' line sweeps stay affordable over GF(2) and GF(3) only
+    conditions = ctx._av_conditions(x, y) if p in (2, 3) else None
+    for phi in map(ctx.field.coerce_row, phis):
+        # f holds exactly when its key is zero at the reached positions
+        want = {name: not any(linalg._apply(p, rows[name], phi)) for name in rows}
+        assert {name: not any(phi[s] for s in reached[name]) for name in rows} == want
+        if conditions:
+            checks = conditions(phi)
+            assert checks["kills_non_split_epis"] == want["epis"]
+            assert checks["killed_by_non_split_monos"] == want["monos"]
+
+
+@given(st.integers(3, 9), st.sampled_from(_ORACLE_FIELDS), st.data())
+@settings(max_examples=120, deadline=None)
+def test_position_sets_match_the_echelon_references(n, field, data):
+    ctx = context(n, field)
+    indecs = ctx.indecomposables()
+    x, y, m = (data.draw(st.sampled_from(indecs)) for _ in range(3))
+    k_max = data.draw(st.integers(0, 2 * n))
+    d = ctx.stable_dim(x, y)
+    # random classes, and random classes in each reference kernel, where the conditions hold
+    coefficients = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    phis = data.draw(st.lists(coefficients, max_size=4))
+    for rows in radical_rows(ctx, x, y).values():
+        kernel = linalg._kernel(ctx.field.char, d, rows)
+        if kernel:
+            mix = data.draw(st.lists(st.integers(-3, 3), min_size=len(kernel), max_size=len(kernel)))
+            phis.append(linalg._mix(ctx.field.char, ctx.field.coerce_row(mix), kernel))
+    phis = [phi for phi in phis if any(ctx.field.coerce_row(phi))]  # the conditions' domain
+    _check_positions_against_the_echelon_references(ctx, x, y, m, k_max, phis)
+
+
+@pytest.mark.parametrize("n, field", [(10, QQ), (11, GF(2)), (12, GF(3)), (12, GF(32749))], ids=str)
+def test_position_sets_match_the_echelon_references_at_larger_ranks(n, field):
+    ctx = context(n, field)
+    indecs = ctx.indecomposables()
+    for i, x in enumerate(indecs):
+        # every m for the layers; the pairs from x, each with its unit classes, the
+        # all-ones class and the references' kernel vectors
+        y = indecs[(3 * i + 1) % len(indecs)]
+        d = ctx.stable_dim(x, y)
+        phis = [*jordan._units(ctx.field, d, range(d)), (1,) * d]
+        for rows in radical_rows(ctx, x, y).values():
+            phis += linalg._kernel(ctx.field.char, d, rows)
+        _check_positions_against_the_echelon_references(ctx, x, y, x, 2 * n, phis)
+
+
+@pytest.mark.parametrize("call", ["radical_layers_bruteforce", "killed_by_radical", "is_almost_vanishing"])
+def test_two_products_on_one_class_are_refused_where_positions_are_read(call, monkeypatch):
+    ctx = jordan._Context(5, GF(7))
+    monkeypatch.setitem(jordan._contexts, (5, 7), ctx)
+    x, y = indec(5, 3), indec(5, 2)
+    table = ctx._table(x, x, y)
+    assert table == [[None, 0], [0, 1]]
+    # the second class J3 -> J2 after the second class J3 -> J3 lands on the first class
+    # J3 -> J2 too: a fixed factor on either side sends two classes to one position
+    table[1][1] = 0
+    run = {
+        "radical_layers_bruteforce": lambda: mk.radical_layers_bruteforce(y, 4, ctx.field),
+        "killed_by_radical": lambda: ctx.killed_by_radical(x, y),
+        "is_almost_vanishing": lambda: mk.is_almost_vanishing(ctx.stable_basis(x, y)[0]),
+    }[call]
+    with pytest.raises(InternalCheckError) as refused:
+        run()
+    assert str(refused.value) == "two products give one stable class"
 
 
 # -- splitting and the solver -----------------------------------------------------------

@@ -1,4 +1,8 @@
-"""The names ``import meshknit`` exports."""
+"""The names ``import meshknit`` exports, and the private code the package calls."""
+
+import ast
+from collections import Counter
+from pathlib import Path
 
 import meshknit
 
@@ -20,7 +24,7 @@ EXPORTS = (
     "linalg", "mesh", "mono_representable_split_check", "mu_element",
     "naturality_on_arrow", "omega", "omega_map", "path_sign_check", "quiver",
     "radical_layers_bruteforce", "rim_obstruction_check", "serre_duality_check",
-    "simple_fp_check", "simple_fp_suite", "single_object_support_solver",
+    "simple_fp_suite", "single_object_support_solver",
     "single_orbit_element", "socle_of_representable", "socle_suite", "stable_basis",
     "stable_class_lines", "stable_hom_dim", "sum_elements", "support_report",
 )
@@ -33,3 +37,27 @@ def test_all_is_the_recorded_surface():
 def test_every_exported_name_resolves():
     for name in meshknit.__all__:
         assert getattr(meshknit, name) is not None, name
+
+
+def _names(node) -> Counter:
+    """Every name and attribute name read or written under node."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_private_function_is_referenced_in_the_package():
+    trees = [ast.parse(path.read_text()) for path in sorted(Path(meshknit.__file__).parent.glob("*.py"))]
+    # module-level functions and methods
+    defined = [node for tree in trees for top in tree.body
+               for node in (top.body if isinstance(top, ast.ClassDef) else [top])]
+    private = [
+        node for node in defined
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.endswith("__")
+    ]
+    everywhere = sum(map(_names, trees), Counter())
+    # a name read only inside its own definition (a recursion) counts as unreferenced
+    unreferenced = [node.name for node in private if everywhere[node.name] == _names(node)[node.name]]
+    assert private and not unreferenced, unreferenced
