@@ -40,7 +40,7 @@ from .errors import (
     PreconditionError,
     UnsupportedParameterError,
 )
-from .linalg import GF5, Field, Matrix, kernel_basis, rank
+from .linalg import GF5, Field, Matrix, rank
 from .linalg import _apply, _echelon, _kernel, _lines, _mix, _residue, _spans
 from .mesh import LayerTable
 from .quiver import TUBE, Vertex
@@ -308,17 +308,6 @@ class _Context:
             raise FieldMismatchError(f"module over k[t]/(t^{x.n}) used in n={self.n} context")
         return x
 
-    @_memo
-    def t_matrix(self, x: JordanModule) -> Matrix:
-        d = x.dim
-        rows = [[0] * d for _ in range(d)]
-        offset = 0
-        for b in x.blocks:
-            for a in range(b - 1):
-                rows[offset + a + 1][offset + a] = 1
-            offset += b
-        return Matrix(self.field, rows)
-
     def proj_matrix(self, i: int, j: int) -> Matrix:
         """Canonical surjection J_i -> J_j (j <= i): kill the top powers."""
         if j > i:
@@ -384,27 +373,34 @@ class _Context:
 
     @_memo
     def hom_basis(self, x: JordanModule, y: JordanModule) -> list[Matrix]:
-        """Basis of equivariant maps x -> y, as ``kernel_basis`` gives them."""
+        """Basis of equivariant maps x -> y: the ``_injections`` as 0/1 matrices, in the
+        order of the free columns of the kernel of X T_x = T_y X."""
         return [self._matrix(x, y, b) for b in self._injections(x, y)]
+
+    @_memo
+    def _basis_index(self, x: JordanModule, y: JordanModule) -> dict:
+        """The index in ``hom_basis(x, y)`` of each basis map, keyed by its (column, row)
+        pairs in column order."""
+        return {tuple(b.items()): k for k, b in enumerate(self._injections(x, y))}
 
     @_memo
     def _products(self, x: JordanModule, u: JordanModule, y: JordanModule) -> list[list]:
         """Structure constants: entry [i][j] is the index among the basis maps x -> y of
         ``hom_basis(u, y)[i] . hom_basis(x, u)[j]``, or None when that product is zero.  Every
-        pair is composed, as partial injections, and looked up: a product that is neither
-        zero nor a basis map raises InternalCheckError."""
+        pair is composed, as partial injections, and looked up in the pair's one
+        ``_basis_index``: a product that is neither zero nor a basis map raises
+        InternalCheckError."""
         inner = self._injections(x, u)
         products = [
             [tuple([(c, b[r]) for c, r in a.items() if r in b]) for a in inner]
             for b in self._injections(u, y)
         ]
-        index = {tuple(b.items()): k for k, b in enumerate(self._injections(x, y))}
-        index[()] = None
-        unknown = {ba for row in products for ba in row}.difference(index)
+        index = self._basis_index(x, y)
+        unknown = {ba for row in products for ba in row if ba}.difference(index)
         if unknown:
             message = f"a product of basis maps {x} -> {u} -> {y} is not a basis map"
             raise InternalCheckError(message, witness=unknown.pop())
-        return [[index[ba] for ba in row] for row in products]
+        return [[index.get(ba) for ba in row] for row in products]
 
     @_memo
     def _stable(self, x: JordanModule, y: JordanModule) -> list[int]:
@@ -439,9 +435,10 @@ class _Context:
     def _position(self, x: JordanModule, y: JordanModule, injection: dict) -> int:
         """The index in ``hom_basis(x, y)`` of a partial injection {column: row} that is one
         of the basis maps."""
-        if injection not in (injections := self._injections(x, y)):
+        k = self._basis_index(x, y).get(tuple(injection.items()))
+        if k is None:
             raise InternalCheckError(f"a canonical map {x} -> {y} is not a basis map", witness=injection)
-        return injections.index(injection)
+        return k
 
     @_memo
     def _radical(self, x: JordanModule, y: JordanModule) -> list[int]:
@@ -463,7 +460,7 @@ class _Context:
     @_memo
     def stable_basis(self, x: JordanModule, y: JordanModule) -> list[StableMap]:
         basis, stable = self.hom_basis(x, y), self._stable(x, y)
-        units = Matrix.identity(self.field, len(stable)).data
+        units = _units(self.field, len(stable), range(len(stable)))
         return [StableMap(x, y, basis[k], e) for k, e in zip(stable, units)]
 
     @_memo
@@ -595,20 +592,6 @@ class _Context:
         return conditions
 
     @_memo
-    def rad_stable_basis(self, x: JordanModule, y: JordanModule) -> list[StableMap]:
-        """Spanning classes of the non-isomorphisms x -> y (x, y indecomposable).
-
-        These are the ``stable_basis(x, y)`` classes of the basis maps in
-        ``_radical(x, y)``: every class for non-isomorphic endpoints, and for
-        x = y, where the non-isomorphisms are the radical of the local
-        endomorphism ring, every class but the identity's.
-        """
-        if not (x.is_indecomposable and y.is_indecomposable):
-            raise PreconditionError("radical basis is defined here for indecomposables")
-        radical = self._radical_positions(x, y)
-        return [b for s, b in enumerate(self.stable_basis(x, y)) if s in radical]
-
-    @_memo
     def _radical_positions(self, x: JordanModule, y: JordanModule) -> frozenset:
         """The positions on ``stable_basis(x, y)`` of the classes of ``_radical(x, y)``."""
         radical = set(self._radical(x, y))
@@ -629,33 +612,17 @@ class _Context:
     # -- syzygies --------------------------------------------------------
     @_memo
     def omega_object(self, x: JordanModule) -> JordanModule:
-        """Kernel of the projective cover J_n ->> J_i, verified to be J_{n-i}."""
-        i = x.block
-        if i == self.n:
+        """Kernel of the projective cover J_n ->> J_i, verified to be J_{n-i}: the cover
+        {a: a} (a < i) and the kernel inclusion {c: c + i} of J_{n-i} are looked up among the
+        basis maps of their pairs (``_position``), so both commute with t, and the
+        inclusion's image, rows i..n-1, is by construction the kernel of the cover, which
+        keeps rows 0..i-1."""
+        n, i = self.n, x.block
+        if i == n:
             raise PreconditionError(f"{x} is projective; omega is undefined")
-        pi = self.proj_matrix(self.n, i)
-        kernel = kernel_basis(pi)
-        if len(kernel) != self.n - i:
-            raise InternalCheckError(
-                f"projective cover of J{i} has kernel of dim {len(kernel)}", witness=x
-            )
-        # The canonical kernel basis is e_i..e_{n-1}; the t-action on it
-        # must be the shift of a single block of size n-i.
-        kappa = self.incl_matrix(self.n - i, self.n)
-        for vec, col in zip(kernel, range(self.n - i)):
-            expected = tuple(kappa.entry(r, col) for r in range(self.n))
-            if tuple(vec) != expected:
-                raise InternalCheckError(
-                    f"unexpected kernel basis for cover of J{i}", witness=x
-                )
-        omega = self._modules[self.n - i - 1]
-        shifted = self.t_matrix(self.projective).mul(kappa)
-        target = kappa.mul(self.t_matrix(omega))
-        if shifted != target:
-            raise InternalCheckError(
-                f"kernel of cover of J{i} does not carry the J{self.n - i} action",
-                witness=x,
-            )
+        omega = self._modules[n - i - 1]
+        self._position(self.projective, x, {a: a for a in range(i)})
+        self._position(omega, self.projective, {c: c + i for c in range(n - i)})
         return omega
 
     def omega_map(self, f: StableMap) -> StableMap:
@@ -957,7 +924,7 @@ def radical_layers_bruteforce(m: JordanModule, k_max: int, field: Field = GF5) -
     if m.block == ctx.n:
         raise PreconditionError(f"{m} is projective")
     indecs = ctx.indecomposables()
-    # per class h of stable_basis(z, m): the positions of h . g, g in rad_stable_basis(x, z)
+    # per class h of stable_basis(z, m): the positions of h . g, g a radical class x -> z
     through = {
         (x, z): [{k for k, g in enumerate(selection) if g in radical} for selection in ctx._pre(x, z, m)]
         for x in indecs
@@ -1043,7 +1010,8 @@ def single_object_support_solver(m: JordanModule, r: int, field: Field = GF5) ->
                 continue
             # per basis class g: x -> y, the coordinates of F(g) . alpha (x = m) and of
             # alpha . g (y = m) for each alpha in the stable basis, g having unit coordinates
-            units = Matrix.identity(ctx.field, ctx.stable_dim(x, y)).data
+            d = ctx.stable_dim(x, y)
+            units = _units(ctx.field, d, range(d))
             sides = []
             if x == m:
                 post = ctx._post(m, codomain, ctx.omega_object(y) if odd else y)

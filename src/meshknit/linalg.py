@@ -11,9 +11,8 @@ The one row-reduction loop is ``_residue``: it reduces a vector by
 the field (the matrix model's short coordinate vectors), which is all
 ``rank`` needs; ``_clear`` scales one to 1 at its pivot and clears that
 pivot from the others, which keeps reduced row echelon form for
-``_kernel`` (behind ``kernel_basis``).  The plain-row
-helpers stay private, so the benchmark's span tracer leaves them
-unwrapped.
+``_kernel``, the kernel basis of plain rows.  The plain-row helpers stay
+private, so the benchmark's span tracer leaves them unwrapped.
 """
 
 from __future__ import annotations
@@ -85,22 +84,6 @@ class Field:
     def one(self):
         return Fraction(1) if self.char == 0 else 1
 
-    def add(self, a, b):
-        return a + b if self.char == 0 else (a + b) % self.char
-
-    def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
-
-    def mul(self, a, b):
-        return a * b if self.char == 0 else (a * b) % self.char
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("division by zero field element")
-        if self.char == 0:
-            return Fraction(1) / a
-        return pow(a, self.char - 2, self.char)
-
     def __str__(self) -> str:
         return "Q" if self.char == 0 else f"GF({self.char})"
 
@@ -156,9 +139,6 @@ class Matrix:
         rows = tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n))
         return cls._of(field, rows, n)
 
-    def entry(self, i: int, j: int):
-        return self.data[i][j]
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise FieldMismatchError(f"cannot multiply over {self.field} and {other.field}")
@@ -210,15 +190,6 @@ class Matrix:
 
 def rank(m: Matrix) -> int:
     return len(_echelon(m.field.char, m.data))
-
-
-def kernel_basis(m: Matrix) -> list[tuple]:
-    """Basis of the right kernel {v : m v = 0}, one vector per free column.
-
-    Deterministic: vectors are ordered by their free column index, and
-    each has a 1 in its free column and 0 in the others.
-    """
-    return _kernel(m.field.char, m.cols, m.data)
 
 
 def _lines(field: Field, d: int):
@@ -285,8 +256,9 @@ def _clear(p: int, reduced: dict, pivot: int, v: Sequence) -> None:
 
 
 def _kernel(p: int, width: int, rows) -> list[tuple]:
-    """``kernel_basis`` of the matrix with these rows and width columns; a full-rank
-    system is told by its ``_echelon`` rows alone."""
+    """Basis of the right kernel {v : m v = 0} of the matrix m with these rows and width
+    columns, one vector per free column, in column order, each 1 in its free column and 0
+    in the others; a full-rank system is told by its ``_echelon`` rows alone."""
     echelon = _echelon(p, rows)
     if len(echelon) == width:
         return []

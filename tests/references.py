@@ -10,10 +10,13 @@
 * the matrix model's dense route: one reduced span per pair, whose
   residues gave a class's coordinates, the tables of keys built from
   matrix products, and the matrices ``_post`` and ``_pre`` of a table;
-  the syzygy of a class lifted through the projective covers by a dense
-  solve, and the almost split sequences checked by dense solves on the
-  radical maps built by definition (t . End(m) on the endomorphisms);
-* the matrix model's echelon route for the radical: Rad^k(X, m) as
+  the action of t as a matrix, the syzygy of a module checked on the
+  dense kernel of its projective cover, the syzygy of a class lifted
+  through the projective covers by a dense solve, and the almost split
+  sequences checked by dense solves on the radical maps built by
+  definition (t . End(m) on the endomorphisms);
+* the matrix model's echelon route for the radical: the stable classes
+  of the radical basis maps, Rad^k(X, m) as
   echelon rows eliminated per module and level, and the classes killed
   by every radical class into their source, or by every radical class
   out of their target, as the kernels of the composites' rows;
@@ -126,7 +129,7 @@ def solve(m, b):
     if len(b) != m.rows:
         raise DimensionError(f"rhs length {len(b)} != row count {m.rows}")
     f = m.field
-    aug = [row + (f.sub(f.zero, bi),) for row, bi in zip(m.data, f.coerce_row(b))]
+    aug = [row + (f.coerce(-bi),) for row, bi in zip(m.data, f.coerce_row(b))]
     kernel = _kernel(f.char, m.cols + 1, aug)
     if not (kernel and kernel[-1][-1]):
         return None
@@ -232,12 +235,42 @@ def dense_omega_map(ctx, f):
     lift = _mix(ctx.field.char, coeffs, [b.flatten() for b in lift_basis])
     lift = Matrix._of(ctx.field, tuple(lift[r * n : (r + 1) * n] for r in range(n)), n)
     moved = lift.mul(ctx.incl_matrix(n - i, n))
-    if any(moved.entry(r, c) for r in range(j) for c in range(n - i)):
+    if any(moved.data[r][c] for r in range(j) for c in range(n - i)):
         raise InternalCheckError("lift does not preserve cover kernels", witness=f)
-    restricted = Matrix(
-        ctx.field, [[moved.entry(r, c) for c in range(n - i)] for r in range(j, n)]
-    )
+    restricted = Matrix(ctx.field, [row[: n - i] for row in moved.data[j:]])
     return ctx.classify(src_omega, tgt_omega, restricted)
+
+
+def t_matrix(field, x):
+    """The action of t on x: the shift down each Jordan block."""
+    d = x.dim
+    rows = [[0] * d for _ in range(d)]
+    offset = 0
+    for b in x.blocks:
+        for a in range(b - 1):
+            rows[offset + a + 1][offset + a] = 1
+        offset += b
+    return Matrix(field, rows)
+
+
+def dense_omega_object(ctx, x):
+    """``omega_object`` as the matrix model checked it: the kernel basis of the dense
+    projective cover J_n ->> J_i must be the columns of the inclusion kappa: J_{n-i} -> J_n,
+    and kappa must carry the action of t on J_{n-i} to that on J_n."""
+    n, i = ctx.n, x.block
+    if i == n:
+        raise PreconditionError(f"{x} is projective; omega is undefined")
+    pi = ctx.proj_matrix(n, i)
+    kernel = _kernel(ctx.field.char, pi.cols, pi.data)
+    if len(kernel) != n - i:
+        raise InternalCheckError(f"projective cover of J{i} has kernel of dim {len(kernel)}", witness=x)
+    kappa = ctx.incl_matrix(n - i, n)
+    if kernel != list(zip(*kappa.data)):
+        raise InternalCheckError(f"unexpected kernel basis for cover of J{i}", witness=x)
+    omega = jordan.indec(n, n - i)
+    if t_matrix(ctx.field, ctx.projective).mul(kappa) != kappa.mul(t_matrix(ctx.field, omega)):
+        raise InternalCheckError(f"kernel of cover of J{i} does not carry the J{n - i} action", witness=x)
+    return omega
 
 
 def rad_module_basis(ctx, u, m):
@@ -246,7 +279,7 @@ def rad_module_basis(ctx, u, m):
     are equal."""
     if u != m:
         return ctx.hom_basis(u, m)
-    return [ctx.t_matrix(m).mul(b) for b in ctx.hom_basis(m, m)]
+    return [t_matrix(ctx.field, m).mul(b) for b in ctx.hom_basis(m, m)]
 
 
 def dense_ar_sequence(m, field):
@@ -288,6 +321,14 @@ def dense_ar_sequence(m, field):
     return jordan.ARSequence(m, middle, stable, i + 1 == n, left, right, ctx.av_class(m), checks)
 
 
+def rad_stable_basis(ctx, x, y):
+    """Spanning classes of the non-isomorphisms x -> y of indecomposables: the
+    ``stable_basis(x, y)`` classes of the basis maps in ``_radical(x, y)``, every class for
+    x != y and every class but the identity's for x = y."""
+    radical = ctx._radical_positions(x, y)
+    return [b for s, b in enumerate(ctx.stable_basis(x, y)) if s in radical]
+
+
 def row_basis(p, rows):
     """Echelon rows spanning the rows: a vector is killed by these exactly when by those."""
     return tuple(row for _, row in _echelon(p, rows))
@@ -301,7 +342,7 @@ def echelon_radical_layers(m, k_max, field):
     ctx = jordan.context(m.n, field)
     p, zero, indecs = ctx.field.char, ctx.field.zero, ctx.indecomposables()
     through = {
-        (x, z): [jordan._composites(zero, pre, g.key) for g in ctx.rad_stable_basis(x, z)]
+        (x, z): [jordan._composites(zero, pre, g.key) for g in rad_stable_basis(ctx, x, z)]
         for x in indecs
         for z in indecs
         for pre in [ctx._pre(x, z, m)]
@@ -330,13 +371,13 @@ def radical_rows(ctx, x, y):
         jordan._composites(zero, pre, g.key)
         for u in indecs
         for pre in [ctx._pre(u, x, y)]
-        for g in ctx.rad_stable_basis(u, x)
+        for g in rad_stable_basis(ctx, u, x)
     )
     monos = (
         jordan._composites(zero, post, h.key)
         for u in indecs
         for post in [ctx._post(x, y, u)]
-        for h in ctx.rad_stable_basis(y, u)
+        for h in rad_stable_basis(ctx, y, u)
     )
     return {name: row_basis(p, jordan._transposed(blocks)) for name, blocks in (("epis", epis), ("monos", monos))}
 

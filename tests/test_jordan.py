@@ -1,11 +1,13 @@
 """Brute-force matrix model of the stable category of k[t]/(t^n)."""
 
 import gc
+import importlib.util
 import sys
 import weakref
 from collections import Counter, OrderedDict
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,7 @@ from references import (
     dense_ar_sequence,
     dense_key,
     dense_omega_map,
+    dense_omega_object,
     dense_post,
     dense_pre,
     dense_table,
@@ -33,6 +36,7 @@ from references import (
     echelon_radical_layers,
     matrix_sum,
     rad_module_basis,
+    rad_stable_basis,
     radical_rows,
     reduced,
     solve,
@@ -40,6 +44,7 @@ from references import (
     span_dim,
     stable_maps,
     stable_residue,
+    t_matrix,
     zero_map,
 )
 
@@ -84,19 +89,20 @@ def _hom_basis_by_dense_system(ctx, x, y):
     dx, dy = x.dim, y.dim
     if dx == 0 or dy == 0:
         return []
-    tx, ty = ctx.t_matrix(x), ctx.t_matrix(y)
+    tx, ty = t_matrix(ctx.field, x), t_matrix(ctx.field, y)
     eqs = []
     for r in range(dy):
         for c in range(dx):
             row = [0] * (dy * dx)
             for k in range(dy):
-                if ty.entry(r, k):
+                if ty.data[r][k]:
                     row[k * dx + c] += 1
             for k in range(dx):
-                if tx.entry(k, c):
+                if tx.data[k][c]:
                     row[r * dx + k] -= 1
             eqs.append(row)
-    return [ctx._unflatten(v, dy, dx) for v in linalg.kernel_basis(linalg.Matrix(ctx.field, eqs))]
+    system = linalg.Matrix(ctx.field, eqs)
+    return [ctx._unflatten(v, dy, dx) for v in linalg._kernel(ctx.field.char, system.cols, system.data)]
 
 
 @pytest.mark.parametrize(
@@ -405,7 +411,7 @@ def test_radical_classes_are_the_nonzero_classes_of_the_dense_radical(n, field, 
     x = indec(n, data.draw(st.integers(1, n)))
     for y in (x, indec(n, data.draw(st.integers(1, n)))):
         keys = [dense_key(ctx, x, y, u) for u in rad_module_basis(ctx, x, y)]
-        assert [g.key for g in ctx.rad_stable_basis(x, y)] == [key for key in keys if any(key)]
+        assert [g.key for g in rad_stable_basis(ctx, x, y)] == [key for key in keys if any(key)]
 
 
 @pytest.mark.parametrize("emptied, message", [
@@ -437,11 +443,48 @@ def test_a_canonical_map_that_is_no_basis_map_is_an_internal_error(dropped, memo
     # the identity of J2, the cover J5 ->> J2 and its kernel J3 -> J5, as partial injections
     pair, injection = {"identity": ((x, x), {0: 0, 1: 1}), "cover": ((proj, x), {0: 0, 1: 1}),
                        "kernel": ((ctx.omega_object(x), proj), {0: 2, 1: 3, 2: 4})}[dropped]
-    ctx._injections(*pair).remove(injection)
+    _drop_basis_map(ctx, pair, injection)
     with pytest.raises(InternalCheckError) as refused:
         getattr(ctx, memo[0])(*memo[1:])
     assert str(refused.value) == message
     assert memo not in ctx._memo
+
+
+def _drop_basis_map(ctx, pair, injection):
+    """Drop a partial injection from its pair's basis and from the pair's memoized index."""
+    index = ctx._basis_index(*pair)
+    ctx._injections(*pair).remove(injection)
+    del index[tuple(injection.items())]
+
+
+@pytest.mark.parametrize("dropped, message", [
+    ("cover", "a canonical map J5 -> J2 is not a basis map"),
+    ("kernel", "a canonical map J3 -> J5 is not a basis map"),
+])
+def test_omega_object_refuses_a_cover_or_kernel_that_is_no_basis_map(dropped, message):
+    ctx = jordan._Context(5, GF(7))
+    x, proj = indec(5, 2), ctx.projective
+    # the cover J5 ->> J2 and the inclusion J3 -> J5 of its kernel, as partial injections
+    pair, injection = {"cover": ((proj, x), {0: 0, 1: 1}),
+                       "kernel": ((indec(5, 3), proj), {0: 2, 1: 3, 2: 4})}[dropped]
+    _drop_basis_map(ctx, pair, injection)
+    memo = set(ctx._memo)
+    for _ in range(2):
+        with pytest.raises(InternalCheckError) as refused:
+            ctx.omega_object(x)
+        assert str(refused.value) == message
+    assert ("omega_object", x) not in ctx._memo
+    # the lookups memoize only the index of the pairs they read
+    assert {key[0] for key in set(ctx._memo) - memo} <= {"_basis_index", "_injections"}
+    assert ctx.omega_object(indec(5, 3)) == x
+
+
+@pytest.mark.parametrize("field", _ORACLE_FIELDS, ids=str)
+def test_omega_object_matches_the_dense_reference(field):
+    for n in range(3, 17):
+        ctx = jordan._Context(n, field)
+        for x in ctx.indecomposables():
+            assert ctx.omega_object(x) == dense_omega_object(ctx, x) == indec(n, n - x.block)
 
 
 def test_a_zero_product_after_the_cover_kernel_is_a_zero_key():
@@ -456,8 +499,23 @@ def test_the_syzygies_and_ar_checks_multiply_no_matrices(monkeypatch):
     ctx = jordan._Context(6, GF(11))
     monkeypatch.setitem(jordan._contexts, (6, 11), ctx)
     indecs = ctx.indecomposables()
-    for m in indecs:  # the t-action checks of omega_object multiply; they are memoized
-        ctx.omega_object(m)
+    # a cold omega_object looks its cover and kernel up among the basis maps: no matrix
+    built = Counter()
+    real_init, real_of = linalg.Matrix.__init__, linalg.Matrix._of.__func__
+
+    def init(self, *args):
+        built["__init__"] += 1
+        real_init(self, *args)
+
+    def of_counted(cls, *args):
+        built["_of"] += 1
+        return real_of(cls, *args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg.Matrix, "__init__", init)
+        patched.setattr(linalg.Matrix, "_of", classmethod(of_counted))
+        assert [ctx.omega_object(m) for m in indecs] == list(reversed(indecs))
+    assert built == {}
     products = []
     real_mul, real_hom_basis = linalg.Matrix.mul, jordan._Context.hom_basis
 
@@ -593,7 +651,7 @@ def test_av_class_of_the_middle_vertex_is_multiplication_by_t():
     av = mk.almost_vanishing_class(indec(4, 2))
     assert av.source == indec(4, 2)
     assert av.target == indec(4, 2)
-    t = context(4).t_matrix(indec(4, 2))
+    t = t_matrix(GF5, indec(4, 2))
     assert av == context(4).classify(indec(4, 2), indec(4, 2), t)
 
 
@@ -753,7 +811,7 @@ def _radical_layers_by_composition(m, k_max, field):
                 jordan.compose(h, g)
                 for z in indecs
                 for h in spans[z]
-                for g in ctx.rad_stable_basis(x, z)
+                for g in rad_stable_basis(ctx, x, z)
             )
             grown[x] = [h for h in composites if space.insert(stable_residue(ctx, x, m, h.matrix))]
         spans = grown
@@ -908,6 +966,37 @@ def test_solver_matches_rule_everywhere_n5():
             assert mk.single_object_support_solver(indec(5, i), r).matches_rule
 
 
+def _load_workloads():
+    """The benchmark's workload module, which runs the oracle cross-check jobs."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_solver_and_a_crosscheck_job_build_no_identity_matrix(monkeypatch):
+    monkeypatch.setattr(jordan, "_contexts", OrderedDict())
+    m, field = indec(6, 1), GF(11)
+    for r in range(4):
+        mk.single_object_support_solver(m, r, field)
+    built = []
+    real_identity = linalg.Matrix.identity.__func__
+
+    def identity(cls, field, n):
+        built.append(n)
+        return real_identity(cls, field, n)
+
+    monkeypatch.setattr(linalg.Matrix, "identity", classmethod(identity))
+    # warm: the unit keys of each pair touching m come from ``_units``
+    assert all(mk.single_object_support_solver(m, r, field).matches_rule for r in range(4))
+    assert built == []
+    # a cold n = 9 cross-check job: layers, suites, almost split sequences and solver
+    workloads = _load_workloads()
+    assert workloads._check_oracle(workloads._oracle(mk, 9, GF(101))) is None
+    assert built == []
+
+
 def _combine_by_matrices(ctx, x, y, basis, coeffs):
     """Reference ``combine``: the sum of the scaled basis matrices, classified."""
     acc = linalg.Matrix.zeros(ctx.field, y.dim, x.dim)
@@ -1054,7 +1143,7 @@ def _conditions_by_loops(ctx, f):
     conditions["factors_through_outgoing"] = ok
     ok = True
     for u in ctx.indecomposables():
-        for g in ctx.rad_stable_basis(u, x):
+        for g in rad_stable_basis(ctx, u, x):
             if any(stable_residue(ctx, u, y, f.matrix.mul(g.matrix))):
                 ok = False
                 break
@@ -1063,7 +1152,7 @@ def _conditions_by_loops(ctx, f):
     conditions["kills_non_split_epis"] = ok
     ok = True
     for u in ctx.indecomposables():
-        for h in ctx.rad_stable_basis(y, u):
+        for h in rad_stable_basis(ctx, y, u):
             if any(stable_residue(ctx, x, u, h.matrix.mul(f.matrix))):
                 ok = False
                 break
@@ -1121,12 +1210,12 @@ def _av_report_by_class(f):
         "kills_non_split_epis": not any(
             any(stable_residue(ctx, u, y, f.matrix.mul(g.matrix)))
             for u in indecs
-            for g in ctx.rad_stable_basis(u, x)
+            for g in rad_stable_basis(ctx, u, x)
         ),
         "killed_by_non_split_monos": not any(
             any(stable_residue(ctx, x, u, h.matrix.mul(f.matrix)))
             for u in indecs
-            for h in ctx.rad_stable_basis(y, u)
+            for h in rad_stable_basis(ctx, y, u)
         ),
         "image_is_simple": sum(_image_comp_factors_by_class(ctx, f).values()) == 1,
     }
@@ -1420,8 +1509,6 @@ def test_failed_calls_are_not_memoized():
     for _ in range(2):
         with pytest.raises(PreconditionError):
             ctx.omega_object(indec(4, 4))
-        with pytest.raises(PreconditionError):
-            ctx.rad_stable_basis(jordan.JordanModule((2, 1), 4), indec(4, 2))
         with pytest.raises(FieldMismatchError):
             ctx.hom_basis(indec(5, 2), indec(5, 2))
     assert ctx._memo == {}

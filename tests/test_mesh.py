@@ -936,7 +936,7 @@ def _oracle_sign_fields(report, paths, ideal, field):
             ri, rj = residues[i], residues[j]
             if root(i) == root(j):
                 predicted = report.signs[i] * report.signs[j]
-                if ri == (rj if predicted == 1 else tuple(field.sub(field.zero, x) for x in rj)):
+                if ri == (rj if predicted == 1 else tuple(field.coerce(-x) for x in rj)):
                     verified += 1
                 else:
                     bad.append({"pair": (i, j), "predicted_sign": predicted})
@@ -1487,7 +1487,7 @@ def test_union_find_matches_rref_on_arbitrary_relations(case, field):
         residue = ideal.residue(_unit(n, i))
         assert classes.dead[root] == (not any(residue))
         of_root = ideal.residue(_unit(n, root))
-        assert residue == (of_root if odd == 0 else tuple(field.sub(field.zero, x) for x in of_root))
+        assert residue == (of_root if odd == 0 else tuple(field.coerce(-x) for x in of_root))
 
 
 # -- reference cycles -----------------------------------------------------------
