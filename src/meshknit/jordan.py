@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .linalg import GF5, Field, Matrix, rank
-from .linalg import _apply, _echelon, _kernel, _lines, _mix, _residue, _spans
+from .linalg import _apply, _echelon, _kernel, _lines, _mix, _spans
 from .mesh import LayerTable
 from .quiver import TUBE, Vertex
 
@@ -211,8 +211,9 @@ class ARSequence:
     ``middle`` is the full middle term including a projective block when
     one occurs; ``middle_stable`` drops it.  ``connecting`` is the
     canonical almost-vanishing class m -> Omega(m) attached to the
-    sequence.  ``checks`` records exactness, non-splitness and the
-    lifting property, each verified by linear algebra.
+    sequence.  ``checks`` records exactness, by the ranks of ``left`` and
+    ``right``, and non-splitness and the lifting property, read as sets of
+    basis positions off the structure constants of the middle's blocks.
     """
 
     module: JordanModule
@@ -307,20 +308,6 @@ class _Context:
         if x.n != self.n:
             raise FieldMismatchError(f"module over k[t]/(t^{x.n}) used in n={self.n} context")
         return x
-
-    def proj_matrix(self, i: int, j: int) -> Matrix:
-        """Canonical surjection J_i -> J_j (j <= i): kill the top powers."""
-        if j > i:
-            raise DimensionError(f"projection needs j <= i, got {i} -> {j}")
-        rows = [[1 if a == c else 0 for c in range(i)] for a in range(j)]
-        return Matrix(self.field, rows)
-
-    def incl_matrix(self, i: int, j: int) -> Matrix:
-        """Canonical embedding J_i -> J_j (i <= j): multiply by t^(j-i)."""
-        if i > j:
-            raise DimensionError(f"embedding needs i <= j, got {i} -> {j}")
-        rows = [[1 if a == c + (j - i) else 0 for c in range(i)] for a in range(j)]
-        return Matrix(self.field, rows)
 
     def _unflatten(self, vec: tuple, rows: int, cols: int) -> Matrix:
         """The rows x cols matrix with row-major entries vec, already in the field."""
@@ -432,9 +419,12 @@ class _Context:
         coefficients = self._coefficients(x, y, matrix)
         return StableMap(x, y, matrix, tuple(coefficients[k] for k in self._stable(x, y)))
 
-    def _position(self, x: JordanModule, y: JordanModule, injection: dict) -> int:
-        """The index in ``hom_basis(x, y)`` of a partial injection {column: row} that is one
-        of the basis maps."""
+    def _canonical(self, x: JordanModule, y: JordanModule) -> int:
+        """The index in ``hom_basis(x, y)`` of the canonical map J_a -> J_b of indecomposables:
+        the cover {c: c} (c < b), which kills the top powers, when a >= b (the identity when
+        a = b), and the inclusion {c: c + b - a}, multiplication by t^(b-a), when a < b."""
+        a, b = x.block, y.block
+        injection = {c: c for c in range(b)} if a >= b else {c: c + b - a for c in range(a)}
         k = self._basis_index(x, y).get(tuple(injection.items()))
         if k is None:
             raise InternalCheckError(f"a canonical map {x} -> {y} is not a basis map", witness=injection)
@@ -448,14 +438,8 @@ class _Context:
         indices = range(len(self._injections(x, y)))
         if x != y:
             return list(indices)
-        identity = self._position(x, x, {c: c for c in range(x.dim)})
+        identity = self._canonical(x, x)
         return [k for k in indices if k != identity]
-
-    def _after(self, x: JordanModule, u: JordanModule, y: JordanModule, a) -> list[tuple]:
-        """Per basis map b: x -> u, the coefficients of a . b on ``hom_basis(x, y)``, a given
-        by its coefficients on ``hom_basis(u, y)``; a zero product adds the zero vector."""
-        d, products = len(self._injections(x, y)), self._products(x, u, y)
-        return [_mix(self.field.char, a, _units(self.field, d, column)) for column in zip(*products)]
 
     @_memo
     def stable_basis(self, x: JordanModule, y: JordanModule) -> list[StableMap]:
@@ -613,16 +597,16 @@ class _Context:
     @_memo
     def omega_object(self, x: JordanModule) -> JordanModule:
         """Kernel of the projective cover J_n ->> J_i, verified to be J_{n-i}: the cover
-        {a: a} (a < i) and the kernel inclusion {c: c + i} of J_{n-i} are looked up among the
-        basis maps of their pairs (``_position``), so both commute with t, and the
-        inclusion's image, rows i..n-1, is by construction the kernel of the cover, which
-        keeps rows 0..i-1."""
+        {a: a} (a < i) and the kernel inclusion {c: c + i} of J_{n-i} are the canonical maps
+        of their pairs, looked up among the basis maps (``_canonical``), so both commute with
+        t, and the inclusion's image, rows i..n-1, is by construction the kernel of the
+        cover, which keeps rows 0..i-1."""
         n, i = self.n, x.block
         if i == n:
             raise PreconditionError(f"{x} is projective; omega is undefined")
         omega = self._modules[n - i - 1]
-        self._position(self.projective, x, {a: a for a in range(i)})
-        self._position(omega, self.projective, {c: c + i for c in range(n - i)})
+        self._canonical(self.projective, x)
+        self._canonical(omega, self.projective)
         return omega
 
     def omega_map(self, f: StableMap) -> StableMap:
@@ -636,15 +620,15 @@ class _Context:
     def _omega_coordinates(self, x: JordanModule, y: JordanModule) -> list[tuple]:
         """The keys, coordinates on ``stable_basis(Omega x, Omega y)``, of ``omega_map(g)`` for
         each g in ``stable_basis(x, y)``, read off the structure constants: with pi the
-        projective covers and kappa their kernels, g . pi_x = pi_y . L for a basis map L of
-        End(J_n), and L . kappa_x = kappa_y . h for a basis map h whose class is Omega g (lifts
-        differ by maps into the kernel of pi_y, which move h by a map through J_n)."""
-        n, proj, i, j = self.n, self.projective, x.block, y.block
+        projective covers and kappa the inclusions of their kernels, both ``_canonical``,
+        g . pi_x = pi_y . L for a basis map L of End(J_n), and L . kappa_x = kappa_y . h for a
+        basis map h whose class is Omega g (lifts differ by maps into the kernel of pi_y,
+        which move h by a map through J_n)."""
+        proj = self.projective
+        # the covers first: they refuse a decomposable end before omega_object a projective one
+        pi_x, pi_y = self._canonical(proj, x), self._canonical(proj, y)
         sx, sy = self.omega_object(x), self.omega_object(y)
-        pi_x = self._position(proj, x, {a: a for a in range(i)})
-        pi_y = self._position(proj, y, {a: a for a in range(j)})
-        kappa_x = self._position(sx, proj, {c: c + i for c in range(n - i)})
-        kappa_y = self._position(sy, proj, {c: c + j for c in range(n - j)})
+        kappa_x, kappa_y = self._canonical(sx, proj), self._canonical(sy, proj)
         # L by the index of the nonzero product pi_y . L, and h by that of kappa_y . h
         lifts = {a: k for k, a in enumerate(self._products(proj, proj, y)[pi_y]) if a is not None}
         kernel = {b: k for k, b in enumerate(self._products(sx, sy, proj)[kappa_y]) if b is not None}
@@ -765,47 +749,41 @@ def ar_sequence(m: JordanModule, field: Field = GF5) -> ARSequence:
     if i == n:
         raise PreconditionError(f"{m} is projective; no almost split sequence")
     f = ctx.field
-    middle_blocks = tuple(b for b in (i + 1, i - 1) if 1 <= b <= n)
-    middle = JordanModule(middle_blocks, n)
-    stable_blocks = tuple(b for b in middle.blocks if b != n)
-    middle_stable = JordanModule(stable_blocks, n)
+    middle = JordanModule(tuple(b for b in (i + 1, i - 1) if 1 <= b <= n), n)
+    middle_stable = JordanModule(tuple(b for b in middle.blocks if b != n), n)
 
-    left_parts = []
-    right_parts = []
-    for b in middle.blocks:
-        if b == i + 1:
-            left_parts.append(ctx.incl_matrix(i, b))
-            right_parts.append(ctx.proj_matrix(b, i).scale(-1))
-        else:
-            left_parts.append(ctx.proj_matrix(i, b))
-            right_parts.append(ctx.incl_matrix(b, i))
-    left = Matrix(f, [row for part in left_parts for row in part.data])
-    right = Matrix(f, [sum(rows, ()) for rows in zip(*(part.data for part in right_parts))])
+    # left stacks the canonical maps m -> J_b; right sets the canonical maps J_b -> m side by
+    # side, J_{i+1}'s cover first and negated
+    blocks = [ctx._modules[b - 1] for b in middle.blocks]
+    onto = [ctx._canonical(v, m) for v in blocks]
+    lefts = [ctx._matrix(m, v, ctx._injections(m, v)[ctx._canonical(m, v)]) for v in blocks]
+    rights = [ctx._matrix(v, m, ctx._injections(v, m)[k]) for v, k in zip(blocks, onto)]
+    rights[0] = rights[0].scale(-1)
+    left = Matrix(f, [row for part in lefts for row in part.data])
+    right = Matrix(f, [sum(rows, ()) for rows in zip(*(part.data for part in rights))])
 
     checks = {}
     composite = right.mul(left)
+    rank_left, rank_right = rank(left), rank(right)
     checks["composite_zero"] = composite == Matrix.zeros(f, i, i)
-    checks["left_injective"] = rank(left) == i
-    checks["right_surjective"] = rank(right) == i
-    checks["exact_at_middle"] = rank(left) + rank(right) == middle.dim
+    checks["left_injective"] = rank_left == i
+    checks["right_surjective"] = rank_right == i
+    checks["exact_at_middle"] = rank_left + rank_right == middle.dim
 
-    # In coefficients on the basis maps: right . b, b running over hom_basis(U, middle),
-    # spans the maps U -> m that lift through right.
-    coefficients = ctx._coefficients(middle, m, right)
-    # Non-split: no section s with right . s = identity.
-    (identity,) = _units(f, len(ctx._injections(m, m)), [ctx._position(m, m, {c: c for c in range(i)})])
-    checks["non_split"] = not _spans(f.char, ctx._after(m, middle, m, coefficients), identity)
-
-    # Lifting property: every non-isomorphism U -> m (U running over all
-    # indecomposables, the projective included) lifts through right.  They are
-    # spanned by the basis maps of ``_radical(U, m)``, whose coefficients are unit
-    # vectors; the maps through right are echeloned once per U.
-    checks["lifting"] = all(
-        not any(_residue(f.char, through, unit))
+    # Hom(U, middle) is the sum of the blocks' Hom spaces, so the maps U -> m through right
+    # are spanned by the products of its canonical maps with the blocks' basis maps.  Each
+    # is zero or a basis map U -> m (``_products``): they span the maps supported on the
+    # positions they reach.
+    through = {
+        u_mod: {k for v, c in zip(blocks, onto) for k in ctx._products(u_mod, v, m)[c] if k is not None}
         for u_mod in ctx.indecomposables(include_projective=True)
-        for through in [_echelon(f.char, ctx._after(u_mod, middle, m, coefficients))]
-        for unit in _units(f, len(ctx._injections(u_mod, m)), ctx._radical(u_mod, m))
-    )
+    }
+    # Non-split: no section s with right . s = identity.
+    checks["non_split"] = ctx._canonical(m, m) not in through[m]
+    # Lifting property: every non-isomorphism U -> m (U running over all indecomposables,
+    # the projective included) lifts through right.  They are spanned by the basis maps of
+    # ``_radical(U, m)``.
+    checks["lifting"] = all(reached.issuperset(ctx._radical(u_mod, m)) for u_mod, reached in through.items())
 
     return ARSequence(
         module=m,

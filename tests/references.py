@@ -10,7 +10,8 @@
 * the matrix model's dense route: one reduced span per pair, whose
   residues gave a class's coordinates, the tables of keys built from
   matrix products, and the matrices ``_post`` and ``_pre`` of a table;
-  the action of t as a matrix, the syzygy of a module checked on the
+  the canonical covers and inclusions of Jordan blocks as matrices, the
+  action of t as a matrix, the syzygy of a module checked on the
   dense kernel of its projective cover, the syzygy of a class lifted
   through the projective covers by a dense solve, and the almost split
   sequences checked by dense solves on the radical maps built by
@@ -219,6 +220,16 @@ def dense_pre(table):
     return [list(zip(*row)) for row in table]
 
 
+def proj_matrix(field, i, j):
+    """The canonical surjection J_i ->> J_j (j <= i) as a dense matrix: kill the top powers."""
+    return Matrix(field, [[1 if a == c else 0 for c in range(i)] for a in range(j)])
+
+
+def incl_matrix(field, i, j):
+    """The canonical embedding J_i -> J_j (i <= j) as a dense matrix: multiply by t^(j-i)."""
+    return Matrix(field, [[1 if a == c + (j - i) else 0 for c in range(i)] for a in range(j)])
+
+
 def dense_omega_map(ctx, f):
     """``omega_map`` as the matrix model lifted it: solve for the lift of f through the
     projective covers on ``hom_basis(J_n, J_n)`` (the solver's canonical particular
@@ -226,7 +237,7 @@ def dense_omega_map(ctx, f):
     target's cover kernel, and classify the restriction."""
     n, i, j = ctx.n, f.source.block, f.target.block
     src_omega, tgt_omega = ctx.omega_object(f.source), ctx.omega_object(f.target)
-    pi_i, pi_j = ctx.proj_matrix(n, i), ctx.proj_matrix(n, j)
+    pi_i, pi_j = proj_matrix(ctx.field, n, i), proj_matrix(ctx.field, n, j)
     lift_basis = ctx.hom_basis(ctx.projective, ctx.projective)
     lifts = Matrix(ctx.field, list(zip(*(pi_j.mul(b).flatten() for b in lift_basis))))
     coeffs = solve(lifts, f.matrix.mul(pi_i).flatten())
@@ -234,7 +245,7 @@ def dense_omega_map(ctx, f):
         raise InternalCheckError("projective lift does not exist", witness=f)
     lift = _mix(ctx.field.char, coeffs, [b.flatten() for b in lift_basis])
     lift = Matrix._of(ctx.field, tuple(lift[r * n : (r + 1) * n] for r in range(n)), n)
-    moved = lift.mul(ctx.incl_matrix(n - i, n))
+    moved = lift.mul(incl_matrix(ctx.field, n - i, n))
     if any(moved.data[r][c] for r in range(j) for c in range(n - i)):
         raise InternalCheckError("lift does not preserve cover kernels", witness=f)
     restricted = Matrix(ctx.field, [row[: n - i] for row in moved.data[j:]])
@@ -260,11 +271,11 @@ def dense_omega_object(ctx, x):
     n, i = ctx.n, x.block
     if i == n:
         raise PreconditionError(f"{x} is projective; omega is undefined")
-    pi = ctx.proj_matrix(n, i)
+    pi = proj_matrix(ctx.field, n, i)
     kernel = _kernel(ctx.field.char, pi.cols, pi.data)
     if len(kernel) != n - i:
         raise InternalCheckError(f"projective cover of J{i} has kernel of dim {len(kernel)}", witness=x)
-    kappa = ctx.incl_matrix(n - i, n)
+    kappa = incl_matrix(ctx.field, n - i, n)
     if kernel != list(zip(*kappa.data)):
         raise InternalCheckError(f"unexpected kernel basis for cover of J{i}", witness=x)
     omega = jordan.indec(n, n - i)
@@ -293,11 +304,11 @@ def dense_ar_sequence(m, field):
     left_parts, right_parts = [], []
     for b in middle.blocks:
         if b == i + 1:
-            left_parts.append(ctx.incl_matrix(i, b))
-            right_parts.append(ctx.proj_matrix(b, i).scale(-1))
+            left_parts.append(incl_matrix(ctx.field, i, b))
+            right_parts.append(proj_matrix(ctx.field, b, i).scale(-1))
         else:
-            left_parts.append(ctx.proj_matrix(i, b))
-            right_parts.append(ctx.incl_matrix(b, i))
+            left_parts.append(proj_matrix(ctx.field, i, b))
+            right_parts.append(incl_matrix(ctx.field, b, i))
     left = Matrix(f, [row for part in left_parts for row in part.data])
     right = Matrix(f, [sum(rows, ()) for rows in zip(*(part.data for part in right_parts))])
     checks = {

@@ -403,6 +403,19 @@ def test_syzygies_and_ar_sequences_match_the_dense_references_at_n_8_and_9(n, fi
     _check_syzygies_against_the_dense_references(ctx, product(indecs, repeat=2), indecs)
 
 
+@pytest.mark.parametrize("n, field", [(12, GF(2)), (12, GF(32749)), (16, GF(32749))], ids=str)
+def test_ar_sequences_suites_and_solver_hold_at_larger_ranks(n, field):
+    # the almost split sequences against the dense reference, without the O(n^2) syzygy pairs
+    ctx = context(n, field)
+    for m in ctx.indecomposables():
+        got = mk.ar_sequence(m, field)
+        assert _ar_fields(got) == _ar_fields(dense_ar_sequence(m, field))
+        assert got.verified, got.checks
+        assert all(mk.single_object_support_solver(m, r, field).matches_rule for r in range(4))
+    for suite in (mk.serre_duality_check, mk.socle_suite, mk.simple_fp_suite):
+        assert suite(n, field).ok
+
+
 @given(st.integers(3, 9), st.sampled_from(_ORACLE_FIELDS), st.data())
 @settings(max_examples=200, deadline=None)
 def test_radical_classes_are_the_nonzero_classes_of_the_dense_radical(n, field, data):
@@ -455,6 +468,19 @@ def _drop_basis_map(ctx, pair, injection):
     index = ctx._basis_index(*pair)
     ctx._injections(*pair).remove(injection)
     del index[tuple(injection.items())]
+
+
+@pytest.mark.parametrize("pair, injection, message", [
+    ((3, 2), {0: 0, 1: 1}, "a canonical map J3 -> J2 is not a basis map"),  # the cover J3 ->> J2
+    ((1, 2), {0: 1}, "a canonical map J1 -> J2 is not a basis map"),  # the inclusion J1 -> J2
+])
+def test_ar_sequence_refuses_a_canonical_map_that_is_no_basis_map(pair, injection, message, monkeypatch):
+    ctx = jordan._Context(5, GF(7))
+    monkeypatch.setitem(jordan._contexts, (5, 7), ctx)
+    _drop_basis_map(ctx, tuple(indec(5, b) for b in pair), injection)
+    with pytest.raises(InternalCheckError) as refused:
+        mk.ar_sequence(indec(5, 2), ctx.field)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("dropped, message", [
@@ -538,8 +564,8 @@ def test_the_syzygies_and_ar_checks_multiply_no_matrices(monkeypatch):
         assert mk.ar_sequence(m, ctx.field).verified
     # one product per sequence: right . left, its composite_zero check
     assert products == [(m.block, m.block * 2, m.block) for m in indecs]
-    # warm, a sequence reads right's coefficients once and reads the radical maps by index:
-    # it builds, classifies and reads back no matrix per radical map
+    # warm, a sequence reads its checks off the structure constants of its middle blocks:
+    # it reads no coefficients, classifies nothing and reads no hom_basis list
     calls = Counter()
 
     def counted(owner, name):
@@ -552,16 +578,18 @@ def test_the_syzygies_and_ar_checks_multiply_no_matrices(monkeypatch):
         monkeypatch.setattr(owner, name, call)
 
     for owner, name in [(jordan._Context, "_coefficients"), (jordan._Context, "classify"),
-                        (jordan._Context, "_matrix"), (linalg.Matrix, "__init__")]:
+                        (jordan._Context, "hom_basis"), (jordan._Context, "_matrix"),
+                        (linalg.Matrix, "__init__")]:
         counted(owner, name)
     for m in indecs:
         calls.clear()
         seq = mk.ar_sequence(m, ctx.field)
-        # built: the middle's canonical maps, left and right
-        assert calls == {"_coefficients": 1, "__init__": 2 * len(seq.middle.blocks) + 2}
-    # the unit vectors a sequence reads are built alone, with no identity matrix: a warm
-    # sequence of J1 builds only its own matrices, a part of right scaled by -1, right . left
-    # and the zero i x i matrix
+        # built: each block's two canonical maps, from their partial injections, then left
+        # and right
+        assert calls == {"_matrix": 2 * len(seq.middle.blocks), "__init__": 2}
+    # a warm sequence of J1 builds only its own matrices, with no identity matrix and no unit
+    # vector: the inclusion J1 -> J2, the cover J2 ->> J1 and its negation, right . left and
+    # the zero i x i matrix
     built = []
     real_of = linalg.Matrix._of.__func__
 
@@ -571,7 +599,7 @@ def test_the_syzygies_and_ar_checks_multiply_no_matrices(monkeypatch):
 
     monkeypatch.setattr(linalg.Matrix, "_of", classmethod(of))
     assert mk.ar_sequence(indec(6, 1), ctx.field).verified
-    assert built == [(1, 2), (1, 1), (1, 1)]
+    assert built == [(2, 1), (1, 2), (1, 2), (1, 1), (1, 1)]
 
 
 # the parent's messages: a decomposable end is refused before a projective one
@@ -995,6 +1023,16 @@ def test_the_solver_and_a_crosscheck_job_build_no_identity_matrix(monkeypatch):
     workloads = _load_workloads()
     assert workloads._check_oracle(workloads._oracle(mk, 9, GF(101))) is None
     assert built == []
+
+
+def test_a_crosscheck_job_memoizes_indecomposable_modules_only(monkeypatch):
+    # the almost split sequences read their decomposable middle through its blocks' tables
+    monkeypatch.setattr(jordan, "_contexts", OrderedDict())
+    workloads = _load_workloads()
+    assert workloads._check_oracle(workloads._oracle(mk, 9, GF(101))) is None
+    (ctx,) = jordan._contexts.values()
+    modules = {a for key in ctx._memo for a in key if isinstance(a, jordan.JordanModule)}
+    assert modules and all(x.is_indecomposable for x in modules)
 
 
 def _combine_by_matrices(ctx, x, y, basis, coeffs):
